@@ -42,7 +42,7 @@ from .problems import (
     normalized_score,
     null_baseline,
 )
-from .trace import DISCLOSURE, LIVE, TRACE_FORMAT, TraceWriter, read_trace
+from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, read_trace
 from .worldgen import CausationLaw, GenSpec, World, generate_world
 
 
@@ -124,31 +124,24 @@ class ScriptedAgent(BaseAgent):
         return dict(self.script.resources[self._tick])
 
 
-def _headers(world: World, slots: list[Slot], step_params: StepParams,
-             problem_params: ProblemParams, score_params: ScoreParams,
-             episode: EpisodeConfig) -> tuple[dict, dict]:
-    bodies = {s.agent_id: s.body.to_dict() for s in slots}
-    kinds = {s.agent_id: s.agent.kind for s in slots}
-    common = {
+def _header(world: World, slots: list[Slot], step_params: StepParams,
+            problem_params: ProblemParams, score_params: ScoreParams,
+            episode: EpisodeConfig) -> dict:
+    return {
         "kind": "header",
+        "mode": DISCLOSURE,
         "format": TRACE_FORMAT,
         "stream_algorithm": rngmod.STREAM_ALGORITHM,
         "step_params": step_params.to_dict(),
         "score_params": score_params.to_dict(),
         "episode": episode.to_dict(),
-        "bodies": bodies,
-        "agent_kinds": kinds,
+        "bodies": {s.agent_id: s.body.to_dict() for s in slots},
+        "agent_kinds": {s.agent_id: s.agent.kind for s in slots},
+        "gen_spec": world.spec.to_dict(),
+        "problem_params": problem_params.to_dict(),
+        "stream_names": {s.agent_id: s.stream_name for s in slots},
+        "initial_state_hash": snapshot_hash(world),
     }
-    live = dict(common, mode=LIVE)
-    disclosure = dict(
-        common,
-        mode=DISCLOSURE,
-        gen_spec=world.spec.to_dict(),
-        problem_params=problem_params.to_dict(),
-        stream_names={s.agent_id: s.stream_name for s in slots},
-        initial_state_hash=snapshot_hash(world),
-    )
-    return live, disclosure
 
 
 def run_episode(world: World, slots: list[Slot], step_params: StepParams,
@@ -158,9 +151,10 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 replay_nulls: dict[int, float] | None = None) -> EpisodeResult:
     """Run one episode in place.  The world is consumed.
 
-    `replay_nulls` substitutes recorded null-baseline values by problem
-    id instead of re-running the baseline rollouts; everything else in
-    replay mode flows through the ordinary pipeline.
+    Every trace line goes through one `TraceSink`, which decides what the
+    live tier sees.  `replay_nulls` substitutes recorded null-baseline
+    values by problem id instead of re-running the baseline rollouts;
+    everything else in replay mode flows through the ordinary pipeline.
     """
     for params in (step_params, problem_params, score_params, episode):
         params.validate()
@@ -178,25 +172,15 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
     for slot in slots:
         world.stream(slot.stream_name)  # materialize before first snapshot
 
-    live_header, disc_header = _headers(
-        world, slots, step_params, problem_params, score_params, episode
-    )
-    live = TraceWriter(live_path, live_header) if live_path else None
-    disc = TraceWriter(disclosure_path, disc_header) if disclosure_path else None
-
+    header = _header(world, slots, step_params, problem_params, score_params,
+                     episode)
     dim = world.spec.dim
     marks: list[int] = []
     fairness_violations = 0
     next_problem_id = 0
     closed_total = 0
 
-    def emit(doc: dict, secret_extra: dict | None = None) -> None:
-        if live:
-            live.event(doc)
-        if disc:
-            disc.event(dict(doc, **secret_extra) if secret_extra else doc)
-
-    try:
+    with TraceSink(live_path, disclosure_path, header) as sink:
         for t in range(episode.horizon):
             if world.tick != t:
                 raise ContractViolation("episode loop lost the world clock")
@@ -227,15 +211,10 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 slot.o_count = 0
                 slot.issued_in_segment += 1
                 slot.issued_total += 1
-                public = problem.public_payload()
-                if live:
-                    live.event({"kind": "problem_issued", "tick": t,
-                                "agent": slot.agent_id, "problem": public})
-                if disc:
-                    disc.event({"kind": "problem_issued", "tick": t,
-                                "agent": slot.agent_id,
-                                "problem": problem.disclosure_payload()})
-                slot.agent.on_problem(public)
+                issued = sink.event({"kind": "problem_issued", "tick": t,
+                                     "agent": slot.agent_id,
+                                     "problem": problem.disclosure_payload()})
+                slot.agent.on_problem(issued["problem"])
                 if hasattr(slot.agent, "load_script"):
                     slot.agent.load_script(problem.hidden_actions,
                                            problem.issued_tick)
@@ -247,8 +226,8 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 slot.senses += 1
                 if slot.active is not None:
                     slot.o_count += 1
-                emit({"kind": "sense", "tick": t, "agent": slot.agent_id,
-                      "grid_hash": reading.hash()})
+                sink.event({"kind": "sense", "tick": t, "agent": slot.agent_id,
+                            "grid_hash": reading.hash()})
                 observations[slot.agent_id] = reading.to_payload()
 
             # 3. act phase, fixed id order
@@ -263,10 +242,10 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     forces = validate_forces(raw, slot.body, dim)
                 slot.acts += 1
                 resources = slot.agent.resources()
-                emit({"kind": "act", "tick": t, "agent": slot.agent_id,
-                      "forces": forces.tolist(),
-                      "resources": {"model_size": resources["model_size"],
-                                    "updates": resources["updates"]}})
+                sink.event({"kind": "act", "tick": t, "agent": slot.agent_id,
+                            "forces": forces.tolist(),
+                            "resources": {"model_size": resources["model_size"],
+                                          "updates": resources["updates"]}})
                 total_accel += forces_to_accel(world, slot.body, forces)
 
             # fairness: exactly one sense and one act each, every tick
@@ -282,13 +261,8 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
             if world.last_drift_events:
                 levels = sorted(e["level"] for e in world.last_drift_events)
                 marks.append(t)
-                if live:
-                    live.event({"kind": "drift", "tick": t})
-                if disc:
-                    disc.event({
-                        "kind": "drift", "tick": t, "levels": levels,
-                        "new_laws": [world.laws[lv].to_dict() for lv in levels],
-                    })
+                sink.event({"kind": "drift", "tick": t, "levels": levels,
+                            "new_laws": [world.laws[lv].to_dict() for lv in levels]})
                 for slot in slots:
                     slot.issued_in_segment = 0
 
@@ -322,7 +296,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     "o_count": slot.o_count, "d_count": d_count,
                     "distance": distance, "score": value,
                 }
-                emit(record)
+                sink.event(record)
                 slot.closures.append(record)
                 closed_total += 1
                 slot.agent.on_problem_closed({
@@ -335,20 +309,20 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
             if world.tick % episode.sample_every == 0 or t == episode.horizon - 1:
                 for slot in slots:
                     slot.samples.append((world.tick, slot.cumulative))
-                    emit({"kind": "sample", "tick": world.tick,
-                          "agent": slot.agent_id,
-                          "cumulative": slot.cumulative})
+                    sink.event({"kind": "sample", "tick": world.tick,
+                                "agent": slot.agent_id,
+                                "cumulative": slot.cumulative})
 
             # 7. periodic state fingerprints for replay verification
-            if disc and world.tick % episode.snapshot_every == 0:
-                disc.event({"kind": "snapshot", "tick": world.tick,
+            if world.tick % episode.snapshot_every == 0:
+                sink.event({"kind": "snapshot", "tick": world.tick,
                             "state_hash": snapshot_hash(world)})
 
             if episode.stop_after_problems is not None \
                     and closed_total >= episode.stop_after_problems:
                 break
 
-        end_doc = {
+        sink.event({
             "kind": "end", "tick": world.tick,
             "cumulative": {s.agent_id: s.cumulative for s in slots},
             "problems_closed": closed_total,
@@ -356,13 +330,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 s.agent_id: getattr(s.agent, "budget_misses", 0) for s in slots
             },
             "fairness_violations": fairness_violations,
-        }
-        emit(end_doc)
-    finally:
-        if live:
-            live.close()
-        if disc:
-            disc.close()
+        })
 
     return EpisodeResult(
         agent_ids=[s.agent_id for s in slots],
@@ -407,6 +375,27 @@ def _require_reportable(slots: list[Slot]) -> None:
             )
 
 
+def _summarize(agent_ids: list[str], worlds: list[dict[str, AgentMetrics]]
+               ) -> tuple[dict, list[str], dict]:
+    """Per-agent mean metrics over worlds, the ranking of those means, and
+    for each ordered pair the number of worlds where a's index beat b's."""
+    means = {
+        aid: {name: float(np.mean([getattr(w[aid], name) for w in worlds]))
+              for name in ("acquisition", "plateau", "retention", "index")}
+        for aid in agent_ids
+    }
+    ranking = rank_agents([
+        (aid, AgentMetrics(**v, n_segments=0, n_marks=0))
+        for aid, v in means.items()
+    ])
+    wins = {
+        a: {b: sum(1 for w in worlds if w[a].index > w[b].index)
+            for b in agent_ids if b != a}
+        for a in agent_ids
+    }
+    return means, ranking, wins
+
+
 @dataclass
 class StageReport:
     stage: int
@@ -439,11 +428,12 @@ def run_stage1(config: RunConfig, outdir: str | None = None,
         raise ConfigError("stage one agent kinds must be distinct")
 
     per_world: list[dict] = []
-    totals: dict[str, list[AgentMetrics]] = {k: [] for k in kinds}
+    per_world_metrics: list[dict[str, AgentMetrics]] = []
 
     for i in range(config.n_worlds):
         seed = rngmod.derive_world_seed(config.master_seed, i)
         world_row: dict = {"world": i, "seed": seed, "agents": {}}
+        world_metrics: dict[str, AgentMetrics] = {}
         for kind in kinds:
             spec = replace(config.gen, seed=seed)
             world = generate_world(spec)
@@ -457,8 +447,7 @@ def run_stage1(config: RunConfig, outdir: str | None = None,
                 world, [slot], config.step, config.problem, config.score,
                 config.episode, live_path=live_path, disclosure_path=disc_path,
             )
-            m = result.metrics(slot.agent_id, config.metric)
-            totals[kind].append(m)
+            m = world_metrics[kind] = result.metrics(slot.agent_id, config.metric)
             world_row["agents"][kind] = {
                 "metrics": m.to_dict(),
                 "cumulative": result.cumulative[slot.agent_id],
@@ -466,37 +455,9 @@ def run_stage1(config: RunConfig, outdir: str | None = None,
                 "drift_marks": result.drift_marks,
             }
         per_world.append(world_row)
+        per_world_metrics.append(world_metrics)
 
-    means = {
-        kind: {
-            "acquisition": float(np.mean([m.acquisition for m in ms])),
-            "plateau": float(np.mean([m.plateau for m in ms])),
-            "retention": float(np.mean([m.retention for m in ms])),
-            "index": float(np.mean([m.index for m in ms])),
-        }
-        for kind, ms in totals.items()
-    }
-    mean_entries = [
-        (kind, AgentMetrics(
-            acquisition=v["acquisition"], plateau=v["plateau"],
-            retention=v["retention"], index=v["index"],
-            n_segments=0, n_marks=0,
-        ))
-        for kind, v in means.items()
-    ]
-    ranking = rank_agents(mean_entries)
-
-    wins = {a: {b: 0 for b in kinds if b != a} for a in kinds}
-    for row in per_world:
-        for a in kinds:
-            for b in kinds:
-                if a == b:
-                    continue
-                ia = row["agents"][a]["metrics"]["index"]
-                ib = row["agents"][b]["metrics"]["index"]
-                if ia > ib:
-                    wins[a][b] += 1
-
+    means, ranking, wins = _summarize(kinds, per_world_metrics)
     return StageReport(stage=1, agent_ids=kinds, per_world=per_world,
                        means=means, ranking=ranking, wins=wins)
 
@@ -523,11 +484,10 @@ def run_stage2(config: RunConfig, live_path: str | None = None,
         config.episode, live_path=live_path, disclosure_path=disclosure_path,
     )
 
-    entries = []
+    metrics: dict[str, AgentMetrics] = {}
     agents_row: dict = {}
     for slot_id in result.agent_ids:
-        m = result.metrics(slot_id, config.metric)
-        entries.append((slot_id, m))
+        m = metrics[slot_id] = result.metrics(slot_id, config.metric)
         agents_row[slot_id] = {
             "metrics": m.to_dict(),
             "cumulative": result.cumulative[slot_id],
@@ -540,16 +500,7 @@ def run_stage2(config: RunConfig, live_path: str | None = None,
         "drift_marks": result.drift_marks,
         "fairness_violations": result.fairness_violations,
     }]
-    means = {aid: {
-        "acquisition": m.acquisition, "plateau": m.plateau,
-        "retention": m.retention, "index": m.index,
-    } for aid, m in entries}
-    ranking = rank_agents(entries)
-    wins = {
-        a: {b: int(dict(entries)[a].index > dict(entries)[b].index)
-            for b in result.agent_ids if b != a}
-        for a in result.agent_ids
-    }
+    means, ranking, wins = _summarize(result.agent_ids, [metrics])
     return StageReport(stage=2, agent_ids=result.agent_ids,
                        per_world=per_world, means=means, ranking=ranking,
                        wins=wins)

@@ -23,6 +23,7 @@ from . import rng as rngmod
 from .dynamics import StepParams, step
 from .errors import ConfigError, ContractViolation
 from .interface import BodySpec, SenseGrid, forces_to_accel, grid_distance, sense
+from .trace import live_view
 from .worldgen import World
 
 
@@ -110,28 +111,25 @@ class Problem:
     def deadline(self) -> int:
         return self.issued_tick + self.timeout
 
-    def public_payload(self) -> dict:
-        """What the agent (and the live trace) may see."""
+    def disclosure_payload(self) -> dict:
+        """The whole problem, as the disclosure trace records it."""
         return {
             "id": self.id,
             "issued_tick": self.issued_tick,
             "target_grid": self.target_grid.tolist(),
             "epsilon": self.epsilon,
             "timeout": self.timeout,
+            "scriptor_len": self.scriptor_len,
+            "o_ref": self.o_ref,
+            "d_ref": self.d_ref,
+            "hidden_actions": self.hidden_actions.tolist(),
+            "p_null": self.p_null,
         }
 
-    def disclosure_payload(self) -> dict:
-        doc = self.public_payload()
-        doc.update(
-            {
-                "scriptor_len": self.scriptor_len,
-                "o_ref": self.o_ref,
-                "d_ref": self.d_ref,
-                "hidden_actions": self.hidden_actions.tolist(),
-                "p_null": self.p_null,
-            }
-        )
-        return doc
+    def public_payload(self) -> dict:
+        """What the agent (and the live trace) may see: the live tier's view."""
+        issued = {"kind": "problem_issued", "problem": self.disclosure_payload()}
+        return live_view(issued)["problem"]
 
 
 def generate_problem(world: World, body: BodySpec, params: ProblemParams,

@@ -1,17 +1,19 @@
 """Episode traces: append-only NDJSON in two disclosure tiers.
 
-The live trace is what an external observer may see while an evaluation
-runs: problem targets, validated actions, sensor-grid hashes, drift
-marks, score samples.  It must never contain the world seed, the law
-grammar, any law coefficient, the drift schedule, or a hidden action
-script; `audit_live_trace` enforces that mechanically and the redaction
-test feeds it the actual secrets to hunt for.
+Every trace line starts as one disclosure-level document.  The
+disclosure trace gets it whole; it is the post-hoc audit record, with
+the generation spec, drifted laws, hidden scripts, null baselines and
+periodic world snapshot hashes that make bit-exact replay possible.
 
-The disclosure trace is a strict superset written for post-hoc audit: it
-adds the full generation spec, drifted law payloads, hidden scripts, and
-periodic world snapshot hashes, which is what makes bit-exact replay
-verification possible.  Neither trace contains wall-clock timestamps;
-trace bytes are a pure function of the run's inputs.
+The live trace is what an observer, and an agent, may see while an
+evaluation runs.  `LIVE_FIELDS` is the contract for it: per event kind,
+the only fields a live line may carry.  It is an allowlist, so a kind or
+field it does not name never reaches the live tier.  `live_view` applies
+it, `TraceSink` writes both tiers through it, and the harness hands
+agents their problems through it too.  `audit_live_trace` checks the
+result independently, against `FORBIDDEN_LIVE_KEYS` and the actual
+secret values.  Neither trace contains wall-clock timestamps; trace
+bytes are a pure function of the run's inputs.
 """
 
 from __future__ import annotations
@@ -37,6 +39,52 @@ FORBIDDEN_LIVE_KEYS = frozenset(
         "gen_spec", "rng", "streams",
     }
 )
+
+#: Per event kind, the fields the live tier may carry.  A dotted name
+#: selects one field of a nested document.  The header keeps its `mode`
+#: key, which `TraceSink` relabels for the live file.
+LIVE_FIELDS: dict[str, tuple[str, ...]] = {
+    "header": ("kind", "mode", "format", "stream_algorithm", "step_params",
+               "score_params", "episode", "bodies", "agent_kinds"),
+    "problem_issued": ("kind", "tick", "agent", "problem.id",
+                       "problem.issued_tick", "problem.target_grid",
+                       "problem.epsilon", "problem.timeout"),
+    "sense": ("kind", "tick", "agent", "grid_hash"),
+    "act": ("kind", "tick", "agent", "forces", "resources.model_size",
+            "resources.updates"),
+    "drift": ("kind", "tick"),
+    "problem_closed": ("kind", "tick", "agent", "problem_id", "solved",
+                       "reason", "o_count", "d_count", "distance", "score"),
+    "sample": ("kind", "tick", "agent", "cumulative"),
+    "end": ("kind", "tick", "cumulative", "problems_closed", "budget_misses",
+            "fairness_violations"),
+}
+
+
+def _field_tree(paths: tuple[str, ...]) -> dict:
+    """Dotted names as nested {field: subtree}; None keeps a field whole."""
+    tree: dict = {}
+    for path in paths:
+        *parents, leaf = path.split(".")
+        node = tree
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = None
+    return tree
+
+
+_LIVE_TREES = {kind: _field_tree(paths) for kind, paths in LIVE_FIELDS.items()}
+
+
+def _project(doc: dict, tree: dict) -> dict:
+    return {key: doc[key] if sub is None else _project(doc[key], sub)
+            for key, sub in tree.items() if key in doc}
+
+
+def live_view(doc: dict) -> dict | None:
+    """The live tier's copy of a disclosure-level document, or None."""
+    tree = _LIVE_TREES.get(doc.get("kind"))
+    return None if tree is None else _project(doc, tree)
 
 
 class TraceWriter:
@@ -66,6 +114,42 @@ class TraceWriter:
             self._fh.close()
 
     def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class TraceSink:
+    """Writes each disclosure-level document once, to both tiers.
+
+    The disclosure file gets the document whole, the live file its
+    `live_view`; either path may be None.  `event` returns the live view
+    so callers can hand exactly that to agents.
+    """
+
+    def __init__(self, live_path: str | None, disclosure_path: str | None,
+                 header: dict):
+        self.live = self.disc = None
+        if live_path:
+            self.live = TraceWriter(live_path, dict(live_view(header), mode=LIVE))
+        if disclosure_path:
+            self.disc = TraceWriter(disclosure_path, header)
+
+    def event(self, doc: dict) -> dict | None:
+        view = live_view(doc)
+        if self.live and view is not None:
+            self.live.event(view)
+        if self.disc:
+            self.disc.event(doc)
+        return view
+
+    def close(self) -> None:
+        for writer in (self.live, self.disc):
+            if writer:
+                writer.close()
+
+    def __enter__(self) -> "TraceSink":
         return self
 
     def __exit__(self, *exc) -> None:

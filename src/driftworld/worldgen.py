@@ -213,31 +213,6 @@ class CausationLaw:
         )
 
 
-@dataclass
-class Entity:
-    """Read-only view of one basic entity."""
-
-    id: int
-    polarity: int
-    position: np.ndarray
-    velocity: np.ndarray
-    inertia: float
-    level: int = 0
-
-
-@dataclass
-class Composite:
-    """Read-only view of one composite, aggregates included."""
-
-    id: int
-    level: int
-    children: tuple[int, ...]
-    agg_position: np.ndarray
-    agg_velocity: np.ndarray
-    agg_inertia: float
-    agg_polarity: int
-
-
 class _Level:
     """Membership and cached aggregates for one hierarchy level >= 1.
 
@@ -282,37 +257,12 @@ class World:
         self.streams: dict[str, np.random.Generator] = streams
         self.tick = tick
         self.levels: list[_Level] = []
-        # Transient diagnostics, excluded from the canonical serialization.
+        # Drift events of the last step; transient, not serialized.
         self.last_drift_events: list[dict] = []
-        self.last_pair_accel: np.ndarray | None = None
 
     @property
     def n_entities(self) -> int:
         return self.positions.shape[0]
-
-    def entity(self, entity_id: int) -> Entity:
-        return Entity(
-            id=entity_id,
-            polarity=int(self.polarity[entity_id]),
-            position=self.positions[entity_id].copy(),
-            velocity=self.velocities[entity_id].copy(),
-            inertia=float(self.inertia[entity_id]),
-        )
-
-    def composites_at(self, level: int) -> list[Composite]:
-        lv = self.levels[level - 1]
-        return [
-            Composite(
-                id=lv.ids[i],
-                level=level,
-                children=tuple(lv.children[i]),
-                agg_position=lv.positions[i].copy(),
-                agg_velocity=lv.velocities[i].copy(),
-                agg_inertia=float(lv.inertia[i]),
-                agg_polarity=int(lv.polarity[i]),
-            )
-            for i in range(len(lv.ids))
-        ]
 
     def stream(self, name: str) -> np.random.Generator:
         if name not in self.streams:

@@ -262,7 +262,7 @@ def test_criterion_09_protocol_is_closed_and_sensing_conserves_entities():
 def test_criterion_10_shared_world_ranking_prefers_the_learner():
     t0 = time.monotonic()
     firsts = 0
-    fairness = 0
+    starved = []
     n_worlds = 10
     for s in range(n_worlds):
         cfg = RunConfig(agents=("greedy", "null"))
@@ -270,9 +270,12 @@ def test_criterion_10_shared_world_ranking_prefers_the_learner():
         report = run_stage2(cfg)
         if report.ranking[0] == "a0_greedy":
             firsts += 1
-        fairness += report.per_world[0]["fairness_violations"]
+        for aid, cell in report.per_world[0]["agents"].items():
+            if not cell["senses"] == cell["acts"] == cfg.episode.horizon:
+                starved.append((s, aid, cell["senses"], cell["acts"]))
     elapsed = time.monotonic() - t0
-    ok = firsts >= 8 and fairness == 0
+    ok = firsts >= 8 and not starved
     check(10, ok,
           f"greedy ranked first on {firsts}/{n_worlds} shared worlds "
-          f"(floor 8), {fairness} fairness violations, {elapsed:.1f}s")
+          f"(floor 8), every agent sensed and acted once per tick "
+          f"(exceptions: {starved}), {elapsed:.1f}s")

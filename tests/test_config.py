@@ -151,3 +151,28 @@ def test_validate_catches_out_of_range_run_fields():
         setattr(cfg, field, value)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+def test_every_parameter_field_has_a_config_key():
+    from dataclasses import fields
+
+    from driftworld.config import _KEYS, EpisodeConfig
+    from driftworld.dynamics import StepParams
+    from driftworld.metrics import MetricParams
+    from driftworld.problems import ProblemParams, ScoreParams
+    from driftworld.worldgen import CausationGrammar, DriftSchedule, GenSpec
+
+    targets = {dotted for dotted, _ in _KEYS.values()}
+    owners = [("step", StepParams), ("problem", ProblemParams),
+              ("score", ScoreParams), ("episode", EpisodeConfig),
+              ("metric", MetricParams), ("gen", GenSpec),
+              ("gen.grammar", CausationGrammar), ("gen.drift", DriftSchedule)]
+    covered = targets | {prefix for prefix, _ in owners}  # nested specs
+    missing = [f"{prefix}.{f.name}" for prefix, cls in owners
+               for f in fields(cls) if f"{prefix}.{f.name}" not in covered]
+    assert missing == []
+
+
+def test_impulse_floor_is_settable():
+    cfg = load_config(None, ["problem.impulse_floor=0.2"])
+    assert cfg.problem.impulse_floor == 0.2

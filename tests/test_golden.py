@@ -27,6 +27,7 @@ import pytest
 from driftworld.canon import canonical_dumps
 from driftworld.config import load_config
 from driftworld.harness import replay_trace, run_stage1, run_stage2
+from driftworld.trace import audit_live_trace
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DIGESTS = os.path.join(GOLDEN_DIR, "digests.json")
@@ -84,6 +85,9 @@ def test_golden_digests_unchanged(name, tmp_path):
     assert sorted(got) == sorted(expected), f"case {name}: different files written"
     for tier, digest in expected.items():
         assert got[tier] == digest, f"case {name}, {tier}: bytes changed"
+    for fname in got:
+        if fname.endswith(".live.ndjson"):
+            assert audit_live_trace(str(tmp_path / fname)) == [], fname
 
 
 def test_committed_disclosure_trace_replays(tmp_path):

@@ -15,6 +15,7 @@ from driftworld.harness import (
     ScriptedAgent,
     Slot,
     _ReplayScript,
+    _summarize,
     law_bytes,
     oracle_calibration,
     replay_trace,
@@ -22,7 +23,7 @@ from driftworld.harness import (
     run_stage1,
     run_stage2,
 )
-from driftworld.metrics import MetricParams
+from driftworld.metrics import AgentMetrics, MetricParams
 from driftworld.rng import derive_world_seed
 from driftworld.trace import flip_one_bit, read_trace
 from driftworld.worldgen import DriftSchedule, GenSpec, generate_world
@@ -184,6 +185,28 @@ def test_stage1_report_shape_and_derived_seeds():
     d = report.to_dict()
     assert d["stage"] == 1 and d["ranking"] == report.ranking
     assert d["lower_bound"] is True
+
+
+def test_summary_means_ranks_and_counts_wins_over_worlds():
+    def m(index, plateau=0.5):
+        return AgentMetrics(acquisition=2.0, plateau=plateau, retention=1.0,
+                            index=index, n_segments=3, n_marks=2)
+
+    worlds = [{"a": m(0.1), "b": m(0.3)}, {"a": m(0.6), "b": m(0.2)},
+              {"a": m(0.2), "b": m(0.2, plateau=0.7)}]
+    means, ranking, wins = _summarize(["a", "b"], worlds)
+    assert means["a"]["index"] == pytest.approx(0.3)
+    assert means["b"]["plateau"] == pytest.approx(0.5 + 0.2 / 3)
+    assert ranking == ["a", "b"]
+    assert wins == {"a": {"b": 1}, "b": {"a": 1}}
+    assert all(type(n) is int for row in wins.values() for n in row.values())
+
+    # one world: the means are the metrics themselves, wins are 0 or 1
+    means, ranking, wins = _summarize(["a", "b"], worlds[2:])
+    assert means["b"] == {"acquisition": 2.0, "plateau": 0.7,
+                          "retention": 1.0, "index": 0.2}
+    assert ranking == ["b", "a"]
+    assert wins == {"a": {"b": 0}, "b": {"a": 0}}
 
 
 def test_stage1_refuses_oracle_and_duplicates():

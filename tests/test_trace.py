@@ -16,6 +16,8 @@ from driftworld.trace import (
     DISCLOSURE,
     FORBIDDEN_LIVE_KEYS,
     LIVE,
+    LIVE_FIELDS,
+    TraceSink,
     TraceWriter,
     audit_live_trace,
     flip_one_bit,
@@ -200,3 +202,51 @@ def test_forbidden_key_set_is_stable():
     # The redaction contract: anything a law or seed could leak through.
     for key in ("seed", "laws", "coeff", "hidden_actions", "rng", "streams"):
         assert key in FORBIDDEN_LIVE_KEYS
+
+
+# ------------------------------------------------------ the live-tier table
+
+
+def test_live_field_table_names_no_forbidden_key():
+    for kind, paths in LIVE_FIELDS.items():
+        for path in paths:
+            for name in path.split("."):
+                assert name not in FORBIDDEN_LIVE_KEYS, (kind, path)
+
+
+def test_sink_keeps_unlisted_kinds_and_fields_out_of_the_live_tier(tmp_path):
+    live, disc = str(tmp_path / "live.ndjson"), str(tmp_path / "disc.ndjson")
+    header = {"kind": "header", "mode": DISCLOSURE, "format": 1, "seed": 9}
+    with TraceSink(live, disc, header) as sink:
+        assert sink.event({"kind": "snapshot", "tick": 3, "state_hash": "ab"}) is None
+        assert sink.event({"kind": "unlisted", "tick": 3}) is None
+        view = sink.event({"kind": "sense", "tick": 3, "agent": "a",
+                           "grid_hash": "cd", "seed": 9})
+    assert view == {"kind": "sense", "tick": 3, "agent": "a", "grid_hash": "cd"}
+
+    live_header, live_events = read_trace(live)
+    assert live_header == {"kind": "header", "mode": LIVE, "format": 1}
+    assert live_events == [view]
+    disc_header, disc_events = read_trace(disc)
+    assert disc_header == header
+    assert [e["kind"] for e in disc_events] == ["snapshot", "unlisted", "sense"]
+    assert disc_events[2]["seed"] == 9
+
+
+def test_agent_sees_exactly_the_live_problem(tmp_path):
+    cfg = RunConfig()
+    cfg.gen = GenSpec(seed=4, drift=DriftSchedule(regime_times=(25,)))
+    cfg.episode.horizon = 60
+    body = cfg.body()
+    agent = make_agent("greedy", body, 2)
+    received = []
+    forward = agent.on_problem
+    agent.on_problem = lambda payload: (received.append(payload), forward(payload))
+    live = str(tmp_path / "live.ndjson")
+    run_episode(generate_world(cfg.gen), [Slot(agent_id="greedy", agent=agent, body=body)],
+                cfg.step, cfg.problem, cfg.score, cfg.episode, live_path=live)
+
+    _, events = read_trace(live)
+    issued = [e["problem"] for e in events if e["kind"] == "problem_issued"]
+    assert len(issued) >= 2
+    assert received == issued
