@@ -126,7 +126,7 @@ class RunConfig:
 
 # -- key table -------------------------------------------------------------
 
-_INT, _FLOAT, _BOOL, _STR = "int", "float", "bool", "str"
+_INT, _FLOAT, _BOOL = "int", "float", "bool"
 _INTS, _STRS = "ints", "strs"
 _FLOAT2, _FLOAT3 = "float2", "float3"
 _OPT_INT, _OPT_INTS, _OPT_FLOAT = "opt_int", "opt_ints", "opt_float"
@@ -198,8 +198,6 @@ def _coerce(key: str, raw: str, kind: str):
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        if kind == _STR:
-            return raw
         parts = [p.strip() for p in raw.split(",") if p.strip() != ""]
         if kind == _INTS or kind == _OPT_INTS:
             return tuple(int(p) for p in parts)

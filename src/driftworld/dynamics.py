@@ -1,7 +1,8 @@
 """Deterministic time stepping under per-level pairwise interaction laws.
 
-Each tick: drift the laws if scheduled, evaluate pairwise accelerations at
-every hierarchy level, push composite accelerations down to their member
+Each tick: drift the laws if scheduled, compute the composite aggregates
+once from the current state, evaluate pairwise accelerations at every
+hierarchy level, push composite accelerations down to their member
 entities, then integrate with a fixed-step semi-implicit Euler update on
 the torus.  The radial part of a law acts along the minimal-image
 separation vector and is divided by the receiver's inertia, so action
@@ -143,25 +144,25 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
     return pair.sum(axis=1)
 
 
-def compute_accelerations(world: World, params: StepParams) -> np.ndarray:
+def compute_accelerations(world: World, params: StepParams,
+                          aggregates: list[tuple[np.ndarray, ...]]) -> np.ndarray:
     """Net per-entity acceleration from every hierarchy level's law.
 
+    `aggregates` is `world.recompute_aggregates()` for the current state.
     A composite's acceleration reaches its members as equal acceleration,
     i.e. force in proportion to each member's share of the aggregate
-    inertia.  Aggregates must be current when this is called.
+    inertia.
     """
     accel = _level_accel(
         world.positions, world.velocities, world.polarity, world.inertia,
         world.laws[0], world.spec.arena_extent, params,
     )
-    for lv in world.levels:
-        law = world.laws[lv.level]
+    for lv, (pos, vel, inertia, pol) in zip(world.levels, aggregates):
         comp = _level_accel(
-            lv.positions, lv.velocities, lv.polarity, lv.inertia,
-            law, world.spec.arena_extent, params,
+            pos, vel, pol, inertia, world.laws[lv.level],
+            world.spec.arena_extent, params,
         )
-        for row, desc in enumerate(lv.descendants):
-            accel[desc] += comp[row]
+        accel += comp[lv.owner]
     return accel
 
 
@@ -169,15 +170,14 @@ def step(world: World, params: StepParams,
          external_accel: np.ndarray | None = None) -> World:
     """Advance the world by one tick in place.
 
-    Order: scheduled law drift, force evaluation at all levels, external
-    (agent) accelerations, then the semi-implicit Euler update with the
-    speed clamp and toroidal wrap.  Drift events for this tick end up in
+    Order: scheduled law drift, one aggregate pass, force evaluation at
+    all levels, external (agent) accelerations, then the semi-implicit
+    Euler update with the speed clamp and toroidal wrap.  Drift events for this tick end up in
     `world.last_drift_events`.
     """
     params.validate()
     world.last_drift_events = apply_drift(world)
-    world.recompute_aggregates()
-    accel = compute_accelerations(world, params)
+    accel = compute_accelerations(world, params, world.recompute_aggregates())
     if external_accel is not None:
         accel = accel + external_accel
 
@@ -192,7 +192,6 @@ def step(world: World, params: StepParams,
         world.positions + vel * params.dt, world.spec.arena_extent
     )
     world.tick += 1
-    world.recompute_aggregates()
     return world
 
 

@@ -513,9 +513,8 @@ def oracle_calibration(config: RunConfig, n_problems: int) -> dict:
     the difficulty scale for the configured problem parameters.
     """
     config.validate()
-    spec = replace(config.gen)
-    world = generate_world(spec)
-    slot = _make_slot("oracle", config, spec.seed, 0, multi=False)
+    world = generate_world(config.gen)
+    slot = _make_slot("oracle", config, config.gen.seed, 0, multi=False)
     episode = EpisodeConfig(
         horizon=n_problems * (config.problem.timeout + 2) + 4,
         snapshot_every=10_000_000,

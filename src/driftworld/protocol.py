@@ -15,6 +15,7 @@ field on actions lets it discard stale replies afterwards.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import queue
 import subprocess
@@ -265,15 +266,23 @@ class SubprocessAgent:
         }
         if agent_seed is not None:
             hello["agent_seed"] = int(agent_seed)
-        self._send(hello)
-        reply = self._recv(hello_timeout_s)
-        if reply is None:
-            raise ProtocolError("agent closed its pipe during handshake")
-        if reply is _TIMEOUT:
-            raise ProtocolError("agent did not answer the handshake in time")
-        doc = parse_line("from_agent", reply)
-        if doc["kind"] != "hello":
-            raise ProtocolError(f"expected hello, got {doc['kind']!r}")
+        try:
+            self._send(hello)
+            reply = self._recv(hello_timeout_s)
+            if reply is None:
+                raise ProtocolError("agent closed its pipe during handshake")
+            if reply is _TIMEOUT:
+                raise ProtocolError("agent did not answer the handshake in time")
+            doc = parse_line("from_agent", reply)
+            if doc["kind"] != "hello":
+                raise ProtocolError(f"expected hello, got {doc['kind']!r}")
+        except ProtocolError:
+            # The constructor raised, so no caller can close() this agent.
+            self.proc.kill()
+            self.proc.wait()
+            with contextlib.suppress(OSError):
+                self.proc.stdin.close()
+            raise
         self.agent_name = doc["agent"]
 
     def _send(self, doc: dict) -> None:

@@ -6,6 +6,10 @@ level, then partition entities into composites level by level.  Everything
 is drawn from the world's "generation" stream, so one spec always produces
 one world.  Laws at level 0 stay fixed for the life of the world; laws at
 the configured drift levels are resampled at scheduled regime times.
+
+Membership is frozen at build time as read-only index maps that clones
+share.  Composite aggregates are never stored: `World.recompute_aggregates`
+derives them from the current entity state, so they cannot go stale.
 """
 
 from __future__ import annotations
@@ -213,28 +217,32 @@ class CausationLaw:
         )
 
 
+@dataclass(frozen=True, eq=False)
 class _Level:
-    """Membership and cached aggregates for one hierarchy level >= 1.
+    """Frozen membership of one hierarchy level >= 1.
 
-    Membership is frozen at build time; the agg arrays are recomputed from
-    the current entity state whenever `World.recompute_aggregates` runs.
+    `ids` and `children` are the canonical form.  `parent` maps each row
+    of the level below to its composite's row here, and `owner` maps each
+    basic entity to it (the composition of the `parent` maps so far).
+    Both are read-only because clones share them.
     """
 
-    __slots__ = (
-        "level", "ids", "children", "child_rows", "descendants",
-        "positions", "velocities", "inertia", "polarity",
-    )
+    level: int
+    ids: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    parent: np.ndarray
+    owner: np.ndarray
 
-    def __init__(self, level, ids, children, child_rows, descendants):
-        self.level = level
-        self.ids = ids                  # composite ids, creation order
-        self.children = children        # per composite: ids at level-1
-        self.child_rows = child_rows    # per composite: rows into level-1 arrays
-        self.descendants = descendants  # per composite: basic entity rows
-        self.positions = None
-        self.velocities = None
-        self.inertia = None
-        self.polarity = None
+    def __post_init__(self):
+        self.parent.flags.writeable = False
+        self.owner.flags.writeable = False
+
+
+def _sum_rows(parent: np.ndarray, m: int, values: np.ndarray) -> np.ndarray:
+    """Sum the rows of `values` into `m` bins by `parent`, each in ascending row order."""
+    if values.ndim == 1:
+        return np.bincount(parent, weights=values, minlength=m)
+    return np.stack([np.bincount(parent, weights=col, minlength=m) for col in values.T], axis=1)
 
 
 def wrap_positions(pos: np.ndarray, extent: float) -> np.ndarray:
@@ -269,26 +277,25 @@ class World:
             self.streams[name] = rngmod.make_stream(self.spec.seed, name)
         return self.streams[name]
 
-    def recompute_aggregates(self) -> None:
-        """Refresh every composite's inertia-weighted aggregates."""
-        prev_pos, prev_vel = self.positions, self.velocities
-        prev_inertia, prev_pol = self.inertia, self.polarity
+    def recompute_aggregates(self) -> list[tuple[np.ndarray, ...]]:
+        """Every composite's inertia-weighted aggregates, from the current state.
+
+        Returns one (positions, velocities, inertia, polarity) tuple per
+        level >= 1.  Each level aggregates the rows of the level below it,
+        summing members in ascending row order; polarity is the sign of
+        the members' polarity sum, ties going to +1.  Nothing is stored.
+        """
+        out = []
+        pos, vel, inertia, pol = self.positions, self.velocities, self.inertia, self.polarity
         for lv in self.levels:
             m = len(lv.ids)
-            lv.positions = np.empty((m, self.spec.dim))
-            lv.velocities = np.empty((m, self.spec.dim))
-            lv.inertia = np.empty(m)
-            lv.polarity = np.empty(m, dtype=np.int64)
-            for i, rows in enumerate(lv.child_rows):
-                w = prev_inertia[rows]
-                total = w.sum()
-                lv.positions[i] = (prev_pos[rows] * w[:, None]).sum(axis=0) / total
-                lv.velocities[i] = (prev_vel[rows] * w[:, None]).sum(axis=0) / total
-                lv.inertia[i] = total
-                pol_sum = int(prev_pol[rows].sum())
-                lv.polarity[i] = 1 if pol_sum >= 0 else -1
-            prev_pos, prev_vel = lv.positions, lv.velocities
-            prev_inertia, prev_pol = lv.inertia, lv.polarity
+            total = _sum_rows(lv.parent, m, inertia)
+            pos = _sum_rows(lv.parent, m, pos * inertia[:, None]) / total[:, None]
+            vel = _sum_rows(lv.parent, m, vel * inertia[:, None]) / total[:, None]
+            pol = np.where(_sum_rows(lv.parent, m, pol) >= 0, 1, -1)
+            inertia = total
+            out.append((pos, vel, inertia, pol))
+        return out
 
     # -- canonical serialization ------------------------------------------
 
@@ -337,16 +344,11 @@ class World:
             },
             tick=doc["tick"],
         )
-        membership = [
-            [(c["id"], tuple(c["children"])) for c in level_doc]
-            for level_doc in doc["hierarchy"]
-        ]
-        _attach_levels(world, membership)
-        world.recompute_aggregates()
+        _attach_levels(world, doc["hierarchy"])
         return world
 
     def clone(self) -> "World":
-        """Deep, independent copy (streams included)."""
+        """Independent copy of the state (streams included); membership is shared."""
         world = World(
             spec=self.spec,
             positions=self.positions.copy(),
@@ -357,12 +359,7 @@ class World:
             streams={k: rngmod.clone_stream(g) for k, g in self.streams.items()},
             tick=self.tick,
         )
-        membership = [
-            [(lv.ids[i], tuple(lv.children[i])) for i in range(len(lv.ids))]
-            for lv in self.levels
-        ]
-        _attach_levels(world, membership)
-        world.recompute_aggregates()
+        world.levels = self.levels
         return world
 
 
@@ -420,24 +417,20 @@ def sample_law(grammar: CausationGrammar, level: int,
     )
 
 
-def _attach_levels(world: World, membership: list[list[tuple[int, tuple[int, ...]]]]) -> None:
-    """Install frozen membership lists and derive row maps / descendants."""
+def _attach_levels(world: World, hierarchy: list[list[dict]]) -> None:
+    """Install frozen membership, given in canonical form, with its index maps."""
     world.levels = []
-    prev_row_of = {i: i for i in range(world.n_entities)}
-    prev_descendants = {i: np.array([i]) for i in range(world.n_entities)}
-    for depth, level_doc in enumerate(membership, start=1):
-        ids, children, child_rows, descendants = [], [], [], []
-        row_of, desc_of = {}, {}
-        for row, (cid, kids) in enumerate(level_doc):
-            ids.append(cid)
-            children.append(tuple(kids))
-            child_rows.append(np.array([prev_row_of[k] for k in kids], dtype=np.intp))
-            desc = np.concatenate([prev_descendants[k] for k in kids])
-            descendants.append(np.sort(desc))
-            row_of[cid] = row
-            desc_of[cid] = descendants[-1]
-        world.levels.append(_Level(depth, ids, children, child_rows, descendants))
-        prev_row_of, prev_descendants = row_of, desc_of
+    row_of = {i: i for i in range(world.n_entities)}
+    owner = np.arange(world.n_entities, dtype=np.intp)
+    for depth, level_doc in enumerate(hierarchy, start=1):
+        parent = np.empty(len(row_of), dtype=np.intp)
+        for row, comp in enumerate(level_doc):
+            parent[[row_of[k] for k in comp["children"]]] = row
+        owner = parent[owner]
+        ids = tuple(comp["id"] for comp in level_doc)
+        children = tuple(tuple(comp["children"]) for comp in level_doc)
+        world.levels.append(_Level(depth, ids, children, parent, owner))
+        row_of = {cid: row for row, cid in enumerate(ids)}
 
 
 def build_hierarchy(world: World) -> World:
@@ -445,13 +438,14 @@ def build_hierarchy(world: World) -> World:
 
     Bucket width at level L is arena_extent / 2**(n_levels - L), so low
     levels form many small composites and the top level a few large ones.
-    The partition depends only on positions at build time and the spec.
+    Composites are numbered in sorted bucket-key order.  The partition
+    depends only on positions at build time and the spec.
     """
     spec = world.spec
     extent = spec.arena_extent
-    membership: list[list[tuple[int, tuple[int, ...]]]] = []
+    hierarchy: list[list[dict]] = []
+    first_id = 0  # ids are consecutive per level: row r below has first_id + r
     next_id = world.n_entities
-    prev_ids = list(range(world.n_entities))
     prev_pos = world.positions
 
     for level in range(1, spec.n_levels):
@@ -459,27 +453,20 @@ def build_hierarchy(world: World) -> World:
         n_buckets = int(np.ceil(2 * extent / width))
         idx = np.floor((prev_pos + extent) / width).astype(np.int64)
         idx = np.clip(idx, 0, n_buckets - 1)
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for row, key in enumerate(map(tuple, idx)):
-            buckets.setdefault(key, []).append(prev_ids[row])
-        level_doc = []
-        agg_pos = []
-        for key in sorted(buckets):
-            kids = tuple(sorted(buckets[key]))
-            level_doc.append((next_id, kids))
-            next_id += 1
-        membership.append(level_doc)
-        # Positions for the next level up: plain mean is enough for
-        # bucketing because aggregates are recomputed right afterwards.
-        id_to_row = {eid: r for r, eid in enumerate(prev_ids)}
-        for cid, kids in level_doc:
-            rows = [id_to_row[k] for k in kids]
-            agg_pos.append(prev_pos[rows].mean(axis=0))
-        prev_ids = [cid for cid, _ in level_doc]
-        prev_pos = np.array(agg_pos) if agg_pos else np.empty((0, spec.dim))
+        # np.unique orders bucket keys lexicographically, as sorted() does.
+        parent = np.unique(idx, axis=0, return_inverse=True)[1].reshape(-1)
+        counts = np.bincount(parent)
+        members = np.split(np.argsort(parent, kind="stable"), np.cumsum(counts)[:-1])
+        hierarchy.append([
+            {"id": next_id + j, "children": (first_id + rows).tolist()}
+            for j, rows in enumerate(members)
+        ])
+        first_id, next_id = next_id, next_id + len(counts)
+        # Positions for the next level up: the plain mean is enough for
+        # bucketing; dynamics uses inertia-weighted aggregates.
+        prev_pos = _sum_rows(parent, len(counts), prev_pos) / counts[:, None]
 
-    _attach_levels(world, membership)
-    world.recompute_aggregates()
+    _attach_levels(world, hierarchy)
     return world
 
 

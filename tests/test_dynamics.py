@@ -87,7 +87,7 @@ def test_const_law_acceleration_by_hand():
     c = 0.25
     world = make_two_entity_world([("const", c)])
     params = StepParams(a_max=100.0, v_max=100.0)
-    acc = compute_accelerations(world, params)
+    acc = compute_accelerations(world, params, world.recompute_aggregates())
     # product is -1, unit vector b->a for entity 0 is (-1, 0)
     assert np.allclose(acc[0], [c, 0.0])
     assert np.allclose(acc[1], [-c, 0.0])
@@ -98,7 +98,7 @@ def test_inverse_law_uses_effective_radius_floor():
     world = make_two_entity_world([("inv", c)], polarity=(1, 1))
     world.positions[:] = [[0.0, 0.0], [0.01, 0.0]]  # nearly on top
     params = StepParams(a_max=1e9, v_max=1e9, eps_r=0.5)
-    acc = compute_accelerations(world, params)
+    acc = compute_accelerations(world, params, world.recompute_aggregates())
     # r_eff = 0.5, same polarity so the pair repels along -x for entity 0
     assert np.allclose(np.abs(acc[0, 0]), c / 0.5)
 
@@ -108,7 +108,7 @@ def test_damping_term_never_polarity_coupled():
     world = make_two_entity_world([("damp", d)], coupled=(False,))
     world.velocities[:] = [[1.0, 0.0], [0.0, 0.0]]
     params = StepParams(a_max=100.0, v_max=100.0)
-    acc = compute_accelerations(world, params)
+    acc = compute_accelerations(world, params, world.recompute_aggregates())
     assert np.allclose(acc[0], [-d, 0.0])
     assert np.allclose(acc[1], [d, 0.0])
 
@@ -120,7 +120,7 @@ def test_eval_law_matches_vectorized_path():
     params = StepParams()
     law = world.laws[0]
     extent = world.spec.arena_extent
-    acc = compute_accelerations(world, params)
+    acc = compute_accelerations(world, params, world.recompute_aggregates())
     for a in range(6):
         total = np.zeros(2)
         for b in range(6):
@@ -176,7 +176,7 @@ def test_velocity_cap():
 def test_acceleration_cap():
     world = make_two_entity_world([("const", 500.0)])
     params = StepParams(a_max=2.0, v_max=1e9)
-    acc = compute_accelerations(world, params)
+    acc = compute_accelerations(world, params, world.recompute_aggregates())
     norms = np.linalg.norm(acc, axis=1)
     assert np.all(norms <= 2.0 + 1e-12)
 

@@ -7,6 +7,7 @@ no side channel can be smuggled past the validator.
 
 import io
 import json
+import subprocess
 import sys
 import time
 
@@ -325,11 +326,45 @@ sys.stdin.read()
 """
 
 
-def test_subprocess_rejects_out_of_schema_handshake(body, tmp_path):
+SILENT_AGENT = r"""
+import sys
+sys.stdin.read()
+"""
+
+
+def started_processes(monkeypatch):
+    """Record every Popen the protocol module starts during the test."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
+
+
+def test_subprocess_rejects_out_of_schema_handshake(body, tmp_path, monkeypatch):
     script = tmp_path / "bad_hello.py"
     script.write_text(BAD_HELLO_AGENT)
+    started = started_processes(monkeypatch)
     with pytest.raises(ProtocolError):
         SubprocessAgent([sys.executable, str(script)], body, dim=2, horizon=20)
+    # The agent blocks on stdin forever; a failed handshake must reap it.
+    assert len(started) == 1
+    assert started[0].poll() is not None
+
+
+def test_subprocess_handshake_timeout_reaps_agent(body, tmp_path, monkeypatch):
+    script = tmp_path / "silent.py"
+    script.write_text(SILENT_AGENT)
+    started = started_processes(monkeypatch)
+    with pytest.raises(ProtocolError, match="in time"):
+        SubprocessAgent([sys.executable, str(script)], body, dim=2, horizon=20,
+                        hello_timeout_s=0.3)
+    assert len(started) == 1
+    assert started[0].poll() is not None
 
 
 WRONG_SHAPE_AGENT = r"""

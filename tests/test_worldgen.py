@@ -13,6 +13,7 @@ from driftworld.worldgen import (
     CausationGrammar,
     DriftSchedule,
     GenSpec,
+    World,
     generate_world,
     sample_law,
 )
@@ -126,29 +127,63 @@ def test_hierarchy_matches_bucket_oracle():
     expected = [tuple(sorted(v)) for _, v in sorted(buckets.items())]
 
     level = world.levels[0]
+    from_parent = [
+        tuple(np.flatnonzero(level.parent == row).tolist())
+        for row in range(len(level.ids))
+    ]
+    assert from_parent == expected
     assert [tuple(c) for c in level.children] == expected
-    assert level.ids == list(
+    assert list(level.ids) == list(
         range(spec.n_entities, spec.n_entities + len(expected))
     )
 
 
 def test_composite_aggregates():
-    world = generate_world(GenSpec(seed=4, n_levels=2))
-    level = world.levels[0]
-    for row, kids in enumerate(level.child_rows):
-        assert np.isclose(level.inertia[row], world.inertia[kids].sum())
-        mean = np.average(world.positions[kids], axis=0,
-                          weights=world.inertia[kids])
-        assert np.allclose(level.positions[row], mean)
-        pol_sum = world.polarity[kids].sum()
-        expected = 1 if pol_sum >= 0 else -1
-        assert level.polarity[row] == expected
+    # Per-composite oracle over every level of a stepped 3-level world:
+    # each composite averages the rows its children occupy one level down.
+    world = generate_world(GenSpec(seed=4, n_entities=40, n_levels=3))
+    for _ in range(3):
+        step(world, StepParams())
+    aggregates = world.recompute_aggregates()
+    assert len(aggregates) == len(world.levels) == 2
+    below = (world.positions, world.velocities, world.inertia, world.polarity)
+    below_ids = list(range(world.n_entities))
+    below_basic = {i: {i} for i in below_ids}
+    for level, (pos, vel, inertia, pol) in zip(world.levels, aggregates):
+        basic = {}
+        for row, (cid, kids) in enumerate(zip(level.ids, level.children)):
+            rows = [below_ids.index(k) for k in kids]
+            assert np.flatnonzero(level.parent == row).tolist() == rows
+            w = below[2][rows]
+            assert np.isclose(inertia[row], w.sum())
+            assert np.allclose(pos[row], np.average(below[0][rows], axis=0, weights=w))
+            assert np.allclose(vel[row], np.average(below[1][rows], axis=0, weights=w))
+            assert pol[row] == (1 if below[3][rows].sum() >= 0 else -1)
+            basic[cid] = set().union(*(below_basic[k] for k in kids))
+            assert set(np.flatnonzero(level.owner == row).tolist()) == basic[cid]
+        below, below_ids, below_basic = (pos, vel, inertia, pol), list(level.ids), basic
+    assert np.any(world.velocities)
 
 
-def test_canonical_roundtrip_continues_identically():
-    from driftworld.worldgen import World
+def test_aggregates_are_never_stale():
+    # Entity state edited in place between steps must reach the composite
+    # forces of the next step, exactly as if the world had been rebuilt.
+    world = generate_world(GenSpec(seed=8, n_entities=24, n_levels=3))
+    params = StepParams()
+    step(world, params)
+    world.positions[3] = [1.0, -2.0]
+    world.positions[7] = [-7.5, 7.5]
+    world.velocities[5] = [0.3, -0.2]
+    rebuilt = World.from_canonical(world.to_canonical())
+    for _ in range(3):
+        step(world, params)
+        step(rebuilt, params)
+    assert canonical(world) == canonical(rebuilt)
 
-    spec = GenSpec(seed=31, drift=DriftSchedule(regime_times=(3,)))
+
+@pytest.mark.parametrize("n_levels", [2, 3])
+def test_canonical_roundtrip_continues_identically(n_levels):
+    spec = GenSpec(seed=31, n_levels=n_levels, drift=DriftSchedule(regime_times=(3,)))
     a = generate_world(spec)
     params = StepParams()
     for _ in range(2):
@@ -160,12 +195,19 @@ def test_canonical_roundtrip_continues_identically():
     assert canonical_dumps(a.to_canonical()) == canonical_dumps(b.to_canonical())
 
 
-def test_clone_is_isolated():
-    world = generate_world(GenSpec(seed=2))
+@pytest.mark.parametrize("n_levels", [2, 3])
+def test_clone_is_isolated(n_levels):
+    world = generate_world(GenSpec(seed=2, n_levels=n_levels))
     clone = world.clone()
     before = canonical(clone)
     step(world, StepParams())
     assert canonical(clone) == before
+    # Clones share membership, so it must be read-only.
+    assert len(clone.levels) == n_levels - 1
+    for lv in clone.levels:
+        for index_map in (lv.parent, lv.owner):
+            with pytest.raises(ValueError):
+                index_map[0] = 0
 
 
 def test_drift_resamples_at_regime_times():
