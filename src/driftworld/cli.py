@@ -27,6 +27,7 @@ from .errors import (
 )
 from .harness import (
     Slot,
+    _make_slot,
     oracle_calibration,
     replay_trace,
     run_episode,
@@ -35,6 +36,7 @@ from .harness import (
 )
 from .metrics import compute_metrics, rank_agents, rate_curve
 from .protocol import SubprocessAgent, run_stdio_agent
+from .rng import agent_seed
 from .trace import read_trace
 from .worldgen import generate_world
 
@@ -81,26 +83,21 @@ def cmd_run(args) -> int:
     for path in (args.live, args.disclosure, args.out):
         _check_out(path, args.force)
     world = generate_world(cfg.gen)
-    body = cfg.body(0)
 
     if args.agent_cmd:
+        body = cfg.body(0)
         agent = SubprocessAgent(
             args.agent_cmd.split(), body, cfg.gen.dim,
             horizon=cfg.episode.horizon,
-            agent_seed=cfg.gen.seed & ((1 << 63) - 1),
+            agent_seed=agent_seed(cfg.gen.seed),
             budget_s=cfg.episode.budget_s,
         )
-        agent_id = "external"
+        slot = Slot(agent_id="external", agent=agent, body=body)
     else:
-        from . import rng as rngmod
-        from .agents import make_agent
+        slot = _make_slot(args.agent or cfg.agents[0], cfg, cfg.gen.seed, 0,
+                          multi=False)
+    agent_id = slot.agent_id
 
-        kind = args.agent or cfg.agents[0]
-        stream = rngmod.make_stream(cfg.gen.seed, "agent") if kind == "random" else None
-        agent = make_agent(kind, body, cfg.gen.dim, stream=stream)
-        agent_id = kind
-
-    slot = Slot(agent_id=agent_id, agent=agent, body=body)
     try:
         result = run_episode(
             world, [slot], cfg.step, cfg.problem, cfg.score, cfg.episode,
@@ -108,7 +105,7 @@ def cmd_run(args) -> int:
         )
     finally:
         if args.agent_cmd:
-            agent.close()
+            slot.agent.close()
 
     metrics = result.metrics(agent_id, cfg.metric)
     doc = {

@@ -154,7 +154,6 @@ _KEYS: dict[str, tuple[str, str]] = {
     "problem.scriptor_len": ("problem.scriptor_len", _INT),
     "problem.epsilon": ("problem.epsilon", _FLOAT),
     "problem.timeout": ("problem.timeout", _INT),
-    "problem.null_rollouts": ("problem.null_rollouts", _INT),
     "problem.impulse_floor": ("problem.impulse_floor", _FLOAT),
     "score.s_max": ("score.s_max", _FLOAT),
     "score.lam_model": ("score.lam_model", _FLOAT),

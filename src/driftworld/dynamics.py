@@ -28,6 +28,7 @@ from .worldgen import (
     CausationLaw,
     World,
     apply_drift,
+    minimal_image,
     wrap_positions,
 )
 
@@ -60,16 +61,6 @@ class StepParams:
     @classmethod
     def from_dict(cls, d: dict) -> "StepParams":
         return cls(dt=d["dt"], v_max=d["v_max"], a_max=d["a_max"], eps_r=d["eps_r"])
-
-
-def minimal_image(delta: np.ndarray, extent: float) -> np.ndarray:
-    """Shortest toroidal displacement equivalent to `delta`.
-
-    Uses round-half-even, which is symmetric under negation, so
-    minimal_image(-d) == -minimal_image(d) bit for bit.
-    """
-    span = 2.0 * extent
-    return delta - span * np.round(delta / span)
 
 
 def eval_law(law: CausationLaw, delta: np.ndarray, v_a: np.ndarray,

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .agents import BaseAgent, make_agent
-from .canon import canonical_dumps
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
@@ -43,7 +42,7 @@ from .problems import (
     null_baseline,
 )
 from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, read_trace
-from .worldgen import CausationLaw, GenSpec, World, generate_world
+from .worldgen import GenSpec, World, generate_world
 
 
 @dataclass
@@ -76,7 +75,6 @@ class EpisodeResult:
     closures: dict[str, list[dict]]
     senses: dict[str, int]
     acts: dict[str, int]
-    fairness_violations: int
     budget_misses: dict[str, int]
     final_tick: int
     problems_closed: int
@@ -153,7 +151,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
 
     Every trace line goes through one `TraceSink`, which decides what the
     live tier sees.  `replay_nulls` substitutes recorded null-baseline
-    values by problem id instead of re-running the baseline rollouts;
+    values by problem id instead of re-running the baseline rollout;
     everything else in replay mode flows through the ordinary pipeline.
     """
     for params in (step_params, problem_params, score_params, episode):
@@ -176,7 +174,6 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                      episode)
     dim = world.spec.dim
     marks: list[int] = []
-    fairness_violations = 0
     next_problem_id = 0
     closed_total = 0
 
@@ -200,12 +197,14 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     next_problem_id, slot.stream_name,
                 )
                 next_problem_id += 1
-                if replay_nulls is not None:
+                if replay_nulls is None:
+                    problem.p_null = null_baseline(world, slot.body, problem,
+                                                   step_params)
+                elif problem.id in replay_nulls:
                     problem.p_null = replay_nulls[problem.id]
                 else:
-                    problem.p_null = null_baseline(
-                        world, slot.body, problem, step_params,
-                        problem_params.null_rollouts,
+                    raise ContractViolation(
+                        f"trace records no null baseline for problem {problem.id}"
                     )
                 slot.active = problem
                 slot.o_count = 0
@@ -251,7 +250,6 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
             # fairness: exactly one sense and one act each, every tick
             for slot in slots:
                 if slot.senses != t + 1 or slot.acts != t + 1:
-                    fairness_violations += 1
                     raise ContractViolation(
                         f"fairness broken for {slot.agent_id} at tick {t}"
                     )
@@ -329,7 +327,6 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
             "budget_misses": {
                 s.agent_id: getattr(s.agent, "budget_misses", 0) for s in slots
             },
-            "fairness_violations": fairness_violations,
         })
 
     return EpisodeResult(
@@ -340,7 +337,6 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
         closures={s.agent_id: list(s.closures) for s in slots},
         senses={s.agent_id: s.senses for s in slots},
         acts={s.agent_id: s.acts for s in slots},
-        fairness_violations=fairness_violations,
         budget_misses={
             s.agent_id: getattr(s.agent, "budget_misses", 0) for s in slots
         },
@@ -359,7 +355,7 @@ def _make_slot(kind: str, config: RunConfig, world_seed: int, idx: int,
     suffix = f".{idx}" if multi else ""
     stream = None
     if kind == "random":
-        stream = rngmod.make_stream(world_seed, f"agent{suffix}")
+        stream = rngmod.agent_stream(rngmod.agent_seed(world_seed, f"agent{suffix}"))
     agent = make_agent(kind, body, config.gen.dim, stream=stream)
     agent_id = f"a{idx}_{kind}" if multi else kind
     problems_stream = f"problems{suffix}" if multi else "problems"
@@ -498,7 +494,6 @@ def run_stage2(config: RunConfig, live_path: str | None = None,
     per_world = [{
         "world": 0, "seed": config.gen.seed, "agents": agents_row,
         "drift_marks": result.drift_marks,
-        "fairness_violations": result.fairness_violations,
     }]
     means, ranking, wins = _summarize(result.agent_ids, [metrics])
     return StageReport(stage=2, agent_ids=result.agent_ids,
@@ -574,6 +569,11 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
         header, events = read_trace(disclosure_path)
         if header.get("mode") != DISCLOSURE:
             raise ContractViolation("replay needs a disclosure trace")
+        if header.get("format") != TRACE_FORMAT:
+            raise ContractViolation(
+                f"trace format {header.get('format')} cannot be replayed by "
+                f"this program, which writes format {TRACE_FORMAT}"
+            )
 
         spec = GenSpec.from_dict(header["gen_spec"])
         step_params = StepParams.from_dict(header["step_params"])
@@ -652,8 +652,3 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
             "first_divergence_tick": None,
             "lines_checked": 0,
         }
-
-
-def law_bytes(law: CausationLaw) -> bytes:
-    """Canonical bytes of one law, for change audits."""
-    return canonical_dumps(law.to_dict()).encode("utf-8")

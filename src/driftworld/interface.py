@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import canonical_hash
-from .dynamics import minimal_image
 from .errors import ConfigError, ContractViolation
-from .worldgen import World, wrap_positions
+from .worldgen import World, minimal_image, wrap_positions
 
 
 @dataclass

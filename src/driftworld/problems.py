@@ -23,7 +23,6 @@ from . import rng as rngmod
 from .dynamics import StepParams, step
 from .errors import ConfigError, ContractViolation
 from .interface import BodySpec, SenseGrid, forces_to_accel, grid_distance, sense
-from .trace import live_view
 from .worldgen import World
 
 
@@ -34,7 +33,6 @@ class ProblemParams:
     scriptor_len: int = 4
     epsilon: float = 0.16
     timeout: int = 24
-    null_rollouts: int = 1
     impulse_floor: float = 0.5  # fraction of f_max the net script impulse must reach
 
     def validate(self) -> None:
@@ -44,8 +42,6 @@ class ProblemParams:
             raise ConfigError("epsilon must be > 0")
         if self.timeout < 1:
             raise ConfigError("timeout must be >= 1")
-        if self.null_rollouts < 1:
-            raise ConfigError("null_rollouts must be >= 1")
         if self.impulse_floor < 0:
             raise ConfigError("impulse_floor must be >= 0")
 
@@ -54,7 +50,6 @@ class ProblemParams:
             "scriptor_len": self.scriptor_len,
             "epsilon": self.epsilon,
             "timeout": self.timeout,
-            "null_rollouts": self.null_rollouts,
             "impulse_floor": self.impulse_floor,
         }
 
@@ -64,7 +59,6 @@ class ProblemParams:
             scriptor_len=d["scriptor_len"],
             epsilon=d["epsilon"],
             timeout=d["timeout"],
-            null_rollouts=d["null_rollouts"],
             impulse_floor=d["impulse_floor"],
         )
 
@@ -125,11 +119,6 @@ class Problem:
             "hidden_actions": self.hidden_actions.tolist(),
             "p_null": self.p_null,
         }
-
-    def public_payload(self) -> dict:
-        """What the agent (and the live trace) may see: the live tier's view."""
-        issued = {"kind": "problem_issued", "problem": self.disclosure_payload()}
-        return live_view(issued)["problem"]
 
 
 def generate_problem(world: World, body: BodySpec, params: ProblemParams,
@@ -192,27 +181,19 @@ def check_solved(reading: SenseGrid, problem: Problem) -> tuple[bool, float]:
 
 
 def null_baseline(world: World, body: BodySpec, problem: Problem,
-                  step_params: StepParams, rollouts: int = 1) -> float:
-    """Fraction of zero-action rollouts that reach the target anyway.
+                  step_params: StepParams) -> float:
+    """1.0 if the world reaches the target before the timeout with no
+    actions at all, else 0.0.
 
-    The dynamics are deterministic, so the rollouts agree and the result
-    is 0.0 or 1.0; the rollout count is kept for the contract's sake.
+    The dynamics are deterministic, so one zero-action rollout decides.
     """
-    if rollouts < 1:
-        raise ContractViolation("rollouts must be >= 1")
-    solved_count = 0
-    for _ in range(rollouts):
-        ghost = world.clone()
-        hit = False
-        for _ in range(problem.timeout):
-            step(ghost, step_params)
-            solved, _ = check_solved(sense(ghost, body), problem)
-            if solved:
-                hit = True
-                break
-        if hit:
-            solved_count += 1
-    return solved_count / rollouts
+    ghost = world.clone()
+    for _ in range(problem.timeout):
+        step(ghost, step_params)
+        solved, _ = check_solved(sense(ghost, body), problem)
+        if solved:
+            return 1.0
+    return 0.0
 
 
 def hit_score(solved: bool, o_count: float, d_count: float, o_ref: float,

@@ -27,6 +27,7 @@ import numpy as np
 from .canon import canonical_dumps
 from .errors import ConfigError, ProtocolError
 from .interface import BodySpec
+from .rng import agent_stream
 
 PROTOCOL_VERSION = 1
 
@@ -406,8 +407,7 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
     dim = hello["dim"]
     stream = None
     if kind == "random":
-        seed = hello.get("agent_seed", 0)
-        stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        stream = agent_stream(hello.get("agent_seed", 0))
     agent = make_agent(kind, body, dim, stream=stream)
 
     stdout.write(encode({"kind": "hello", "protocol": PROTOCOL_VERSION,

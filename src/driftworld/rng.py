@@ -47,6 +47,18 @@ def make_stream(world_seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def agent_seed(world_seed: int, name: str = "agent") -> int:
+    """A 63-bit seed for one agent's own randomness, drawn from the
+    world's named agent stream.  This, never the world seed, is what an
+    agent is given: the world seed cannot be recovered from it."""
+    return int(make_stream(world_seed, name).integers(1 << 63))
+
+
+def agent_stream(agent_seed: int) -> np.random.Generator:
+    """The random agent's stream for an agent seed, on both sides of the wire."""
+    return make_stream(agent_seed, "agent")
+
+
 def stream_state(gen: np.random.Generator) -> dict:
     """Extract a JSON-serializable state dict from a stream."""
     st = gen.bit_generator.state

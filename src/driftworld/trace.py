@@ -25,7 +25,7 @@ from .canon import canonical_dumps
 from .errors import ContractViolation
 from .worldgen import World
 
-TRACE_FORMAT = 1
+TRACE_FORMAT = 2
 
 LIVE = "live"
 DISCLOSURE = "disclosure"
@@ -56,8 +56,7 @@ LIVE_FIELDS: dict[str, tuple[str, ...]] = {
     "problem_closed": ("kind", "tick", "agent", "problem_id", "solved",
                        "reason", "o_count", "d_count", "distance", "score"),
     "sample": ("kind", "tick", "agent", "cumulative"),
-    "end": ("kind", "tick", "cumulative", "problems_closed", "budget_misses",
-            "fairness_violations"),
+    "end": ("kind", "tick", "cumulative", "problems_closed", "budget_misses"),
 }
 
 

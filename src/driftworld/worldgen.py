@@ -251,6 +251,16 @@ def wrap_positions(pos: np.ndarray, extent: float) -> np.ndarray:
     return (pos + extent) % span - extent
 
 
+def minimal_image(delta: np.ndarray, extent: float) -> np.ndarray:
+    """Shortest toroidal displacement equivalent to `delta`.
+
+    Uses round-half-even, which is symmetric under negation, so
+    minimal_image(-d) == -minimal_image(d) bit for bit.
+    """
+    span = 2.0 * extent
+    return delta - span * np.round(delta / span)
+
+
 class World:
     """The complete simulable state: entities, hierarchy, laws, clock, streams."""
 
@@ -284,13 +294,22 @@ class World:
         level >= 1.  Each level aggregates the rows of the level below it,
         summing members in ascending row order; polarity is the sign of
         the members' polarity sum, ties going to +1.  Nothing is stored.
+
+        A position is the weighted mean of the members' minimal-image
+        offsets from the composite's first member, wrapped, so a
+        composite that straddles the wrap seam stays where its members
+        are instead of jumping to the middle of the arena.
         """
         out = []
+        extent = self.spec.arena_extent
         pos, vel, inertia, pol = self.positions, self.velocities, self.inertia, self.polarity
         for lv in self.levels:
             m = len(lv.ids)
             total = _sum_rows(lv.parent, m, inertia)
-            pos = _sum_rows(lv.parent, m, pos * inertia[:, None]) / total[:, None]
+            anchor = pos[np.unique(lv.parent, return_index=True)[1]]
+            offsets = minimal_image(pos - anchor[lv.parent], extent)
+            mean_offset = _sum_rows(lv.parent, m, offsets * inertia[:, None]) / total[:, None]
+            pos = wrap_positions(anchor + mean_offset, extent)
             vel = _sum_rows(lv.parent, m, vel * inertia[:, None]) / total[:, None]
             pol = np.where(_sum_rows(lv.parent, m, pol) >= 0, 1, -1)
             inertia = total

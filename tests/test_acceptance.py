@@ -20,16 +20,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from driftworld.canon import canonical_dumps
 from driftworld.config import RunConfig
 from driftworld.dynamics import StepParams, momentum, step
 from driftworld.errors import ProtocolError
-from driftworld.golden import (
-    REFERENCE_MARK,
-    reference_drift_samples,
-    reference_learner_samples,
-)
 from driftworld.harness import (
-    law_bytes,
     oracle_calibration,
     replay_trace,
     run_stage1,
@@ -53,6 +48,11 @@ from driftworld.worldgen import (
     generate_world,
 )
 
+from learner_curves import (
+    REFERENCE_MARK,
+    reference_drift_samples,
+    reference_learner_samples,
+)
 from test_protocol import VALID
 
 
@@ -218,8 +218,10 @@ def test_criterion_08_drift_marks_match_schedule_and_spare_ground_laws():
     for _ in range(100):
         step(world, StepParams())
     fresh = generate_world(spec)
-    ground_ok = law_bytes(world.laws[0]) == law_bytes(fresh.laws[0])
-    drifted = law_bytes(world.laws[1]) != law_bytes(fresh.laws[1])
+    law_text = [[canonical_dumps(law.to_dict()) for law in w.laws]
+                for w in (world, fresh)]
+    ground_ok = law_text[0][0] == law_text[1][0]
+    drifted = law_text[0][1] != law_text[1][1]
     check(8, marks_ok and ground_ok and drifted,
           f"scheduled->observed marks {', '.join(marks_per_schedule)}; "
           f"ground laws byte-stable: {ground_ok}; drifted level resampled: "

@@ -22,11 +22,18 @@ from driftworld.errors import ConfigError, ContractViolation
 from driftworld.interface import forces_to_accel, grid_distance, sense, validate_forces
 from driftworld.problems import check_solved, generate_problem
 from driftworld.rng import make_stream
+from driftworld.trace import live_view
 from driftworld.worldgen import GenSpec, generate_world
 
 from conftest import flat_quiet_spec
 
 GRID_CELLS = 2 * 16 * 16  # two channels at the test body's resolution
+
+
+def public_problem(problem):
+    """The problem as an agent receives it: its live-tier view."""
+    issued = {"kind": "problem_issued", "problem": problem.disclosure_payload()}
+    return live_view(issued)["problem"]
 
 
 def obs(grid, tick=0):
@@ -257,7 +264,7 @@ def test_greedy_solves_a_fresh_problem_cold():
     d0 = grid_distance(sense(world, body).grid, np.asarray(problem.target_grid))
     assert d0 > cfg.problem.epsilon
 
-    agent.on_problem(problem.public_payload())
+    agent.on_problem(public_problem(problem))
     for _ in range(cfg.problem.timeout):
         reading = sense(world, body)
         forces = validate_forces(agent.act(reading.to_payload()), body, 2)
@@ -275,7 +282,7 @@ def test_oracle_replays_script_exactly(body, step_params, default_config):
     world = generate_world(flat_quiet_spec(9))
     agent = OracleAgent(body, 2)
     problem = generate_problem(world, body, default_config.problem, step_params, 0)
-    agent.on_problem(problem.public_payload())
+    agent.on_problem(public_problem(problem))
     agent.load_script(problem.hidden_actions, problem.issued_tick)
 
     for k in range(problem.scriptor_len):

@@ -10,8 +10,13 @@ import sys
 
 import pytest
 
+from driftworld import cli
+from driftworld.canon import canonical_dumps
 from driftworld.cli import main
-from driftworld.trace import read_trace
+from driftworld.errors import ProtocolError
+from driftworld.harness import replay_trace
+from driftworld.rng import agent_seed
+from driftworld.trace import TRACE_FORMAT, read_trace
 
 BASE = ["--set", "gen.seed=5", "--set", "episode.horizon=40"]
 
@@ -79,6 +84,36 @@ def test_run_writes_report_and_traces(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["null", "random", "greedy"])
+def test_run_over_the_wire_matches_in_process(kind, tmp_path, capsys):
+    # Same agent in process and as `driftworld agent` over stdio: the
+    # disclosure traces agree byte for byte apart from agent id and kind.
+    wire = BASE + ["--set", "episode.budget_s=30"]
+    inproc, external = tmp_path / "inproc.ndjson", tmp_path / "wire.ndjson"
+    assert run_cli("run", *wire, "--agent", kind, "--disclosure", str(inproc)) == 0
+    argv = f"{sys.executable} -m driftworld agent --kind {kind}"
+    assert run_cli("run", *wire, "--agent-cmd", argv,
+                   "--disclosure", str(external)) == 0
+    capsys.readouterr()
+    renamed = external.read_text().replace('"external"', f'"{kind}"') \
+        .replace('"subprocess"', f'"{kind}"')
+    assert renamed.splitlines() == inproc.read_text().splitlines()
+
+
+def test_run_never_sends_the_world_seed(monkeypatch, capsys):
+    sent = {}
+
+    def fake_agent(argv, body, dim, **kwargs):
+        sent.update(kwargs)
+        raise ProtocolError("stop after the handshake arguments")
+
+    monkeypatch.setattr(cli, "SubprocessAgent", fake_agent)
+    assert run_cli("run", *BASE, "--agent-cmd", "unused") == 4
+    capsys.readouterr()
+    assert sent["agent_seed"] == agent_seed(5)
+    assert sent["agent_seed"] != 5
+
+
 # -------------------------------------------------------------------- replay
 
 
@@ -117,6 +152,33 @@ def test_replay_live_trace_exit_one(tmp_path, capsys):
     assert run_cli("run", *BASE, "--agent", "null", "--live", str(live)) == 0
     assert run_cli("replay", str(live)) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_replay_names_a_format_mismatch(tmp_path, capsys):
+    disc = write_disclosure(tmp_path, capsys)
+    header, *events = disc.read_text().splitlines()
+    old = tmp_path / "old_format.ndjson"
+    old.write_text("\n".join([
+        canonical_dumps(dict(json.loads(header), format=1)), *events]) + "\n")
+    verdict = replay_trace(str(old))
+    assert verdict["verdict"] == "FAIL"
+    assert "trace format 1" in verdict["error"]
+    assert f"format {TRACE_FORMAT}" in verdict["error"]
+    assert run_cli("replay", str(old)) == 1
+    assert "trace format 1" in capsys.readouterr().out
+
+
+def test_replay_names_a_missing_null_baseline(tmp_path, capsys):
+    disc = write_disclosure(tmp_path, capsys)
+    lines = disc.read_text().splitlines()
+    issued = [i for i, l in enumerate(lines) if '"kind":"problem_issued"' in l]
+    dropped = json.loads(lines[issued[1]])["problem"]["id"]
+    del lines[issued[1]]
+    cut = tmp_path / "cut.ndjson"
+    cut.write_text("\n".join(lines) + "\n")
+    verdict = replay_trace(str(cut))
+    assert verdict["verdict"] == "FAIL"
+    assert f"no null baseline for problem {dropped}" in verdict["error"]
 
 
 def test_replay_missing_file_exit_one(tmp_path, capsys):

@@ -1,25 +1,29 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftworld.config import RunConfig
 from driftworld.dynamics import (
     StepParams,
     compute_accelerations,
     eval_law,
-    minimal_image,
     momentum,
     snapshot,
     snapshot_hash,
     step,
 )
 from driftworld.errors import ConfigError
+from driftworld.rng import derive_world_seed
 from driftworld.worldgen import (
     CausationGrammar,
     CausationLaw,
     DriftSchedule,
     GenSpec,
     generate_world,
+    minimal_image,
 )
 
 from conftest import flat_quiet_spec
@@ -215,6 +219,25 @@ def test_momentum_conservation_battery():
             step(world, params)
         drift = np.linalg.norm(momentum(world))
         assert drift / steps <= 1e-9, f"n={n}: {drift/steps}"
+
+
+def test_composites_never_jump_across_the_seam():
+    # A composite moves with its members, so no farther than v_max * dt in
+    # a tick, also when its members straddle the wrap seam.
+    cfg = RunConfig()
+    extent = cfg.gen.arena_extent
+    worst = 0.0
+    for i in range(5):
+        world = generate_world(replace(cfg.gen, seed=derive_world_seed(0, i)))
+        before = world.recompute_aggregates()
+        for _ in range(240):
+            step(world, cfg.step)
+            after = world.recompute_aggregates()
+            for (p0, *_), (p1, *_) in zip(before, after):
+                moved = np.linalg.norm(minimal_image(p1 - p0, extent), axis=1)
+                worst = max(worst, float(moved.max()))
+            before = after
+    assert worst <= cfg.step.v_max * cfg.step.dt + 1e-9, worst
 
 
 def test_external_accel_enters_velocity():

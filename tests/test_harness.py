@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from driftworld.agents import make_agent
+from driftworld.canon import canonical_dumps
 from driftworld.config import EpisodeConfig, RunConfig
 from driftworld.errors import ConfigError, ContractViolation
 from driftworld.harness import (
@@ -16,7 +17,6 @@ from driftworld.harness import (
     Slot,
     _ReplayScript,
     _summarize,
-    law_bytes,
     oracle_calibration,
     replay_trace,
     run_episode,
@@ -66,7 +66,6 @@ def test_episode_deterministic():
 def test_every_agent_senses_and_acts_once_per_tick():
     cfg = small_config()
     _, result = run_one(cfg, "greedy")
-    assert result.fairness_violations == 0
     assert result.final_tick == cfg.episode.horizon
     assert result.senses["greedy"] == cfg.episode.horizon
     assert result.acts["greedy"] == cfg.episode.horizon
@@ -78,8 +77,10 @@ def test_drift_marks_land_on_regime_times():
     assert result.drift_marks == [25, 40]
     # The ground level never drifts; the upper level was resampled.
     fresh = generate_world(cfg.gen)
-    assert law_bytes(world.laws[0]) == law_bytes(fresh.laws[0])
-    assert law_bytes(world.laws[1]) != law_bytes(fresh.laws[1])
+    law_text = [[canonical_dumps(law.to_dict()) for law in w.laws]
+                for w in (world, fresh)]
+    assert law_text[0][0] == law_text[1][0]
+    assert law_text[0][1] != law_text[1][1]
 
 
 def test_problem_lifecycle_arithmetic(tmp_path):
@@ -229,7 +230,6 @@ def test_stage2_shared_world_disjoint_bodies():
     assert report.stage == 2
     assert report.agent_ids == ["a0_greedy", "a1_null"]
     row = report.per_world[0]
-    assert row["fairness_violations"] == 0
     for cell in row["agents"].values():
         assert cell["senses"] == cfg.episode.horizon
         assert cell["acts"] == cfg.episode.horizon
@@ -322,8 +322,6 @@ def test_replay_keeps_regenerated_copy(tmp_path):
 
 
 def test_law_bytes_track_law_identity():
-    world = generate_world(GenSpec(seed=5))
-    clone = generate_world(GenSpec(seed=5))
-    assert law_bytes(world.laws[0]) == law_bytes(clone.laws[0])
-    other = generate_world(GenSpec(seed=6))
-    assert law_bytes(world.laws[0]) != law_bytes(other.laws[0])
+    ground = [canonical_dumps(generate_world(GenSpec(seed=s)).laws[0].to_dict())
+              for s in (5, 5, 6)]
+    assert ground[0] == ground[1] != ground[2]

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftworld.dynamics import minimal_image
 from driftworld.errors import ConfigError, ContractViolation
 from driftworld.interface import (
     BodySpec,
@@ -15,7 +14,7 @@ from driftworld.interface import (
     sense,
     validate_forces,
 )
-from driftworld.worldgen import GenSpec, generate_world
+from driftworld.worldgen import GenSpec, generate_world, minimal_image
 
 from conftest import flat_quiet_spec
 

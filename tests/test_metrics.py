@@ -288,7 +288,7 @@ def test_params_dict_roundtrip():
 
 
 def test_packaged_reference_curves_have_known_shapes():
-    from driftworld.golden import drifting_learner, saturating_learner
+    from learner_curves import drifting_learner, saturating_learner
 
     sat = saturating_learner(1.0, 5.0, 50)
     rates = np.diff([v for _, v in sat])

@@ -18,6 +18,7 @@ from driftworld.problems import (
     normalized_score,
     null_baseline,
 )
+from driftworld.trace import live_view
 from driftworld.worldgen import generate_world
 
 from conftest import flat_quiet_spec
@@ -130,7 +131,8 @@ def test_check_solved_threshold_inclusive():
 def test_public_payload_hides_secrets():
     world, body = fresh()
     p = generate_problem(world, body, ProblemParams(), StepParams(), 3)
-    pub = p.public_payload()
+    pub = live_view({"kind": "problem_issued",
+                     "problem": p.disclosure_payload()})["problem"]
     assert set(pub) == {"id", "issued_tick", "target_grid", "epsilon", "timeout"}
     disc = p.disclosure_payload()
     assert "hidden_actions" in disc and "scriptor_len" in disc

@@ -15,6 +15,7 @@ from driftworld.worldgen import (
     GenSpec,
     World,
     generate_world,
+    minimal_image,
     sample_law,
 )
 
@@ -140,8 +141,10 @@ def test_hierarchy_matches_bucket_oracle():
 
 def test_composite_aggregates():
     # Per-composite oracle over every level of a stepped 3-level world:
-    # each composite averages the rows its children occupy one level down.
+    # each composite averages the rows its children occupy one level down,
+    # positions as minimal-image offsets from its first child's row.
     world = generate_world(GenSpec(seed=4, n_entities=40, n_levels=3))
+    extent = world.spec.arena_extent
     for _ in range(3):
         step(world, StepParams())
     aggregates = world.recompute_aggregates()
@@ -149,6 +152,7 @@ def test_composite_aggregates():
     below = (world.positions, world.velocities, world.inertia, world.polarity)
     below_ids = list(range(world.n_entities))
     below_basic = {i: {i} for i in below_ids}
+    straddling = 0
     for level, (pos, vel, inertia, pol) in zip(world.levels, aggregates):
         basic = {}
         for row, (cid, kids) in enumerate(zip(level.ids, level.children)):
@@ -156,13 +160,20 @@ def test_composite_aggregates():
             assert np.flatnonzero(level.parent == row).tolist() == rows
             w = below[2][rows]
             assert np.isclose(inertia[row], w.sum())
-            assert np.allclose(pos[row], np.average(below[0][rows], axis=0, weights=w))
+            anchor = below[0][rows[0]]
+            offsets = minimal_image(below[0][rows] - anchor, extent)
+            center = anchor + np.average(offsets, axis=0, weights=w)
+            assert np.all((-extent <= pos[row]) & (pos[row] < extent))
+            assert np.allclose(minimal_image(pos[row] - center, extent), 0.0)
+            plain = np.average(below[0][rows], axis=0, weights=w)
+            straddling += not np.allclose(minimal_image(plain - center, extent), 0.0)
             assert np.allclose(vel[row], np.average(below[1][rows], axis=0, weights=w))
             assert pol[row] == (1 if below[3][rows].sum() >= 0 else -1)
             basic[cid] = set().union(*(below_basic[k] for k in kids))
             assert set(np.flatnonzero(level.owner == row).tolist()) == basic[cid]
         below, below_ids, below_basic = (pos, vel, inertia, pol), list(level.ids), basic
     assert np.any(world.velocities)
+    assert straddling  # some composite crosses the seam, so the anchor matters
 
 
 def test_aggregates_are_never_stale():
@@ -211,19 +222,17 @@ def test_clone_is_isolated(n_levels):
 
 
 def test_drift_resamples_at_regime_times():
-    from driftworld.harness import law_bytes
-
     spec = GenSpec(seed=13, n_levels=2, drift=DriftSchedule(regime_times=(2, 5)))
     world = generate_world(spec)
     params = StepParams()
-    level0_before = law_bytes(world.laws[0])
+    level0_before = canonical_dumps(world.laws[0].to_dict())
     marks = []
     for _ in range(8):
         step(world, params)
         for ev in world.last_drift_events:
             marks.append(ev["tick"])
     assert sorted(set(marks)) == [2, 5]
-    assert law_bytes(world.laws[0]) == level0_before
+    assert canonical_dumps(world.laws[0].to_dict()) == level0_before
 
 
 def test_drift_level_zero_rejected():
