@@ -5,6 +5,13 @@ closed schemas (unknown fields are rejected, not ignored), so the
 message set itself is the information bottleneck: there is no field an
 agent could read law coefficients or raw coordinates from.
 
+Validation is a small recursive checker over `SCHEMAS` that implements
+the JSON Schema Draft-07 keywords those schemas use, with Draft-7's
+meanings (a bool is no number, 1.0 is an integer), and names the path
+of the first failure.  A schema keyword it does not implement raises at
+import.  Both ends check every message they send and every one they
+receive; the harness checking its own messages is the secrecy guard.
+
 Exchange per tick: harness sends an observation, the agent replies with
 exactly two lines, an action then a resources declaration.  Problem
 lifecycle travels as problem / score messages, session lifecycle as
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 import queue
 import subprocess
 import sys
@@ -160,15 +168,106 @@ SCHEMAS: dict[tuple[str, str], dict] = {
 }
 
 
-def _build_validators():
-    import jsonschema
+#: The JSON Schema Draft-7 keywords `_first_error` implements.
+_KEYWORDS = frozenset({
+    "type", "const", "minimum", "exclusiveMinimum", "minLength", "minItems",
+    "maxItems", "items", "properties", "required", "additionalProperties",
+})
 
-    return {
-        key: jsonschema.Draft7Validator(schema) for key, schema in SCHEMAS.items()
-    }
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
 
 
-_VALIDATORS = _build_validators()
+# Draft-7 type meanings: a bool is no number, an integral float is an
+# integer, and a numpy scalar counts by its Python base class
+# (np.float64 is a float, np.int64 only a Number).
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: (v.is_integer() if isinstance(v, float)
+                          else isinstance(v, int) and not isinstance(v, bool)),
+}
+
+
+def _first_error(v, s: dict, path: tuple = ()):
+    """(path, message) of the first Draft-7 failure of `v` against `s`, or None.
+
+    An object's or array's own keywords are checked before its members.
+    """
+    t = s.get("type")
+    if t is not None and not _TYPES[t](v):
+        return path, f"{v!r} is not of type {t!r}"
+    if "const" in s:  # True and False equal only themselves, never 1 or 0
+        c = s["const"]
+        if not (v is c or (v is not True and v is not False and v == c)):
+            return path, f"{c!r} was expected"
+    if isinstance(v, dict):
+        props = s.get("properties", {})
+        for k in s.get("required", ()):
+            if k not in v:
+                return path, f"{k!r} is a required property"
+        extra = [k for k in v if k not in props]
+        if extra and s.get("additionalProperties", True) is False:
+            return path, f"additional properties are not allowed: {extra}"
+        for k, sub in props.items():
+            if k in v and (err := _first_error(v[k], sub, path + (k,))):
+                return err
+    elif isinstance(v, list):
+        if len(v) < s.get("minItems", 0):
+            return path, f"has {len(v)} items, fewer than {s['minItems']}"
+        if "maxItems" in s and len(v) > s["maxItems"]:
+            return path, f"has {len(v)} items, more than {s['maxItems']}"
+        items = s.get("items")
+        if items == _NUM:  # grid cells and force rows: no recursion per item
+            for i, x in enumerate(v):
+                if type(x) is not float and not _is_number(x):
+                    return path + (i,), f"{x!r} is not of type 'number'"
+        elif items is not None:
+            for i, x in enumerate(v):
+                if err := _first_error(x, items, path + (i,)):
+                    return err
+    elif _is_number(v):
+        if "minimum" in s and v < s["minimum"]:
+            return path, f"{v!r} is less than the minimum of {s['minimum']!r}"
+        if "exclusiveMinimum" in s and v <= s["exclusiveMinimum"]:
+            return path, f"{v!r} is not greater than {s['exclusiveMinimum']!r}"
+    elif isinstance(v, str) and len(v) < s.get("minLength", 0):
+        return path, f"{v!r} is shorter than {s['minLength']}"
+    return None
+
+
+def _check_keywords(schemas: dict) -> None:
+    """Raise ValueError if a schema uses anything `_first_error` does not implement.
+
+    Runs once at import, so a later schema edit cannot be skipped silently.
+    """
+    def walk(s, where):
+        if not isinstance(s, dict):
+            raise ValueError(f"schema {where} is not an object")
+        unknown = sorted(set(s) - _KEYWORDS)
+        if unknown:
+            raise ValueError(f"schema {where} uses unsupported keywords {unknown}")
+        if s.get("type", "object") not in _TYPES:
+            raise ValueError(f"schema {where} has unsupported type {s['type']!r}")
+        if s.get("additionalProperties", False) is not False:
+            raise ValueError(f"schema {where}: additionalProperties must be false")
+        # _first_error's const test is Draft-7's only for non-bool scalars
+        if type(s.get("const", "")) not in (str, int, float):
+            raise ValueError(f"schema {where}: const must be a string or a number")
+        if "items" in s:
+            walk(s["items"], f"{where}/items")
+        for k, sub in s.get("properties", {}).items():
+            walk(sub, f"{where}/{k}")
+
+    for key, schema in schemas.items():
+        walk(schema, "/".join(key))
+
+
+_check_keywords(SCHEMAS)
 
 
 def validate_message(direction: str, doc) -> str:
@@ -178,14 +277,14 @@ def validate_message(direction: str, doc) -> str:
     kind = doc.get("kind")
     if not isinstance(kind, str):
         raise ProtocolError("message is missing its kind")
-    validator = _VALIDATORS.get((direction, kind))
-    if validator is None:
+    schema = SCHEMAS.get((direction, kind))
+    if schema is None:
         raise ProtocolError(f"kind {kind!r} is not valid {direction}")
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.path) or "<root>"
-        raise ProtocolError(f"invalid {kind!r} message at {where}: {first.message}")
+    err = _first_error(doc, schema)
+    if err:
+        path, message = err
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ProtocolError(f"invalid {kind!r} message at {where}: {message}")
     return kind
 
 

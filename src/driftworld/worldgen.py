@@ -222,20 +222,22 @@ class _Level:
     """Frozen membership of one hierarchy level >= 1.
 
     `ids` and `children` are the canonical form.  `parent` maps each row
-    of the level below to its composite's row here, and `owner` maps each
-    basic entity to it (the composition of the `parent` maps so far).
-    Both are read-only because clones share them.
+    of the level below to its composite's row here, `anchor` holds each
+    composite's first such row, and `owner` maps each basic entity to it
+    (the composition of the `parent` maps so far).  All three are
+    read-only because clones share them.
     """
 
     level: int
     ids: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     parent: np.ndarray
+    anchor: np.ndarray
     owner: np.ndarray
 
     def __post_init__(self):
-        self.parent.flags.writeable = False
-        self.owner.flags.writeable = False
+        for index_map in (self.parent, self.anchor, self.owner):
+            index_map.flags.writeable = False
 
 
 def _sum_rows(parent: np.ndarray, m: int, values: np.ndarray) -> np.ndarray:
@@ -306,7 +308,7 @@ class World:
         for lv in self.levels:
             m = len(lv.ids)
             total = _sum_rows(lv.parent, m, inertia)
-            anchor = pos[np.unique(lv.parent, return_index=True)[1]]
+            anchor = pos[lv.anchor]
             offsets = minimal_image(pos - anchor[lv.parent], extent)
             mean_offset = _sum_rows(lv.parent, m, offsets * inertia[:, None]) / total[:, None]
             pos = wrap_positions(anchor + mean_offset, extent)
@@ -445,10 +447,11 @@ def _attach_levels(world: World, hierarchy: list[list[dict]]) -> None:
         parent = np.empty(len(row_of), dtype=np.intp)
         for row, comp in enumerate(level_doc):
             parent[[row_of[k] for k in comp["children"]]] = row
+        anchor = np.unique(parent, return_index=True)[1]
         owner = parent[owner]
         ids = tuple(comp["id"] for comp in level_doc)
         children = tuple(tuple(comp["children"]) for comp in level_doc)
-        world.levels.append(_Level(depth, ids, children, parent, owner))
+        world.levels.append(_Level(depth, ids, children, parent, anchor, owner))
         row_of = {cid: row for row, cid in enumerate(ids)}
 
 

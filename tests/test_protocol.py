@@ -5,20 +5,29 @@ message kind in both directions rejects fields outside its schema, so
 no side channel can be smuggled past the validator.
 """
 
+import copy
+import functools
 import io
 import json
+import operator
+import os
+import re
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import driftworld
 from driftworld.errors import ConfigError, ProtocolError
 from driftworld.protocol import (
     PROTOCOL_VERSION,
     SCHEMAS,
     SubprocessAgent,
+    _check_keywords,
     encode,
     parse_line,
     run_stdio_agent,
@@ -141,6 +150,171 @@ def test_parse_line_and_encode_roundtrip():
     assert parse_line("from_agent", line) == doc
     with pytest.raises(ProtocolError):
         parse_line("from_agent", "{not json")
+
+
+# ------------------------------------------------ agreement with Draft-7
+
+# The checker must accept exactly what jsonschema's Draft7Validator
+# accepts.  jsonschema is a test-only dependency, imported here so its
+# absence fails these tests and nothing else.
+
+
+@functools.cache
+def draft7(key):
+    from jsonschema import Draft7Validator
+
+    return Draft7Validator(SCHEMAS[key])
+
+
+def draft7_paths(key, doc):
+    """The paths of every error Draft7Validator reports, as the checker names them."""
+    return {"/".join(str(p) for p in e.path) or "<root>"
+            for e in draft7(key).iter_errors(doc)}
+
+
+def checker_verdict(direction, doc):
+    """None if `validate_message` accepts `doc`, else the path it names."""
+    try:
+        validate_message(direction, doc)
+    except ProtocolError as exc:
+        named = re.match(r"invalid .* message at (\S+): ", str(exc))
+        return named[1] if named else str(exc)
+    return None
+
+
+def assert_agrees_with_draft7(direction, doc):
+    """Accepted exactly when Draft-7 reports nothing; a rejection names a path it reports."""
+    named = checker_verdict(direction, doc)
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or (direction, kind) not in SCHEMAS:
+        assert named is not None  # no schema to check against
+        return
+    reported = draft7_paths((direction, kind), doc)
+    assert (named is None) == (not reported), (doc, named, reported)
+    if named is not None:
+        assert named in reported, (doc, named, reported)
+
+
+@pytest.mark.parametrize("key, field, value, accepted", [
+    (("to_agent", "score"), "score", True, False),  # a bool is no number
+    (("to_agent", "score"), "score", np.int64(3), True),  # but np.int64 is
+    (("to_agent", "score"), "score", float("nan"), True),
+    (("to_agent", "score"), "score", float("inf"), True),
+    (("to_agent", "score"), "tick", 1.0, True),  # an integral float is an integer
+    (("to_agent", "score"), "tick", np.float64(2.0), True),
+    (("to_agent", "score"), "tick", np.int64(3), False),  # not an int subclass
+    (("to_agent", "score"), "tick", 1.5, False),
+    (("to_agent", "score"), "tick", float("nan"), False),
+    (("to_agent", "score"), "tick", -1, False),
+    (("to_agent", "score"), "solved", np.True_, False),  # not a bool subclass
+    (("from_agent", "hello"), "protocol", True, False),  # const: True is not 1
+    (("from_agent", "hello"), "protocol", 1.0, True),
+    (("from_agent", "hello"), "agent", "", False),
+    (("from_agent", "resources"), "updates", 0, True),
+    (("from_agent", "resources"), "updates", -0.5, False),
+    (("to_agent", "hello"), "agent_seed", None, False),
+], ids=repr)
+def test_type_meanings_match_draft7(key, field, value, accepted):
+    direction, _ = key
+    doc = copy.deepcopy(VALID[key])
+    doc[field] = value
+    assert (checker_verdict(direction, doc) is None) is accepted
+    assert (not draft7_paths(key, doc)) is accepted
+
+
+PROBES = [True, False, 0, 3, -1, 1.0, 1.5, float("nan"), float("inf"),
+          np.int64(3), np.float64(2.0), np.float64(2.5), np.True_, None, "",
+          "x", [], [1.0, 0.0], {}, {"x": 1}]
+
+
+def slots(doc, path=()):
+    """The path of every value inside `doc`."""
+    for k, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield path + (k,)
+        if isinstance(v, (dict, list)):
+            yield from slots(v, path + (k,))
+
+
+@pytest.mark.parametrize("key", sorted(VALID), ids="/".join)
+def test_checker_agrees_with_draft7_on_every_single_replacement(key):
+    direction, _ = key
+    for path in slots(VALID[key]):
+        for probe in PROBES:
+            doc = copy.deepcopy(VALID[key])
+            functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = copy.deepcopy(probe)
+            assert_agrees_with_draft7(direction, doc)
+
+
+WIRE_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from([0.0, 1.0, 1.5, float("nan"), float("inf")]),
+    st.integers(-2, 3).map(np.int64),
+    st.sampled_from([-1.0, 0.0, 2.0, 2.5, float("nan")]).map(np.float64),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(st.sampled_from([0.5, 1, True, "x", None, [1.0, 0.0]]), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "id", "x"]), st.integers(0, 2), max_size=2),
+).map(copy.deepcopy)  # later edits must not reach the strategy's own lists
+
+
+def containers(doc):
+    """Every dict and list inside `doc`, root first."""
+    yield doc
+    for v in (doc.values() if isinstance(doc, dict) else doc):
+        if isinstance(v, (dict, list)):
+            yield from containers(v)
+
+
+@st.composite
+def mutated(draw, key):
+    """A VALID example after one to three edits of a value, key or item."""
+    doc = copy.deepcopy(VALID[key])
+    for _ in range(draw(st.integers(1, 3))):
+        box = draw(st.sampled_from(list(containers(doc))))
+        keys = list(box) if isinstance(box, dict) else list(range(len(box)))
+        op = draw(st.sampled_from(["replace", "delete", "add", "append"]))
+        if op == "replace" and keys:
+            box[draw(st.sampled_from(keys))] = draw(WIRE_VALUES)
+        elif op == "delete" and keys and isinstance(box, dict):
+            del box[draw(st.sampled_from(keys))]
+        elif op == "add" and isinstance(box, dict):
+            name = draw(st.sampled_from(["extra", "tick", "agent_seed", "kind"]))
+            box[name] = draw(WIRE_VALUES)
+        elif op == "append" and isinstance(box, list):
+            pick = st.sampled_from(box).map(copy.deepcopy) if box else WIRE_VALUES
+            box.append(draw(st.one_of(WIRE_VALUES, pick)))
+    return doc
+
+
+@pytest.mark.parametrize("key", sorted(VALID), ids="/".join)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checker_agrees_with_draft7_on_mutated_messages(key, data):
+    direction, _ = key
+    assert_agrees_with_draft7(direction, data.draw(mutated(key)))
+
+
+@pytest.mark.parametrize("keyword, value", [
+    ("pattern", "x"), ("type", "null"), ("additionalProperties", True),
+    ("const", True),
+])
+def test_unsupported_schema_fails_the_import_check(keyword, value):
+    _check_keywords(copy.deepcopy(SCHEMAS))
+    schemas = copy.deepcopy(SCHEMAS)
+    body = schemas[("to_agent", "hello")]["properties"]["body"]
+    body["properties"]["member_ids"]["items"][keyword] = value
+    with pytest.raises(ValueError, match=f"to_agent/hello/body/member_ids/items.*{keyword}"):
+        _check_keywords(schemas)
+
+
+def test_protocol_does_not_import_jsonschema():
+    src = os.path.dirname(os.path.dirname(driftworld.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, driftworld.protocol; assert 'jsonschema' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ---------------------------------------------------------------- stdio loop

@@ -216,9 +216,17 @@ def test_clone_is_isolated(n_levels):
     # Clones share membership, so it must be read-only.
     assert len(clone.levels) == n_levels - 1
     for lv in clone.levels:
-        for index_map in (lv.parent, lv.owner):
+        for index_map in (lv.parent, lv.anchor, lv.owner):
             with pytest.raises(ValueError):
                 index_map[0] = 0
+
+
+def test_anchor_is_each_composites_first_row():
+    world = generate_world(GenSpec(seed=4, n_entities=40, n_levels=3))
+    assert len(world.levels) == 2
+    for lv in world.levels:
+        assert np.array_equal(lv.anchor, np.unique(lv.parent, return_index=True)[1])
+        assert np.array_equal(lv.parent[lv.anchor], np.arange(len(lv.ids)))
 
 
 def test_drift_resamples_at_regime_times():
