@@ -1,15 +1,27 @@
-"""Canonical JSON encoding and hashing.
+"""Canonical JSON encoding and hashing, and the dataclass codec.
 
 Two equal documents must always produce identical bytes: keys are sorted,
 separators are fixed, floats use Python's shortest-roundtrip repr, and
 non-finite numbers are rejected outright.  Every snapshot hash and trace
 line in the package goes through here.
+
+`to_doc` and `from_doc` turn the parameter and spec dataclasses into
+plain documents and back, field by field, so a class's field
+declarations are its only schema.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import types
+import typing
+
+import numpy as np
+
+from .errors import ContractViolation
 
 
 def canonical_dumps(doc) -> str:
@@ -19,3 +31,59 @@ def canonical_dumps(doc) -> str:
 def canonical_hash(doc) -> str:
     """Hex sha256 of the canonical encoding."""
     return hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
+
+
+def to_doc(obj):
+    """A plain JSON document: dataclass fields by name, nested dataclasses
+    recursed, tuples and numpy arrays as lists."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [to_doc(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_doc(v) for k, v in obj.items()}
+    return obj
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def from_doc(cls, doc):
+    """The inverse of `to_doc`, driven by the field annotations.
+
+    Every field must be present (KeyError names the first missing one);
+    extra keys are ignored.  A document of the wrong shape raises
+    ContractViolation.
+    """
+    if not isinstance(doc, dict):
+        raise ContractViolation(
+            f"{cls.__name__} must be an object, not {type(doc).__name__}"
+        )
+    hints = _field_types(cls)
+    return cls(**{f.name: _decode(hints[f.name], doc[f.name])
+                  for f in dataclasses.fields(cls)})
+
+
+def _decode(tp, value):
+    if dataclasses.is_dataclass(tp):
+        return from_doc(tp, value)
+    origin = typing.get_origin(tp)
+    args = typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _decode(inner, value)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ContractViolation(f"expected an array, not {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], v) for v in value)
+        if len(value) != len(args):
+            raise ContractViolation(f"expected {len(args)} items, not {len(value)}")
+        return tuple(_decode(a, v) for a, v in zip(args, value))
+    return value

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .canon import canonical_dumps
+from .canon import canonical_dumps, to_doc
 from .config import ENV_CONFIG, load_config
 from .errors import (
     ConfigError,
@@ -113,7 +113,7 @@ def cmd_run(args) -> int:
         "cumulative": result.cumulative[agent_id],
         "problems_closed": len(result.closures[agent_id]),
         "drift_marks": result.drift_marks,
-        "metrics": metrics.to_dict(),
+        "metrics": to_doc(metrics),
         "budget_misses": result.budget_misses[agent_id],
         "final_tick": result.final_tick,
     }
@@ -200,7 +200,7 @@ def cmd_report(args) -> int:
     for agent_id, agent_samples in sorted(samples.items()):
         m = compute_metrics(agent_samples, marks, cfg.metric)
         entries.append((agent_id, m))
-        per_agent[agent_id] = m.to_dict()
+        per_agent[agent_id] = to_doc(m)
     doc = {
         "agents": per_agent,
         "drift_marks": marks,

@@ -1,14 +1,17 @@
 """Run configuration: the full parameter bundle and a small file format.
 
 Config files are line oriented, `dotted.key = value`, with `#` comments.
-Values are typed per key; lists are comma separated, `none` clears an
-optional, and `auto` asks for the derived default.  Command-line
-overrides use the same `key=value` grammar, so one parser serves both.
+Each key sets one dataclass field, and the field's annotation is the
+value's type: lists are comma separated, `none` clears an optional, and
+`auto` asks for the derived default.  Command-line overrides use the
+same `key=value` grammar, so one parser serves both.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -46,21 +49,6 @@ class EpisodeConfig:
                 raise ConfigError(f"{name} must be >= 1 when set")
         if self.budget_s <= 0:
             raise ConfigError("budget_s must be > 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "snapshot_every": self.snapshot_every,
-            "sample_every": self.sample_every,
-            "problems_per_regime": self.problems_per_regime,
-            "max_problems": self.max_problems,
-            "stop_after_problems": self.stop_after_problems,
-            "budget_s": self.budget_s,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpisodeConfig":
-        return cls(**{k: d[k] for k in cls().to_dict()})
 
 
 def _default_gen() -> GenSpec:
@@ -126,93 +114,101 @@ class RunConfig:
 
 # -- key table -------------------------------------------------------------
 
-_INT, _FLOAT, _BOOL = "int", "float", "bool"
-_INTS, _STRS = "ints", "strs"
-_FLOAT2, _FLOAT3 = "float2", "float3"
-_OPT_INT, _OPT_INTS, _OPT_FLOAT = "opt_int", "opt_ints", "opt_float"
-
-_KEYS: dict[str, tuple[str, str]] = {
-    "gen.seed": ("gen.seed", _INT),
-    "gen.n_entities": ("gen.n_entities", _INT),
-    "gen.dim": ("gen.dim", _INT),
-    "gen.polarity_ratio": ("gen.polarity_ratio", _FLOAT),
-    "gen.n_levels": ("gen.n_levels", _INT),
-    "gen.arena_extent": ("gen.arena_extent", _FLOAT),
-    "grammar.basis": ("gen.grammar.basis", _STRS),
-    "grammar.max_terms": ("gen.grammar.max_terms", _INT),
-    "grammar.coeff_range": ("gen.grammar.coeff_range", _FLOAT2),
-    "grammar.polarity_coupling": ("gen.grammar.polarity_coupling", _BOOL),
-    "grammar.damping_scale": ("gen.grammar.damping_scale", _FLOAT),
-    "grammar.base_damping": ("gen.grammar.base_damping", _FLOAT),
-    "drift.regime_times": ("gen.drift.regime_times", _INTS),
-    "drift.smooth_rate": ("gen.drift.smooth_rate", _FLOAT),
-    "drift.drift_levels": ("gen.drift.drift_levels", _OPT_INTS),
-    "step.dt": ("step.dt", _FLOAT),
-    "step.v_max": ("step.v_max", _FLOAT),
-    "step.a_max": ("step.a_max", _FLOAT),
-    "step.eps_r": ("step.eps_r", _FLOAT),
-    "problem.scriptor_len": ("problem.scriptor_len", _INT),
-    "problem.epsilon": ("problem.epsilon", _FLOAT),
-    "problem.timeout": ("problem.timeout", _INT),
-    "problem.impulse_floor": ("problem.impulse_floor", _FLOAT),
-    "score.s_max": ("score.s_max", _FLOAT),
-    "score.lam_model": ("score.lam_model", _FLOAT),
-    "score.lam_compute": ("score.lam_compute", _FLOAT),
-    "metric.window_halfwidth": ("metric.window_halfwidth", _INT),
-    "metric.theta": ("metric.theta", _FLOAT),
-    "metric.tail_frac": ("metric.tail_frac", _FLOAT),
-    "metric.pre_window": ("metric.pre_window", _INT),
-    "metric.post_window": ("metric.post_window", _INT),
-    "metric.weights": ("metric.weights", _FLOAT3),
-    "episode.horizon": ("episode.horizon", _INT),
-    "episode.snapshot_every": ("episode.snapshot_every", _INT),
-    "episode.sample_every": ("episode.sample_every", _INT),
-    "episode.problems_per_regime": ("episode.problems_per_regime", _OPT_INT),
-    "episode.max_problems": ("episode.max_problems", _OPT_INT),
-    "episode.stop_after_problems": ("episode.stop_after_problems", _OPT_INT),
-    "episode.budget_s": ("episode.budget_s", _FLOAT),
-    "body.members": ("body_members", _INT),
-    "body.resolution": ("resolution", _INT),
-    "body.window_halfwidth": ("window_halfwidth", _OPT_FLOAT),
-    "body.f_max": ("f_max", _FLOAT),
-    "run.agents": ("agents", _STRS),
-    "run.n_worlds": ("n_worlds", _INT),
-    "run.master_seed": ("master_seed", _INT),
+_KEYS: dict[str, str] = {
+    "gen.seed": "gen.seed",
+    "gen.n_entities": "gen.n_entities",
+    "gen.dim": "gen.dim",
+    "gen.polarity_ratio": "gen.polarity_ratio",
+    "gen.n_levels": "gen.n_levels",
+    "gen.arena_extent": "gen.arena_extent",
+    "grammar.basis": "gen.grammar.basis",
+    "grammar.max_terms": "gen.grammar.max_terms",
+    "grammar.coeff_range": "gen.grammar.coeff_range",
+    "grammar.polarity_coupling": "gen.grammar.polarity_coupling",
+    "grammar.damping_scale": "gen.grammar.damping_scale",
+    "grammar.base_damping": "gen.grammar.base_damping",
+    "drift.regime_times": "gen.drift.regime_times",
+    "drift.smooth_rate": "gen.drift.smooth_rate",
+    "drift.drift_levels": "gen.drift.drift_levels",
+    "step.dt": "step.dt",
+    "step.v_max": "step.v_max",
+    "step.a_max": "step.a_max",
+    "step.eps_r": "step.eps_r",
+    "problem.scriptor_len": "problem.scriptor_len",
+    "problem.epsilon": "problem.epsilon",
+    "problem.timeout": "problem.timeout",
+    "problem.impulse_floor": "problem.impulse_floor",
+    "score.s_max": "score.s_max",
+    "score.lam_model": "score.lam_model",
+    "score.lam_compute": "score.lam_compute",
+    "metric.window_halfwidth": "metric.window_halfwidth",
+    "metric.theta": "metric.theta",
+    "metric.tail_frac": "metric.tail_frac",
+    "metric.pre_window": "metric.pre_window",
+    "metric.post_window": "metric.post_window",
+    "metric.weights": "metric.weights",
+    "episode.horizon": "episode.horizon",
+    "episode.snapshot_every": "episode.snapshot_every",
+    "episode.sample_every": "episode.sample_every",
+    "episode.problems_per_regime": "episode.problems_per_regime",
+    "episode.max_problems": "episode.max_problems",
+    "episode.stop_after_problems": "episode.stop_after_problems",
+    "episode.budget_s": "episode.budget_s",
+    "body.members": "body_members",
+    "body.resolution": "resolution",
+    "body.window_halfwidth": "window_halfwidth",
+    "body.f_max": "f_max",
+    "run.agents": "agents",
+    "run.n_worlds": "n_worlds",
+    "run.master_seed": "master_seed",
 }
 
+_TRUE = ("true", "1", "yes", "on")
+_FALSE = ("false", "0", "no", "off")
 
-def _coerce(key: str, raw: str, kind: str):
-    raw = raw.strip()
+
+@functools.cache
+def _annotation(dotted: str):
+    """The annotation of the field a dotted path names below RunConfig."""
+    tp = RunConfig
+    for part in dotted.split("."):
+        tp = typing.get_type_hints(tp)[part]
+    return tp
+
+
+def _parse(tp, raw: str):
+    """One value of the file grammar, typed by a field annotation."""
     lowered = raw.lower()
-    try:
-        if kind in (_OPT_INT, _OPT_INTS, _OPT_FLOAT) and lowered in ("none", "auto", ""):
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if lowered in ("none", "auto", ""):
             return None
-        if kind == _INT or kind == _OPT_INT:
-            return int(raw)
-        if kind == _FLOAT or kind == _OPT_FLOAT:
-            return float(raw)
-        if kind == _BOOL:
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
+        (tp,) = [a for a in args if a is not type(None)]
+        args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
         parts = [p.strip() for p in raw.split(",") if p.strip() != ""]
-        if kind == _INTS or kind == _OPT_INTS:
-            return tuple(int(p) for p in parts)
-        if kind == _STRS:
-            return tuple(parts)
-        if kind == _FLOAT2:
-            if len(parts) != 2:
-                raise ValueError("expected two numbers")
-            return (float(parts[0]), float(parts[1]))
-        if kind == _FLOAT3:
-            if len(parts) != 3:
-                raise ValueError("expected three numbers")
-            return (float(parts[0]), float(parts[1]), float(parts[2]))
+        if args[-1] is Ellipsis:
+            return tuple(_parse(args[0], p) for p in parts)
+        if len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} values")
+        return tuple(_parse(a, p) for a, p in zip(args, parts))
+    if tp is bool:
+        if lowered in _TRUE:
+            return True
+        if lowered in _FALSE:
+            return False
+        raise ValueError(raw)
+    if tp in (int, float, str):
+        return tp(raw)
+    raise TypeError(f"no config grammar for {tp!r}")
+
+
+def _coerce(key: str, raw: str):
+    raw = raw.strip()
+    try:
+        return _parse(_annotation(_KEYS[key]), raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-    raise ConfigError(f"unhandled value type for {key}")
 
 
 def _assign(cfg: RunConfig, dotted: str, value) -> None:
@@ -270,8 +266,7 @@ def load_config(path: str | None = None,
         entries[key] = raw.strip()
 
     for key, raw in entries.items():
-        dotted, kind = _KEYS[key]
-        _assign(cfg, dotted, _coerce(key, raw, kind))
+        _assign(cfg, _KEYS[key], _coerce(key, raw))
 
     cfg.validate()
     return cfg

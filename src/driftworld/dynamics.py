@@ -54,14 +54,6 @@ class StepParams:
         if self.eps_r <= 0:
             raise ConfigError("eps_r must be > 0")
 
-    def to_dict(self) -> dict:
-        return {"dt": self.dt, "v_max": self.v_max, "a_max": self.a_max,
-                "eps_r": self.eps_r}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepParams":
-        return cls(dt=d["dt"], v_max=d["v_max"], a_max=d["a_max"], eps_r=d["eps_r"])
-
 
 def eval_law(law: CausationLaw, delta: np.ndarray, v_a: np.ndarray,
              v_b: np.ndarray, p_a: int, p_b: int, inertia_a: float,

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .agents import BaseAgent, make_agent
+from .canon import from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
@@ -130,13 +131,13 @@ def _header(world: World, slots: list[Slot], step_params: StepParams,
         "mode": DISCLOSURE,
         "format": TRACE_FORMAT,
         "stream_algorithm": rngmod.STREAM_ALGORITHM,
-        "step_params": step_params.to_dict(),
-        "score_params": score_params.to_dict(),
-        "episode": episode.to_dict(),
-        "bodies": {s.agent_id: s.body.to_dict() for s in slots},
+        "step_params": to_doc(step_params),
+        "score_params": to_doc(score_params),
+        "episode": to_doc(episode),
+        "bodies": {s.agent_id: to_doc(s.body) for s in slots},
         "agent_kinds": {s.agent_id: s.agent.kind for s in slots},
-        "gen_spec": world.spec.to_dict(),
-        "problem_params": problem_params.to_dict(),
+        "gen_spec": to_doc(world.spec),
+        "problem_params": to_doc(problem_params),
         "stream_names": {s.agent_id: s.stream_name for s in slots},
         "initial_state_hash": snapshot_hash(world),
     }
@@ -212,7 +213,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 slot.issued_total += 1
                 issued = sink.event({"kind": "problem_issued", "tick": t,
                                      "agent": slot.agent_id,
-                                     "problem": problem.disclosure_payload()})
+                                     "problem": to_doc(problem)})
                 slot.agent.on_problem(issued["problem"])
                 if hasattr(slot.agent, "load_script"):
                     slot.agent.load_script(problem.hidden_actions,
@@ -260,7 +261,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 levels = sorted(e["level"] for e in world.last_drift_events)
                 marks.append(t)
                 sink.event({"kind": "drift", "tick": t, "levels": levels,
-                            "new_laws": [world.laws[lv].to_dict() for lv in levels]})
+                            "new_laws": [to_doc(world.laws[lv]) for lv in levels]})
                 for slot in slots:
                     slot.issued_in_segment = 0
 
@@ -320,26 +321,22 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     and closed_total >= episode.stop_after_problems:
                 break
 
-        sink.event({
-            "kind": "end", "tick": world.tick,
-            "cumulative": {s.agent_id: s.cumulative for s in slots},
-            "problems_closed": closed_total,
-            "budget_misses": {
-                s.agent_id: getattr(s.agent, "budget_misses", 0) for s in slots
-            },
-        })
+        cumulative = {s.agent_id: s.cumulative for s in slots}
+        budget_misses = {s.agent_id: getattr(s.agent, "budget_misses", 0)
+                         for s in slots}
+        sink.event({"kind": "end", "tick": world.tick, "cumulative": cumulative,
+                    "problems_closed": closed_total,
+                    "budget_misses": budget_misses})
 
     return EpisodeResult(
         agent_ids=[s.agent_id for s in slots],
         samples={s.agent_id: list(s.samples) for s in slots},
-        cumulative={s.agent_id: s.cumulative for s in slots},
+        cumulative=cumulative,
         drift_marks=marks,
         closures={s.agent_id: list(s.closures) for s in slots},
         senses={s.agent_id: s.senses for s in slots},
         acts={s.agent_id: s.acts for s in slots},
-        budget_misses={
-            s.agent_id: getattr(s.agent, "budget_misses", 0) for s in slots
-        },
+        budget_misses=budget_misses,
         final_tick=world.tick,
         problems_closed=closed_total,
     )
@@ -402,17 +399,9 @@ class StageReport:
     wins: dict[str, dict[str, int]]
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            # A floor, not a point estimate: retuning an agent's own
-            # parameters can only raise its index.
-            "lower_bound": True,
-            "agent_ids": self.agent_ids,
-            "per_world": self.per_world,
-            "means": self.means,
-            "ranking": self.ranking,
-            "wins": self.wins,
-        }
+        # A floor, not a point estimate: retuning an agent's own
+        # parameters can only raise its index.
+        return {**to_doc(self), "lower_bound": True}
 
 
 def run_stage1(config: RunConfig, outdir: str | None = None,
@@ -445,7 +434,7 @@ def run_stage1(config: RunConfig, outdir: str | None = None,
             )
             m = world_metrics[kind] = result.metrics(slot.agent_id, config.metric)
             world_row["agents"][kind] = {
-                "metrics": m.to_dict(),
+                "metrics": to_doc(m),
                 "cumulative": result.cumulative[slot.agent_id],
                 "problems_closed": len(result.closures[slot.agent_id]),
                 "drift_marks": result.drift_marks,
@@ -485,7 +474,7 @@ def run_stage2(config: RunConfig, live_path: str | None = None,
     for slot_id in result.agent_ids:
         m = metrics[slot_id] = result.metrics(slot_id, config.metric)
         agents_row[slot_id] = {
-            "metrics": m.to_dict(),
+            "metrics": to_doc(m),
             "cumulative": result.cumulative[slot_id],
             "problems_closed": len(result.closures[slot_id]),
             "senses": result.senses[slot_id],
@@ -556,6 +545,13 @@ def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
     return scripts, nulls
 
 
+def _header_object(header: dict, key: str) -> dict:
+    value = header[key]
+    if not isinstance(value, dict):
+        raise ContractViolation(f"trace header field {key!r} must be an object")
+    return value
+
+
 def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> dict:
     """Re-run a disclosure trace and compare the bytes.
 
@@ -575,24 +571,26 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
                 f"this program, which writes format {TRACE_FORMAT}"
             )
 
-        spec = GenSpec.from_dict(header["gen_spec"])
-        step_params = StepParams.from_dict(header["step_params"])
-        problem_params = ProblemParams.from_dict(header["problem_params"])
-        score_params = ScoreParams.from_dict(header["score_params"])
-        episode = EpisodeConfig.from_dict(header["episode"])
+        spec = from_doc(GenSpec, header["gen_spec"])
+        step_params = from_doc(StepParams, header["step_params"])
+        problem_params = from_doc(ProblemParams, header["problem_params"])
+        score_params = from_doc(ScoreParams, header["score_params"])
+        episode = from_doc(EpisodeConfig, header["episode"])
         scripts, nulls = _scripts_from_events(events)
 
         world = generate_world(spec)
         slots = []
-        for agent_id, body_doc in sorted(header["bodies"].items()):
-            body = BodySpec.from_dict(body_doc)
+        kinds = _header_object(header, "agent_kinds")
+        streams = _header_object(header, "stream_names")
+        for agent_id, body_doc in sorted(_header_object(header, "bodies").items()):
+            body = from_doc(BodySpec, body_doc)
             script = scripts.get(agent_id, _ReplayScript())
             slots.append(Slot(
                 agent_id=agent_id,
                 agent=ScriptedAgent(body, spec.dim, script,
-                                    kind=header["agent_kinds"].get(agent_id)),
+                                    kind=kinds.get(agent_id)),
                 body=body,
-                stream_name=header["stream_names"][agent_id],
+                stream_name=streams[agent_id],
             ))
 
         own_tmp = regenerated_path is None

@@ -46,23 +46,6 @@ class BodySpec:
         if self.f_max <= 0:
             raise ConfigError("f_max must be > 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "member_ids": list(self.member_ids),
-            "resolution": self.resolution,
-            "window_halfwidth": self.window_halfwidth,
-            "f_max": self.f_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BodySpec":
-        return cls(
-            member_ids=tuple(d["member_ids"]),
-            resolution=d["resolution"],
-            window_halfwidth=d["window_halfwidth"],
-            f_max=d["f_max"],
-        )
-
 
 @dataclass
 class SenseGrid:

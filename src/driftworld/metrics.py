@@ -45,27 +45,6 @@ class MetricParams:
                 or sum(self.weights) <= 0:
             raise ConfigError("weights must be three nonnegative numbers, not all zero")
 
-    def to_dict(self) -> dict:
-        return {
-            "window_halfwidth": self.window_halfwidth,
-            "theta": self.theta,
-            "tail_frac": self.tail_frac,
-            "pre_window": self.pre_window,
-            "post_window": self.post_window,
-            "weights": list(self.weights),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricParams":
-        return cls(
-            window_halfwidth=d["window_halfwidth"],
-            theta=d["theta"],
-            tail_frac=d["tail_frac"],
-            pre_window=d["pre_window"],
-            post_window=d["post_window"],
-            weights=(d["weights"][0], d["weights"][1], d["weights"][2]),
-        )
-
 
 @dataclass
 class AgentMetrics:
@@ -78,17 +57,6 @@ class AgentMetrics:
     n_segments: int
     n_marks: int
     segments: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "acquisition": self.acquisition,
-            "plateau": self.plateau,
-            "retention": self.retention,
-            "index": self.index,
-            "n_segments": self.n_segments,
-            "n_marks": self.n_marks,
-            "segments": self.segments,
-        }
 
 
 def _as_arrays(samples) -> tuple[np.ndarray, np.ndarray]:

@@ -45,23 +45,6 @@ class ProblemParams:
         if self.impulse_floor < 0:
             raise ConfigError("impulse_floor must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "scriptor_len": self.scriptor_len,
-            "epsilon": self.epsilon,
-            "timeout": self.timeout,
-            "impulse_floor": self.impulse_floor,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProblemParams":
-        return cls(
-            scriptor_len=d["scriptor_len"],
-            epsilon=d["epsilon"],
-            timeout=d["timeout"],
-            impulse_floor=d["impulse_floor"],
-        )
-
 
 @dataclass
 class ScoreParams:
@@ -76,15 +59,6 @@ class ScoreParams:
             raise ConfigError("s_max must be > 0")
         if self.lam_model < 0 or self.lam_compute < 0:
             raise ConfigError("score discount strengths must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {"s_max": self.s_max, "lam_model": self.lam_model,
-                "lam_compute": self.lam_compute}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoreParams":
-        return cls(s_max=d["s_max"], lam_model=d["lam_model"],
-                   lam_compute=d["lam_compute"])
 
 
 @dataclass
@@ -104,21 +78,6 @@ class Problem:
 
     def deadline(self) -> int:
         return self.issued_tick + self.timeout
-
-    def disclosure_payload(self) -> dict:
-        """The whole problem, as the disclosure trace records it."""
-        return {
-            "id": self.id,
-            "issued_tick": self.issued_tick,
-            "target_grid": self.target_grid.tolist(),
-            "epsilon": self.epsilon,
-            "timeout": self.timeout,
-            "scriptor_len": self.scriptor_len,
-            "o_ref": self.o_ref,
-            "d_ref": self.d_ref,
-            "hidden_actions": self.hidden_actions.tolist(),
-            "p_null": self.p_null,
-        }
 
 
 def generate_problem(world: World, body: BodySpec, params: ProblemParams,

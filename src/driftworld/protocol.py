@@ -32,7 +32,7 @@ import threading
 
 import numpy as np
 
-from .canon import canonical_dumps
+from .canon import canonical_dumps, from_doc, to_doc
 from .errors import ConfigError, ProtocolError
 from .interface import BodySpec
 from .rng import agent_stream
@@ -362,7 +362,7 @@ class SubprocessAgent:
             "protocol": PROTOCOL_VERSION,
             "dim": dim,
             "horizon": horizon,
-            "body": body.to_dict(),
+            "body": to_doc(body),
         }
         if agent_seed is not None:
             hello["agent_seed"] = int(agent_seed)
@@ -502,7 +502,7 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
     if hello["kind"] != "hello":
         raise ProtocolError(f"expected hello, got {hello['kind']!r}")
 
-    body = BodySpec.from_dict(hello["body"])
+    body = from_doc(BodySpec, hello["body"])
     dim = hello["dim"]
     stream = None
     if kind == "random":

@@ -156,16 +156,19 @@ class TraceSink:
 
 
 def iter_trace(path: str):
-    """Yield decoded lines; the first is the header."""
+    """Yield decoded lines, each a JSON object; the first is the header."""
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ContractViolation(f"{path}:{n}: not valid JSON: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise ContractViolation(f"{path}:{n}: not a JSON object")
+            yield doc
 
 
 def read_trace(path: str) -> tuple[dict, list[dict]]:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng as rngmod
+from .canon import from_doc, to_doc
 from .errors import ConfigError
 
 #: Radial basis terms and their exponent of the pair separation, plus a
@@ -136,59 +137,6 @@ class GenSpec:
         self.grammar.validate()
         self.drift.validate(self.n_levels)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_entities": self.n_entities,
-            "dim": self.dim,
-            "polarity_ratio": self.polarity_ratio,
-            "n_levels": self.n_levels,
-            "arena_extent": self.arena_extent,
-            "grammar": {
-                "basis": list(self.grammar.basis),
-                "max_terms": self.grammar.max_terms,
-                "coeff_range": list(self.grammar.coeff_range),
-                "polarity_coupling": self.grammar.polarity_coupling,
-                "damping_scale": self.grammar.damping_scale,
-                "base_damping": self.grammar.base_damping,
-            },
-            "drift": {
-                "regime_times": list(self.drift.regime_times),
-                "smooth_rate": self.drift.smooth_rate,
-                "drift_levels": None
-                if self.drift.drift_levels is None
-                else list(self.drift.drift_levels),
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenSpec":
-        g = d["grammar"]
-        dr = d["drift"]
-        return cls(
-            seed=d["seed"],
-            n_entities=d["n_entities"],
-            dim=d["dim"],
-            polarity_ratio=d["polarity_ratio"],
-            n_levels=d["n_levels"],
-            arena_extent=d["arena_extent"],
-            grammar=CausationGrammar(
-                basis=tuple(g["basis"]),
-                max_terms=g["max_terms"],
-                coeff_range=(g["coeff_range"][0], g["coeff_range"][1]),
-                polarity_coupling=g["polarity_coupling"],
-                damping_scale=g["damping_scale"],
-                base_damping=g["base_damping"],
-            ),
-            drift=DriftSchedule(
-                regime_times=tuple(dr["regime_times"]),
-                smooth_rate=dr["smooth_rate"],
-                drift_levels=None
-                if dr["drift_levels"] is None
-                else tuple(dr["drift_levels"]),
-            ),
-        )
-
 
 @dataclass
 class CausationLaw:
@@ -198,23 +146,6 @@ class CausationLaw:
     terms: tuple[tuple[str, float], ...]
     polarity_coupled: tuple[bool, ...]
     drift_handle: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "terms": [[name, coeff] for name, coeff in self.terms],
-            "polarity_coupled": list(self.polarity_coupled),
-            "drift_handle": self.drift_handle,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CausationLaw":
-        return cls(
-            level=d["level"],
-            terms=tuple((name, coeff) for name, coeff in d["terms"]),
-            polarity_coupled=tuple(d["polarity_coupled"]),
-            drift_handle=d["drift_handle"],
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +254,7 @@ class World:
     def to_canonical(self) -> dict:
         return {
             "format": 1,
-            "spec": self.spec.to_dict(),
+            "spec": to_doc(self.spec),
             "tick": self.tick,
             "entities": {
                 "position": self.positions.tolist(),
@@ -338,7 +269,7 @@ class World:
                 ]
                 for lv in self.levels
             ],
-            "laws": [law.to_dict() for law in self.laws],
+            "laws": [to_doc(law) for law in self.laws],
             "rng": {
                 "algorithm": rngmod.STREAM_ALGORITHM,
                 "streams": {
@@ -350,7 +281,7 @@ class World:
 
     @classmethod
     def from_canonical(cls, doc: dict) -> "World":
-        spec = GenSpec.from_dict(doc["spec"])
+        spec = from_doc(GenSpec, doc["spec"])
         ent = doc["entities"]
         world = cls(
             spec=spec,
@@ -358,7 +289,7 @@ class World:
             velocities=np.array(ent["velocity"], dtype=np.float64),
             inertia=np.array(ent["inertia"], dtype=np.float64),
             polarity=np.array(ent["polarity"], dtype=np.int64),
-            laws=[CausationLaw.from_dict(d) for d in doc["laws"]],
+            laws=[from_doc(CausationLaw, d) for d in doc["laws"]],
             streams={
                 name: rngmod.restore_stream(state)
                 for name, state in doc["rng"]["streams"].items()

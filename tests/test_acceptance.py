@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from driftworld.canon import canonical_dumps
+from driftworld.canon import canonical_dumps, to_doc
 from driftworld.config import RunConfig
 from driftworld.dynamics import StepParams, momentum, step
 from driftworld.errors import ProtocolError
@@ -218,7 +218,7 @@ def test_criterion_08_drift_marks_match_schedule_and_spare_ground_laws():
     for _ in range(100):
         step(world, StepParams())
     fresh = generate_world(spec)
-    law_text = [[canonical_dumps(law.to_dict()) for law in w.laws]
+    law_text = [[canonical_dumps(to_doc(law)) for law in w.laws]
                 for w in (world, fresh)]
     ground_ok = law_text[0][0] == law_text[1][0]
     drifted = law_text[0][1] != law_text[1][1]

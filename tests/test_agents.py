@@ -16,6 +16,7 @@ from driftworld.agents import (
     RandomAgent,
     make_agent,
 )
+from driftworld.canon import to_doc
 from driftworld.config import RunConfig
 from driftworld.dynamics import step
 from driftworld.errors import ConfigError, ContractViolation
@@ -32,7 +33,7 @@ GRID_CELLS = 2 * 16 * 16  # two channels at the test body's resolution
 
 def public_problem(problem):
     """The problem as an agent receives it: its live-tier view."""
-    issued = {"kind": "problem_issued", "problem": problem.disclosure_payload()}
+    issued = {"kind": "problem_issued", "problem": to_doc(problem)}
     return live_view(issued)["problem"]
 
 

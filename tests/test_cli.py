@@ -7,6 +7,7 @@ for real to cover the installed entry point.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +180,24 @@ def test_replay_names_a_missing_null_baseline(tmp_path, capsys):
     verdict = replay_trace(str(cut))
     assert verdict["verdict"] == "FAIL"
     assert f"no null baseline for problem {dropped}" in verdict["error"]
+
+
+GOLDEN_TRACE = Path(__file__).parent / "golden" / "stage2.disclosure.ndjson"
+
+
+@pytest.mark.parametrize("header_line", [
+    lambda h: dict(h, gen_spec=[]),
+    lambda h: dict(h, bodies=[]),
+    lambda h: dict(h, episode="x"),
+    lambda h: [1, 2],
+], ids=["gen_spec-list", "bodies-list", "episode-string", "header-list"])
+def test_replay_of_a_malformed_header_fails(header_line, tmp_path, capsys):
+    header, *events = GOLDEN_TRACE.read_text().splitlines()
+    bad = tmp_path / "bad_header.ndjson"
+    bad.write_text("\n".join([
+        canonical_dumps(header_line(json.loads(header))), *events]) + "\n")
+    assert run_cli("replay", str(bad)) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL  {bad}")
 
 
 def test_replay_missing_file_exit_one(tmp_path, capsys):

@@ -162,7 +162,7 @@ def test_every_parameter_field_has_a_config_key():
     from driftworld.problems import ProblemParams, ScoreParams
     from driftworld.worldgen import CausationGrammar, DriftSchedule, GenSpec
 
-    targets = {dotted for dotted, _ in _KEYS.values()}
+    targets = set(_KEYS.values())
     owners = [("step", StepParams), ("problem", ProblemParams),
               ("score", ScoreParams), ("episode", EpisodeConfig),
               ("metric", MetricParams), ("gen", GenSpec),
@@ -171,6 +171,32 @@ def test_every_parameter_field_has_a_config_key():
     missing = [f"{prefix}.{f.name}" for prefix, cls in owners
                for f in fields(cls) if f"{prefix}.{f.name}" not in covered]
     assert missing == []
+
+
+def _file_text(value) -> str:
+    """A value written in the config file grammar."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(_file_text(v) for v in value)
+    return str(value)
+
+
+def test_every_key_reads_back_its_default(tmp_path):
+    from driftworld.config import _KEYS
+
+    default = RunConfig()
+    lines = []
+    for key, dotted in _KEYS.items():
+        value = default
+        for part in dotted.split("."):
+            value = getattr(value, part)
+        lines.append(f"{key} = {_file_text(value)}")
+    path = tmp_path / "defaults.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_config(str(path)) == default
 
 
 def test_impulse_floor_is_settable():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from driftworld.agents import make_agent
-from driftworld.canon import canonical_dumps
+from driftworld.canon import canonical_dumps, to_doc
 from driftworld.config import EpisodeConfig, RunConfig
 from driftworld.errors import ConfigError, ContractViolation
 from driftworld.harness import (
@@ -77,7 +77,7 @@ def test_drift_marks_land_on_regime_times():
     assert result.drift_marks == [25, 40]
     # The ground level never drifts; the upper level was resampled.
     fresh = generate_world(cfg.gen)
-    law_text = [[canonical_dumps(law.to_dict()) for law in w.laws]
+    law_text = [[canonical_dumps(to_doc(law)) for law in w.laws]
                 for w in (world, fresh)]
     assert law_text[0][0] == law_text[1][0]
     assert law_text[0][1] != law_text[1][1]
@@ -322,6 +322,6 @@ def test_replay_keeps_regenerated_copy(tmp_path):
 
 
 def test_law_bytes_track_law_identity():
-    ground = [canonical_dumps(generate_world(GenSpec(seed=s)).laws[0].to_dict())
+    ground = [canonical_dumps(to_doc(generate_world(GenSpec(seed=s)).laws[0]))
               for s in (5, 5, 6)]
     assert ground[0] == ground[1] != ground[2]

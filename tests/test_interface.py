@@ -31,10 +31,6 @@ def test_body_spec_validation():
     BodySpec(member_ids=(0, 1)).validate()
 
 
-def test_body_spec_dict_roundtrip(body):
-    assert BodySpec.from_dict(body.to_dict()) == body
-
-
 def test_centroid_simple_mean():
     world = generate_world(flat_quiet_spec(1, n_entities=4))
     world.positions[:] = [[1.0, 1.0], [3.0, 1.0], [1.0, 3.0], [3.0, 3.0]]

@@ -8,6 +8,7 @@ number has a closed-form target.
 import numpy as np
 import pytest
 
+from driftworld.canon import to_doc
 from driftworld.errors import ConfigError, ContractViolation, InsufficientDataError
 from driftworld.metrics import (
     AgentMetrics,
@@ -215,7 +216,7 @@ def test_too_sparse_segments_raise():
 
 def test_metrics_to_dict_roundtrip():
     m = compute_metrics(ramp_samples(60, 1.0, tau=10))
-    d = m.to_dict()
+    d = to_doc(m)
     assert d["plateau"] == m.plateau
     assert d["n_segments"] == m.n_segments
     assert isinstance(d["segments"], list)
@@ -275,13 +276,6 @@ def test_params_validation():
     for params in cases:
         with pytest.raises(ConfigError):
             params.validate()
-
-
-def test_params_dict_roundtrip():
-    params = MetricParams(window_halfwidth=7, theta=0.8, tail_frac=0.3,
-                          pre_window=30, post_window=25, weights=(2, 1, 1))
-    again = MetricParams.from_dict(params.to_dict())
-    assert again == params
 
 
 # ----------------------------------------------------------- reference curves

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftworld.canon import canonical_dumps
+from driftworld.canon import canonical_dumps, to_doc
 from driftworld.config import RunConfig
 from driftworld.dynamics import StepParams, step
 from driftworld.errors import ContractViolation
@@ -11,7 +11,6 @@ from driftworld.interface import BodySpec, forces_to_accel, sense
 from driftworld.problems import (
     Problem,
     ProblemParams,
-    ScoreParams,
     check_solved,
     generate_problem,
     hit_score,
@@ -132,9 +131,9 @@ def test_public_payload_hides_secrets():
     world, body = fresh()
     p = generate_problem(world, body, ProblemParams(), StepParams(), 3)
     pub = live_view({"kind": "problem_issued",
-                     "problem": p.disclosure_payload()})["problem"]
+                     "problem": to_doc(p)})["problem"]
     assert set(pub) == {"id", "issued_tick", "target_grid", "epsilon", "timeout"}
-    disc = p.disclosure_payload()
+    disc = to_doc(p)
     assert "hidden_actions" in disc and "scriptor_len" in disc
 
 
@@ -213,11 +212,6 @@ def test_problem_params_validation():
     with pytest.raises(Exception):
         ProblemParams(timeout=0).validate()
     ProblemParams().validate()
-
-
-def test_score_params_roundtrip():
-    sp = ScoreParams(s_max=2.0, lam_model=0.1, lam_compute=0.2)
-    assert ScoreParams.from_dict(sp.to_dict()) == sp
 
 
 def test_deadline_counts_from_issue_tick():
