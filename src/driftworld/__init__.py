@@ -7,60 +7,39 @@ problems, episodes, traces, and reports are pure functions of seeds and
 configuration, and disclosure traces replay bit for bit.
 """
 
-from .config import EpisodeConfig, RunConfig, load_config
-from .dynamics import StepParams, eval_law, momentum, snapshot, snapshot_hash, step
-from .errors import (
-    ConfigError,
-    ContractViolation,
-    DriftworldError,
-    InsufficientDataError,
-    ProtocolError,
-)
-from .harness import (
-    EpisodeResult,
-    Slot,
-    StageReport,
-    oracle_calibration,
-    replay_trace,
-    run_episode,
-    run_stage1,
-    run_stage2,
-)
-from .interface import BodySpec, SenseGrid, grid_distance, sense
-from .metrics import AgentMetrics, MetricParams, compute_metrics, rank_agents
-from .problems import (
-    Problem,
-    ProblemParams,
-    ScoreParams,
-    check_solved,
-    generate_problem,
-    hit_score,
-    normalized_score,
-    null_baseline,
-)
-from .worldgen import (
-    CausationGrammar,
-    CausationLaw,
-    DriftSchedule,
-    GenSpec,
-    World,
-    apply_drift,
-    generate_world,
-    sample_law,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentMetrics", "BodySpec", "CausationGrammar", "CausationLaw",
-    "ConfigError", "ContractViolation", "DriftworldError", "DriftSchedule",
-    "EpisodeConfig", "EpisodeResult", "GenSpec", "InsufficientDataError",
-    "MetricParams", "Problem", "ProblemParams", "ProtocolError", "RunConfig",
-    "ScoreParams", "SenseGrid", "Slot", "StageReport", "StepParams", "World",
-    "apply_drift", "check_solved", "compute_metrics", "eval_law",
-    "generate_problem", "generate_world", "grid_distance", "hit_score",
-    "load_config", "momentum", "normalized_score", "null_baseline",
-    "oracle_calibration", "rank_agents", "replay_trace", "run_episode",
-    "run_stage1", "run_stage2", "sample_law", "sense", "snapshot",
-    "snapshot_hash", "step",
-]
+#: Public name -> the submodule that defines it.  Names resolve on first
+#: use, so importing one submodule (say `protocol`, to serve an agent over
+#: stdio) does not load the rest of the package.
+_EXPORTS = {
+    **dict.fromkeys(("EpisodeConfig", "RunConfig", "load_config"), "config"),
+    **dict.fromkeys(("StepParams", "eval_law", "momentum", "snapshot",
+                     "snapshot_hash", "step"), "dynamics"),
+    **dict.fromkeys(("ConfigError", "ContractViolation", "DriftworldError",
+                     "InsufficientDataError", "ProtocolError"), "errors"),
+    **dict.fromkeys(("EpisodeResult", "Slot", "StageReport", "oracle_calibration",
+                     "replay_trace", "run_episode", "run_stage1", "run_stage2"),
+                    "harness"),
+    **dict.fromkeys(("BodySpec", "SenseGrid", "grid_distance", "sense"), "interface"),
+    **dict.fromkeys(("AgentMetrics", "MetricParams", "compute_metrics",
+                     "rank_agents"), "metrics"),
+    **dict.fromkeys(("Problem", "ProblemParams", "ScoreParams", "check_solved",
+                     "generate_problem", "hit_score", "normalized_score",
+                     "null_baselines"), "problems"),
+    **dict.fromkeys(("CausationGrammar", "CausationLaw", "DriftSchedule", "GenSpec",
+                     "World", "apply_drift", "generate_world", "sample_law"),
+                    "worldgen"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -56,16 +56,32 @@ def from_doc(cls, doc):
     """The inverse of `to_doc`, driven by the field annotations.
 
     Every field must be present (KeyError names the first missing one);
-    extra keys are ignored.  A document of the wrong shape raises
-    ContractViolation.
+    extra keys are ignored.  A document of the wrong shape, or a scalar of
+    the wrong type for its field, raises ContractViolation naming the
+    field.
     """
     if not isinstance(doc, dict):
         raise ContractViolation(
             f"{cls.__name__} must be an object, not {type(doc).__name__}"
         )
     hints = _field_types(cls)
-    return cls(**{f.name: _decode(hints[f.name], doc[f.name])
-                  for f in dataclasses.fields(cls)})
+    values = {}
+    for f in dataclasses.fields(cls):
+        try:
+            values[f.name] = _decode(hints[f.name], doc[f.name])
+        except ContractViolation as exc:
+            raise ContractViolation(f"{cls.__name__}.{f.name}: {exc}") from None
+    return cls(**values)
+
+
+def _scalar_ok(tp, value) -> bool:
+    """Whether a JSON scalar may fill a field annotated `tp`: an int field
+    takes an int, a float field an int or a float, never a bool."""
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if tp is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, tp)
 
 
 def _decode(tp, value):
@@ -86,4 +102,6 @@ def _decode(tp, value):
         if len(value) != len(args):
             raise ContractViolation(f"expected {len(args)} items, not {len(value)}")
         return tuple(_decode(a, v) for a, v in zip(args, value))
+    if tp in (int, float, str, bool) and not _scalar_ok(tp, value):
+        raise ContractViolation(f"expected {tp.__name__}, not {type(value).__name__}")
     return value

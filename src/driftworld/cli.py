@@ -18,27 +18,18 @@ import os
 import sys
 
 from .canon import canonical_dumps, to_doc
-from .config import ENV_CONFIG, load_config
 from .errors import (
     ConfigError,
     ContractViolation,
     InsufficientDataError,
     ProtocolError,
 )
-from .harness import (
-    Slot,
-    _make_slot,
-    oracle_calibration,
-    replay_trace,
-    run_episode,
-    run_stage1,
-    run_stage2,
-)
-from .metrics import compute_metrics, rank_agents, rate_curve
 from .protocol import SubprocessAgent, run_stdio_agent
 from .rng import agent_seed
-from .trace import read_trace
 from .worldgen import generate_world
+
+# The commands import config, harness, metrics and trace themselves, so
+# `driftworld agent` loads only what serving an agent over stdio needs.
 
 E_OK, E_REPLAY_FAIL, E_CONFIG, E_PROTOCOL, E_IO = 0, 1, 3, 4, 5
 
@@ -59,12 +50,14 @@ def _write_json(doc: dict, path: str | None, pretty: bool = True) -> None:
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", default=None,
-                   help=f"config file (default: ${ENV_CONFIG} if set)")
+                   help="config file (default: $DRIFTWORLD_CONFIG if set)")
     p.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                    dest="overrides", help="override one config key")
 
 
 def cmd_gen(args) -> int:
+    from .config import load_config
+
     cfg = load_config(args.config, args.overrides)
     _check_out(args.out, args.force)
     world = generate_world(cfg.gen)
@@ -79,6 +72,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .config import load_config
+    from .harness import Slot, _make_slot, run_episode
+
     cfg = load_config(args.config, args.overrides)
     for path in (args.live, args.disclosure, args.out):
         _check_out(path, args.force)
@@ -122,6 +118,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_stage1(args) -> int:
+    from .config import load_config
+    from .harness import run_stage1
+
     cfg = load_config(args.config, args.overrides)
     _check_out(args.out, args.force)
     report = run_stage1(cfg, outdir=args.trace_dir,
@@ -136,6 +135,9 @@ def cmd_stage1(args) -> int:
 
 
 def cmd_stage2(args) -> int:
+    from .config import load_config
+    from .harness import run_stage2
+
     cfg = load_config(args.config, args.overrides)
     for path in (args.live, args.disclosure, args.out):
         _check_out(path, args.force)
@@ -151,6 +153,9 @@ def cmd_stage2(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .config import load_config
+    from .harness import oracle_calibration
+
     cfg = load_config(args.config, args.overrides)
     _check_out(args.out, args.force)
     result = oracle_calibration(cfg, args.problems)
@@ -161,6 +166,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .harness import replay_trace
+
     _check_out(args.save_regenerated, args.force)
     verdict = replay_trace(args.trace, regenerated_path=args.save_regenerated)
     if verdict["ok"]:
@@ -181,6 +188,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .config import load_config
+    from .metrics import compute_metrics, rank_agents, rate_curve
+    from .trace import read_trace
+
     cfg = load_config(args.config, args.overrides)
     _check_out(args.out, args.force)
     _, events = read_trace(args.trace)

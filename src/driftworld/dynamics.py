@@ -84,24 +84,39 @@ def eval_law(law: CausationLaw, delta: np.ndarray, v_a: np.ndarray,
     return accel
 
 
+def _axis_sum_of_squares(planes: np.ndarray) -> np.ndarray:
+    """Sum of squares over the leading (axis) dimension, added axis by axis."""
+    total = planes[0] * planes[0]
+    for plane in planes[1:]:
+        total += plane * plane
+    return total
+
+
 def _level_accel(positions: np.ndarray, velocities: np.ndarray,
                  polarity: np.ndarray, inertia: np.ndarray,
                  law: CausationLaw, extent: float,
                  params: StepParams) -> np.ndarray:
-    """Summed pairwise acceleration for every member of one level."""
+    """Summed pairwise acceleration for every member of one level.
+
+    Pair tensors are laid out `(dim, j, i)`: receiver i innermost, partner
+    j next, one plane per axis.  Squared norms are explicit per-axis adds,
+    and the partner sum runs over the middle axis, which numpy reduces
+    sequentially in partner order.  A reduction along the innermost axis
+    would use pairwise summation and change the bytes.
+    """
     m = positions.shape[0]
     dim = positions.shape[1]
     if m < 2:
         return np.zeros((m, dim))
 
-    delta = minimal_image(positions[:, None, :] - positions[None, :, :], extent)
-    r = np.sqrt((delta * delta).sum(axis=2))
+    pos = positions.T
+    delta = minimal_image(pos[:, None, :] - pos[:, :, None], extent)
+    r = np.sqrt(_axis_sum_of_squares(delta))
     r_eff = np.maximum(r, params.eps_r)
-    off = ~np.eye(m, dtype=bool)
 
     radial = np.zeros((m, m))
     damping = 0.0
-    pol_prod = polarity[:, None] * polarity[None, :]
+    pol_prod = polarity[None, :] * polarity[:, None]
     for (name, coeff), coupled in zip(law.terms, law.polarity_coupled):
         if name == DAMPING_TERM:
             damping = coeff
@@ -111,20 +126,23 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
             magnitude = magnitude * pol_prod
         radial += magnitude
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where((r > 0)[:, :, None], delta / r[:, :, None], 0.0)
-    pair = (radial / inertia[:, None])[:, :, None] * unit
+    # unit separation vectors (zero for coincident pairs), scaled in place
+    pair = np.divide(delta, r, out=np.zeros_like(delta), where=r > 0)
+    pair *= radial / inertia
     if damping != 0.0:
-        pair = pair - damping * (velocities[:, None, :] - velocities[None, :, :])
-    pair = np.where(off[:, :, None], pair, 0.0)
+        vel = velocities.T
+        relative = vel[:, None, :] - vel[:, :, None]
+        relative *= damping
+        pair -= relative
+    diagonal = np.arange(m)
+    pair[:, diagonal, diagonal] = 0.0
 
-    norm = np.sqrt((pair * pair).sum(axis=2))
+    norm = np.sqrt(_axis_sum_of_squares(pair))
     over = norm > params.a_max
     if over.any():
-        scale = np.where(over, params.a_max / np.where(norm > 0, norm, 1.0), 1.0)
-        pair = pair * scale[:, :, None]
+        pair *= np.where(over, params.a_max / np.where(norm > 0, norm, 1.0), 1.0)
 
-    return pair.sum(axis=1)
+    return np.ascontiguousarray(pair.sum(axis=1).T)
 
 
 def compute_accelerations(world: World, params: StepParams,

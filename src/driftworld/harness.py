@@ -6,7 +6,8 @@ id order, advance the world one step (laws drift inside the step), close
 any problem that is solved or out of time, then record score samples and
 periodic snapshot hashes.  Every agent senses exactly once and acts
 exactly once per tick; the loop checks that invariant itself so
-multi-agent runs cannot silently starve anyone.
+multi-agent runs cannot silently starve anyone.  Every problem issued on
+one tick shares a single zero-action rollout for its null baseline.
 
 Stage one evaluates each agent alone on matched worlds derived from one
 master seed.  Stage two puts all agents into a single shared world with
@@ -40,7 +41,7 @@ from .problems import (
     generate_problem,
     hit_score,
     normalized_score,
-    null_baseline,
+    null_baselines,
 )
 from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, read_trace
 from .worldgen import GenSpec, World, generate_world
@@ -151,9 +152,11 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
     """Run one episode in place.  The world is consumed.
 
     Every trace line goes through one `TraceSink`, which decides what the
-    live tier sees.  `replay_nulls` substitutes recorded null-baseline
-    values by problem id instead of re-running the baseline rollout;
-    everything else in replay mode flows through the ordinary pipeline.
+    live tier sees.  The problems issued on one tick get their null
+    baselines from one shared zero-action rollout.  `replay_nulls`
+    substitutes recorded null-baseline values by problem id instead of
+    running that rollout; everything else in replay mode flows through the
+    ordinary pipeline.
     """
     for params in (step_params, problem_params, score_params, episode):
         params.validate()
@@ -183,7 +186,9 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
             if world.tick != t:
                 raise ContractViolation("episode loop lost the world clock")
 
-            # 1. issue problems to idle agents
+            # 1. issue problems to idle agents: draw them in slot order,
+            #    roll one shared null baseline, then announce them in order
+            batch: list[tuple[Slot, Problem]] = []
             for slot in slots:
                 if slot.active is not None:
                     continue
@@ -193,20 +198,25 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 if episode.problems_per_regime is not None \
                         and slot.issued_in_segment >= episode.problems_per_regime:
                     continue
-                problem = generate_problem(
+                batch.append((slot, generate_problem(
                     world, slot.body, problem_params, step_params,
                     next_problem_id, slot.stream_name,
-                )
+                )))
                 next_problem_id += 1
-                if replay_nulls is None:
-                    problem.p_null = null_baseline(world, slot.body, problem,
-                                                   step_params)
-                elif problem.id in replay_nulls:
-                    problem.p_null = replay_nulls[problem.id]
-                else:
-                    raise ContractViolation(
-                        f"trace records no null baseline for problem {problem.id}"
-                    )
+            if replay_nulls is None:
+                nulls = null_baselines(
+                    world, [(slot.body, problem) for slot, problem in batch],
+                    step_params) if batch else []
+            else:
+                nulls = []
+                for _, problem in batch:
+                    if problem.id not in replay_nulls:
+                        raise ContractViolation(
+                            f"trace records no null baseline for problem {problem.id}"
+                        )
+                    nulls.append(replay_nulls[problem.id])
+            for (slot, problem), p_null in zip(batch, nulls):
+                problem.p_null = p_null
                 slot.active = problem
                 slot.o_count = 0
                 slot.issued_in_segment += 1

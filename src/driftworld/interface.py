@@ -79,14 +79,14 @@ def body_centroid(world: World, body: BodySpec) -> np.ndarray:
     return wrap_positions(anchor + mean_offset, world.spec.arena_extent)
 
 
-def cell_index(offset: float, halfwidth: float, resolution: int) -> int:
-    """Map a window coordinate in [-halfwidth, halfwidth) to a cell.
+def cell_index(offset, halfwidth: float, resolution: int):
+    """Map window coordinates in [-halfwidth, halfwidth) to cells, elementwise.
 
     A point exactly on an interior cell edge belongs to the lower cell.
     """
     width = 2.0 * halfwidth / resolution
-    raw = int(np.ceil((offset + halfwidth) / width)) - 1
-    return min(resolution - 1, max(0, raw))
+    raw = np.ceil((np.asarray(offset) + halfwidth) / width).astype(np.intp) - 1
+    return np.minimum(np.maximum(raw, 0), resolution - 1)
 
 
 def sense(world: World, body: BodySpec) -> SenseGrid:
@@ -101,14 +101,14 @@ def sense(world: World, body: BodySpec) -> SenseGrid:
     res = body.resolution
     half = body.window_halfwidth
     center = body_centroid(world, body)
-    grid = np.zeros((res, res, 2))
     offsets = minimal_image(world.positions - center, world.spec.arena_extent)
     inside = np.all((offsets >= -half) & (offsets < half), axis=1)
-    for row in np.nonzero(inside)[0]:
-        ix = cell_index(float(offsets[row, 0]), half, res)
-        iy = cell_index(float(offsets[row, 1]), half, res)
-        channel = 0 if world.polarity[row] > 0 else 1
-        grid[ix, iy, channel] += 1.0
+    cells = cell_index(offsets[inside], half, res)
+    channel = np.where(world.polarity[inside] > 0, 0, 1)
+    # counts are exact integers, so the order they are added in is moot
+    counts = np.bincount((cells[:, 0] * res + cells[:, 1]) * 2 + channel,
+                         minlength=res * res * 2)
+    grid = counts.reshape(res, res, 2).astype(np.float64)
     return SenseGrid(tick=world.tick, centroid=center, grid=grid)
 
 

@@ -9,7 +9,9 @@ timeout.
 
 Scoring discounts a solve by the observation and displacement budgets it
 consumed, relative to the scriptor's own cost, and zeroes out any problem
-the world would have solved on its own with no actions at all.
+the world would have solved on its own with no actions at all.  That null
+baseline is one zero-action rollout per issue tick, shared by every
+problem issued on that tick.
 """
 
 from __future__ import annotations
@@ -139,20 +141,38 @@ def check_solved(reading: SenseGrid, problem: Problem) -> tuple[bool, float]:
     return distance <= problem.epsilon, distance
 
 
-def null_baseline(world: World, body: BodySpec, problem: Problem,
-                  step_params: StepParams) -> float:
-    """1.0 if the world reaches the target before the timeout with no
-    actions at all, else 0.0.
+def null_baselines(world: World, issued: list[tuple[BodySpec, Problem]],
+                   step_params: StepParams) -> list[float]:
+    """For each (body, problem) issued at the world's current tick: 1.0 if
+    the world reaches the target before the problem's timeout with no
+    actions at all, else 0.0.  Results are in input order.
 
-    The dynamics are deterministic, so one zero-action rollout decides.
+    The dynamics are deterministic and a zero-action step draws only from
+    the drift stream, so every problem issued on one tick sees the same
+    idle trajectory.  One clone is stepped, and each pending body is
+    sensed after every step; a body leaves the batch at its first solve
+    (1.0) or at its timeout (0.0), and the rollout ends when none is left.
     """
-    ghost = world.clone()
-    for _ in range(problem.timeout):
+    results = [0.0] * len(issued)
+    pending = list(range(len(issued)))
+    ghost = world.clone() if pending else None
+    elapsed = 0
+    while pending:
         step(ghost, step_params)
-        solved, _ = check_solved(sense(ghost, body), problem)
-        if solved:
-            return 1.0
-    return 0.0
+        elapsed += 1
+        still = []
+        for k in pending:
+            body, problem = issued[k]
+            if check_solved(sense(ghost, body), problem)[0]:
+                results[k] = 1.0
+            elif elapsed < problem.timeout:
+                still.append(k)
+        pending = still
+    return results
+
+
+#: The name the per-layer benchmark (`perfbench/layers.py`) times.
+null_baseline = null_baselines
 
 
 def hit_score(solved: bool, o_count: float, d_count: float, o_ref: float,

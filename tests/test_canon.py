@@ -154,3 +154,27 @@ def test_from_doc_shape_errors():
                                                  coeff_range=[0.1])))
     with pytest.raises(ContractViolation, match="expected an array"):
         from_doc(GenSpec, dict(doc, drift=dict(doc["drift"], regime_times=4)))
+
+
+def test_from_doc_checks_scalar_types():
+    episode = to_doc(EpisodeConfig())
+    step = to_doc(StepParams())
+    body = to_doc(BodySpec(member_ids=(0, 1)))
+    spec = to_doc(CODEC_CASES["gen_spec"])
+    # int takes only an int; float takes an int or a float; never a bool
+    for bad in ("x", 3.0, True, None):
+        with pytest.raises(ContractViolation, match="EpisodeConfig.horizon: expected int"):
+            from_doc(EpisodeConfig, dict(episode, horizon=bad))
+    for bad in ("1", True, [1.0]):
+        with pytest.raises(ContractViolation, match="StepParams.dt: expected float"):
+            from_doc(StepParams, dict(step, dt=bad))
+    assert from_doc(StepParams, dict(step, dt=2)).dt == 2
+    with pytest.raises(ContractViolation, match="BodySpec.member_ids: expected int, not bool"):
+        from_doc(BodySpec, dict(body, member_ids=[0, False]))
+    # str and bool match exactly
+    with pytest.raises(ContractViolation, match="expected str, not int"):
+        from_doc(GenSpec, dict(spec, grammar=dict(spec["grammar"], basis=["inv", 1])))
+    with pytest.raises(ContractViolation, match="expected bool, not int"):
+        from_doc(GenSpec, dict(spec, grammar=dict(spec["grammar"], polarity_coupling=1)))
+    # optionals still take None
+    assert from_doc(EpisodeConfig, dict(episode, max_problems=None)).max_problems is None

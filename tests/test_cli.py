@@ -14,6 +14,7 @@ import pytest
 from driftworld import cli
 from driftworld.canon import canonical_dumps
 from driftworld.cli import main
+from driftworld.config import ENV_CONFIG
 from driftworld.errors import ProtocolError
 from driftworld.harness import replay_trace
 from driftworld.rng import agent_seed
@@ -99,6 +100,12 @@ def test_run_over_the_wire_matches_in_process(kind, tmp_path, capsys):
     renamed = external.read_text().replace('"external"', f'"{kind}"') \
         .replace('"subprocess"', f'"{kind}"')
     assert renamed.splitlines() == inproc.read_text().splitlines()
+
+
+def test_config_help_names_the_environment_variable(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert f"${ENV_CONFIG}" in capsys.readouterr().out
 
 
 def test_run_never_sends_the_world_seed(monkeypatch, capsys):
@@ -190,7 +197,11 @@ GOLDEN_TRACE = Path(__file__).parent / "golden" / "stage2.disclosure.ndjson"
     lambda h: dict(h, bodies=[]),
     lambda h: dict(h, episode="x"),
     lambda h: [1, 2],
-], ids=["gen_spec-list", "bodies-list", "episode-string", "header-list"])
+    lambda h: dict(h, episode=dict(h["episode"], horizon="x")),
+    lambda h: dict(h, step_params=dict(h["step_params"], dt=True)),
+    lambda h: dict(h, gen_spec=dict(h["gen_spec"], n_entities=24.0)),
+], ids=["gen_spec-list", "bodies-list", "episode-string", "header-list",
+        "horizon-string", "dt-bool", "n_entities-float"])
 def test_replay_of_a_malformed_header_fails(header_line, tmp_path, capsys):
     header, *events = GOLDEN_TRACE.read_text().splitlines()
     bad = tmp_path / "bad_header.ndjson"
@@ -198,6 +209,18 @@ def test_replay_of_a_malformed_header_fails(header_line, tmp_path, capsys):
         canonical_dumps(header_line(json.loads(header))), *events]) + "\n")
     assert run_cli("replay", str(bad)) == 1
     assert capsys.readouterr().out.startswith(f"FAIL  {bad}")
+
+
+def test_replay_names_a_mistyped_header_field(tmp_path):
+    header, *events = GOLDEN_TRACE.read_text().splitlines()
+    doc = json.loads(header)
+    doc["episode"]["horizon"] = "x"
+    bad = tmp_path / "bad_horizon.ndjson"
+    bad.write_text("\n".join([canonical_dumps(doc), *events]) + "\n")
+    verdict = replay_trace(str(bad))
+    assert verdict["verdict"] == "FAIL"
+    assert verdict["error"] == ("ContractViolation: EpisodeConfig.horizon: "
+                                "expected int, not str")
 
 
 def test_replay_missing_file_exit_one(tmp_path, capsys):

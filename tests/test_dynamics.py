@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from driftworld.config import RunConfig
 from driftworld.dynamics import (
     StepParams,
+    _level_accel,
     compute_accelerations,
     eval_law,
     momentum,
@@ -282,3 +284,55 @@ def test_step_is_deterministic():
         step(b, StepParams())
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.velocities, b.velocities)
+
+
+# -- pair kernel bytes -----------------------------------------------------
+
+#: Every law term at once, so each radial exponent, polarity coupling and
+#: damping take part in the pinned bytes.
+_ALL_TERMS = CausationLaw(
+    level=0,
+    terms=(("inv_sq", 0.02), ("inv", -0.05), ("const", 0.03), ("lin", -0.004),
+           ("quad", 0.0006), ("damp", 0.07)),
+    polarity_coupled=(True, False, True, False, True, False),
+)
+
+#: sha256 of every `_level_accel` output of `_kernel_outputs`, pinned from
+#: the earlier `(i, j, dim)` pair layout.  Any change of layout must keep
+#: these bytes: the summation over partners has to stay sequential and in
+#: partner order.
+_KERNEL_DIGESTS = {
+    (16, 2): "63b2953ea1eb4bc2b8a7f4cd36cc082712cdef5463472b70968a8e9a626882f5",
+    (64, 2): "89b736c5347d6cf7a62c7163d2b9f252799b2586bbd847584a41c692064a5b97",
+    (192, 2): "00ea3f539a4a90f7a40a2694ed5e86cd28282a9b92b3ed9ab0a1148853c1f118",
+    (40, 3): "2189b79ba23d9515b9b7ff5fad6fc911fc7ac4830383b0dbc6ab6d99a3c16fab",
+}
+
+
+def _kernel_outputs(n: int, dim: int) -> list[np.ndarray]:
+    """`_level_accel` on every level of a stepped 3-level world, under its
+    own law and `_ALL_TERMS`, with the default cap and with a cap low
+    enough that the clamp rescales pairs."""
+    world = generate_world(GenSpec(seed=31 + n, n_entities=n, dim=dim, n_levels=3))
+    for _ in range(3):
+        step(world, StepParams())
+    extent = world.spec.arena_extent
+    levels = [(world.positions, world.velocities, world.polarity, world.inertia)]
+    levels += [(pos, vel, pol, inertia)
+               for pos, vel, inertia, pol in world.recompute_aggregates()]
+    outputs = []
+    for lv, (pos, vel, pol, inertia) in enumerate(levels):
+        for law in (world.laws[lv], _ALL_TERMS):
+            for params in (StepParams(), StepParams(a_max=1e-4)):
+                outputs.append(_level_accel(pos, vel, pol, inertia, law, extent, params))
+    return outputs
+
+
+@pytest.mark.parametrize("n, dim", sorted(_KERNEL_DIGESTS))
+def test_pair_kernel_bytes_are_pinned(n, dim):
+    outputs = _kernel_outputs(n, dim)
+    # under `_ALL_TERMS` the low cap rescales pairs at every level
+    assert all(not np.array_equal(default, capped)
+               for default, capped in zip(outputs[2::4], outputs[3::4]))
+    digest = hashlib.sha256(b"".join(o.tobytes() for o in outputs)).hexdigest()
+    assert digest == _KERNEL_DIGESTS[n, dim], f"n={n}, dim={dim}: kernel bytes changed"

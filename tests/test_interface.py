@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftworld.dynamics import StepParams, step
 from driftworld.errors import ConfigError, ContractViolation
 from driftworld.interface import (
     BodySpec,
@@ -14,7 +15,7 @@ from driftworld.interface import (
     sense,
     validate_forces,
 )
-from driftworld.worldgen import GenSpec, generate_world, minimal_image
+from driftworld.worldgen import GenSpec, generate_world, minimal_image, wrap_positions
 
 from conftest import flat_quiet_spec
 
@@ -62,6 +63,57 @@ def test_cell_index_boundaries():
     assert cell_index(0.001, half, res) == 8
     assert cell_index(7.999, half, res) == 15
     assert cell_index(8.0, half, res) == 15  # clipped edge
+
+
+def _sense_reference(world, body):
+    """Per-row reading: each entity inside the window adds 1 to its cell."""
+    res, half = body.resolution, body.window_halfwidth
+    width = 2.0 * half / res
+    center = body_centroid(world, body)
+    grid = np.zeros((res, res, 2))
+    for row, pol in zip(world.positions, world.polarity):
+        off = minimal_image(row - center, world.spec.arena_extent)
+        if not all(-half <= float(v) < half for v in off):
+            continue
+        ix, iy = (min(res - 1, max(0, int(np.ceil((float(v) + half) / width)) - 1))
+                  for v in off)
+        grid[ix, iy, 0 if pol > 0 else 1] += 1.0
+    return grid
+
+
+@pytest.mark.parametrize("res, half", [(8, 4.0), (16, 8.0), (5, 3.0), (1, 2.5)])
+def test_sense_matches_per_row_reference(res, half):
+    width = 2.0 * half / res
+    edges = [-half + k * width for k in range(res + 1)]  # -half in, +half out
+    coords = edges + [-half - 0.25, half - 1e-9, 0.0, width / 3]
+    grid_points = [(x, y) for x in coords for y in coords]
+    rng = np.random.default_rng(res)
+    scattered = rng.uniform(-8.0, 8.0, size=(40, 2)).tolist()
+    points = [(0.0, 0.0)] + grid_points + scattered
+    spec = GenSpec(seed=5, n_entities=len(points), n_levels=1)
+    world = generate_world(spec)
+    world.positions[:] = wrap_positions(np.array(points), spec.arena_extent)
+    world.polarity[:] = np.where(np.arange(len(points)) % 3 == 0, -1, 1)
+    body = BodySpec(member_ids=(0,), resolution=res, window_halfwidth=half)
+    reading = sense(world, body)
+    assert np.array_equal(reading.centroid, [0.0, 0.0])
+    expected = _sense_reference(world, body)
+    assert reading.grid.dtype == expected.dtype
+    assert np.array_equal(reading.grid, expected)
+    assert reading.grid.sum() > len(scattered) // 4
+    # cell_index on an array equals cell_index on each element
+    column = np.array(coords)
+    assert cell_index(column, half, res).tolist() == \
+        [int(cell_index(float(v), half, res)) for v in column]
+
+
+def test_sense_matches_reference_on_stepped_worlds():
+    for seed in range(3):
+        world = generate_world(GenSpec(seed=seed, n_entities=64, n_levels=3))
+        for _ in range(5):
+            step(world, StepParams())
+        body = BodySpec(member_ids=(4, 5, 6, 7), resolution=8, window_halfwidth=4.0)
+        assert np.array_equal(sense(world, body).grid, _sense_reference(world, body))
 
 
 def test_sense_counts_match_polarity_oracle():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from driftworld.problems import (
     generate_problem,
     hit_score,
     normalized_score,
-    null_baseline,
+    null_baselines,
 )
 from driftworld.trace import live_view
 from driftworld.worldgen import generate_world
@@ -148,7 +149,7 @@ def test_problem_repr_never_leaks_script():
 def test_null_baseline_binary():
     world, body = fresh(seed=12)
     p = generate_problem(world, body, ProblemParams(), StepParams(), 0)
-    frac = null_baseline(world, body, p, StepParams())
+    [frac] = null_baselines(world, [(body, p)], StepParams())
     assert frac in (0.0, 1.0)
 
 
@@ -160,9 +161,79 @@ def test_null_baseline_trivial_problem_scores_zero():
     problem = Problem(id=7, issued_tick=0, target_grid=reading.grid.copy(),
                       scriptor_len=1, epsilon=0.2, timeout=4, o_ref=1, d_ref=1,
                       hidden_actions=np.zeros((1, 3, 2)))
-    frac = null_baseline(world, body, problem, StepParams())
+    [frac] = null_baselines(world, [(body, problem)], StepParams())
     assert frac == 1.0
     assert hit_score(True, 1, 1, 1, 1, p_null=frac) == 0.0
+
+
+def _one_body_null(world, body, problem, step_params):
+    """Reference: one zero-action rollout of its own per problem."""
+    ghost = world.clone()
+    for _ in range(problem.timeout):
+        step(ghost, step_params)
+        if check_solved(sense(ghost, body), problem)[0]:
+            return 1.0
+    return 0.0
+
+
+def _idle_target(world, body, ticks, problem_id, timeout):
+    """A problem whose target is the idle world's reading after `ticks` steps."""
+    ghost = world.clone()
+    for _ in range(ticks):
+        step(ghost, StepParams())
+    return Problem(id=problem_id, issued_tick=world.tick,
+                   target_grid=sense(ghost, body).grid, scriptor_len=1,
+                   epsilon=0.01, timeout=timeout, o_ref=1, d_ref=1,
+                   hidden_actions=np.zeros((1, len(body.member_ids), 2)))
+
+
+def test_null_baselines_match_one_rollout_per_body(monkeypatch):
+    world = generate_world(flat_quiet_spec(9, n_entities=12))
+    sp = StepParams()
+    bodies = [BodySpec(member_ids=ids, resolution=16, window_halfwidth=8.0)
+              for ids in ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9, 10, 11))]
+    issued = [
+        (bodies[0], generate_problem(world, bodies[0], ProblemParams(), sp, 0,
+                                     "problems.0")),
+        (bodies[1], _idle_target(world, bodies[1], 2, 1, timeout=6)),  # solves early
+        (bodies[2], _idle_target(world, bodies[2], 6, 2, timeout=6)),  # on its last step
+        (bodies[3], _idle_target(world, bodies[3], 5, 3, timeout=4)),  # too late
+    ]
+    expected = [_one_body_null(world, b, p, sp) for b, p in issued]
+    assert expected == [0.0, 1.0, 1.0, 0.0]
+    body, last_step = issued[2]
+    assert _one_body_null(world, body, replace(last_step, timeout=5), sp) == 0.0
+    before = world.to_canonical()
+    steps = []
+    monkeypatch.setattr("driftworld.problems.step",
+                        lambda w, params: steps.append(w.tick) or step(w, params))
+    assert null_baselines(world, issued, sp) == expected
+    # the rollout runs to the longest pending timeout, not one per body
+    assert len(steps) == max(p.timeout for _, p in issued)
+    # results follow input order, whatever the order of the batch
+    assert null_baselines(world, issued[::-1], sp) == expected[::-1]
+    for k in range(len(issued)):
+        assert null_baselines(world, issued[k:k + 1], sp) == expected[k:k + 1]
+    assert world.to_canonical() == before
+
+
+def test_null_baselines_stop_when_every_body_has_solved(monkeypatch):
+    world = generate_world(flat_quiet_spec(9, n_entities=12))
+    a = BodySpec(member_ids=(0, 1, 2), resolution=16, window_halfwidth=8.0)
+    b = BodySpec(member_ids=(3, 4, 5), resolution=16, window_halfwidth=8.0)
+    issued = [(a, _idle_target(world, a, 1, 0, timeout=24)),
+              (b, _idle_target(world, b, 3, 1, timeout=24))]
+    steps = []
+    monkeypatch.setattr("driftworld.problems.step",
+                        lambda w, params: steps.append(w.tick) or step(w, params))
+    assert null_baselines(world, issued, StepParams()) == [1.0, 1.0]
+    assert len(steps) <= 3
+
+
+def test_null_baselines_of_an_empty_batch(monkeypatch):
+    world, _ = fresh()
+    monkeypatch.setattr(type(world), "clone", lambda self: pytest.fail("cloned"))
+    assert null_baselines(world, [], StepParams()) == []
 
 
 def test_hit_score_formula_oracle():

@@ -317,6 +317,26 @@ def test_protocol_does_not_import_jsonschema():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_agent_command_loads_only_what_serving_needs():
+    # `-X importtime` writes one stderr line per module the command imports
+    src = os.path.dirname(os.path.dirname(driftworld.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "driftworld", "agent",
+         "--kind", "random"],
+        input=encode(hello_doc(agent_seed=3)) + encode({"kind": "bye"}),
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert [json.loads(line)["kind"] for line in done.stdout.splitlines()] == \
+        ["hello", "bye"]
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"driftworld.protocol", "driftworld.agents"} <= loaded
+    unneeded = {f"driftworld.{m}" for m in
+                ("harness", "metrics", "trace", "problems", "config", "dynamics")}
+    assert loaded & unneeded == set()
+
+
 # ---------------------------------------------------------------- stdio loop
 
 
