@@ -12,6 +12,13 @@ Pair evaluation is arranged so that the acceleration a exerts on b is the
 exact floating-point negation of what b exerts on a (equal inertia, no
 clamp triggered), which is what lets the momentum audit demand 1e-9 over
 thousands of ticks instead of a sloppy tolerance.
+
+The pair kernel writes every elementwise op into one workspace per level
+shape `(m, dim)`, allocated on first use and kept for the life of the
+process: two `(dim, m, m)` and five `(m, m)` float64 buffers and one
+`(m, m)` mask, about `(16 * dim + 41) * m**2` bytes (2.7 MB at m = 192,
+dim = 2).  Elementwise results do not depend on where they are written,
+so the bytes are those of the plain expressions.
 """
 
 from __future__ import annotations
@@ -84,12 +91,57 @@ def eval_law(law: CausationLaw, delta: np.ndarray, v_a: np.ndarray,
     return accel
 
 
-def _axis_sum_of_squares(planes: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Pair-sized buffers for one `(m, dim)`, overwritten by every call.
+
+    Buffers are reused across roles once their first value is dead:
+    `pair` holds the rounding quotient of the minimal image before it
+    holds the pair accelerations, `delta` holds the relative velocities,
+    `r` the clamp norms and `r_eff` the clamp scales.
+    """
+
+    __slots__ = ("delta", "pair", "r", "r_eff", "radial", "term", "pol_prod",
+                 "mask", "partner_sum")
+
+    def __init__(self, m: int, dim: int):
+        self.delta = np.empty((dim, m, m))
+        self.pair = np.empty((dim, m, m))
+        self.r = np.empty((m, m))
+        self.r_eff = np.empty((m, m))
+        self.radial = np.empty((m, m))
+        self.term = np.empty((m, m))
+        self.pol_prod = np.empty((m, m))
+        self.mask = np.empty((m, m), dtype=bool)
+        self.partner_sum = np.empty((dim, m))
+
+
+#: One workspace per `(m, dim)` the kernel has seen in this process.
+_WORKSPACES: dict[tuple[int, int], _Workspace] = {}
+
+
+def _axis_sum_of_squares(planes: np.ndarray, out: np.ndarray,
+                         scratch: np.ndarray) -> np.ndarray:
     """Sum of squares over the leading (axis) dimension, added axis by axis."""
-    total = planes[0] * planes[0]
+    np.multiply(planes[0], planes[0], out=out)
     for plane in planes[1:]:
-        total += plane * plane
-    return total
+        np.multiply(plane, plane, out=scratch)
+        out += scratch
+    return out
+
+
+def _radial_power(r_eff: np.ndarray, exponent: int, out: np.ndarray) -> np.ndarray:
+    """`r_eff ** exponent` into `out`, by the same ufunc `**` dispatches to."""
+    if exponent == 0:
+        out.fill(1.0)
+    elif exponent == 1:
+        np.copyto(out, r_eff)
+    elif exponent == 2:
+        np.square(r_eff, out=out)
+    elif exponent == -1:
+        np.reciprocal(r_eff, out=out)
+    else:
+        np.power(r_eff, float(exponent), out=out)
+    return out
 
 
 def _level_accel(positions: np.ndarray, velocities: np.ndarray,
@@ -103,46 +155,69 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
     and the partner sum runs over the middle axis, which numpy reduces
     sequentially in partner order.  A reduction along the innermost axis
     would use pairwise summation and change the bytes.
+
+    Every elementwise op writes into the `(m, dim)` workspace, so a warm
+    call allocates nothing pair-sized; the result is a fresh array.
     """
     m = positions.shape[0]
     dim = positions.shape[1]
     if m < 2:
         return np.zeros((m, dim))
+    ws = _WORKSPACES.get((m, dim))
+    if ws is None:
+        ws = _WORKSPACES[m, dim] = _Workspace(m, dim)
+    delta, pair, r, r_eff = ws.delta, ws.pair, ws.r, ws.r_eff
+    radial, term, mask = ws.radial, ws.term, ws.mask
 
+    # minimal image: delta - span * round(delta / span)
     pos = positions.T
-    delta = minimal_image(pos[:, None, :] - pos[:, :, None], extent)
-    r = np.sqrt(_axis_sum_of_squares(delta))
-    r_eff = np.maximum(r, params.eps_r)
+    span = 2.0 * extent
+    np.subtract(pos[:, None, :], pos[:, :, None], out=delta)
+    np.divide(delta, span, out=pair)
+    np.round(pair, out=pair)
+    np.multiply(pair, span, out=pair)
+    np.subtract(delta, pair, out=delta)
+    np.sqrt(_axis_sum_of_squares(delta, r, term), out=r)
+    np.maximum(r, params.eps_r, out=r_eff)
 
-    radial = np.zeros((m, m))
+    radial.fill(0.0)
     damping = 0.0
-    pol_prod = polarity[None, :] * polarity[:, None]
+    if any(law.polarity_coupled):
+        np.multiply(polarity[None, :], polarity[:, None], out=ws.pol_prod)
     for (name, coeff), coupled in zip(law.terms, law.polarity_coupled):
         if name == DAMPING_TERM:
             damping = coeff
             continue
-        magnitude = coeff * r_eff ** RADIAL_EXPONENT[name]
+        magnitude = _radial_power(r_eff, RADIAL_EXPONENT[name], term)
+        np.multiply(magnitude, coeff, out=magnitude)
         if coupled:
-            magnitude = magnitude * pol_prod
+            magnitude *= ws.pol_prod
         radial += magnitude
 
     # unit separation vectors (zero for coincident pairs), scaled in place
-    pair = np.divide(delta, r, out=np.zeros_like(delta), where=r > 0)
-    pair *= radial / inertia
+    np.greater(r, 0.0, out=mask)
+    pair.fill(0.0)
+    np.divide(delta, r, out=pair, where=mask)
+    np.divide(radial, inertia, out=radial)
+    pair *= radial
     if damping != 0.0:
         vel = velocities.T
-        relative = vel[:, None, :] - vel[:, :, None]
+        relative = np.subtract(vel[:, None, :], vel[:, :, None], out=delta)
         relative *= damping
         pair -= relative
-    diagonal = np.arange(m)
-    pair[:, diagonal, diagonal] = 0.0
+    pair.reshape(dim, m * m)[:, ::m + 1] = 0.0  # the diagonal, as a view
 
-    norm = np.sqrt(_axis_sum_of_squares(pair))
-    over = norm > params.a_max
+    norm = np.sqrt(_axis_sum_of_squares(pair, r, term), out=r)
+    over = np.greater(norm, params.a_max, out=mask)
     if over.any():
-        pair *= np.where(over, params.a_max / np.where(norm > 0, norm, 1.0), 1.0)
+        scale = r_eff
+        scale.fill(1.0)
+        np.divide(params.a_max, norm, out=scale, where=over)
+        pair *= scale
 
-    return np.ascontiguousarray(pair.sum(axis=1).T)
+    np.sum(pair, axis=1, out=ws.partner_sum)
+    # a copy, never a view: for dim 1 the transpose is already contiguous
+    return ws.partner_sum.T.copy()
 
 
 def compute_accelerations(world: World, params: StepParams,

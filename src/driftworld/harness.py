@@ -31,7 +31,7 @@ from .canon import from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
-from .interface import BodySpec, forces_to_accel, sense, validate_forces
+from .interface import BodySpec, SenseGrid, forces_to_accel, sense, validate_forces
 from .metrics import AgentMetrics, MetricParams, compute_metrics, rank_agents
 from .problems import (
     Problem,
@@ -180,6 +180,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
     marks: list[int] = []
     next_problem_id = 0
     closed_total = 0
+    closing: dict[str, SenseGrid] = {}  # close-phase readings by agent id
 
     with TraceSink(live_path, disclosure_path, header) as sink:
         for t in range(episode.horizon):
@@ -229,10 +230,14 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     slot.agent.load_script(problem.hidden_actions,
                                            problem.issued_tick)
 
-            # 2. sense phase, fixed id order
+            # 2. sense phase, fixed id order; a close-phase reading taken
+            #    at this tick stands in for a fresh one, since only
+            #    clones move between the two
             observations: dict[str, dict] = {}
             for slot in slots:
-                reading = sense(world, slot.body)
+                reading = closing.pop(slot.agent_id, None)
+                if reading is None or reading.tick != world.tick:
+                    reading = sense(world, slot.body)
                 slot.senses += 1
                 if slot.active is not None:
                     slot.o_count += 1
@@ -281,6 +286,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     continue
                 problem = slot.active
                 reading = sense(world, slot.body)  # internal, not charged
+                closing[slot.agent_id] = reading
                 solved, distance = check_solved(reading, problem)
                 timed_out = world.tick >= problem.deadline()
                 last_tick = t == episode.horizon - 1

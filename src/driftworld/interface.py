@@ -13,6 +13,7 @@ coefficients or exact entity coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,14 +22,24 @@ from .errors import ConfigError, ContractViolation
 from .worldgen import World, minimal_image, wrap_positions
 
 
-@dataclass
+@dataclass(frozen=True)
 class BodySpec:
-    """Which entities an agent controls and how sharply it can see and push."""
+    """Which entities an agent controls and how sharply it can see and push.
+
+    Frozen, so the member rows derived from `member_ids` never go stale.
+    """
 
     member_ids: tuple[int, ...]
     resolution: int = 8
     window_halfwidth: float = 8.0
     f_max: float = 4.0
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """`member_ids` as a read-only row index array, built once per body."""
+        rows = np.array(self.member_ids, dtype=np.intp)
+        rows.flags.writeable = False
+        return rows
 
     def validate(self, n_entities: int | None = None) -> None:
         if not self.member_ids:
@@ -71,7 +82,7 @@ def body_centroid(world: World, body: BodySpec) -> np.ndarray:
     Anchoring keeps the centroid stable when the body straddles the wrap
     seam; the plain coordinate mean would jump to the far side.
     """
-    rows = np.array(body.member_ids, dtype=np.intp)
+    rows = body.rows
     anchor = world.positions[rows[0]]
     offsets = minimal_image(world.positions[rows] - anchor, world.spec.arena_extent)
     weights = world.inertia[rows]
@@ -145,6 +156,5 @@ def validate_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
 def forces_to_accel(world: World, body: BodySpec, forces: np.ndarray) -> np.ndarray:
     """Expand validated member forces into a world-sized acceleration array."""
     accel = np.zeros_like(world.positions)
-    rows = np.array(body.member_ids, dtype=np.intp)
-    accel[rows] = forces / world.inertia[rows][:, None]
+    accel[body.rows] = forces / world.inertia[body.rows][:, None]
     return accel

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftworld import dynamics
 from driftworld.config import RunConfig
 from driftworld.dynamics import (
     StepParams,
@@ -20,6 +22,8 @@ from driftworld.dynamics import (
 from driftworld.errors import ConfigError
 from driftworld.rng import derive_world_seed
 from driftworld.worldgen import (
+    DAMPING_TERM,
+    RADIAL_EXPONENT,
     CausationGrammar,
     CausationLaw,
     DriftSchedule,
@@ -336,3 +340,153 @@ def test_pair_kernel_bytes_are_pinned(n, dim):
                for default, capped in zip(outputs[2::4], outputs[3::4]))
     digest = hashlib.sha256(b"".join(o.tobytes() for o in outputs)).hexdigest()
     assert digest == _KERNEL_DIGESTS[n, dim], f"n={n}, dim={dim}: kernel bytes changed"
+
+
+# -- pair kernel workspace -------------------------------------------------
+
+
+def _sum_of_squares(planes):
+    total = planes[0] * planes[0]
+    for plane in planes[1:]:
+        total += plane * plane
+    return total
+
+
+def _reference_level_accel(positions, velocities, polarity, inertia, law,
+                           extent, params):
+    """The pair kernel written as plain expressions, one fresh array per op.
+
+    The workspace kernel runs the same elementwise ops in the same order,
+    so the two must agree to the bit.
+    """
+    m, dim = positions.shape
+    if m < 2:
+        return np.zeros((m, dim))
+    pos = positions.T
+    delta = minimal_image(pos[:, None, :] - pos[:, :, None], extent)
+    r = np.sqrt(_sum_of_squares(delta))
+    r_eff = np.maximum(r, params.eps_r)
+    radial = np.zeros((m, m))
+    damping = 0.0
+    pol_prod = polarity[None, :] * polarity[:, None]
+    for (name, coeff), coupled in zip(law.terms, law.polarity_coupled):
+        if name == DAMPING_TERM:
+            damping = coeff
+            continue
+        magnitude = coeff * r_eff ** RADIAL_EXPONENT[name]
+        if coupled:
+            magnitude = magnitude * pol_prod
+        radial += magnitude
+    pair = np.divide(delta, r, out=np.zeros_like(delta), where=r > 0)
+    pair *= radial / inertia
+    if damping != 0.0:
+        vel = velocities.T
+        relative = vel[:, None, :] - vel[:, :, None]
+        relative *= damping
+        pair -= relative
+    diagonal = np.arange(m)
+    pair[:, diagonal, diagonal] = 0.0
+    norm = np.sqrt(_sum_of_squares(pair))
+    over = norm > params.a_max
+    if over.any():
+        pair *= np.where(over, params.a_max / np.where(norm > 0, norm, 1.0), 1.0)
+    return pair.sum(axis=1).T.copy()
+
+
+def _level_inputs(seed: int, n: int, dim: int, law: CausationLaw | None = None):
+    """Ground-level kernel arguments of a stepped one-level world."""
+    world = generate_world(GenSpec(seed=seed, n_entities=n, dim=dim, n_levels=1))
+    step(world, StepParams())
+    return [world.positions, world.velocities, world.polarity, world.inertia,
+            law or world.laws[0], world.spec.arena_extent]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), dim=st.integers(1, 3), seed=st.integers(0, 2**16),
+       terms=st.lists(st.sampled_from(sorted(RADIAL_EXPONENT) + [DAMPING_TERM]),
+                      min_size=1, max_size=6, unique=True),
+       coincide=st.booleans(), a_max=st.sampled_from([8.0, 1e-2, 1e-4]))
+def test_pair_kernel_matches_plain_expressions(n, dim, seed, terms, coincide, a_max):
+    law = CausationLaw(
+        level=0,
+        terms=tuple((name, 0.01 * (k + 1) * (-1) ** k) for k, name in enumerate(terms)),
+        polarity_coupled=tuple(name != DAMPING_TERM and k % 2 == 0
+                               for k, name in enumerate(terms)),
+    )
+    args = _level_inputs(seed, n, dim, law)
+    if coincide:
+        args[0] = args[0].copy()
+        args[0][1] = args[0][0]
+    params = StepParams(a_max=a_max)
+    got = _level_accel(*args, params)
+    want = _reference_level_accel(*args, params)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_kernel_never_returns_workspace_memory(dim):
+    # For dim 1 the transposed partner sum is already contiguous, so a
+    # kernel returning it would hand out a view of its own buffer.
+    first_args = _level_inputs(1, 10, dim, _ALL_TERMS)
+    second_args = _level_inputs(2, 10, dim, _ALL_TERMS)
+    first = _level_accel(*first_args, StepParams())
+    kept = first.copy()
+    second = _level_accel(*second_args, StepParams())
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    assert not np.array_equal(first, second)
+    first += 1.0  # callers accumulate into the result
+    assert np.array_equal(_level_accel(*second_args, StepParams()), second)
+
+
+# the clamp off, on for about half the pairs, and on for every pair
+@pytest.mark.parametrize("a_max", [8.0, 0.05, 1e-4])
+def test_pair_kernel_keeps_no_state_between_calls(monkeypatch, a_max):
+    params = StepParams(a_max=a_max)
+    a = _level_inputs(3, 12, 2, _ALL_TERMS)
+    b = _level_inputs(4, 12, 2, _ALL_TERMS)
+    other_size = _level_inputs(5, 7, 2, _ALL_TERMS)
+    # b has a coincident off-diagonal pair; a has none
+    b[0] = b[0].copy()
+    b[0][5] = b[0][2]
+    b[1] = b[1].copy()
+    b[1][5] = b[1][2] + 0.5
+
+    monkeypatch.setattr(dynamics, "_WORKSPACES", {})
+    alone_a = _level_accel(*a, params).tobytes()
+    monkeypatch.setattr(dynamics, "_WORKSPACES", {})
+    alone_b = _level_accel(*b, params).tobytes()
+
+    monkeypatch.setattr(dynamics, "_WORKSPACES", {})
+    assert _level_accel(*a, params).tobytes() == alone_a
+    after_a = _level_accel(*b, params)
+    assert after_a.tobytes() == alone_b
+    _level_accel(*other_size, params)  # first call at a new size
+    assert _level_accel(*a, params).tobytes() == alone_a
+
+    # the coincident pair acts through damping alone, as the oracle says
+    positions, velocities, polarity, inertia, law, extent = b
+    for receiver in (2, 5):
+        total = np.zeros(2)
+        for partner in range(12):
+            if partner == receiver:
+                continue
+            delta = minimal_image(positions[receiver] - positions[partner], extent)
+            total += eval_law(law, delta, velocities[receiver], velocities[partner],
+                              polarity[receiver], polarity[partner],
+                              inertia[receiver], params)
+        assert np.allclose(after_a[receiver], total, rtol=1e-12, atol=1e-15)
+
+
+def test_warm_pair_kernel_allocates_nothing_pair_sized():
+    m = 192
+    args = _level_inputs(6, m, 2, _ALL_TERMS)
+    params = StepParams(a_max=1e-4)  # the clamp path runs too
+    _level_accel(*args, params)
+    tracemalloc.start()
+    try:
+        _level_accel(*args, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8, f"warm call peaked at {peak} bytes"

@@ -8,6 +8,7 @@ audited through the same artifact external auditors would use.
 import numpy as np
 import pytest
 
+from driftworld import harness
 from driftworld.agents import make_agent
 from driftworld.canon import canonical_dumps, to_doc
 from driftworld.config import EpisodeConfig, RunConfig
@@ -69,6 +70,34 @@ def test_every_agent_senses_and_acts_once_per_tick():
     assert result.final_tick == cfg.episode.horizon
     assert result.senses["greedy"] == cfg.episode.horizon
     assert result.acts["greedy"] == cfg.episode.horizon
+
+
+def test_live_world_is_sensed_once_per_body_per_tick(monkeypatch):
+    # The close phase reads each active body at tick t+1; tick t+1's
+    # charged observation reuses that reading instead of sensing again.
+    cfg = small_config()
+    world = generate_world(cfg.gen)
+    bodies = [cfg.body(0), cfg.body(cfg.body_members)]
+    slots = [Slot(agent_id=kind, agent=make_agent(kind, body, 2), body=body,
+                  stream_name=f"problems.{i}")
+             for i, (kind, body) in enumerate(zip(("greedy", "null"), bodies))]
+    live_reads = []
+    real_sense = harness.sense
+
+    def counting_sense(w, body):
+        if w is world:
+            live_reads.append((w.tick, body.member_ids))
+        return real_sense(w, body)
+
+    monkeypatch.setattr(harness, "sense", counting_sense)
+    result = run_episode(world, slots, cfg.step, cfg.problem, cfg.score,
+                         cfg.episode)
+    horizon = cfg.episode.horizon
+    assert len(live_reads) == len(set(live_reads))
+    for body in bodies:
+        ticks = {t for t, ids in live_reads if ids == body.member_ids}
+        assert set(range(horizon)) <= ticks
+    assert result.senses == {"greedy": horizon, "null": horizon}
 
 
 def test_drift_marks_land_on_regime_times():

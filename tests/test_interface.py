@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,18 @@ def test_body_spec_validation():
     with pytest.raises(ConfigError):
         BodySpec(member_ids=(0,), f_max=0.0).validate()
     BodySpec(member_ids=(0, 1)).validate()
+
+
+def test_body_rows_are_member_ids_read_only_and_built_once():
+    body = BodySpec(member_ids=(5, 2, 9))
+    assert body.rows.dtype == np.intp
+    assert body.rows.tolist() == [5, 2, 9]
+    assert body.rows is body.rows
+    with pytest.raises(ValueError):
+        body.rows[0] = 0
+    # frozen, so the rows cannot go stale behind the ids
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        body.member_ids = (0,)
 
 
 def test_centroid_simple_mean():
