@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 #: stdio) does not load the rest of the package.
 _EXPORTS = {
     **dict.fromkeys(("EpisodeConfig", "RunConfig", "load_config"), "config"),
-    **dict.fromkeys(("StepParams", "eval_law", "momentum", "snapshot",
-                     "snapshot_hash", "step"), "dynamics"),
+    **dict.fromkeys(("StepParams", "snapshot", "snapshot_hash", "step"), "dynamics"),
     **dict.fromkeys(("ConfigError", "ContractViolation", "DriftworldError",
                      "InsufficientDataError", "ProtocolError"), "errors"),
     **dict.fromkeys(("EpisodeResult", "Slot", "StageReport", "oracle_calibration",

@@ -62,35 +62,6 @@ class StepParams:
             raise ConfigError("eps_r must be > 0")
 
 
-def eval_law(law: CausationLaw, delta: np.ndarray, v_a: np.ndarray,
-             v_b: np.ndarray, p_a: int, p_b: int, inertia_a: float,
-             params: StepParams) -> np.ndarray:
-    """Acceleration the law exerts on a due to b, for one pair.
-
-    `delta` is the minimal-image vector from b to a, so a positive radial
-    coefficient pushes a away from b.  Scalar reference implementation;
-    the stepper uses the vectorized equivalent below.
-    """
-    r = float(np.sqrt((delta * delta).sum()))
-    r_eff = max(r, params.eps_r)
-    unit = delta / r if r > 0 else np.zeros_like(delta)
-    radial = 0.0
-    damping = 0.0
-    for (name, coeff), coupled in zip(law.terms, law.polarity_coupled):
-        if name == DAMPING_TERM:
-            damping = coeff
-            continue
-        magnitude = coeff * r_eff ** RADIAL_EXPONENT[name]
-        if coupled:
-            magnitude *= p_a * p_b
-        radial += magnitude
-    accel = (radial / inertia_a) * unit - damping * (v_a - v_b)
-    norm = float(np.sqrt((accel * accel).sum()))
-    if norm > params.a_max:
-        accel = accel * (params.a_max / norm)
-    return accel
-
-
 class _Workspace:
     """Pair-sized buffers for one `(m, dim)`, overwritten by every call.
 
@@ -269,11 +240,6 @@ def step(world: World, params: StepParams,
     )
     world.tick += 1
     return world
-
-
-def momentum(world: World) -> np.ndarray:
-    """Total inertia-weighted velocity, the conserved quantity audits track."""
-    return (world.velocities * world.inertia[:, None]).sum(axis=0)
 
 
 def snapshot(world: World) -> bytes:

@@ -29,6 +29,7 @@ import queue
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 
@@ -40,6 +41,10 @@ from .rng import agent_stream
 PROTOCOL_VERSION = 1
 
 _NUM = {"type": "number"}
+_INDEX = {"type": "integer", "minimum": 0}
+_SIZE = {"type": "integer", "minimum": 1}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_AMOUNT = {"type": "number", "minimum": 0}
 _GRID = {
     "type": "array",
     "minItems": 1,
@@ -55,116 +60,46 @@ _FORCES = {
     "items": {"type": "array", "items": _NUM, "minItems": 1},
 }
 
-_BODY = {
-    "type": "object",
-    "properties": {
-        "member_ids": {"type": "array", "items": {"type": "integer", "minimum": 0},
-                       "minItems": 1},
-        "resolution": {"type": "integer", "minimum": 1},
-        "window_halfwidth": {"type": "number", "exclusiveMinimum": 0},
-        "f_max": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["member_ids", "resolution", "window_halfwidth", "f_max"],
-    "additionalProperties": False,
-}
 
-_PROBLEM = {
-    "type": "object",
-    "properties": {
-        "id": {"type": "integer", "minimum": 0},
-        "issued_tick": {"type": "integer", "minimum": 0},
-        "target_grid": _GRID,
-        "epsilon": {"type": "number", "exclusiveMinimum": 0},
-        "timeout": {"type": "integer", "minimum": 1},
-    },
-    "required": ["id", "issued_tick", "target_grid", "epsilon", "timeout"],
-    "additionalProperties": False,
-}
+def _closed(properties: dict, optional: tuple = ()) -> dict:
+    """A closed object schema: every property is required unless named optional."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": [k for k in properties if k not in optional],
+        "additionalProperties": False,
+    }
+
+
+def _message(kind: str, optional: tuple = (), **properties) -> dict:
+    """The closed schema of one message kind, led by its `kind` const."""
+    return _closed({"kind": {"const": kind}, **properties}, optional)
+
+
+_BODY = _closed({"member_ids": {"type": "array", "items": _INDEX, "minItems": 1},
+                 "resolution": _SIZE, "window_halfwidth": _POSITIVE,
+                 "f_max": _POSITIVE})
+_PROBLEM = _closed({"id": _INDEX, "issued_tick": _INDEX, "target_grid": _GRID,
+                    "epsilon": _POSITIVE, "timeout": _SIZE})
+_VERSION = {"const": PROTOCOL_VERSION}
 
 SCHEMAS: dict[tuple[str, str], dict] = {
-    ("to_agent", "hello"): {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "hello"},
-            "protocol": {"const": PROTOCOL_VERSION},
-            "dim": {"type": "integer", "minimum": 1},
-            "horizon": {"type": "integer", "minimum": 1},
-            "body": _BODY,
-            "agent_seed": {"type": "integer", "minimum": 0},
-        },
-        "required": ["kind", "protocol", "dim", "horizon", "body"],
-        "additionalProperties": False,
-    },
-    ("from_agent", "hello"): {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "hello"},
-            "protocol": {"const": PROTOCOL_VERSION},
-            "agent": {"type": "string", "minLength": 1},
-        },
-        "required": ["kind", "protocol", "agent"],
-        "additionalProperties": False,
-    },
-    ("to_agent", "problem"): {
-        "type": "object",
-        "properties": {"kind": {"const": "problem"}, "problem": _PROBLEM},
-        "required": ["kind", "problem"],
-        "additionalProperties": False,
-    },
-    ("to_agent", "observation"): {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "observation"},
-            "tick": {"type": "integer", "minimum": 0},
-            "grid": _GRID,
-        },
-        "required": ["kind", "tick", "grid"],
-        "additionalProperties": False,
-    },
-    ("from_agent", "action"): {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "action"},
-            "forces": _FORCES,
-            "tick": {"type": "integer", "minimum": 0},
-        },
-        "required": ["kind", "forces"],
-        "additionalProperties": False,
-    },
-    ("from_agent", "resources"): {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "resources"},
-            "model_size": {"type": "number", "minimum": 0},
-            "updates": {"type": "number", "minimum": 0},
-        },
-        "required": ["kind", "model_size", "updates"],
-        "additionalProperties": False,
-    },
-    ("to_agent", "score"): {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "score"},
-            "problem_id": {"type": "integer", "minimum": 0},
-            "solved": {"type": "boolean"},
-            "score": {"type": "number"},
-            "tick": {"type": "integer", "minimum": 0},
-        },
-        "required": ["kind", "problem_id", "solved", "score", "tick"],
-        "additionalProperties": False,
-    },
-    ("to_agent", "bye"): {
-        "type": "object",
-        "properties": {"kind": {"const": "bye"}},
-        "required": ["kind"],
-        "additionalProperties": False,
-    },
-    ("from_agent", "bye"): {
-        "type": "object",
-        "properties": {"kind": {"const": "bye"}},
-        "required": ["kind"],
-        "additionalProperties": False,
-    },
+    ("to_agent", "hello"): _message(
+        "hello", optional=("agent_seed",), protocol=_VERSION, dim=_SIZE,
+        horizon=_SIZE, body=_BODY, agent_seed=_INDEX),
+    ("from_agent", "hello"): _message(
+        "hello", protocol=_VERSION, agent={"type": "string", "minLength": 1}),
+    ("to_agent", "problem"): _message("problem", problem=_PROBLEM),
+    ("to_agent", "observation"): _message("observation", tick=_INDEX, grid=_GRID),
+    ("from_agent", "action"): _message(
+        "action", optional=("tick",), forces=_FORCES, tick=_INDEX),
+    ("from_agent", "resources"): _message(
+        "resources", model_size=_AMOUNT, updates=_AMOUNT),
+    ("to_agent", "score"): _message(
+        "score", problem_id=_INDEX, solved={"type": "boolean"}, score=_NUM,
+        tick=_INDEX),
+    ("to_agent", "bye"): _message("bye"),
+    ("from_agent", "bye"): _message("bye"),
 }
 
 
@@ -403,8 +338,6 @@ class SubprocessAgent:
         self._send({"kind": "score", **payload})
 
     def act(self, observation: dict) -> np.ndarray:
-        import time
-
         self._send({"kind": "observation", **observation})
         deadline = time.monotonic() + self.budget_s
         tick = observation["tick"]

@@ -10,35 +10,23 @@ evaluation runs.  `LIVE_FIELDS` is the contract for it: per event kind,
 the only fields a live line may carry.  It is an allowlist, so a kind or
 field it does not name never reaches the live tier.  `live_view` applies
 it, `TraceSink` writes both tiers through it, and the harness hands
-agents their problems through it too.  `audit_live_trace` checks the
-result independently, against `FORBIDDEN_LIVE_KEYS` and the actual
-secret values.  Neither trace contains wall-clock timestamps; trace
-bytes are a pure function of the run's inputs.
+agents their problems through it too.  The tests audit the result
+independently (`tests/oracles.py`), against a denylist of secret keys and
+the actual secret values.  Neither trace contains wall-clock timestamps;
+trace bytes are a pure function of the run's inputs.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 from .canon import canonical_dumps
 from .errors import ContractViolation
-from .worldgen import World
 
 TRACE_FORMAT = 2
 
 LIVE = "live"
 DISCLOSURE = "disclosure"
-
-#: Keys that must never appear anywhere in a live trace document.
-FORBIDDEN_LIVE_KEYS = frozenset(
-    {
-        "seed", "grammar", "laws", "law", "terms", "coeff", "coefficients",
-        "polarity_coupled", "drift_handle", "regime_times", "smooth_rate",
-        "drift_levels", "hidden_actions", "scriptor_len", "p_null",
-        "gen_spec", "rng", "streams",
-    }
-)
 
 #: Per event kind, the fields the live tier may carry.  A dotted name
 #: selects one field of a nested document.  The header keeps its `mode`
@@ -176,69 +164,3 @@ def read_trace(path: str) -> tuple[dict, list[dict]]:
     if not docs or docs[0].get("kind") != "header":
         raise ContractViolation(f"{path}: missing trace header")
     return docs[0], docs[1:]
-
-
-def _walk_keys(doc, found: list, trail: str) -> None:
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            here = f"{trail}/{key}"
-            if key in FORBIDDEN_LIVE_KEYS:
-                found.append(here)
-            _walk_keys(value, found, here)
-    elif isinstance(doc, list):
-        for i, value in enumerate(doc):
-            _walk_keys(value, found, f"{trail}/{i}")
-
-
-def secret_strings(world: World) -> list[str]:
-    """Exact substrings whose appearance in a live trace is a leak.
-
-    The seed and every law coefficient, as Python reprs; float reprs are
-    long enough that an accidental collision is not a realistic worry.
-    """
-    secrets = [repr(world.spec.seed)]
-    for law in world.laws:
-        for _, coeff in law.terms:
-            secrets.append(repr(coeff))
-    return secrets
-
-
-def audit_live_trace(path: str, secrets: list[str] | None = None) -> list[str]:
-    """Scan a live trace for redaction failures.  Empty list means clean."""
-    violations: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    if secrets:
-        for secret in secrets:
-            if len(secret) >= 8 and secret in raw:
-                violations.append(f"secret value {secret!r} appears verbatim")
-    for n, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        found: list[str] = []
-        _walk_keys(doc, found, "")
-        violations.extend(f"line {n}: forbidden key at {trail}" for trail in found)
-    return violations
-
-
-def flip_one_bit(path: str, out_path: str, byte_offset: int, bit: int = 0) -> None:
-    """Copy a trace with a single bit flipped, for tamper-detection tests."""
-    with open(path, "rb") as fh:
-        data = bytearray(fh.read())
-    if not 0 <= byte_offset < len(data):
-        raise ContractViolation("byte_offset outside the file")
-    data[byte_offset] ^= 1 << bit
-    with open(out_path, "wb") as fh:
-        fh.write(bytes(data))
-
-
-def trace_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def same_bytes(path_a: str, path_b: str) -> bool:
-    if os.path.getsize(path_a) != os.path.getsize(path_b):
-        return False
-    return trace_bytes(path_a) == trace_bytes(path_b)

@@ -22,7 +22,7 @@ import numpy as np
 
 from driftworld.canon import canonical_dumps, to_doc
 from driftworld.config import RunConfig
-from driftworld.dynamics import StepParams, momentum, step
+from driftworld.dynamics import StepParams, step
 from driftworld.errors import ProtocolError
 from driftworld.harness import (
     oracle_calibration,
@@ -35,12 +35,6 @@ from driftworld.metrics import compute_metrics
 from driftworld.problems import hit_score
 from driftworld.protocol import SCHEMAS, validate_message
 from driftworld.rng import derive_world_seed
-from driftworld.trace import (
-    audit_live_trace,
-    flip_one_bit,
-    same_bytes,
-    secret_strings,
-)
 from driftworld.worldgen import (
     CausationGrammar,
     DriftSchedule,
@@ -52,6 +46,13 @@ from learner_curves import (
     REFERENCE_MARK,
     reference_drift_samples,
     reference_learner_samples,
+)
+from oracles import (
+    audit_live_trace,
+    flip_one_bit,
+    momentum,
+    same_bytes,
+    secret_strings,
 )
 from test_protocol import VALID
 

@@ -13,8 +13,6 @@ from driftworld.dynamics import (
     StepParams,
     _level_accel,
     compute_accelerations,
-    eval_law,
-    momentum,
     snapshot,
     snapshot_hash,
     step,
@@ -33,6 +31,7 @@ from driftworld.worldgen import (
 )
 
 from conftest import flat_quiet_spec
+from oracles import eval_law, momentum
 
 
 # -- minimal image ---------------------------------------------------------

@@ -27,7 +27,8 @@ import pytest
 from driftworld.canon import canonical_dumps
 from driftworld.config import load_config
 from driftworld.harness import replay_trace, run_stage1, run_stage2
-from driftworld.trace import audit_live_trace
+
+from oracles import audit_live_trace
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DIGESTS = os.path.join(GOLDEN_DIR, "digests.json")

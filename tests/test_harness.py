@@ -26,8 +26,10 @@ from driftworld.harness import (
 )
 from driftworld.metrics import AgentMetrics, MetricParams
 from driftworld.rng import derive_world_seed
-from driftworld.trace import flip_one_bit, read_trace
+from driftworld.trace import read_trace
 from driftworld.worldgen import DriftSchedule, GenSpec, generate_world
+
+from oracles import flip_one_bit
 
 
 def small_config(**episode_kw):

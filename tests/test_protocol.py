@@ -6,6 +6,7 @@ no side channel can be smuggled past the validator.
 """
 
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 import driftworld
 from driftworld.errors import ConfigError, ProtocolError
+from driftworld.interface import BodySpec
 from driftworld.protocol import (
     PROTOCOL_VERSION,
     SCHEMAS,
@@ -33,6 +35,7 @@ from driftworld.protocol import (
     run_stdio_agent,
     validate_message,
 )
+from driftworld.trace import LIVE_FIELDS
 
 BODY_DICT = {"member_ids": [0, 1, 2, 3], "resolution": 16,
              "window_halfwidth": 8.0, "f_max": 4.0}
@@ -66,6 +69,159 @@ VALID = {
     ("to_agent", "bye"): {"kind": "bye"},
     ("from_agent", "bye"): {"kind": "bye"},
 }
+
+
+# -------------------------------------------------------------- schema table
+
+# The schema table written out by hand, field by field, as an independent
+# reference: `protocol` builds its table from closed-object helpers, and
+# the result must equal this one, key order included.
+
+_NUM = {"type": "number"}
+_GRID = {
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "array",
+        "minItems": 1,
+        "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
+    },
+}
+_FORCES = {
+    "type": "array",
+    "minItems": 1,
+    "items": {"type": "array", "items": _NUM, "minItems": 1},
+}
+
+_BODY = {
+    "type": "object",
+    "properties": {
+        "member_ids": {"type": "array", "items": {"type": "integer", "minimum": 0},
+                       "minItems": 1},
+        "resolution": {"type": "integer", "minimum": 1},
+        "window_halfwidth": {"type": "number", "exclusiveMinimum": 0},
+        "f_max": {"type": "number", "exclusiveMinimum": 0},
+    },
+    "required": ["member_ids", "resolution", "window_halfwidth", "f_max"],
+    "additionalProperties": False,
+}
+
+_PROBLEM = {
+    "type": "object",
+    "properties": {
+        "id": {"type": "integer", "minimum": 0},
+        "issued_tick": {"type": "integer", "minimum": 0},
+        "target_grid": _GRID,
+        "epsilon": {"type": "number", "exclusiveMinimum": 0},
+        "timeout": {"type": "integer", "minimum": 1},
+    },
+    "required": ["id", "issued_tick", "target_grid", "epsilon", "timeout"],
+    "additionalProperties": False,
+}
+
+REFERENCE: dict[tuple[str, str], dict] = {
+    ("to_agent", "hello"): {
+        "type": "object",
+        "properties": {
+            "kind": {"const": "hello"},
+            "protocol": {"const": PROTOCOL_VERSION},
+            "dim": {"type": "integer", "minimum": 1},
+            "horizon": {"type": "integer", "minimum": 1},
+            "body": _BODY,
+            "agent_seed": {"type": "integer", "minimum": 0},
+        },
+        "required": ["kind", "protocol", "dim", "horizon", "body"],
+        "additionalProperties": False,
+    },
+    ("from_agent", "hello"): {
+        "type": "object",
+        "properties": {
+            "kind": {"const": "hello"},
+            "protocol": {"const": PROTOCOL_VERSION},
+            "agent": {"type": "string", "minLength": 1},
+        },
+        "required": ["kind", "protocol", "agent"],
+        "additionalProperties": False,
+    },
+    ("to_agent", "problem"): {
+        "type": "object",
+        "properties": {"kind": {"const": "problem"}, "problem": _PROBLEM},
+        "required": ["kind", "problem"],
+        "additionalProperties": False,
+    },
+    ("to_agent", "observation"): {
+        "type": "object",
+        "properties": {
+            "kind": {"const": "observation"},
+            "tick": {"type": "integer", "minimum": 0},
+            "grid": _GRID,
+        },
+        "required": ["kind", "tick", "grid"],
+        "additionalProperties": False,
+    },
+    ("from_agent", "action"): {
+        "type": "object",
+        "properties": {
+            "kind": {"const": "action"},
+            "forces": _FORCES,
+            "tick": {"type": "integer", "minimum": 0},
+        },
+        "required": ["kind", "forces"],
+        "additionalProperties": False,
+    },
+    ("from_agent", "resources"): {
+        "type": "object",
+        "properties": {
+            "kind": {"const": "resources"},
+            "model_size": {"type": "number", "minimum": 0},
+            "updates": {"type": "number", "minimum": 0},
+        },
+        "required": ["kind", "model_size", "updates"],
+        "additionalProperties": False,
+    },
+    ("to_agent", "score"): {
+        "type": "object",
+        "properties": {
+            "kind": {"const": "score"},
+            "problem_id": {"type": "integer", "minimum": 0},
+            "solved": {"type": "boolean"},
+            "score": {"type": "number"},
+            "tick": {"type": "integer", "minimum": 0},
+        },
+        "required": ["kind", "problem_id", "solved", "score", "tick"],
+        "additionalProperties": False,
+    },
+    ("to_agent", "bye"): {
+        "type": "object",
+        "properties": {"kind": {"const": "bye"}},
+        "required": ["kind"],
+        "additionalProperties": False,
+    },
+    ("from_agent", "bye"): {
+        "type": "object",
+        "properties": {"kind": {"const": "bye"}},
+        "required": ["kind"],
+        "additionalProperties": False,
+    },
+}
+
+
+def test_schema_table_equals_the_hand_written_reference():
+    assert SCHEMAS == REFERENCE
+    assert list(SCHEMAS) == list(REFERENCE)
+
+
+def test_problem_schema_is_the_live_view_of_a_problem():
+    live = [name.split(".", 1)[1] for name in LIVE_FIELDS["problem_issued"]
+            if name.startswith("problem.")]
+    problem = SCHEMAS[("to_agent", "problem")]["properties"]["problem"]
+    assert list(problem["properties"]) == live
+    assert problem["required"] == live
+
+
+def test_body_schema_is_the_body_spec():
+    body = SCHEMAS[("to_agent", "hello")]["properties"]["body"]
+    assert list(body["properties"]) == [f.name for f in dataclasses.fields(BodySpec)]
 
 
 # ------------------------------------------------------------------- schemas

@@ -14,20 +14,23 @@ from driftworld.errors import ContractViolation
 from driftworld.harness import Slot, run_episode
 from driftworld.trace import (
     DISCLOSURE,
-    FORBIDDEN_LIVE_KEYS,
     LIVE,
     LIVE_FIELDS,
     TraceSink,
     TraceWriter,
-    audit_live_trace,
-    flip_one_bit,
     iter_trace,
     read_trace,
+)
+from driftworld.worldgen import DriftSchedule, GenSpec, generate_world
+
+from oracles import (
+    FORBIDDEN_LIVE_KEYS,
+    audit_live_trace,
+    flip_one_bit,
     same_bytes,
     secret_strings,
     trace_bytes,
 )
-from driftworld.worldgen import DriftSchedule, GenSpec, generate_world
 
 
 # -------------------------------------------------------------------- writer
