@@ -420,41 +420,86 @@ class StageReport:
         return {**to_doc(self), "lower_bound": True}
 
 
+def _stage1_job(config: RunConfig, i: int, kind: str, outdir: str | None
+                ) -> tuple[AgentMetrics, dict]:
+    """One stage-one cell: `kind` alone on world `i`, traced into outdir
+    when given.  Returns the cell's metrics and its report row."""
+    seed = rngmod.derive_world_seed(config.master_seed, i)
+    world = generate_world(replace(config.gen, seed=seed))
+    slot = _make_slot(kind, config, seed, 0, multi=False)
+    live_path = disc_path = None
+    if outdir:
+        live_path = os.path.join(outdir, f"w{i}_{kind}.live.ndjson")
+        disc_path = os.path.join(outdir, f"w{i}_{kind}.disclosure.ndjson")
+    result = run_episode(
+        world, [slot], config.step, config.problem, config.score,
+        config.episode, live_path=live_path, disclosure_path=disc_path,
+    )
+    m = result.metrics(slot.agent_id, config.metric)
+    return m, {
+        "metrics": to_doc(m),
+        "cumulative": result.cumulative[slot.agent_id],
+        "problems_closed": len(result.closures[slot.agent_id]),
+        "drift_marks": result.drift_marks,
+    }
+
+
+def _map_jobs(fn, jobs: list[tuple]) -> list:
+    """`fn(*job)` for every job, results in job order, with at most one
+    process per CPU this process may run on.  Without
+    `os.sched_getaffinity` (not Linux), or with one CPU, the jobs run here
+    one after another."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(jobs), len(affinity(0))) if affinity else 1
+    if workers <= 1:
+        return [fn(*job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Fork, named because Python 3.14 changes the Linux default: spawn and
+    # forkserver re-import the caller's __main__, which fails for a script
+    # without a __main__ guard.  Python 3.12+ warns when it forks a
+    # process that has threads, and numpy's OpenBLAS has started some.
+    # Fork is safe here all the same: the executor forks every worker from
+    # this thread before its own manager thread starts, and OpenBLAS
+    # registers at-fork handlers for its thread pool.
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_stage1(config: RunConfig, outdir: str | None = None,
                write_traces: bool = False) -> StageReport:
-    """Each agent alone on the same derived worlds; mean metrics rank them."""
+    """Each agent alone on the same derived worlds; mean metrics rank them.
+
+    Every (world, agent) episode is independent, so they run as jobs on
+    every CPU this process may use; `taskset -c 0` runs them serially.
+    Reports and traces are the same bytes either way.
+    """
     config.validate()
     kinds = list(config.agents)
     if len(set(kinds)) != len(kinds):
         raise ConfigError("stage one agent kinds must be distinct")
+    _require_reportable([_make_slot(kind, config, config.master_seed, 0,
+                                    multi=False) for kind in kinds])
+
+    traced = outdir if write_traces else None
+    jobs = [(config, i, kind, traced)
+            for i in range(config.n_worlds) for kind in kinds]
+    cells = iter(_map_jobs(_stage1_job, jobs))
 
     per_world: list[dict] = []
     per_world_metrics: list[dict[str, AgentMetrics]] = []
-
     for i in range(config.n_worlds):
         seed = rngmod.derive_world_seed(config.master_seed, i)
         world_row: dict = {"world": i, "seed": seed, "agents": {}}
         world_metrics: dict[str, AgentMetrics] = {}
         for kind in kinds:
-            spec = replace(config.gen, seed=seed)
-            world = generate_world(spec)
-            slot = _make_slot(kind, config, seed, 0, multi=False)
-            _require_reportable([slot])
-            live_path = disc_path = None
-            if write_traces and outdir:
-                live_path = os.path.join(outdir, f"w{i}_{kind}.live.ndjson")
-                disc_path = os.path.join(outdir, f"w{i}_{kind}.disclosure.ndjson")
-            result = run_episode(
-                world, [slot], config.step, config.problem, config.score,
-                config.episode, live_path=live_path, disclosure_path=disc_path,
-            )
-            m = world_metrics[kind] = result.metrics(slot.agent_id, config.metric)
-            world_row["agents"][kind] = {
-                "metrics": to_doc(m),
-                "cumulative": result.cumulative[slot.agent_id],
-                "problems_closed": len(result.closures[slot.agent_id]),
-                "drift_marks": result.drift_marks,
-            }
+            world_metrics[kind], world_row["agents"][kind] = next(cells)
         per_world.append(world_row)
         per_world_metrics.append(world_metrics)
 
@@ -538,6 +583,19 @@ def oracle_calibration(config: RunConfig, n_problems: int) -> dict:
 # -- replay ----------------------------------------------------------------
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", (int, float): "a number"}
+
+
+def _typed(doc: dict, key: str, kind, where: str):
+    """`doc[key]`, which must have JSON type `kind`; a bool is no number."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ContractViolation(
+            f"{where} field {key!r} must be {_JSON_TYPES[kind]}")
+    return value
+
+
 def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
     """Collect per-agent recorded actions/resources and per-problem nulls."""
     scripts: dict[str, _ReplayScript] = {}
@@ -545,27 +603,32 @@ def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
     for doc in events:
         kind = doc.get("kind")
         if kind == "act":
-            script = scripts.setdefault(doc["agent"], _ReplayScript())
-            script.forces[doc["tick"]] = np.asarray(doc["forces"], dtype=np.float64)
-            script.resources[doc["tick"]] = doc["resources"]
+            where = "trace act"
+            script = scripts.setdefault(_typed(doc, "agent", str, where),
+                                        _ReplayScript())
+            tick = _typed(doc, "tick", int, where)
+            try:
+                forces = np.asarray(_typed(doc, "forces", list, where),
+                                    dtype=np.float64)
+            except TypeError as exc:
+                raise ContractViolation(
+                    f"trace act forces at tick {tick} are not numbers") from exc
+            script.forces[tick] = forces
+            script.resources[tick] = _typed(doc, "resources", dict, where)
         elif kind == "problem_issued":
-            p = doc["problem"]
+            p = _typed(doc, "problem", dict, "trace problem_issued")
             if "p_null" not in p:
                 raise ContractViolation(
                     "replay needs a disclosure trace, not a live trace"
                 )
-            nulls[p["id"]] = p["p_null"]
+            nulls[_typed(p, "id", int, "trace problem")] = \
+                _typed(p, "p_null", (int, float), "trace problem")
         elif kind == "end":
-            for agent_id, misses in doc.get("budget_misses", {}).items():
-                scripts.setdefault(agent_id, _ReplayScript()).budget_misses = misses
+            misses = _typed(doc, "budget_misses", dict, "trace end")
+            for agent_id in misses:
+                scripts.setdefault(agent_id, _ReplayScript()).budget_misses = \
+                    _typed(misses, agent_id, int, "trace end budget_misses")
     return scripts, nulls
-
-
-def _header_object(header: dict, key: str) -> dict:
-    value = header[key]
-    if not isinstance(value, dict):
-        raise ContractViolation(f"trace header field {key!r} must be an object")
-    return value
 
 
 def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> dict:
@@ -596,9 +659,10 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
 
         world = generate_world(spec)
         slots = []
-        kinds = _header_object(header, "agent_kinds")
-        streams = _header_object(header, "stream_names")
-        for agent_id, body_doc in sorted(_header_object(header, "bodies").items()):
+        kinds = _typed(header, "agent_kinds", dict, "trace header")
+        streams = _typed(header, "stream_names", dict, "trace header")
+        for agent_id, body_doc in sorted(
+                _typed(header, "bodies", dict, "trace header").items()):
             body = from_doc(BodySpec, body_doc)
             script = scripts.get(agent_id, _ReplayScript())
             slots.append(Slot(

@@ -19,6 +19,7 @@ trace bytes are a pure function of the run's inputs.
 from __future__ import annotations
 
 import json
+import os
 
 from .canon import canonical_dumps
 from .errors import ContractViolation
@@ -75,7 +76,13 @@ def live_view(doc: dict) -> dict | None:
 
 
 class TraceWriter:
-    """Writes one header line then event lines, all canonical JSON."""
+    """Writes one header line then event lines, all canonical JSON.
+
+    The lines go to `path + ".partial"`, which a clean `close` renames
+    to `path`.  Leaving the `with` block on an exception deletes it
+    instead, so a crashed episode leaves no half-written trace behind
+    that would replay as a divergence.
+    """
 
     def __init__(self, path: str, header: dict):
         if header.get("kind") != "header":
@@ -84,7 +91,8 @@ class TraceWriter:
         self.mode = header.get("mode")
         if self.mode not in (LIVE, DISCLOSURE):
             raise ContractViolation("trace mode must be 'live' or 'disclosure'")
-        self._fh = open(path, "w", encoding="utf-8")
+        self._partial = path + ".partial"
+        self._fh = open(self._partial, "w", encoding="utf-8")
         self._write(header)
 
     def _write(self, doc: dict) -> None:
@@ -99,12 +107,21 @@ class TraceWriter:
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
+            os.replace(self._partial, self.path)
+
+    def discard(self) -> None:
+        if not self._fh.closed:
+            self._fh.close()
+            os.unlink(self._partial)
 
     def __enter__(self) -> "TraceWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
 
 
 class TraceSink:
@@ -112,7 +129,8 @@ class TraceSink:
 
     The disclosure file gets the document whole, the live file its
     `live_view`; either path may be None.  `event` returns the live view
-    so callers can hand exactly that to agents.
+    so callers can hand exactly that to agents.  Like `TraceWriter`, it
+    puts both files in place only when its `with` block exits cleanly.
     """
 
     def __init__(self, live_path: str | None, disclosure_path: str | None,
@@ -121,7 +139,12 @@ class TraceSink:
         if live_path:
             self.live = TraceWriter(live_path, dict(live_view(header), mode=LIVE))
         if disclosure_path:
-            self.disc = TraceWriter(disclosure_path, header)
+            try:
+                self.disc = TraceWriter(disclosure_path, header)
+            except BaseException:
+                if self.live:
+                    self.live.discard()
+                raise
 
     def event(self, doc: dict) -> dict | None:
         view = live_view(doc)
@@ -131,16 +154,13 @@ class TraceSink:
             self.disc.event(doc)
         return view
 
-    def close(self) -> None:
-        for writer in (self.live, self.disc):
-            if writer:
-                writer.close()
-
     def __enter__(self) -> "TraceSink":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        for writer in (self.live, self.disc):
+            if writer:
+                writer.__exit__(*exc)
 
 
 def iter_trace(path: str):

@@ -9,16 +9,16 @@ closure plus sensor conservation, and shared-world ranking.
 Each check prints one `criterion NN: PASS/FAIL` line before asserting,
 so a red criterion still reports itself alongside the numbers that sank
 it.  Run `pytest tests/test_acceptance.py -v -s` to watch the lines
-stream; the heavy checks (1, 4, 7, 10) dominate the ~1 minute runtime.
+stream; the heavy checks (1, 4, 7, 10) dominate the runtime.
 """
 
 import copy
 import os
-import tempfile
 import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from driftworld.canon import canonical_dumps, to_doc
 from driftworld.config import RunConfig
@@ -62,21 +62,34 @@ def check(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-def test_criterion_01_reruns_are_byte_identical():
+def greedy_battery_config() -> RunConfig:
+    return RunConfig(agents=("greedy",), n_worlds=20)
+
+
+@pytest.fixture(scope="module")
+def greedy_battery(tmp_path_factory):
+    """Greedy alone on the 20 default worlds, traced: criterion 07 audits
+    these traces and criterion 01 compares them with a second run.
+    Returns the trace directory and the run's wall time."""
+    outdir = str(tmp_path_factory.mktemp("greedy_battery"))
     t0 = time.monotonic()
-    cfg = RunConfig(agents=("greedy",), n_worlds=20)
-    with tempfile.TemporaryDirectory() as run_a, \
-            tempfile.TemporaryDirectory() as run_b:
-        run_stage1(cfg, outdir=run_a, write_traces=True)
-        run_stage1(cfg, outdir=run_b, write_traces=True)
-        names = sorted(os.listdir(run_a))
-        same_listing = names == sorted(os.listdir(run_b))
-        disclosures = [n for n in names if n.endswith(".disclosure.ndjson")]
-        mismatched = [
-            n for n in names
-            if not same_bytes(os.path.join(run_a, n), os.path.join(run_b, n))
-        ]
-    elapsed = time.monotonic() - t0
+    run_stage1(greedy_battery_config(), outdir=outdir, write_traces=True)
+    return outdir, time.monotonic() - t0
+
+
+def test_criterion_01_reruns_are_byte_identical(greedy_battery, tmp_path):
+    run_a, first_s = greedy_battery
+    run_b = str(tmp_path)
+    t0 = time.monotonic()
+    run_stage1(greedy_battery_config(), outdir=run_b, write_traces=True)
+    names = sorted(os.listdir(run_a))
+    same_listing = names == sorted(os.listdir(run_b))
+    disclosures = [n for n in names if n.endswith(".disclosure.ndjson")]
+    mismatched = [
+        n for n in names
+        if not same_bytes(os.path.join(run_a, n), os.path.join(run_b, n))
+    ]
+    elapsed = first_s + time.monotonic() - t0
     ok = (len(disclosures) == 20 and same_listing and not mismatched
           and elapsed < 120.0)
     check(1, ok,
@@ -172,10 +185,10 @@ def test_criterion_06_score_prices_effort_and_self_solving():
           f"{self_solved}; a miss scores zero: {missed}")
 
 
-def test_criterion_07_traces_keep_secrets_and_catch_tampering(tmp_path):
-    cfg = RunConfig(agents=("greedy",), n_worlds=20)
-    outdir = str(tmp_path)
-    run_stage1(cfg, outdir=outdir, write_traces=True)
+def test_criterion_07_traces_keep_secrets_and_catch_tampering(greedy_battery,
+                                                              tmp_path):
+    cfg = greedy_battery_config()
+    outdir = greedy_battery[0]
     leaks = replay_failures = undetected = 0
     for i in range(cfg.n_worlds):
         seed = derive_world_seed(cfg.master_seed, i)
@@ -192,7 +205,7 @@ def test_criterion_07_traces_keep_secrets_and_catch_tampering(tmp_path):
         victim = max(j for j, l in enumerate(lines) if b'"kind":"sample"' in l)
         column = lines[victim].index(b'"cumulative":') + len(b'"cumulative":')
         offset = sum(len(l) + 1 for l in lines[:victim]) + column
-        tampered = os.path.join(outdir, f"w{i}_tampered.ndjson")
+        tampered = str(tmp_path / f"w{i}_tampered.ndjson")
         flip_one_bit(disclosure, tampered, offset)
         if replay_trace(tampered)["ok"]:
             undetected += 1

@@ -5,6 +5,8 @@ for real to cover the installed entry point.
 """
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +225,42 @@ def test_replay_names_a_mistyped_header_field(tmp_path):
                                 "expected int, not str")
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("problem_issued", "problem", 5),
+    ("problem_issued", "problem.id", "0"),
+    ("problem_issued", "problem.p_null", "0.0"),
+    ("problem_issued", "problem.p_null", True),
+    ("end", "budget_misses", 5),
+    ("end", "budget_misses", {"a0_greedy": "0"}),
+    ("act", "agent", 5),
+    ("act", "tick", 0.0),
+    ("act", "forces", {"x": 1}),
+    ("act", "forces", [[{"x": 1}, 0.0]]),
+    ("act", "resources", 7),
+], ids=["problem-int", "problem-id-string", "p_null-string", "p_null-bool",
+        "budget_misses-int", "budget_misses-value-string", "agent-int",
+        "tick-float", "forces-object", "forces-of-objects", "resources-int"])
+def test_replay_of_a_mistyped_event_fails(kind, field, value, tmp_path, capsys):
+    lines = GOLDEN_TRACE.read_text().splitlines()
+    n = next(i for i, l in enumerate(lines) if f'"kind":"{kind}"' in l)
+    doc = json.loads(lines[n])
+    *outer, key = field.split(".")
+    target = doc
+    for name in outer:
+        target = target[name]
+    target[key] = value
+    lines[n] = canonical_dumps(doc)
+    bad = tmp_path / "bad_event.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    verdict = replay_trace(str(bad))
+    assert verdict["verdict"] == "FAIL"
+    assert verdict["error"].startswith("ContractViolation: ")
+    assert run_cli("replay", str(bad)) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"FAIL  {bad}")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_replay_missing_file_exit_one(tmp_path, capsys):
     assert run_cli("replay", str(tmp_path / "nope.ndjson")) == 1
     capsys.readouterr()
@@ -278,6 +316,20 @@ def test_stage1_cli(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["stage"] == 1
     assert sorted(doc["ranking"]) == ["greedy", "null"]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_stage1_cli_missing_trace_dir_exits_five(cpus, monkeypatch, tmp_path,
+                                                 capsys):
+    # three CPUs put the failure in a pool worker, even on a smaller machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    rc = run_cli("stage1", *BASE, "--set", "run.agents=greedy,null",
+                 "--set", "run.n_worlds=2",
+                 "--trace-dir", str(tmp_path / "missing"))
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not multiprocessing.active_children()
 
 
 def test_oracle_cli(tmp_path, capsys):

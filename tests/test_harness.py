@@ -5,13 +5,16 @@ checked by joining the disclosure trace against itself, so the loop is
 audited through the same artifact external auditors would use.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from driftworld import harness
 from driftworld.agents import make_agent
 from driftworld.canon import canonical_dumps, to_doc
-from driftworld.config import EpisodeConfig, RunConfig
+from driftworld.config import EpisodeConfig, RunConfig, load_config
 from driftworld.errors import ConfigError, ContractViolation
 from driftworld.harness import (
     ScriptedAgent,
@@ -30,6 +33,7 @@ from driftworld.trace import read_trace
 from driftworld.worldgen import DriftSchedule, GenSpec, generate_world
 
 from oracles import flip_one_bit
+from test_golden import CASES as GOLDEN_CASES
 
 
 def small_config(**episode_kw):
@@ -249,6 +253,80 @@ def test_stage1_refuses_oracle_and_duplicates():
     cfg.agents = ("null", "null")
     with pytest.raises(ConfigError):
         run_stage1(cfg)
+
+
+def see_cpus(monkeypatch, n):
+    """Make the harness see n usable CPUs; None, no `sched_getaffinity`."""
+    if n is None:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+
+
+def test_stage1_pool_and_serial_paths_write_the_same_bytes(monkeypatch, tmp_path):
+    # every episode notes the process it ran in
+    pid_log = tmp_path / "pids"
+    real_run_episode = harness.run_episode
+
+    def noting_pid(*args, **kwargs):
+        with open(pid_log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", noting_pid)
+    cfg = load_config(None, GOLDEN_CASES["stage1-single-agents"]["overrides"])
+    here = str(os.getpid())
+    runs = {}
+    for cpus in (None, 1, 3):
+        see_cpus(monkeypatch, cpus)
+        outdir = tmp_path / f"cpus{cpus}"
+        outdir.mkdir()
+        report = run_stage1(cfg, str(outdir), write_traces=True)
+        assert not multiprocessing.active_children()
+        pids = pid_log.read_text().split()
+        pid_log.unlink()
+        assert len(pids) == 6
+        if cpus == 3:
+            assert here not in pids
+        else:
+            assert set(pids) == {here}
+        runs[cpus] = (report.to_dict(), {
+            name: (outdir / name).read_bytes() for name in os.listdir(outdir)})
+    assert len(runs[1][1]) == 12
+    assert runs[None] == runs[1] == runs[3]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_stage1_refuses_oracle_before_any_world_or_process(monkeypatch, cpus):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stage one started work before checking its agents")
+
+    see_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(harness, "generate_world", forbidden)
+    monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+    cfg = small_config()
+    for agents in (("oracle",), ("greedy", "oracle")):
+        cfg.agents = agents
+        with pytest.raises(ContractViolation, match="calibration-only"):
+            run_stage1(cfg)
+
+
+def test_missing_trace_directory_fails_the_same_on_both_paths(monkeypatch,
+                                                              tmp_path):
+    cfg = small_config()
+    cfg.agents = ("greedy", "null")
+    cfg.n_worlds = 2
+    missing = str(tmp_path / "missing")
+    errors = []
+    for cpus in (1, 3):
+        see_cpus(monkeypatch, cpus)
+        with pytest.raises(FileNotFoundError) as info:
+            run_stage1(cfg, missing, write_traces=True)
+        assert not multiprocessing.active_children()
+        errors.append((info.value.errno, info.value.filename, str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith(os.path.join(missing, "w0_greedy."))
 
 
 # ------------------------------------------------------------------- stage 2

@@ -5,10 +5,12 @@ hunt for the actual world secrets in the live tier.
 """
 
 import json
+import os
 
 import pytest
 
-from driftworld.agents import make_agent
+from driftworld.agents import GreedyAgent, make_agent
+from driftworld.canon import canonical_dumps
 from driftworld.config import RunConfig
 from driftworld.errors import ContractViolation
 from driftworld.harness import Slot, run_episode
@@ -60,6 +62,59 @@ def test_writer_rejects_kindless_events(tmp_path):
     with TraceWriter(path, {"kind": "header", "mode": LIVE}) as w:
         with pytest.raises(ContractViolation):
             w.event({"tick": 3})
+
+
+def test_writer_puts_the_file_in_place_only_on_a_clean_close(tmp_path):
+    path = str(tmp_path / "t.ndjson")
+    header = {"kind": "header", "mode": LIVE, "format": 1}
+    event = {"kind": "sense", "tick": 0, "grid_hash": "ab"}
+    with TraceWriter(path, header) as w:
+        w.event(event)
+        assert os.listdir(tmp_path) == ["t.ndjson.partial"]
+    assert os.listdir(tmp_path) == ["t.ndjson"]
+    with open(path, "rb") as fh:
+        assert fh.read() == (canonical_dumps(header) + "\n"
+                             + canonical_dumps(event) + "\n").encode("utf-8")
+
+    with pytest.raises(RuntimeError):
+        with TraceWriter(str(tmp_path / "u.ndjson"), header) as w:
+            w.event(event)
+            raise RuntimeError("crash mid-trace")
+    assert os.listdir(tmp_path) == ["t.ndjson"]
+
+
+def test_crashed_episode_leaves_neither_trace_behind(tmp_path):
+    class CrashesAtTick5(GreedyAgent):
+        def act(self, observation):
+            if observation["tick"] == 5:
+                raise RuntimeError("agent crashed at tick 5")
+            return super().act(observation)
+
+    cfg = RunConfig()
+    cfg.episode.horizon = 20
+    body = cfg.body()
+    live, disc = str(tmp_path / "live.ndjson"), str(tmp_path / "disc.ndjson")
+
+    def run(agent):
+        run_episode(generate_world(cfg.gen),
+                    [Slot(agent_id="greedy", agent=agent, body=body)],
+                    cfg.step, cfg.problem, cfg.score, cfg.episode,
+                    live_path=live, disclosure_path=disc)
+
+    with pytest.raises(RuntimeError, match="tick 5"):
+        run(CrashesAtTick5(body, 2))
+    assert os.listdir(tmp_path) == []
+    run(make_agent("greedy", body, 2))
+    assert sorted(os.listdir(tmp_path)) == ["disc.ndjson", "live.ndjson"]
+    assert read_trace(disc)[1][-1]["kind"] == "end"
+
+
+def test_sink_removes_the_live_file_when_the_disclosure_cannot_open(tmp_path):
+    header = {"kind": "header", "mode": DISCLOSURE, "format": 1}
+    with pytest.raises(FileNotFoundError):
+        TraceSink(str(tmp_path / "live.ndjson"),
+                  str(tmp_path / "missing" / "disc.ndjson"), header)
+    assert os.listdir(tmp_path) == []
 
 
 def test_iter_trace_skips_blanks_and_rejects_garbage(tmp_path):
