@@ -448,10 +448,16 @@ def _map_jobs(fn, jobs: list[tuple]) -> list:
     """`fn(*job)` for every job, results in job order, with at most one
     process per CPU this process may run on.  Without
     `os.sched_getaffinity` (not Linux), or with one CPU, the jobs run here
-    one after another."""
+    one after another.
+
+    They also run here while `run_episode` is wrapped (the wrapper names
+    the original as `__wrapped__`, as `functools.wraps` does): a wrapper
+    that times or counts episodes keeps its records in this process, and
+    a forked worker's records would be lost with the worker.
+    """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(jobs), len(affinity(0))) if affinity else 1
-    if workers <= 1:
+    if workers <= 1 or hasattr(run_episode, "__wrapped__"):
         return [fn(*job) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

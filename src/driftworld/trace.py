@@ -18,6 +18,7 @@ trace bytes are a pure function of the run's inputs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -105,13 +106,24 @@ class TraceWriter:
         self._write(doc)
 
     def close(self) -> None:
+        """Put the file in place at `path`; delete it if that fails."""
         if not self._fh.closed:
-            self._fh.close()
-            os.replace(self._partial, self.path)
+            try:
+                self._fh.close()
+                os.replace(self._partial, self.path)
+            except BaseException:
+                self._remove_partial()
+                raise
 
     def discard(self) -> None:
+        """Delete the file; an error flushing what is deleted is moot."""
         if not self._fh.closed:
-            self._fh.close()
+            with contextlib.suppress(OSError):
+                self._fh.close()
+            self._remove_partial()
+
+    def _remove_partial(self) -> None:
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(self._partial)
 
     def __enter__(self) -> "TraceWriter":
@@ -130,7 +142,9 @@ class TraceSink:
     The disclosure file gets the document whole, the live file its
     `live_view`; either path may be None.  `event` returns the live view
     so callers can hand exactly that to agents.  Like `TraceWriter`, it
-    puts both files in place only when its `with` block exits cleanly.
+    puts both files in place only when its `with` block exits cleanly;
+    when the live file cannot be put in place, the disclosure file is
+    deleted too.
     """
 
     def __init__(self, live_path: str | None, disclosure_path: str | None,
@@ -158,9 +172,15 @@ class TraceSink:
         return self
 
     def __exit__(self, *exc) -> None:
-        for writer in (self.live, self.disc):
-            if writer:
-                writer.__exit__(*exc)
+        try:
+            if self.live:
+                self.live.__exit__(*exc)
+        except BaseException:
+            if self.disc:
+                self.disc.discard()
+            raise
+        if self.disc:
+            self.disc.__exit__(*exc)
 
 
 def iter_trace(path: str):

@@ -5,6 +5,7 @@ checked by joining the disclosure trace against itself, so the loop is
 audited through the same artifact external auditors would use.
 """
 
+import functools
 import multiprocessing
 import os
 
@@ -295,6 +296,27 @@ def test_stage1_pool_and_serial_paths_write_the_same_bytes(monkeypatch, tmp_path
             name: (outdir / name).read_bytes() for name in os.listdir(outdir)})
     assert len(runs[1][1]) == 12
     assert runs[None] == runs[1] == runs[3]
+
+
+def test_stage1_runs_here_while_run_episode_is_wrapped(monkeypatch):
+    # a profiler's wrapper keeps its records in this process, so it must
+    # see every episode even when the pool could take them
+    seen = []
+    real_run_episode = harness.run_episode
+
+    @functools.wraps(real_run_episode)
+    def counting(*args, **kwargs):
+        seen.append(os.getpid())
+        return real_run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", counting)
+    monkeypatch.setattr(multiprocessing, "get_context", None)
+    see_cpus(monkeypatch, 3)
+    cfg = small_config()
+    cfg.agents = ("greedy", "null")
+    cfg.n_worlds = 2
+    run_stage1(cfg)
+    assert seen == [os.getpid()] * 4
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

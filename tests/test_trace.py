@@ -117,6 +117,46 @@ def test_sink_removes_the_live_file_when_the_disclosure_cannot_open(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+class FailsToClose:
+    """A writer's file whose close closes it, then reports a full disk."""
+
+    def __init__(self, fh):
+        self._real = fh
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def close(self):
+        self._real.close()
+        raise OSError(28, "No space left on device")
+
+
+def test_writer_deletes_the_file_when_its_close_fails(tmp_path):
+    header = {"kind": "header", "mode": LIVE, "format": 1}
+    w = TraceWriter(str(tmp_path / "t.ndjson"), header)
+    w._fh = FailsToClose(w._fh)
+    with pytest.raises(OSError, match="No space"):
+        w.close()
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("failing", ["live", "disc"])
+def test_sink_leaves_no_file_when_a_writer_fails_to_close(failing, tmp_path):
+    header = {"kind": "header", "mode": DISCLOSURE, "format": 1}
+    sink = TraceSink(str(tmp_path / "live.ndjson"),
+                     str(tmp_path / "disc.ndjson"), header)
+    writer = getattr(sink, failing)
+    writer._fh = FailsToClose(writer._fh)
+    with pytest.raises(OSError, match="No space"):
+        with sink:
+            sink.event({"kind": "sense", "tick": 0, "grid_hash": "ab"})
+    left = os.listdir(tmp_path)
+    # the live file goes in place first, so only it can survive a failed
+    # disclosure close; a failed live close takes the disclosure with it
+    assert left == (["live.ndjson"] if failing == "disc" else [])
+    assert sink.live._fh.closed and sink.disc._fh.closed
+
+
 def test_iter_trace_skips_blanks_and_rejects_garbage(tmp_path):
     path = tmp_path / "t.ndjson"
     path.write_text('{"kind": "header", "mode": "live"}\n\n{"kind": "sense"}\n')
