@@ -32,7 +32,6 @@ class BaseAgent:
     reportable = True
 
     def __init__(self, body: BodySpec, dim: int):
-        body.validate()
         if dim < 1:
             raise ConfigError("dim must be >= 1")
         self.body = body

@@ -55,6 +55,13 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    dest="overrides", help="override one config key")
 
 
+def _print_ranking(report) -> None:
+    print("ranking: " + "  ".join(
+        f"{i + 1}. {aid} (index {report.means[aid]['index']:.4f})"
+        for i, aid in enumerate(report.ranking)
+    ))
+
+
 def cmd_gen(args) -> int:
     from .config import load_config
 
@@ -125,10 +132,7 @@ def cmd_stage1(args) -> int:
     _check_out(args.out, args.force)
     report = run_stage1(cfg, outdir=args.trace_dir,
                         write_traces=args.trace_dir is not None)
-    print("ranking: " + "  ".join(
-        f"{i + 1}. {aid} (index {report.means[aid]['index']:.4f})"
-        for i, aid in enumerate(report.ranking)
-    ))
+    _print_ranking(report)
     if args.out:
         _write_json(report.to_dict(), args.out)
     return E_OK
@@ -143,10 +147,7 @@ def cmd_stage2(args) -> int:
         _check_out(path, args.force)
     report = run_stage2(cfg, live_path=args.live,
                         disclosure_path=args.disclosure)
-    print("ranking: " + "  ".join(
-        f"{i + 1}. {aid} (index {report.means[aid]['index']:.4f})"
-        for i, aid in enumerate(report.ranking)
-    ))
+    _print_ranking(report)
     if args.out:
         _write_json(report.to_dict(), args.out)
     return E_OK
@@ -190,7 +191,7 @@ def cmd_replay(args) -> int:
 def cmd_report(args) -> int:
     from .config import load_config
     from .metrics import compute_metrics, rank_agents, rate_curve
-    from .trace import read_trace
+    from .trace import read_trace, typed
 
     cfg = load_config(args.config, args.overrides)
     _check_out(args.out, args.force)
@@ -199,11 +200,13 @@ def cmd_report(args) -> int:
     marks: list[int] = []
     for doc in events:
         if doc.get("kind") == "sample":
-            samples.setdefault(doc["agent"], []).append(
-                (doc["tick"], doc["cumulative"])
+            where = "trace sample"
+            samples.setdefault(typed(doc, "agent", str, where), []).append(
+                (typed(doc, "tick", int, where),
+                 typed(doc, "cumulative", (int, float), where))
             )
         elif doc.get("kind") == "drift":
-            marks.append(doc["tick"])
+            marks.append(typed(doc, "tick", int, "trace drift"))
     if not samples:
         raise InsufficientDataError("trace holds no score samples")
     entries = []

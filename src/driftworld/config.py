@@ -4,7 +4,9 @@ Config files are line oriented, `dotted.key = value`, with `#` comments.
 Each key sets one dataclass field, and the field's annotation is the
 value's type: lists are comma separated, `none` clears an optional, and
 `auto` asks for the derived default.  Command-line overrides use the
-same `key=value` grammar, so one parser serves both.
+same `key=value` grammar, so one parser serves both.  Every parameter
+set checks itself when it is built and is frozen, so a config that
+exists is a valid one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import typing
 from dataclasses import dataclass, field
 
+from .canon import from_doc, to_doc
 from .errors import ConfigError
 from .interface import BodySpec
 from .metrics import MetricParams
@@ -24,7 +27,7 @@ from .worldgen import DriftSchedule, GenSpec
 ENV_CONFIG = "DRIFTWORLD_CONFIG"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeConfig:
     """Episode-loop shape: length, cadences, issuance limits."""
 
@@ -36,7 +39,7 @@ class EpisodeConfig:
     stop_after_problems: int | None = None
     budget_s: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.snapshot_every < 1:
@@ -59,9 +62,10 @@ def _default_metric() -> MetricParams:
     return MetricParams(window_halfwidth=10, pre_window=40, post_window=40)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a stage run needs, in one place."""
+    """Everything a stage run needs, in one place.  The nested parameter
+    sets checked themselves when they were built."""
 
     gen: GenSpec = field(default_factory=_default_gen)
     step: StepParams = field(default_factory=StepParams)
@@ -77,13 +81,7 @@ class RunConfig:
     n_worlds: int = 1
     master_seed: int = 0
 
-    def validate(self) -> None:
-        self.gen.validate()
-        self.step.validate()
-        self.problem.validate()
-        self.score.validate()
-        self.metric.validate()
-        self.episode.validate()
+    def __post_init__(self):
         if self.body_members < 1:
             raise ConfigError("body.members must be >= 1")
         if self.resolution < 1:
@@ -211,14 +209,6 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
 
-def _assign(cfg: RunConfig, dotted: str, value) -> None:
-    target = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        target = getattr(target, part)
-    setattr(target, parts[-1], value)
-
-
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse config lines into {key: raw value string}."""
     out: dict[str, str] = {}
@@ -243,7 +233,6 @@ def load_config(path: str | None = None,
     The file defaults to $DRIFTWORLD_CONFIG when unset; overrides are
     `key=value` strings with the same keys as the file format.
     """
-    cfg = RunConfig()
     entries: dict[str, str] = {}
 
     if path is None:
@@ -265,8 +254,11 @@ def load_config(path: str | None = None,
             raise ConfigError(f"unknown key {key!r}")
         entries[key] = raw.strip()
 
+    doc = to_doc(RunConfig())
     for key, raw in entries.items():
-        _assign(cfg, _KEYS[key], _coerce(key, raw))
-
-    cfg.validate()
-    return cfg
+        *parents, leaf = _KEYS[key].split(".")
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[leaf] = _coerce(key, raw)
+    return from_doc(RunConfig, doc)

@@ -40,7 +40,7 @@ from .worldgen import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepParams:
     """Integrator constants, fixed for the life of an episode.
 
@@ -53,7 +53,7 @@ class StepParams:
     a_max: float = 8.0
     eps_r: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.dt <= 0:
             raise ConfigError("dt must be > 0")
         if self.v_max <= 0 or self.a_max <= 0:
@@ -222,7 +222,6 @@ def step(world: World, params: StepParams,
     Euler update with the speed clamp and toroidal wrap.  Drift events for this tick end up in
     `world.last_drift_events`.
     """
-    params.validate()
     world.last_drift_events = apply_drift(world)
     accel = compute_accelerations(world, params, world.recompute_aggregates())
     if external_accel is not None:

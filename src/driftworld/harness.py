@@ -43,7 +43,7 @@ from .problems import (
     normalized_score,
     null_baselines,
 )
-from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, read_trace
+from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, read_trace, typed
 from .worldgen import GenSpec, World, generate_world
 
 
@@ -91,7 +91,6 @@ class _ReplayScript:
     def __init__(self):
         self.forces: dict[int, np.ndarray] = {}
         self.resources: dict[int, dict] = {}
-        self.p_null: dict[int, float] = {}
         self.budget_misses = 0
 
 
@@ -158,15 +157,14 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
     running that rollout; everything else in replay mode flows through the
     ordinary pipeline.
     """
-    for params in (step_params, problem_params, score_params, episode):
-        params.validate()
     ids = [s.agent_id for s in slots]
     if len(set(ids)) != len(ids):
         raise ConfigError("agent ids must be unique")
     claimed: set[int] = set()
     for slot in slots:
-        slot.body.validate(world.n_entities)
         members = set(slot.body.member_ids)
+        if max(members) >= world.n_entities:
+            raise ConfigError("body member id out of range for this world")
         if members & claimed:
             raise ConfigError("agent bodies must claim disjoint entities")
         claimed |= members
@@ -486,7 +484,6 @@ def run_stage1(config: RunConfig, outdir: str | None = None,
     every CPU this process may use; `taskset -c 0` runs them serially.
     Reports and traces are the same bytes either way.
     """
-    config.validate()
     kinds = list(config.agents)
     if len(set(kinds)) != len(kinds):
         raise ConfigError("stage one agent kinds must be distinct")
@@ -517,7 +514,6 @@ def run_stage1(config: RunConfig, outdir: str | None = None,
 def run_stage2(config: RunConfig, live_path: str | None = None,
                disclosure_path: str | None = None) -> StageReport:
     """All agents share one world, disjoint bodies, own problem streams."""
-    config.validate()
     kinds = list(config.agents)
     needed = len(kinds) * config.body_members
     if needed > config.gen.n_entities:
@@ -563,7 +559,6 @@ def oracle_calibration(config: RunConfig, n_problems: int) -> dict:
     Reports how many of them it solved; this pins the achievable end of
     the difficulty scale for the configured problem parameters.
     """
-    config.validate()
     world = generate_world(config.gen)
     slot = _make_slot("oracle", config, config.gen.seed, 0, multi=False)
     episode = EpisodeConfig(
@@ -589,19 +584,6 @@ def oracle_calibration(config: RunConfig, n_problems: int) -> dict:
 # -- replay ----------------------------------------------------------------
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
-               int: "an integer", (int, float): "a number"}
-
-
-def _typed(doc: dict, key: str, kind, where: str):
-    """`doc[key]`, which must have JSON type `kind`; a bool is no number."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ContractViolation(
-            f"{where} field {key!r} must be {_JSON_TYPES[kind]}")
-    return value
-
-
 def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
     """Collect per-agent recorded actions/resources and per-problem nulls."""
     scripts: dict[str, _ReplayScript] = {}
@@ -610,30 +592,30 @@ def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
         kind = doc.get("kind")
         if kind == "act":
             where = "trace act"
-            script = scripts.setdefault(_typed(doc, "agent", str, where),
+            script = scripts.setdefault(typed(doc, "agent", str, where),
                                         _ReplayScript())
-            tick = _typed(doc, "tick", int, where)
+            tick = typed(doc, "tick", int, where)
             try:
-                forces = np.asarray(_typed(doc, "forces", list, where),
+                forces = np.asarray(typed(doc, "forces", list, where),
                                     dtype=np.float64)
             except TypeError as exc:
                 raise ContractViolation(
                     f"trace act forces at tick {tick} are not numbers") from exc
             script.forces[tick] = forces
-            script.resources[tick] = _typed(doc, "resources", dict, where)
+            script.resources[tick] = typed(doc, "resources", dict, where)
         elif kind == "problem_issued":
-            p = _typed(doc, "problem", dict, "trace problem_issued")
+            p = typed(doc, "problem", dict, "trace problem_issued")
             if "p_null" not in p:
                 raise ContractViolation(
                     "replay needs a disclosure trace, not a live trace"
                 )
-            nulls[_typed(p, "id", int, "trace problem")] = \
-                _typed(p, "p_null", (int, float), "trace problem")
+            nulls[typed(p, "id", int, "trace problem")] = \
+                typed(p, "p_null", (int, float), "trace problem")
         elif kind == "end":
-            misses = _typed(doc, "budget_misses", dict, "trace end")
+            misses = typed(doc, "budget_misses", dict, "trace end")
             for agent_id in misses:
                 scripts.setdefault(agent_id, _ReplayScript()).budget_misses = \
-                    _typed(misses, agent_id, int, "trace end budget_misses")
+                    typed(misses, agent_id, int, "trace end budget_misses")
     return scripts, nulls
 
 
@@ -665,10 +647,10 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
 
         world = generate_world(spec)
         slots = []
-        kinds = _typed(header, "agent_kinds", dict, "trace header")
-        streams = _typed(header, "stream_names", dict, "trace header")
+        kinds = typed(header, "agent_kinds", dict, "trace header")
+        streams = typed(header, "stream_names", dict, "trace header")
         for agent_id, body_doc in sorted(
-                _typed(header, "bodies", dict, "trace header").items()):
+                typed(header, "bodies", dict, "trace header").items()):
             body = from_doc(BodySpec, body_doc)
             script = scripts.get(agent_id, _ReplayScript())
             slots.append(Slot(

@@ -27,6 +27,8 @@ class BodySpec:
     """Which entities an agent controls and how sharply it can see and push.
 
     Frozen, so the member rows derived from `member_ids` never go stale.
+    Whether the members exist in a given world is checked once per
+    episode, by the episode loop.
     """
 
     member_ids: tuple[int, ...]
@@ -41,15 +43,13 @@ class BodySpec:
         rows.flags.writeable = False
         return rows
 
-    def validate(self, n_entities: int | None = None) -> None:
+    def __post_init__(self):
         if not self.member_ids:
             raise ConfigError("body must have at least one member entity")
         if len(set(self.member_ids)) != len(self.member_ids):
             raise ConfigError("body member ids must be distinct")
         if any(i < 0 for i in self.member_ids):
             raise ConfigError("body member ids must be nonnegative")
-        if n_entities is not None and any(i >= n_entities for i in self.member_ids):
-            raise ConfigError("body member id out of range for this world")
         if self.resolution < 1:
             raise ConfigError("sensor resolution must be >= 1")
         if self.window_halfwidth <= 0:
@@ -106,7 +106,6 @@ def sense(world: World, body: BodySpec) -> SenseGrid:
     Counts every basic entity (members included) whose minimal-image
     offset from the centroid lies inside the square window.
     """
-    body.validate(world.n_entities)
     if world.spec.dim != 2:
         raise ContractViolation("the grid sensor is defined for dim == 2 worlds")
     res = body.resolution

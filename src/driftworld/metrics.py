@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, InsufficientDataError
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricParams:
     """Estimation constants for the metric pipeline."""
 
@@ -32,7 +32,7 @@ class MetricParams:
     post_window: int = 20          # ticks after a change mark
     weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.window_halfwidth < 1:
             raise ConfigError("window_halfwidth must be >= 1")
         if not 0.0 < self.theta <= 1.0:
@@ -145,7 +145,6 @@ def retention_at(ticks, rates, mark: float, params: MetricParams) -> float | Non
 def compute_metrics(samples, drift_marks=(), params: MetricParams | None = None) -> AgentMetrics:
     """Full pipeline: rate curve, per-regime stats, combined index."""
     params = params or MetricParams()
-    params.validate()
     ticks, _ = _as_arrays(samples)
     rates = rate_curve(samples, params.window_halfwidth)
 

@@ -28,7 +28,7 @@ from .interface import BodySpec, SenseGrid, forces_to_accel, grid_distance, sens
 from .worldgen import World
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemParams:
     """Knobs for problem generation and closure."""
 
@@ -37,7 +37,7 @@ class ProblemParams:
     timeout: int = 24
     impulse_floor: float = 0.5  # fraction of f_max the net script impulse must reach
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.scriptor_len < 1:
             raise ConfigError("scriptor_len must be >= 1")
         if self.epsilon <= 0:
@@ -48,7 +48,7 @@ class ProblemParams:
             raise ConfigError("impulse_floor must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreParams:
     """Score ceiling and resource-discount strengths."""
 
@@ -56,7 +56,7 @@ class ScoreParams:
     lam_model: float = 0.0
     lam_compute: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.s_max <= 0:
             raise ConfigError("s_max must be > 0")
         if self.lam_model < 0 or self.lam_compute < 0:
@@ -97,8 +97,6 @@ def generate_problem(world: World, body: BodySpec, params: ProblemParams,
     displacement; that keeps targets reachable by translation-style
     control rather than demanding per-member choreography.
     """
-    params.validate()
-    body.validate(world.n_entities)
     stream = world.stream(stream_name)
     n_members = len(body.member_ids)
     dim = world.spec.dim

@@ -278,7 +278,6 @@ class SubprocessAgent:
     def __init__(self, argv: list[str], body: BodySpec, dim: int, horizon: int,
                  agent_seed: int | None = None, budget_s: float = 0.05,
                  hello_timeout_s: float = 5.0):
-        body.validate()
         self.body = body
         self.dim = dim
         self.n_members = len(body.member_ids)

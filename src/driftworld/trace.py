@@ -199,6 +199,22 @@ def iter_trace(path: str):
             yield doc
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", (int, float): "a number"}
+
+
+def typed(doc: dict, key: str, kind, where: str):
+    """`doc[key]`, which must be present and have JSON type `kind`; a bool
+    is no number.  Replay and report check trace fields with it."""
+    if key not in doc:
+        raise ContractViolation(f"{where} field {key!r} is missing")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ContractViolation(
+            f"{where} field {key!r} must be {_JSON_TYPES[kind]}")
+    return value
+
+
 def read_trace(path: str) -> tuple[dict, list[dict]]:
     docs = list(iter_trace(path))
     if not docs or docs[0].get("kind") != "header":

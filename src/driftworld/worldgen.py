@@ -29,7 +29,7 @@ RADIAL_EXPONENT = {"inv_sq": -2, "inv": -1, "const": 0, "lin": 1, "quad": 2}
 DAMPING_TERM = "damp"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CausationGrammar:
     """Admissible term set and coefficient range for sampled laws.
 
@@ -56,7 +56,7 @@ class CausationGrammar:
     damping_scale: float = 0.5
     base_damping: float = 0.8
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.basis:
             raise ConfigError("grammar basis must be nonempty")
         for term in self.basis:
@@ -73,20 +73,21 @@ class CausationGrammar:
             raise ConfigError("grammar base_damping must lie in [0, 2)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriftSchedule:
     """When and where interaction laws change.
 
     Regime times trigger full resampling of the laws at the drift levels;
     a positive smooth_rate additionally random-walks their coefficients
-    each tick.  Level 0 never drifts.
+    each tick.  Level 0 never drifts.  The checks that need the level
+    count run in `GenSpec`.
     """
 
     regime_times: tuple[int, ...] = ()
     smooth_rate: float = 0.0
     drift_levels: tuple[int, ...] | None = None  # None: all levels >= 1
 
-    def validate(self, n_levels: int) -> None:
+    def __post_init__(self):
         times = self.regime_times
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("drift regime_times must be strictly increasing")
@@ -94,13 +95,8 @@ class DriftSchedule:
             raise ConfigError("drift regime_times must be nonnegative")
         if self.smooth_rate < 0:
             raise ConfigError("drift smooth_rate must be >= 0")
-        if self.drift_levels is not None:
-            if 0 in self.drift_levels:
-                raise ConfigError("level 0 laws are fixed and cannot drift")
-            if any(not 1 <= lv < n_levels for lv in self.drift_levels):
-                raise ConfigError("drift_levels must lie in [1, n_levels)")
-        if (times or self.smooth_rate > 0) and not self.resolve_levels(n_levels):
-            raise ConfigError("drift schedule is active but no level is able to drift")
+        if self.drift_levels is not None and 0 in self.drift_levels:
+            raise ConfigError("level 0 laws are fixed and cannot drift")
 
     def resolve_levels(self, n_levels: int) -> tuple[int, ...]:
         if self.drift_levels is None:
@@ -108,7 +104,7 @@ class DriftSchedule:
         return tuple(sorted(self.drift_levels))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenSpec:
     """Complete recipe for one world instance."""
 
@@ -121,7 +117,7 @@ class GenSpec:
     drift: DriftSchedule = field(default_factory=DriftSchedule)
     arena_extent: float = 8.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if self.n_entities < 2:
@@ -134,8 +130,13 @@ class GenSpec:
             raise ConfigError("n_levels must be >= 1")
         if self.arena_extent <= 0:
             raise ConfigError("arena_extent must be > 0")
-        self.grammar.validate()
-        self.drift.validate(self.n_levels)
+        drift = self.drift
+        if drift.drift_levels is not None \
+                and any(not 1 <= lv < self.n_levels for lv in drift.drift_levels):
+            raise ConfigError("drift_levels must lie in [1, n_levels)")
+        if (drift.regime_times or drift.smooth_rate > 0) \
+                and not drift.resolve_levels(self.n_levels):
+            raise ConfigError("drift schedule is active but no level is able to drift")
 
 
 @dataclass
@@ -329,7 +330,6 @@ def sample_law(grammar: CausationGrammar, level: int,
     the guaranteed relaxation survives whatever the draw produced.  The floor
     consumes no extra randomness.
     """
-    grammar.validate()
     n_choices = min(grammar.max_terms, len(grammar.basis))
     k = int(rng.integers(1, n_choices + 1))
     picked = sorted(int(i) for i in rng.choice(len(grammar.basis), size=k, replace=False))
@@ -425,7 +425,6 @@ def build_hierarchy(world: World) -> World:
 
 def generate_world(spec: GenSpec) -> World:
     """Generate a world from its spec, drawing only from the generation stream."""
-    spec.validate()
     gen = rngmod.make_stream(spec.seed, "generation")
     n, dim = spec.n_entities, spec.dim
     positions = gen.uniform(-spec.arena_extent, spec.arena_extent, size=(n, dim))

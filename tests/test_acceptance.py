@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from driftworld.canon import canonical_dumps, to_doc
-from driftworld.config import RunConfig
+from driftworld.config import EpisodeConfig, RunConfig
 from driftworld.dynamics import StepParams, step
 from driftworld.errors import ProtocolError
 from driftworld.harness import (
@@ -219,9 +219,9 @@ def test_criterion_08_drift_marks_match_schedule_and_spare_ground_laws():
     marks_per_schedule = []
     marks_ok = True
     for regimes in ((), (40,), (20, 45, 70)):
-        cfg = RunConfig(agents=("null",))
-        cfg.gen = GenSpec(seed=11, drift=DriftSchedule(regime_times=regimes))
-        cfg.episode.horizon = 100
+        cfg = RunConfig(agents=("null",),
+                        gen=GenSpec(seed=11, drift=DriftSchedule(regime_times=regimes)),
+                        episode=EpisodeConfig(horizon=100))
         report = run_stage1(cfg)
         marks = report.per_world[0]["agents"]["null"]["drift_marks"]
         marks_ok = marks_ok and marks == list(regimes)
@@ -282,7 +282,7 @@ def test_criterion_10_shared_world_ranking_prefers_the_learner():
     n_worlds = 10
     for s in range(n_worlds):
         cfg = RunConfig(agents=("greedy", "null"))
-        cfg.gen = replace(cfg.gen, seed=s)
+        cfg = replace(cfg, gen=replace(cfg.gen, seed=s))
         report = run_stage2(cfg)
         if report.ranking[0] == "a0_greedy":
             firsts += 1

@@ -194,23 +194,37 @@ def test_replay_names_a_missing_null_baseline(tmp_path, capsys):
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "stage2.disclosure.ndjson"
 
 
-@pytest.mark.parametrize("header_line", [
-    lambda h: dict(h, gen_spec=[]),
-    lambda h: dict(h, bodies=[]),
-    lambda h: dict(h, episode="x"),
-    lambda h: [1, 2],
-    lambda h: dict(h, episode=dict(h["episode"], horizon="x")),
-    lambda h: dict(h, step_params=dict(h["step_params"], dt=True)),
-    lambda h: dict(h, gen_spec=dict(h["gen_spec"], n_entities=24.0)),
+@pytest.mark.parametrize("header_line, error", [
+    (lambda h: dict(h, gen_spec=[]), "ContractViolation"),
+    (lambda h: dict(h, bodies=[]), "ContractViolation"),
+    (lambda h: dict(h, episode="x"), "ContractViolation"),
+    (lambda h: [1, 2], "ContractViolation"),
+    (lambda h: dict(h, episode=dict(h["episode"], horizon="x")),
+     "ContractViolation"),
+    (lambda h: dict(h, step_params=dict(h["step_params"], dt=True)),
+     "ContractViolation"),
+    (lambda h: dict(h, gen_spec=dict(h["gen_spec"], n_entities=24.0)),
+     "ContractViolation"),
+    (lambda h: dict(h, step_params=dict(h["step_params"], dt=0)),
+     "ConfigError: dt must be > 0"),
+    (lambda h: dict(h, episode=dict(h["episode"], horizon=0)),
+     "ConfigError: horizon must be >= 1"),
+    (lambda h: dict(h, bodies={aid: dict(b, member_ids=b["member_ids"][:1] * 2)
+                               for aid, b in h["bodies"].items()}),
+     "ConfigError: body member ids must be distinct"),
 ], ids=["gen_spec-list", "bodies-list", "episode-string", "header-list",
-        "horizon-string", "dt-bool", "n_entities-float"])
-def test_replay_of_a_malformed_header_fails(header_line, tmp_path, capsys):
+        "horizon-string", "dt-bool", "n_entities-float", "dt-zero",
+        "horizon-zero", "member_ids-duplicate"])
+def test_replay_of_a_malformed_header_fails(header_line, error, tmp_path,
+                                            capsys):
     header, *events = GOLDEN_TRACE.read_text().splitlines()
     bad = tmp_path / "bad_header.ndjson"
     bad.write_text("\n".join([
         canonical_dumps(header_line(json.loads(header))), *events]) + "\n")
     assert run_cli("replay", str(bad)) == 1
-    assert capsys.readouterr().out.startswith(f"FAIL  {bad}")
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL  {bad}")
+    assert f"  {error}" in out
 
 
 def test_replay_names_a_mistyped_header_field(tmp_path):
@@ -258,6 +272,33 @@ def test_replay_of_a_mistyped_event_fails(kind, field, value, tmp_path, capsys):
     assert run_cli("replay", str(bad)) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith(f"FAIL  {bad}")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("sample", "cumulative", None),
+    ("sample", "tick", "x"),
+    ("sample", "agent", ["a"]),
+    ("sample", "cumulative", "0.0"),
+    ("drift", "tick", None),
+    ("drift", "tick", 1.5),
+], ids=["cumulative-missing", "tick-string", "agent-list", "cumulative-string",
+        "drift-tick-missing", "drift-tick-float"])
+def test_report_of_a_mistyped_event_fails(kind, field, value, tmp_path, capsys):
+    lines = GOLDEN_TRACE.read_text().splitlines()
+    n = next(i for i, l in enumerate(lines) if f'"kind":"{kind}"' in l)
+    doc = json.loads(lines[n])
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    lines[n] = canonical_dumps(doc)
+    bad = tmp_path / "bad_event.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("report", str(bad), "--out", str(tmp_path / "m.json")) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"trace {kind} field {field!r}" in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 

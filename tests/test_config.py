@@ -1,19 +1,26 @@
 """Config file format, environment fallback, and override grammar."""
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
 from driftworld.config import (
     ENV_CONFIG,
+    EpisodeConfig,
     RunConfig,
     load_config,
     parse_config_text,
 )
+from driftworld.dynamics import StepParams
 from driftworld.errors import ConfigError
+from driftworld.interface import BodySpec
+from driftworld.metrics import MetricParams
+from driftworld.problems import ProblemParams, ScoreParams
+from driftworld.worldgen import CausationGrammar, DriftSchedule, GenSpec
 
 
 def test_defaults_validate():
     cfg = RunConfig()
-    cfg.validate()
     assert cfg.agents == ("greedy", "random", "null")
     assert cfg.gen.drift.regime_times == (80, 160)
 
@@ -139,7 +146,7 @@ def test_body_helper_covers_arena_by_default():
     body = cfg.body(first_id=8)
     assert body.member_ids == (8, 9, 10, 11)
 
-    cfg.window_halfwidth = 3.5
+    cfg = replace(cfg, window_halfwidth=3.5)
     assert cfg.body().window_halfwidth == 3.5
 
 
@@ -147,20 +154,23 @@ def test_validate_catches_out_of_range_run_fields():
     for field, value in [("body_members", 0), ("resolution", 0),
                          ("f_max", 0.0), ("n_worlds", 0),
                          ("master_seed", -1), ("agents", ())]:
-        cfg = RunConfig()
-        setattr(cfg, field, value)
         with pytest.raises(ConfigError):
-            cfg.validate()
+            RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("params", [
+    CausationGrammar(), DriftSchedule(), GenSpec(seed=0), StepParams(),
+    ProblemParams(), ScoreParams(), MetricParams(), EpisodeConfig(),
+    RunConfig(), BodySpec(member_ids=(0,)),
+], ids=lambda params: type(params).__name__)
+def test_parameter_sets_are_frozen(params):
+    name = fields(params)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(params, name, getattr(params, name))
 
 
 def test_every_parameter_field_has_a_config_key():
-    from dataclasses import fields
-
-    from driftworld.config import _KEYS, EpisodeConfig
-    from driftworld.dynamics import StepParams
-    from driftworld.metrics import MetricParams
-    from driftworld.problems import ProblemParams, ScoreParams
-    from driftworld.worldgen import CausationGrammar, DriftSchedule, GenSpec
+    from driftworld.config import _KEYS
 
     targets = set(_KEYS.values())
     owners = [("step", StepParams), ("problem", ProblemParams),

@@ -263,10 +263,9 @@ def test_drift_applies_inside_step_at_pre_increment_tick():
 
 
 def test_step_params_validation():
-    for bad in (StepParams(dt=0.0), StepParams(v_max=0.0),
-                StepParams(a_max=0.0), StepParams(eps_r=0.0)):
+    for bad in (dict(dt=0.0), dict(v_max=0.0), dict(a_max=0.0), dict(eps_r=0.0)):
         with pytest.raises(ConfigError):
-            bad.validate()
+            StepParams(**bad)
 
 
 def test_snapshot_hash_tracks_state():

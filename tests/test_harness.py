@@ -8,6 +8,7 @@ audited through the same artifact external auditors would use.
 import functools
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from driftworld.harness import (
     run_stage2,
 )
 from driftworld.metrics import AgentMetrics, MetricParams
+from driftworld.problems import ProblemParams
 from driftworld.rng import derive_world_seed
 from driftworld.trace import read_trace
 from driftworld.worldgen import DriftSchedule, GenSpec, generate_world
@@ -38,13 +40,9 @@ from test_golden import CASES as GOLDEN_CASES
 
 
 def small_config(**episode_kw):
-    cfg = RunConfig()
-    cfg.gen = GenSpec(seed=5, n_levels=2,
-                      drift=DriftSchedule(regime_times=(25, 40)))
-    cfg.episode.horizon = 60
-    for key, value in episode_kw.items():
-        setattr(cfg.episode, key, value)
-    return cfg
+    return RunConfig(gen=GenSpec(seed=5, n_levels=2,
+                                 drift=DriftSchedule(regime_times=(25, 40))),
+                     episode=EpisodeConfig(**{"horizon": 60, **episode_kw}))
 
 
 def run_one(cfg, kind, live_path=None, disc_path=None):
@@ -144,9 +142,8 @@ def test_problem_lifecycle_arithmetic(tmp_path):
 
 
 def test_null_agent_times_out_on_schedule_and_scores_zero():
-    cfg = small_config()
-    cfg.gen = GenSpec(seed=5)  # no drift: pure timeout cadence
-    cfg.episode.max_problems = 2
+    # no drift: pure timeout cadence
+    cfg = replace(small_config(max_problems=2), gen=GenSpec(seed=5))
     _, result = run_one(cfg, "null")
     closures = result.closures["null"]
     assert len(closures) == 2
@@ -159,10 +156,10 @@ def test_null_agent_times_out_on_schedule_and_scores_zero():
 
 
 def test_problems_per_regime_resets_at_drift():
-    cfg = small_config()
-    cfg.gen = GenSpec(seed=5, n_levels=2, drift=DriftSchedule(regime_times=(20,)))
-    cfg.problem.timeout = 30
-    cfg.episode.problems_per_regime = 1
+    cfg = replace(small_config(problems_per_regime=1),
+                  gen=GenSpec(seed=5, n_levels=2,
+                              drift=DriftSchedule(regime_times=(20,))),
+                  problem=ProblemParams(timeout=30))
     _, result = run_one(cfg, "null")
     # One problem per regime: the second slot opens only because the
     # drift at tick 20 reset the segment budget.
@@ -170,10 +167,8 @@ def test_problems_per_regime_resets_at_drift():
 
 
 def test_sample_cadence():
-    cfg = small_config()
-    cfg.gen = GenSpec(seed=5)
-    cfg.episode.horizon = 35
-    cfg.episode.sample_every = 10
+    cfg = replace(small_config(horizon=35, sample_every=10),
+                  gen=GenSpec(seed=5))
     _, result = run_one(cfg, "null")
     assert [t for t, _ in result.samples["null"]] == [10, 20, 30, 35]
 
@@ -189,6 +184,11 @@ def test_unique_ids_and_disjoint_bodies_enforced():
     with pytest.raises(ConfigError):
         run_episode(world, [mk("x"), mk("y")], cfg.step, cfg.problem,
                     cfg.score, cfg.episode)  # same body twice
+    far = cfg.body(first_id=cfg.gen.n_entities - 1)
+    with pytest.raises(ConfigError, match="out of range"):
+        run_episode(world, [Slot(agent_id="x", agent=make_agent("null", far, 2),
+                                 body=far)],
+                    cfg.step, cfg.problem, cfg.score, cfg.episode)
 
 
 def test_scripted_agent_requires_recorded_ticks():
@@ -203,9 +203,7 @@ def test_scripted_agent_requires_recorded_ticks():
 
 
 def test_stage1_report_shape_and_derived_seeds():
-    cfg = small_config()
-    cfg.agents = ("greedy", "null")
-    cfg.n_worlds = 2
+    cfg = replace(small_config(), agents=("greedy", "null"), n_worlds=2)
     report = run_stage1(cfg)
     assert report.stage == 1
     assert report.agent_ids == ["greedy", "null"]
@@ -248,12 +246,10 @@ def test_summary_means_ranks_and_counts_wins_over_worlds():
 
 def test_stage1_refuses_oracle_and_duplicates():
     cfg = small_config()
-    cfg.agents = ("oracle",)
     with pytest.raises(ContractViolation):
-        run_stage1(cfg)
-    cfg.agents = ("null", "null")
+        run_stage1(replace(cfg, agents=("oracle",)))
     with pytest.raises(ConfigError):
-        run_stage1(cfg)
+        run_stage1(replace(cfg, agents=("null", "null")))
 
 
 def see_cpus(monkeypatch, n):
@@ -312,9 +308,7 @@ def test_stage1_runs_here_while_run_episode_is_wrapped(monkeypatch):
     monkeypatch.setattr(harness, "run_episode", counting)
     monkeypatch.setattr(multiprocessing, "get_context", None)
     see_cpus(monkeypatch, 3)
-    cfg = small_config()
-    cfg.agents = ("greedy", "null")
-    cfg.n_worlds = 2
+    cfg = replace(small_config(), agents=("greedy", "null"), n_worlds=2)
     run_stage1(cfg)
     assert seen == [os.getpid()] * 4
 
@@ -329,16 +323,13 @@ def test_stage1_refuses_oracle_before_any_world_or_process(monkeypatch, cpus):
     monkeypatch.setattr(multiprocessing, "get_context", forbidden)
     cfg = small_config()
     for agents in (("oracle",), ("greedy", "oracle")):
-        cfg.agents = agents
         with pytest.raises(ContractViolation, match="calibration-only"):
-            run_stage1(cfg)
+            run_stage1(replace(cfg, agents=agents))
 
 
 def test_missing_trace_directory_fails_the_same_on_both_paths(monkeypatch,
                                                               tmp_path):
-    cfg = small_config()
-    cfg.agents = ("greedy", "null")
-    cfg.n_worlds = 2
+    cfg = replace(small_config(), agents=("greedy", "null"), n_worlds=2)
     missing = str(tmp_path / "missing")
     errors = []
     for cpus in (1, 3):
@@ -355,8 +346,7 @@ def test_missing_trace_directory_fails_the_same_on_both_paths(monkeypatch,
 
 
 def test_stage2_shared_world_disjoint_bodies():
-    cfg = small_config()
-    cfg.agents = ("greedy", "null")
+    cfg = replace(small_config(), agents=("greedy", "null"))
     report = run_stage2(cfg)
     assert report.stage == 2
     assert report.agent_ids == ["a0_greedy", "a1_null"]
@@ -369,16 +359,14 @@ def test_stage2_shared_world_disjoint_bodies():
 
 
 def test_stage2_rejects_oversubscribed_world():
-    cfg = small_config()
-    cfg.agents = ("greedy", "random", "null")
-    cfg.body_members = 8  # 24 members > 16 entities
+    cfg = replace(small_config(), agents=("greedy", "random", "null"),
+                  body_members=8)  # 24 members > 16 entities
     with pytest.raises(ConfigError):
         run_stage2(cfg)
 
 
 def test_stage2_refuses_oracle():
-    cfg = small_config()
-    cfg.agents = ("greedy", "oracle")
+    cfg = replace(small_config(), agents=("greedy", "oracle"))
     with pytest.raises(ContractViolation):
         run_stage2(cfg)
 
@@ -439,8 +427,7 @@ def test_replay_rejects_live_traces(tmp_path):
 
 
 def test_replay_keeps_regenerated_copy(tmp_path):
-    cfg = small_config()
-    cfg.episode.horizon = 30
+    cfg = small_config(horizon=30)
     disc = str(tmp_path / "episode.ndjson")
     run_one(cfg, "null", disc_path=disc)
     kept = str(tmp_path / "regen.ndjson")

@@ -24,14 +24,14 @@ from conftest import flat_quiet_spec
 
 def test_body_spec_validation():
     with pytest.raises(ConfigError):
-        BodySpec(member_ids=()).validate()
+        BodySpec(member_ids=())
     with pytest.raises(ConfigError):
-        BodySpec(member_ids=(0, 0)).validate()
+        BodySpec(member_ids=(0, 0))
     with pytest.raises(ConfigError):
-        BodySpec(member_ids=(0,), resolution=0).validate()
+        BodySpec(member_ids=(0,), resolution=0)
     with pytest.raises(ConfigError):
-        BodySpec(member_ids=(0,), f_max=0.0).validate()
-    BodySpec(member_ids=(0, 1)).validate()
+        BodySpec(member_ids=(0,), f_max=0.0)
+    BodySpec(member_ids=(0, 1))
 
 
 def test_body_rows_are_member_ids_read_only_and_built_once():

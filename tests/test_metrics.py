@@ -264,18 +264,18 @@ def test_rank_ties_break_on_plateau_then_acquisition_then_id():
 
 def test_params_validation():
     cases = [
-        MetricParams(window_halfwidth=0),
-        MetricParams(theta=0.0),
-        MetricParams(theta=1.5),
-        MetricParams(tail_frac=0.0),
-        MetricParams(pre_window=0),
-        MetricParams(post_window=0),
-        MetricParams(weights=(1, 1, -1)),
-        MetricParams(weights=(0, 0, 0)),
+        dict(window_halfwidth=0),
+        dict(theta=0.0),
+        dict(theta=1.5),
+        dict(tail_frac=0.0),
+        dict(pre_window=0),
+        dict(post_window=0),
+        dict(weights=(1, 1, -1)),
+        dict(weights=(0, 0, 0)),
     ]
-    for params in cases:
+    for kw in cases:
         with pytest.raises(ConfigError):
-            params.validate()
+            MetricParams(**kw)
 
 
 # ----------------------------------------------------------- reference curves

@@ -7,7 +7,7 @@ import pytest
 from driftworld.canon import canonical_dumps, to_doc
 from driftworld.config import RunConfig
 from driftworld.dynamics import StepParams, step
-from driftworld.errors import ContractViolation
+from driftworld.errors import ConfigError, ContractViolation
 from driftworld.interface import BodySpec, forces_to_accel, sense
 from driftworld.problems import (
     Problem,
@@ -276,13 +276,13 @@ def test_normalized_score_discounts():
 
 
 def test_problem_params_validation():
-    with pytest.raises(Exception):
-        ProblemParams(scriptor_len=0).validate()
-    with pytest.raises(Exception):
-        ProblemParams(epsilon=-0.1).validate()
-    with pytest.raises(Exception):
-        ProblemParams(timeout=0).validate()
-    ProblemParams().validate()
+    with pytest.raises(ConfigError):
+        ProblemParams(scriptor_len=0)
+    with pytest.raises(ConfigError):
+        ProblemParams(epsilon=-0.1)
+    with pytest.raises(ConfigError):
+        ProblemParams(timeout=0)
+    ProblemParams()
 
 
 def test_deadline_counts_from_issue_tick():

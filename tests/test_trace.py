@@ -11,7 +11,7 @@ import pytest
 
 from driftworld.agents import GreedyAgent, make_agent
 from driftworld.canon import canonical_dumps
-from driftworld.config import RunConfig
+from driftworld.config import EpisodeConfig, RunConfig
 from driftworld.errors import ContractViolation
 from driftworld.harness import Slot, run_episode
 from driftworld.trace import (
@@ -90,8 +90,7 @@ def test_crashed_episode_leaves_neither_trace_behind(tmp_path):
                 raise RuntimeError("agent crashed at tick 5")
             return super().act(observation)
 
-    cfg = RunConfig()
-    cfg.episode.horizon = 20
+    cfg = RunConfig(episode=EpisodeConfig(horizon=20))
     body = cfg.body()
     live, disc = str(tmp_path / "live.ndjson"), str(tmp_path / "disc.ndjson")
 
@@ -252,9 +251,8 @@ def test_same_bytes_on_equal_and_unequal(tmp_path):
 
 
 def run_traced_episode(tmp_path, tag):
-    cfg = RunConfig()
-    cfg.gen = GenSpec(seed=4, drift=DriftSchedule(regime_times=(25,)))
-    cfg.episode.horizon = 60
+    cfg = RunConfig(gen=GenSpec(seed=4, drift=DriftSchedule(regime_times=(25,))),
+                    episode=EpisodeConfig(horizon=60))
     body = cfg.body()
     world = generate_world(cfg.gen)
     slot = Slot(agent_id="greedy", agent=make_agent("greedy", body, 2), body=body)
@@ -332,9 +330,8 @@ def test_sink_keeps_unlisted_kinds_and_fields_out_of_the_live_tier(tmp_path):
 
 
 def test_agent_sees_exactly_the_live_problem(tmp_path):
-    cfg = RunConfig()
-    cfg.gen = GenSpec(seed=4, drift=DriftSchedule(regime_times=(25,)))
-    cfg.episode.horizon = 60
+    cfg = RunConfig(gen=GenSpec(seed=4, drift=DriftSchedule(regime_times=(25,))),
+                    episode=EpisodeConfig(horizon=60))
     body = cfg.body()
     agent = make_agent("greedy", body, 2)
     received = []

@@ -244,32 +244,31 @@ def test_drift_resamples_at_regime_times():
 
 
 def test_drift_level_zero_rejected():
-    spec = GenSpec(seed=1, n_levels=2,
-                   drift=DriftSchedule(regime_times=(4,), drift_levels=(0,)))
-    with pytest.raises(ConfigError):
-        spec.validate()
+    with pytest.raises(ConfigError, match="level 0"):
+        GenSpec(seed=1, n_levels=2,
+                drift=DriftSchedule(regime_times=(4,), drift_levels=(0,)))
 
 
 def test_active_drift_needs_a_level():
-    spec = GenSpec(seed=1, n_levels=1, drift=DriftSchedule(regime_times=(4,)))
-    with pytest.raises(ConfigError):
-        spec.validate()
+    with pytest.raises(ConfigError, match="no level"):
+        GenSpec(seed=1, n_levels=1, drift=DriftSchedule(regime_times=(4,)))
 
 
 def test_spec_validation_errors():
     bad = [
-        GenSpec(seed=-1),
-        GenSpec(seed=1 << 64),
-        GenSpec(seed=0, n_entities=1),
-        GenSpec(seed=0, polarity_ratio=0.0),
-        GenSpec(seed=0, polarity_ratio=1.0),
-        GenSpec(seed=0, arena_extent=0.0),
-        GenSpec(seed=0, grammar=CausationGrammar(basis=("warp",))),
-        GenSpec(seed=0, grammar=CausationGrammar(base_damping=2.0)),
+        lambda: GenSpec(seed=-1),
+        lambda: GenSpec(seed=1 << 64),
+        lambda: GenSpec(seed=0, n_entities=1),
+        lambda: GenSpec(seed=0, polarity_ratio=0.0),
+        lambda: GenSpec(seed=0, polarity_ratio=1.0),
+        lambda: GenSpec(seed=0, arena_extent=0.0),
+        lambda: GenSpec(seed=0, grammar=CausationGrammar(basis=("warp",))),
+        lambda: GenSpec(seed=0, grammar=CausationGrammar(base_damping=2.0)),
+        lambda: GenSpec(seed=0, n_levels=2, drift=DriftSchedule(drift_levels=(2,))),
     ]
-    for spec in bad:
+    for build in bad:
         with pytest.raises(ConfigError):
-            spec.validate()
+            build()
 
 
 @settings(max_examples=25, deadline=None)
@@ -292,4 +291,4 @@ def test_quiet_fixture_has_single_level(quiet_world):
 
 
 def test_flat_quiet_spec_is_valid():
-    flat_quiet_spec(0).validate()
+    assert isinstance(flat_quiet_spec(0), GenSpec)
