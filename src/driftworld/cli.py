@@ -126,10 +126,15 @@ def cmd_run(args) -> int:
 
 def cmd_stage1(args) -> int:
     from .config import load_config
-    from .harness import run_stage1
+    from .harness import _stage1_paths, run_stage1
 
     cfg = load_config(args.config, args.overrides)
-    _check_out(args.out, args.force)
+    paths = [args.out]
+    if args.trace_dir:
+        paths += [path for i in range(cfg.n_worlds) for kind in cfg.agents
+                  for path in _stage1_paths(args.trace_dir, i, kind)]
+    for path in paths:
+        _check_out(path, args.force)
     report = run_stage1(cfg, outdir=args.trace_dir,
                         write_traces=args.trace_dir is not None)
     _print_ranking(report)
@@ -194,7 +199,6 @@ def cmd_report(args) -> int:
     from .trace import read_trace, typed
 
     cfg = load_config(args.config, args.overrides)
-    _check_out(args.out, args.force)
     _, events = read_trace(args.trace)
     samples: dict[str, list[tuple[int, float]]] = {}
     marks: list[int] = []
@@ -209,6 +213,12 @@ def cmd_report(args) -> int:
             marks.append(typed(doc, "tick", int, "trace drift"))
     if not samples:
         raise InsufficientDataError("trace holds no score samples")
+    csv_paths = {}
+    if args.rates_csv:
+        csv_paths = {agent_id: os.path.join(args.rates_csv, f"{agent_id}.csv")
+                     for agent_id in samples}
+    for path in (args.out, *csv_paths.values()):
+        _check_out(path, args.force)
     entries = []
     per_agent = {}
     for agent_id, agent_samples in sorted(samples.items()):
@@ -225,8 +235,8 @@ def cmd_report(args) -> int:
         os.makedirs(args.rates_csv, exist_ok=True)
         for agent_id, agent_samples in sorted(samples.items()):
             rates = rate_curve(agent_samples, cfg.metric.window_halfwidth)
-            with open(os.path.join(args.rates_csv, f"{agent_id}.csv"),
-                      "w", newline="", encoding="utf-8") as fh:
+            with open(csv_paths[agent_id], "w", newline="",
+                      encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["tick", "rate"])
                 for (tick, _), rate in zip(agent_samples, rates):

@@ -1,17 +1,18 @@
 """Run configuration: the full parameter bundle and a small file format.
 
 Config files are line oriented, `dotted.key = value`, with `#` comments.
-Each key sets one dataclass field, and the field's annotation is the
-value's type: lists are comma separated, `none` clears an optional, and
-`auto` asks for the derived default.  Command-line overrides use the
-same `key=value` grammar, so one parser serves both.  Every parameter
-set checks itself when it is built and is frozen, so a config that
-exists is a valid one.
+The parameter classes are the only schema: each key is the dotted path
+below RunConfig of the dataclass field it sets (`_RENAMED` shortens a
+few), and the field's annotation is the value's type: lists are comma
+separated, `none` clears an optional, and `auto` asks for the derived
+default.  Command-line overrides use the same `key=value` grammar, so
+one parser serves both.  Every parameter set checks itself when it is
+built and is frozen, so a config that exists is a valid one.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import os
 import typing
 from dataclasses import dataclass, field
@@ -112,66 +113,41 @@ class RunConfig:
 
 # -- key table -------------------------------------------------------------
 
-_KEYS: dict[str, str] = {
-    "gen.seed": "gen.seed",
-    "gen.n_entities": "gen.n_entities",
-    "gen.dim": "gen.dim",
-    "gen.polarity_ratio": "gen.polarity_ratio",
-    "gen.n_levels": "gen.n_levels",
-    "gen.arena_extent": "gen.arena_extent",
-    "grammar.basis": "gen.grammar.basis",
-    "grammar.max_terms": "gen.grammar.max_terms",
-    "grammar.coeff_range": "gen.grammar.coeff_range",
-    "grammar.polarity_coupling": "gen.grammar.polarity_coupling",
-    "grammar.damping_scale": "gen.grammar.damping_scale",
-    "grammar.base_damping": "gen.grammar.base_damping",
-    "drift.regime_times": "gen.drift.regime_times",
-    "drift.smooth_rate": "gen.drift.smooth_rate",
-    "drift.drift_levels": "gen.drift.drift_levels",
-    "step.dt": "step.dt",
-    "step.v_max": "step.v_max",
-    "step.a_max": "step.a_max",
-    "step.eps_r": "step.eps_r",
-    "problem.scriptor_len": "problem.scriptor_len",
-    "problem.epsilon": "problem.epsilon",
-    "problem.timeout": "problem.timeout",
-    "problem.impulse_floor": "problem.impulse_floor",
-    "score.s_max": "score.s_max",
-    "score.lam_model": "score.lam_model",
-    "score.lam_compute": "score.lam_compute",
-    "metric.window_halfwidth": "metric.window_halfwidth",
-    "metric.theta": "metric.theta",
-    "metric.tail_frac": "metric.tail_frac",
-    "metric.pre_window": "metric.pre_window",
-    "metric.post_window": "metric.post_window",
-    "metric.weights": "metric.weights",
-    "episode.horizon": "episode.horizon",
-    "episode.snapshot_every": "episode.snapshot_every",
-    "episode.sample_every": "episode.sample_every",
-    "episode.problems_per_regime": "episode.problems_per_regime",
-    "episode.max_problems": "episode.max_problems",
-    "episode.stop_after_problems": "episode.stop_after_problems",
-    "episode.budget_s": "episode.budget_s",
-    "body.members": "body_members",
-    "body.resolution": "resolution",
-    "body.window_halfwidth": "window_halfwidth",
-    "body.f_max": "f_max",
-    "run.agents": "agents",
-    "run.n_worlds": "n_worlds",
-    "run.master_seed": "master_seed",
+#: The only hand-written part of the key table.  Every other key is its
+#: field's dotted path below RunConfig.
+_RENAMED = {
+    "gen.grammar": "grammar",
+    "gen.drift": "drift",
+    "body_members": "body.members",
+    "resolution": "body.resolution",
+    "window_halfwidth": "body.window_halfwidth",
+    "f_max": "body.f_max",
+    "agents": "run.agents",
+    "n_worlds": "run.n_worlds",
+    "master_seed": "run.master_seed",
 }
+
+
+def _walk(cls, path: str = "", key: str = ""):
+    """(key, dotted field path, annotation) of every leaf field below a
+    dataclass, recursing into nested dataclasses."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        sub_path = path + f.name
+        sub_key = _RENAMED.get(sub_path, key + f.name)
+        tp = hints[f.name]
+        if dataclasses.is_dataclass(tp):
+            yield from _walk(tp, sub_path + ".", sub_key + ".")
+        else:
+            yield sub_key, sub_path, tp
+
+
+_LEAVES = list(_walk(RunConfig))
+_KEYS: dict[str, str] = {key: path for key, path, _ in _LEAVES}
+_TYPES: dict[str, object] = {key: tp for key, _, tp in _LEAVES}
 
 _TRUE = ("true", "1", "yes", "on")
 _FALSE = ("false", "0", "no", "off")
-
-
-@functools.cache
-def _annotation(dotted: str):
-    """The annotation of the field a dotted path names below RunConfig."""
-    tp = RunConfig
-    for part in dotted.split("."):
-        tp = typing.get_type_hints(tp)[part]
-    return tp
 
 
 def _parse(tp, raw: str):
@@ -204,7 +180,7 @@ def _parse(tp, raw: str):
 def _coerce(key: str, raw: str):
     raw = raw.strip()
     try:
-        return _parse(_annotation(_KEYS[key]), raw)
+        return _parse(_TYPES[key], raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 

@@ -418,6 +418,12 @@ class StageReport:
         return {**to_doc(self), "lower_bound": True}
 
 
+def _stage1_paths(outdir: str, i: int, kind: str) -> tuple[str, str]:
+    """The live and disclosure trace paths of stage-one cell (i, kind)."""
+    stem = os.path.join(outdir, f"w{i}_{kind}")
+    return f"{stem}.live.ndjson", f"{stem}.disclosure.ndjson"
+
+
 def _stage1_job(config: RunConfig, i: int, kind: str, outdir: str | None
                 ) -> tuple[AgentMetrics, dict]:
     """One stage-one cell: `kind` alone on world `i`, traced into outdir
@@ -427,8 +433,7 @@ def _stage1_job(config: RunConfig, i: int, kind: str, outdir: str | None
     slot = _make_slot(kind, config, seed, 0, multi=False)
     live_path = disc_path = None
     if outdir:
-        live_path = os.path.join(outdir, f"w{i}_{kind}.live.ndjson")
-        disc_path = os.path.join(outdir, f"w{i}_{kind}.disclosure.ndjson")
+        live_path, disc_path = _stage1_paths(outdir, i, kind)
     result = run_episode(
         world, [slot], config.step, config.problem, config.score,
         config.episode, live_path=live_path, disclosure_path=disc_path,

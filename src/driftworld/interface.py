@@ -106,8 +106,6 @@ def sense(world: World, body: BodySpec) -> SenseGrid:
     Counts every basic entity (members included) whose minimal-image
     offset from the centroid lies inside the square window.
     """
-    if world.spec.dim != 2:
-        raise ContractViolation("the grid sensor is defined for dim == 2 worlds")
     res = body.resolution
     half = body.window_halfwidth
     center = body_centroid(world, body)

@@ -110,7 +110,7 @@ class GenSpec:
 
     seed: int
     n_entities: int = 16
-    dim: int = 2
+    dim: int = 2  # only 2 can run; a field so trace headers keep their bytes
     polarity_ratio: float = 0.5
     n_levels: int = 2
     grammar: CausationGrammar = field(default_factory=CausationGrammar)
@@ -122,8 +122,8 @@ class GenSpec:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if self.n_entities < 2:
             raise ConfigError("n_entities must be >= 2")
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
+        if self.dim != 2:
+            raise ConfigError("dim must be 2: the density sensor reads 2-D worlds only")
         if not 0.0 < self.polarity_ratio < 1.0:
             raise ConfigError("polarity_ratio must lie strictly between 0 and 1")
         if self.n_levels < 1:
@@ -446,14 +446,14 @@ def generate_world(spec: GenSpec) -> World:
     return build_hierarchy(world)
 
 
-def apply_drift(world: World, rng: np.random.Generator | None = None) -> list[dict]:
+def apply_drift(world: World) -> list[dict]:
     """Resample drifting laws at regime times; random-walk coefficients if enabled.
 
     Returns the drift events recorded this tick (regime resamples only).
     Level-0 laws are never touched.
     """
     spec = world.spec
-    stream = rng if rng is not None else world.stream("drift")
+    stream = world.stream("drift")
     drift_levels = spec.drift.resolve_levels(spec.n_levels)
     events: list[dict] = []
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from driftworld import cli
+from driftworld import cli, harness
 from driftworld.canon import canonical_dumps
 from driftworld.cli import main
 from driftworld.config import ENV_CONFIG
@@ -65,6 +65,25 @@ def test_existing_output_needs_force(tmp_path, capsys):
     assert run_cli("gen", "--set", "gen.seed=3", "--out", str(out),
                    "--force") == 0
     assert out.read_text() != "precious\n"
+
+
+def test_gen_refuses_a_world_no_episode_can_run(tmp_path, capsys):
+    out = tmp_path / "world.json"
+    assert run_cli("gen", "--set", "gen.dim=3", "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("error: dim must be 2")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "stage1", "stage2", "oracle"])
+def test_episode_commands_refuse_other_dims_before_generating(
+        command, monkeypatch, capsys):
+    def generate_world(spec):
+        raise AssertionError("a world was generated")
+
+    monkeypatch.setattr(cli, "generate_world", generate_world)
+    monkeypatch.setattr(harness, "generate_world", generate_world)
+    assert run_cli(command, *BASE, "--set", "gen.dim=1") == 3
+    assert capsys.readouterr().err.startswith("error: dim must be 2")
 
 
 # ----------------------------------------------------------------------- run
@@ -212,9 +231,11 @@ GOLDEN_TRACE = Path(__file__).parent / "golden" / "stage2.disclosure.ndjson"
     (lambda h: dict(h, bodies={aid: dict(b, member_ids=b["member_ids"][:1] * 2)
                                for aid, b in h["bodies"].items()}),
      "ConfigError: body member ids must be distinct"),
+    (lambda h: dict(h, gen_spec=dict(h["gen_spec"], dim=3)),
+     "ConfigError: dim must be 2"),
 ], ids=["gen_spec-list", "bodies-list", "episode-string", "header-list",
         "horizon-string", "dt-bool", "n_entities-float", "dt-zero",
-        "horizon-zero", "member_ids-duplicate"])
+        "horizon-zero", "member_ids-duplicate", "dim-three"])
 def test_replay_of_a_malformed_header_fails(header_line, error, tmp_path,
                                             capsys):
     header, *events = GOLDEN_TRACE.read_text().splitlines()
@@ -338,6 +359,24 @@ def test_report_writes_rate_curve_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_report_rates_csv_needs_force(tmp_path, capsys):
+    live = tmp_path / "live.ndjson"
+    assert run_cli("run", *BASE, "--agent", "greedy", "--live", str(live)) == 0
+    csv_dir = tmp_path / "rates"
+    csv_dir.mkdir()
+    (csv_dir / "greedy.csv").write_text("precious\n")
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert run_cli("report", str(live), "--out", str(out),
+                   "--rates-csv", str(csv_dir)) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (csv_dir / "greedy.csv").read_text() == "precious\n"
+    assert not out.exists()
+    assert run_cli("report", str(live), "--out", str(out),
+                   "--rates-csv", str(csv_dir), "--force") == 0
+    assert (csv_dir / "greedy.csv").read_text().startswith("tick,rate")
+
+
 def test_report_needs_samples(tmp_path, capsys):
     bare = tmp_path / "bare.ndjson"
     bare.write_text('{"kind":"header","mode":"live"}\n')
@@ -371,6 +410,19 @@ def test_stage1_cli_missing_trace_dir_exits_five(cpus, monkeypatch, tmp_path,
     assert rc == 5
     assert capsys.readouterr().err.startswith("i/o error: ")
     assert not multiprocessing.active_children()
+
+
+def test_stage1_cli_traces_need_force(tmp_path, capsys):
+    argv = ["stage1", *BASE, "--set", "run.agents=greedy,null",
+            "--set", "run.n_worlds=2", "--trace-dir", str(tmp_path)]
+    assert run_cli(*argv) == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(first) == 8 and "w1_null.disclosure.ndjson" in first
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+    assert run_cli(*argv, "--force") == 0
 
 
 def test_oracle_cli(tmp_path, capsys):

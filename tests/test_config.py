@@ -1,6 +1,6 @@
 """Config file format, environment fallback, and override grammar."""
 
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import pytest
 
@@ -167,6 +167,82 @@ def test_parameter_sets_are_frozen(params):
     name = fields(params)[0].name
     with pytest.raises(FrozenInstanceError):
         setattr(params, name, getattr(params, name))
+
+
+#: The key table as it was written out by hand before it was derived
+#: from the parameter classes.
+REFERENCE = {
+    "gen.seed": "gen.seed",
+    "gen.n_entities": "gen.n_entities",
+    "gen.dim": "gen.dim",
+    "gen.polarity_ratio": "gen.polarity_ratio",
+    "gen.n_levels": "gen.n_levels",
+    "gen.arena_extent": "gen.arena_extent",
+    "grammar.basis": "gen.grammar.basis",
+    "grammar.max_terms": "gen.grammar.max_terms",
+    "grammar.coeff_range": "gen.grammar.coeff_range",
+    "grammar.polarity_coupling": "gen.grammar.polarity_coupling",
+    "grammar.damping_scale": "gen.grammar.damping_scale",
+    "grammar.base_damping": "gen.grammar.base_damping",
+    "drift.regime_times": "gen.drift.regime_times",
+    "drift.smooth_rate": "gen.drift.smooth_rate",
+    "drift.drift_levels": "gen.drift.drift_levels",
+    "step.dt": "step.dt",
+    "step.v_max": "step.v_max",
+    "step.a_max": "step.a_max",
+    "step.eps_r": "step.eps_r",
+    "problem.scriptor_len": "problem.scriptor_len",
+    "problem.epsilon": "problem.epsilon",
+    "problem.timeout": "problem.timeout",
+    "problem.impulse_floor": "problem.impulse_floor",
+    "score.s_max": "score.s_max",
+    "score.lam_model": "score.lam_model",
+    "score.lam_compute": "score.lam_compute",
+    "metric.window_halfwidth": "metric.window_halfwidth",
+    "metric.theta": "metric.theta",
+    "metric.tail_frac": "metric.tail_frac",
+    "metric.pre_window": "metric.pre_window",
+    "metric.post_window": "metric.post_window",
+    "metric.weights": "metric.weights",
+    "episode.horizon": "episode.horizon",
+    "episode.snapshot_every": "episode.snapshot_every",
+    "episode.sample_every": "episode.sample_every",
+    "episode.problems_per_regime": "episode.problems_per_regime",
+    "episode.max_problems": "episode.max_problems",
+    "episode.stop_after_problems": "episode.stop_after_problems",
+    "episode.budget_s": "episode.budget_s",
+    "body.members": "body_members",
+    "body.resolution": "resolution",
+    "body.window_halfwidth": "window_halfwidth",
+    "body.f_max": "f_max",
+    "run.agents": "agents",
+    "run.n_worlds": "n_worlds",
+    "run.master_seed": "master_seed",
+}
+
+
+def test_derived_keys_match_the_reference():
+    from driftworld.config import _KEYS
+
+    assert _KEYS == REFERENCE
+
+
+@dataclass(frozen=True)
+class _Inner:
+    added: float = 1.0
+
+
+@dataclass(frozen=True)
+class _Outer:
+    inner: _Inner = _Inner()
+    count: int = 0
+
+
+def test_a_new_nested_field_gets_a_key():
+    from driftworld.config import _walk
+
+    assert list(_walk(_Outer)) == [("inner.added", "inner.added", float),
+                                   ("count", "count", int)]
 
 
 def test_every_parameter_field_has_a_config_key():

@@ -311,11 +311,21 @@ _KERNEL_DIGESTS = {
 }
 
 
+def _spec_of_dim(dim: int, **values) -> GenSpec:
+    """A GenSpec of any dimension.  GenSpec refuses every dim but 2,
+    because the sensor is 2-D, but the kernel takes its dimension from
+    the array shape; its tests reach 1-D and 3-D worlds through this
+    spec, whose frozen `dim` is set after the checks ran."""
+    spec = GenSpec(dim=2, **values)
+    object.__setattr__(spec, "dim", dim)
+    return spec
+
+
 def _kernel_outputs(n: int, dim: int) -> list[np.ndarray]:
     """`_level_accel` on every level of a stepped 3-level world, under its
     own law and `_ALL_TERMS`, with the default cap and with a cap low
     enough that the clamp rescales pairs."""
-    world = generate_world(GenSpec(seed=31 + n, n_entities=n, dim=dim, n_levels=3))
+    world = generate_world(_spec_of_dim(dim, seed=31 + n, n_entities=n, n_levels=3))
     for _ in range(3):
         step(world, StepParams())
     extent = world.spec.arena_extent
@@ -393,7 +403,7 @@ def _reference_level_accel(positions, velocities, polarity, inertia, law,
 
 def _level_inputs(seed: int, n: int, dim: int, law: CausationLaw | None = None):
     """Ground-level kernel arguments of a stepped one-level world."""
-    world = generate_world(GenSpec(seed=seed, n_entities=n, dim=dim, n_levels=1))
+    world = generate_world(_spec_of_dim(dim, seed=seed, n_entities=n, n_levels=1))
     step(world, StepParams())
     return [world.positions, world.velocities, world.polarity, world.inertia,
             law or world.laws[0], world.spec.arena_extent]

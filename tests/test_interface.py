@@ -166,14 +166,6 @@ def test_sense_windowed_excludes_far_entities():
     assert reading.grid.sum() == 2  # self and the close neighbor
 
 
-def test_sense_requires_two_dims():
-    spec = GenSpec(seed=3, n_entities=4, dim=3, n_levels=1)
-    world = generate_world(spec)
-    body = BodySpec(member_ids=(0,))
-    with pytest.raises(ContractViolation):
-        sense(world, body)
-
-
 def test_sense_payload_and_hash():
     world = generate_world(flat_quiet_spec(4))
     body = BodySpec(member_ids=(0, 1))

@@ -271,6 +271,12 @@ def test_spec_validation_errors():
             build()
 
 
+@pytest.mark.parametrize("dim", [0, 1, 3])
+def test_spec_refuses_dims_other_than_two(dim):
+    with pytest.raises(ConfigError, match="density sensor reads 2-D worlds only"):
+        GenSpec(seed=0, dim=dim)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
