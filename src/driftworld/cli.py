@@ -215,6 +215,12 @@ def cmd_report(args) -> int:
         raise InsufficientDataError("trace holds no score samples")
     csv_paths = {}
     if args.rates_csv:
+        for agent_id in samples:
+            # the id names a file inside --rates-csv, never a path out of it
+            if agent_id in ("", ".", "..") or any(
+                    sep and sep in agent_id for sep in ("/", "\0", os.sep, os.altsep)):
+                raise ContractViolation(
+                    f"agent id {agent_id!r} is not a plain file name")
         csv_paths = {agent_id: os.path.join(args.rates_csv, f"{agent_id}.csv")
                      for agent_id in samples}
     for path in (args.out, *csv_paths.values()):

@@ -101,7 +101,11 @@ def _axis_sum_of_squares(planes: np.ndarray, out: np.ndarray,
 
 
 def _radial_power(r_eff: np.ndarray, exponent: int, out: np.ndarray) -> np.ndarray:
-    """`r_eff ** exponent` into `out`, by the same ufunc `**` dispatches to."""
+    """`r_eff ** exponent` into `out`, for every exponent in `RADIAL_EXPONENT`.
+
+    Only products and one division, which IEEE 754 rounds exactly, so
+    the bits do not depend on the CPU's SIMD dispatch; `np.power` does.
+    """
     if exponent == 0:
         out.fill(1.0)
     elif exponent == 1:
@@ -110,8 +114,11 @@ def _radial_power(r_eff: np.ndarray, exponent: int, out: np.ndarray) -> np.ndarr
         np.square(r_eff, out=out)
     elif exponent == -1:
         np.reciprocal(r_eff, out=out)
+    elif exponent == -2:
+        np.multiply(r_eff, r_eff, out=out)
+        np.divide(1.0, out, out=out)
     else:
-        np.power(r_eff, float(exponent), out=out)
+        raise ValueError(f"no exact form for radial exponent {exponent}")
     return out
 
 

@@ -12,12 +12,13 @@ coefficients or exact entity coordinates.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .canon import canonical_hash
 from .errors import ConfigError, ContractViolation
 from .worldgen import World, minimal_image, wrap_positions
 
@@ -70,10 +71,14 @@ class SenseGrid:
         return {"tick": self.tick, "grid": self.grid.tolist()}
 
     def hash(self) -> str:
-        return canonical_hash(
-            {"tick": self.tick, "centroid": self.centroid.tolist(),
-             "grid": self.grid.tolist()}
-        )
+        """Hex sha256 of the reading's fixed little-endian layout: `tick`
+        as int64, the centroid as float64, then the counts as uint32 in
+        `(R, R, 2)` C order.  Counts are exact integers, so the uint32
+        conversion loses nothing."""
+        digest = hashlib.sha256(struct.pack("<q", self.tick))
+        digest.update(np.asarray(self.centroid, dtype="<f8").tobytes())
+        digest.update(self.grid.astype("<u4").tobytes())
+        return digest.hexdigest()
 
 
 def body_centroid(world: World, body: BodySpec) -> np.ndarray:

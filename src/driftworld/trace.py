@@ -25,7 +25,7 @@ import os
 from .canon import canonical_dumps
 from .errors import ContractViolation
 
-TRACE_FORMAT = 2
+TRACE_FORMAT = 3
 
 LIVE = "live"
 DISCLOSURE = "disclosure"

@@ -1,6 +1,7 @@
 """Independent checks the tests hold the program to.
 
-Scalar and whole-world physics references, the live-trace redaction
+Scalar and whole-world physics references, a plain-Python pair kernel,
+the sensor-reading hash packed with `struct`, the live-trace redaction
 audit and byte tools for tamper tests.  None of this is called by the
 package: a check written apart from the code it checks cannot share its
 mistakes.  `FORBIDDEN_LIVE_KEYS` is a denylist kept separately from the
@@ -9,8 +10,11 @@ allowlist `trace.LIVE_FIELDS` that decides what the live tier carries.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
+import struct
 
 import numpy as np
 
@@ -39,7 +43,7 @@ def eval_law(law: CausationLaw, delta: np.ndarray, v_a: np.ndarray,
         if name == DAMPING_TERM:
             damping = coeff
             continue
-        magnitude = coeff * r_eff ** RADIAL_EXPONENT[name]
+        magnitude = coeff * radial_power(r_eff, RADIAL_EXPONENT[name])
         if coupled:
             magnitude *= p_a * p_b
         radial += magnitude
@@ -50,9 +54,99 @@ def eval_law(law: CausationLaw, delta: np.ndarray, v_a: np.ndarray,
     return accel
 
 
+def radial_power(r_eff, exponent: int):
+    """`r_eff ** exponent` by repeated products and, for a negative
+    exponent, one division: ops IEEE 754 rounds exactly.  Floats and
+    arrays alike."""
+    value = 1.0
+    for _ in range(abs(exponent)):
+        value = value * r_eff
+    return 1.0 / value if exponent < 0 else value
+
+
+def level_accel(positions: np.ndarray, velocities: np.ndarray,
+                polarity: np.ndarray, inertia: np.ndarray, law: CausationLaw,
+                extent: float, params: StepParams) -> list[list[float]]:
+    """`dynamics._level_accel` in plain Python floats, one pair at a time.
+
+    Follows the kernel's op order and sums each receiver's partners in
+    partner order, with no numpy arithmetic and no libm call but `sqrt`,
+    so on any IEEE 754 machine it must equal the kernel bit for bit.
+    """
+    pos, vel = positions.tolist(), velocities.tolist()
+    pol, mass = polarity.tolist(), inertia.tolist()
+    m, dim = positions.shape
+    span = 2.0 * extent
+    damping = 0.0
+    radial_terms = []
+    for (name, coeff), coupled in zip(law.terms, law.polarity_coupled):
+        if name == DAMPING_TERM:
+            damping = coeff
+        else:
+            radial_terms.append((RADIAL_EXPONENT[name], coeff, coupled))
+
+    def pair(i: int, j: int) -> list[float]:
+        """What partner j exerts on receiver i."""
+        if i == j:
+            return [0.0] * dim
+        delta = []
+        for k in range(dim):
+            d = pos[i][k] - pos[j][k]
+            q = d / span
+            # numpy's round: half to even, and the sign of a zero kept
+            q = math.copysign(float(round(q)), q)
+            delta.append(d - q * span)
+        r2 = delta[0] * delta[0]
+        for d in delta[1:]:
+            r2 = r2 + d * d
+        r = math.sqrt(r2)
+        r_eff = max(r, params.eps_r)
+        radial = 0.0
+        for exponent, coeff, coupled in radial_terms:
+            magnitude = radial_power(r_eff, exponent) * coeff
+            if coupled:
+                magnitude = magnitude * (pol[i] * pol[j])
+            radial = radial + magnitude
+        radial = radial / mass[i]
+        accel = [(d / r if r > 0.0 else 0.0) * radial for d in delta]
+        if damping != 0.0:
+            accel = [a - (vel[i][k] - vel[j][k]) * damping
+                     for k, a in enumerate(accel)]
+        n2 = accel[0] * accel[0]
+        for a in accel[1:]:
+            n2 = n2 + a * a
+        norm = math.sqrt(n2)
+        if norm > params.a_max:
+            accel = [a * (params.a_max / norm) for a in accel]
+        return accel
+
+    out = []
+    for i in range(m):
+        total = pair(i, 0)
+        for j in range(1, m):
+            total = [t + a for t, a in zip(total, pair(i, j))]
+        out.append(total)
+    return out
+
+
 def momentum(world: World) -> np.ndarray:
     """Total inertia-weighted velocity, the conserved quantity audits track."""
     return (world.velocities * world.inertia[:, None]).sum(axis=0)
+
+
+# --------------------------------------------------------------- sensing
+
+
+def reading_hash(tick: int, centroid: list[float], grid: list) -> str:
+    """The `grid_hash` of a reading, packed with `struct` alone: `tick` as
+    int64, the centroid as float64, then every count of the nested
+    `(R, R, 2)` grid as uint32, all little-endian, in C order."""
+    counts = [c for row in grid for cell in row for c in cell]
+    assert all(float(c).is_integer() for c in counts), "counts are integers"
+    data = (struct.pack("<q", tick)
+            + struct.pack(f"<{len(centroid)}d", *centroid)
+            + struct.pack(f"<{len(counts)}I", *(int(c) for c in counts)))
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------- traces

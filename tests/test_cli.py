@@ -183,18 +183,19 @@ def test_replay_live_trace_exit_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_replay_names_a_format_mismatch(tmp_path, capsys):
+@pytest.mark.parametrize("old_format", [1, TRACE_FORMAT - 1])
+def test_replay_names_a_format_mismatch(old_format, tmp_path, capsys):
     disc = write_disclosure(tmp_path, capsys)
     header, *events = disc.read_text().splitlines()
     old = tmp_path / "old_format.ndjson"
     old.write_text("\n".join([
-        canonical_dumps(dict(json.loads(header), format=1)), *events]) + "\n")
+        canonical_dumps(dict(json.loads(header), format=old_format)), *events]) + "\n")
     verdict = replay_trace(str(old))
     assert verdict["verdict"] == "FAIL"
-    assert "trace format 1" in verdict["error"]
+    assert f"trace format {old_format}" in verdict["error"]
     assert f"format {TRACE_FORMAT}" in verdict["error"]
     assert run_cli("replay", str(old)) == 1
-    assert "trace format 1" in capsys.readouterr().out
+    assert f"trace format {old_format}" in capsys.readouterr().out
 
 
 def test_replay_names_a_missing_null_baseline(tmp_path, capsys):
@@ -375,6 +376,33 @@ def test_report_rates_csv_needs_force(tmp_path, capsys):
     assert run_cli("report", str(live), "--out", str(out),
                    "--rates-csv", str(csv_dir), "--force") == 0
     assert (csv_dir / "greedy.csv").read_text().startswith("tick,rate")
+
+
+@pytest.mark.parametrize("agent_id", ["../escaped", "a/b", "..", ".", ""])
+def test_report_refuses_an_agent_id_that_is_not_a_file_name(
+        agent_id, tmp_path, capsys):
+    def trace(agent):
+        samples = [canonical_dumps({"kind": "sample", "tick": tick,
+                                    "agent": agent, "cumulative": score})
+                   for tick, score in ((0, 0.0), (10, 1.0))]
+        return "\n".join(['{"kind":"header","mode":"live"}', *samples]) + "\n"
+
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(trace(agent_id))
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "m.json"
+    assert run_cli("report", str(bad), "--out", str(out),
+                   "--rates-csv", str(work / "rates")) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ndjson", "work"]
+    # the same trace under a plain name writes its CSV
+    good = tmp_path / "good.ndjson"
+    good.write_text(trace("escaped"))
+    assert run_cli("report", str(good), "--out", str(out),
+                   "--rates-csv", str(work / "rates")) == 0
+    assert (work / "rates" / "escaped.csv").exists()
 
 
 def test_report_needs_samples(tmp_path, capsys):

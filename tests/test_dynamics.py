@@ -31,7 +31,7 @@ from driftworld.worldgen import (
 )
 
 from conftest import flat_quiet_spec
-from oracles import eval_law, momentum
+from oracles import eval_law, level_accel, momentum, radial_power
 
 
 # -- minimal image ---------------------------------------------------------
@@ -299,15 +299,16 @@ _ALL_TERMS = CausationLaw(
     polarity_coupled=(True, False, True, False, True, False),
 )
 
-#: sha256 of every `_level_accel` output of `_kernel_outputs`, pinned from
-#: the earlier `(i, j, dim)` pair layout.  Any change of layout must keep
-#: these bytes: the summation over partners has to stay sequential and in
-#: partner order.
+#: sha256 of every `_level_accel` output of `_kernel_outputs`, pinned when
+#: `inv_sq` became `1 / (r * r)` (trace format 3).  Any change of layout
+#: must keep these bytes: the summation over partners has to stay
+#: sequential and in partner order.  The bytes must not depend on numpy's
+#: SIMD dispatch either; CI reruns this test with AVX-512 masked.
 _KERNEL_DIGESTS = {
-    (16, 2): "63b2953ea1eb4bc2b8a7f4cd36cc082712cdef5463472b70968a8e9a626882f5",
-    (64, 2): "89b736c5347d6cf7a62c7163d2b9f252799b2586bbd847584a41c692064a5b97",
-    (192, 2): "00ea3f539a4a90f7a40a2694ed5e86cd28282a9b92b3ed9ab0a1148853c1f118",
-    (40, 3): "2189b79ba23d9515b9b7ff5fad6fc911fc7ac4830383b0dbc6ab6d99a3c16fab",
+    (16, 2): "12d5eeccca496ed3601f15dc3655e2fa850f5065f69912ff3b26934dd380cef7",
+    (64, 2): "b856d1c37235ffa7f8cfc6f5f08d80cd827f9a75aa44331d41b546d7158ff0bb",
+    (192, 2): "549f1d1eaa144b204e24da42d57ef166b37190357f9932bbe190f5db399bef9c",
+    (40, 3): "705a95060f04da3a5f2e1a572b8bb845ba76072414d2410a6bfac1503f7d8ebe",
 }
 
 
@@ -350,6 +351,7 @@ def test_pair_kernel_bytes_are_pinned(n, dim):
     assert digest == _KERNEL_DIGESTS[n, dim], f"n={n}, dim={dim}: kernel bytes changed"
 
 
+
 # -- pair kernel workspace -------------------------------------------------
 
 
@@ -381,7 +383,7 @@ def _reference_level_accel(positions, velocities, polarity, inertia, law,
         if name == DAMPING_TERM:
             damping = coeff
             continue
-        magnitude = coeff * r_eff ** RADIAL_EXPONENT[name]
+        magnitude = coeff * radial_power(r_eff, RADIAL_EXPONENT[name])
         if coupled:
             magnitude = magnitude * pol_prod
         radial += magnitude
@@ -429,6 +431,26 @@ def test_pair_kernel_matches_plain_expressions(n, dim, seed, terms, coincide, a_
     got = _level_accel(*args, params)
     want = _reference_level_accel(*args, params)
     assert got.tobytes() == want.tobytes()
+
+
+# the clamp off, on for some pairs, and on for every pair
+@pytest.mark.parametrize("a_max", [8.0, 0.05, 1e-4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_kernel_equals_plain_python_oracle(dim, a_max):
+    # The oracle does its arithmetic in Python floats, so equality to the
+    # bit pins the kernel to IEEE 754 semantics, not to numpy's SIMD
+    # dispatch or reduction order.
+    params = StepParams(a_max=a_max)
+    for m in range(2, 21):
+        args = _level_inputs(100 + m, m, dim)
+        coincident = args[0].copy()
+        coincident[-1] = coincident[0]
+        for law in (args[4], _ALL_TERMS):
+            for positions in (args[0], coincident):
+                case = [positions, *args[1:4], law, args[5]]
+                want = np.array(level_accel(*case, params))
+                got = _level_accel(*case, params)
+                assert got.tobytes() == want.tobytes(), (m, law)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

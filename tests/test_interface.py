@@ -9,6 +9,7 @@ from driftworld.dynamics import StepParams, step
 from driftworld.errors import ConfigError, ContractViolation
 from driftworld.interface import (
     BodySpec,
+    SenseGrid,
     body_centroid,
     cell_index,
     clamp_forces,
@@ -20,6 +21,7 @@ from driftworld.interface import (
 from driftworld.worldgen import GenSpec, generate_world, minimal_image, wrap_positions
 
 from conftest import flat_quiet_spec
+from oracles import reading_hash
 
 
 def test_body_spec_validation():
@@ -175,6 +177,33 @@ def test_sense_payload_and_hash():
     payload = a.to_payload()
     assert payload["tick"] == world.tick
     assert np.asarray(payload["grid"]).shape == a.grid.shape
+
+
+def test_reading_hash_equals_struct_layout_oracle():
+    bodies = [BodySpec(member_ids=(0, 1)),
+              BodySpec(member_ids=(4, 5, 6, 7), resolution=16, window_halfwidth=16.0)]
+    for seed in range(3):
+        world = generate_world(GenSpec(seed=seed, n_entities=64, n_levels=3))
+        for _ in range(4):
+            for body in bodies:
+                r = sense(world, body)
+                assert r.grid.sum() > 0
+                assert r.hash() == reading_hash(r.tick, r.centroid.tolist(), r.grid.tolist())
+            step(world, StepParams())
+
+
+def test_reading_hash_keeps_counts_past_uint16():
+    grid = np.zeros((3, 3, 2))
+    grid[1, 2, 1] = 70_000.0
+    grid[0, 0, 0] = 2.0**32 - 1
+    reading = SenseGrid(tick=7, centroid=np.array([1.5, -0.25]), grid=grid)
+    assert reading.hash() == reading_hash(7, [1.5, -0.25], grid.tolist())
+    wrapped = grid.copy()
+    wrapped[1, 2, 1] = 70_000 % 65_536
+    variants = [SenseGrid(7, reading.centroid, wrapped),
+                SenseGrid(8, reading.centroid, grid),
+                SenseGrid(7, np.array([1.5, 0.25]), grid)]
+    assert reading.hash() not in {v.hash() for v in variants}
 
 
 def test_grid_distance_rms_oracle():
