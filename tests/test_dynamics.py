@@ -299,11 +299,10 @@ _ALL_TERMS = CausationLaw(
     polarity_coupled=(True, False, True, False, True, False),
 )
 
-#: sha256 of every `_level_accel` output of `_kernel_outputs`, pinned when
-#: `inv_sq` became `1 / (r * r)` (trace format 3).  Any change of layout
-#: must keep these bytes: the summation over partners has to stay
-#: sequential and in partner order.  The bytes must not depend on numpy's
-#: SIMD dispatch either; CI reruns this test with AVX-512 masked.
+#: sha256 of every `_level_accel` output of `_kernel_outputs`.  Any change
+#: of layout must keep these bytes: the summation over partners has to
+#: stay sequential and in partner order.  They must not depend on numpy's
+#: SIMD dispatch either; CI reruns this test with AVX-512 disabled.
 _KERNEL_DIGESTS = {
     (16, 2): "12d5eeccca496ed3601f15dc3655e2fa850f5065f69912ff3b26934dd380cef7",
     (64, 2): "b856d1c37235ffa7f8cfc6f5f08d80cd827f9a75aa44331d41b546d7158ff0bb",
@@ -349,7 +348,6 @@ def test_pair_kernel_bytes_are_pinned(n, dim):
                for default, capped in zip(outputs[2::4], outputs[3::4]))
     digest = hashlib.sha256(b"".join(o.tobytes() for o in outputs)).hexdigest()
     assert digest == _KERNEL_DIGESTS[n, dim], f"n={n}, dim={dim}: kernel bytes changed"
-
 
 
 # -- pair kernel workspace -------------------------------------------------
