@@ -27,7 +27,7 @@ _EXPORTS = {
                      "rank_agents"), "metrics"),
     **dict.fromkeys(("Problem", "ProblemParams", "ScoreParams", "check_solved",
                      "generate_problem", "hit_score", "normalized_score",
-                     "null_baselines"), "problems"),
+                     "null_baseline"), "problems"),
     **dict.fromkeys(("CausationGrammar", "CausationLaw", "DriftSchedule", "GenSpec",
                      "World", "apply_drift", "generate_world", "sample_law"),
                     "worldgen"),

@@ -6,8 +6,9 @@ id order, advance the world one step (laws drift inside the step), close
 any problem that is solved or out of time, then record score samples and
 periodic snapshot hashes.  Every agent senses exactly once and acts
 exactly once per tick; the loop checks that invariant itself so
-multi-agent runs cannot silently starve anyone.  Every problem issued on
-one tick shares a single zero-action rollout for its null baseline.
+multi-agent runs cannot silently starve anyone.  A problem's null
+baseline is rolled only if it closes solved, from a clone of the world
+taken when it was issued; its disclosure line is held until then.
 
 Stage one evaluates each agent alone on matched worlds derived from one
 master seed.  Stage two puts all agents into a single shared world with
@@ -41,7 +42,7 @@ from .problems import (
     generate_problem,
     hit_score,
     normalized_score,
-    null_baselines,
+    null_baseline,
 )
 from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, read_trace, typed
 from .worldgen import GenSpec, World, generate_world
@@ -66,6 +67,8 @@ class Slot:
     issued_total: int = 0
     senses: int = 0
     acts: int = 0
+    origin: World | None = None  # the world the active problem was issued from
+    issued_doc: dict | None = None  # its held disclosure line
 
 
 @dataclass
@@ -147,15 +150,18 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 problem_params: ProblemParams, score_params: ScoreParams,
                 episode: EpisodeConfig, live_path: str | None = None,
                 disclosure_path: str | None = None,
-                replay_nulls: dict[int, float] | None = None) -> EpisodeResult:
+                replay_nulls: dict[int, float | None] | None = None
+                ) -> EpisodeResult:
     """Run one episode in place.  The world is consumed.
 
     Every trace line goes through one `TraceSink`, which decides what the
-    live tier sees.  The problems issued on one tick get their null
-    baselines from one shared zero-action rollout.  `replay_nulls`
-    substitutes recorded null-baseline values by problem id instead of
-    running that rollout; everything else in replay mode flows through the
-    ordinary pipeline.
+    live tier sees.  A problem's `problem_issued` line is held in the
+    disclosure tier until the problem closes.  Only a solved problem gets
+    a null baseline, rolled then from a clone of the world taken after
+    the problems of its issue tick were drawn; any other problem's
+    `p_null` is null.  `replay_nulls` substitutes recorded null-baseline
+    values by problem id instead of rolling them; everything else in
+    replay mode flows through the ordinary pipeline.
     """
     ids = [s.agent_id for s in slots]
     if len(set(ids)) != len(ids):
@@ -186,7 +192,8 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 raise ContractViolation("episode loop lost the world clock")
 
             # 1. issue problems to idle agents: draw them in slot order,
-            #    roll one shared null baseline, then announce them in order
+            #    keep the world they were drawn from for their null
+            #    baselines, then announce them in order
             batch: list[tuple[Slot, Problem]] = []
             for slot in slots:
                 if slot.active is not None:
@@ -202,27 +209,17 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     next_problem_id, slot.stream_name,
                 )))
                 next_problem_id += 1
-            if replay_nulls is None:
-                nulls = null_baselines(
-                    world, [(slot.body, problem) for slot, problem in batch],
-                    step_params) if batch else []
-            else:
-                nulls = []
-                for _, problem in batch:
-                    if problem.id not in replay_nulls:
-                        raise ContractViolation(
-                            f"trace records no null baseline for problem {problem.id}"
-                        )
-                    nulls.append(replay_nulls[problem.id])
-            for (slot, problem), p_null in zip(batch, nulls):
-                problem.p_null = p_null
+            origin = world.clone() if batch and replay_nulls is None else None
+            for slot, problem in batch:
                 slot.active = problem
+                slot.origin = origin
                 slot.o_count = 0
                 slot.issued_in_segment += 1
                 slot.issued_total += 1
-                issued = sink.event({"kind": "problem_issued", "tick": t,
-                                     "agent": slot.agent_id,
-                                     "problem": to_doc(problem)})
+                slot.issued_doc = {"kind": "problem_issued", "tick": t,
+                                   "agent": slot.agent_id,
+                                   "problem": to_doc(problem)}
+                issued = sink.event(slot.issued_doc, hold=True)
                 slot.agent.on_problem(issued["problem"])
                 if hasattr(slot.agent, "load_script"):
                     slot.agent.load_script(problem.hidden_actions,
@@ -290,6 +287,20 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 last_tick = t == episode.horizon - 1
                 if not (solved or timed_out or last_tick):
                     continue
+                # only a solved problem's score depends on its null baseline
+                if solved:
+                    if replay_nulls is None:
+                        problem.p_null = null_baseline(slot.origin, slot.body,
+                                                       problem, step_params)
+                    elif replay_nulls.get(problem.id) is None:
+                        raise ContractViolation(
+                            f"trace records no null baseline for problem {problem.id}"
+                        )
+                    else:
+                        problem.p_null = replay_nulls[problem.id]
+                    slot.issued_doc["problem"]["p_null"] = problem.p_null
+                sink.release(slot.issued_doc)
+                slot.origin = slot.issued_doc = None
                 d_count = world.tick - problem.issued_tick
                 raw_score = hit_score(
                     solved, slot.o_count, d_count, problem.o_ref,
@@ -590,9 +601,11 @@ def oracle_calibration(config: RunConfig, n_problems: int) -> dict:
 
 
 def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
-    """Collect per-agent recorded actions/resources and per-problem nulls."""
+    """Collect per-agent recorded actions/resources and per-problem nulls,
+    None where the trace records none (a problem that did not close
+    solved)."""
     scripts: dict[str, _ReplayScript] = {}
-    nulls: dict[int, float] = {}
+    nulls: dict[int, float | None] = {}
     for doc in events:
         kind = doc.get("kind")
         if kind == "act":
@@ -615,7 +628,7 @@ def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
                     "replay needs a disclosure trace, not a live trace"
                 )
             nulls[typed(p, "id", int, "trace problem")] = \
-                typed(p, "p_null", (int, float), "trace problem")
+                typed(p, "p_null", (int, float, type(None)), "trace problem")
         elif kind == "end":
             misses = typed(doc, "budget_misses", dict, "trace end")
             for agent_id in misses:
@@ -630,8 +643,10 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
     The world is regenerated from the recorded spec, problems are redrawn
     from the same streams at the same ticks, recorded actions are applied
     verbatim, and the newly written disclosure trace must match the
-    original line for line.  Null baselines are not re-rolled; the
-    recorded values are reused.
+    original line for line.  Null baselines are not re-rolled: a problem
+    that closes solved reuses its recorded value, and one whose trace
+    line records none fails the replay.  Any other problem is written
+    with a null `p_null`, so a value recorded for it fails the compare.
     """
     try:
         header, events = read_trace(disclosure_path)

@@ -10,8 +10,9 @@ timeout.
 Scoring discounts a solve by the observation and displacement budgets it
 consumed, relative to the scriptor's own cost, and zeroes out any problem
 the world would have solved on its own with no actions at all.  That null
-baseline is one zero-action rollout per issue tick, shared by every
-problem issued on that tick.
+baseline only matters for a solved problem, so it is rolled when a
+problem closes solved: one zero-action rollout from the world as it was
+when the problem was issued.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class Problem:
     o_ref: float
     d_ref: float
     hidden_actions: np.ndarray = field(repr=False)  # (len, n_members, dim)
-    p_null: float | None = None
+    p_null: float | None = None  # rolled only when the problem closes solved
 
     def deadline(self) -> int:
         return self.issued_tick + self.timeout
@@ -139,54 +140,38 @@ def check_solved(reading: SenseGrid, problem: Problem) -> tuple[bool, float]:
     return distance <= problem.epsilon, distance
 
 
-def null_baselines(world: World, issued: list[tuple[BodySpec, Problem]],
-                   step_params: StepParams) -> list[float]:
-    """For each (body, problem) issued at the world's current tick: 1.0 if
-    the world reaches the target before the problem's timeout with no
-    actions at all, else 0.0.  Results are in input order.
+def null_baseline(world: World, body: BodySpec, problem: Problem,
+                  step_params: StepParams) -> float:
+    """1.0 if the world, left with no actions at all, brings the body to
+    the problem's target within its timeout, else 0.0.
 
-    The dynamics are deterministic and a zero-action step draws only from
-    the drift stream, so every problem issued on one tick sees the same
-    idle trajectory.  One clone is stepped, and each pending body is
-    sensed after every step; a body leaves the batch at its first solve
-    (1.0) or at its timeout (0.0), and the rollout ends when none is left.
+    `world` is the state the problem was issued from and is not advanced:
+    a clone is stepped with no actions and the body sensed after every
+    step, up to the first solve or the timeout.
     """
-    results = [0.0] * len(issued)
-    pending = list(range(len(issued)))
-    ghost = world.clone() if pending else None
-    elapsed = 0
-    while pending:
+    ghost = world.clone()
+    for _ in range(problem.timeout):
         step(ghost, step_params)
-        elapsed += 1
-        still = []
-        for k in pending:
-            body, problem = issued[k]
-            if check_solved(sense(ghost, body), problem)[0]:
-                results[k] = 1.0
-            elif elapsed < problem.timeout:
-                still.append(k)
-        pending = still
-    return results
-
-
-#: The name the per-layer benchmark (`perfbench/layers.py`) times.
-null_baseline = null_baselines
+        if check_solved(sense(ghost, body), problem)[0]:
+            return 1.0
+    return 0.0
 
 
 def hit_score(solved: bool, o_count: float, d_count: float, o_ref: float,
-              d_ref: float, p_null: float, s_max: float = 1.0) -> float:
+              d_ref: float, p_null: float | None, s_max: float = 1.0) -> float:
     """Score one closed problem.
 
-    Zero unless solved; otherwise the max score discounted exponentially
-    by observation and displacement cost against the scriptor reference,
+    Zero unless solved, whatever `p_null` is (an unsolved problem has
+    none); otherwise the max score discounted exponentially by
+    observation and displacement cost against the scriptor reference,
     and scaled by how far the problem was from solving itself.
     """
     if o_ref <= 0 or d_ref <= 0:
         raise ContractViolation("score references must be positive")
-    if not 0.0 <= p_null <= 1.0:
-        raise ContractViolation("p_null must lie in [0, 1]")
     if not solved:
         return 0.0
+    if p_null is None or not 0.0 <= p_null <= 1.0:
+        raise ContractViolation("p_null must lie in [0, 1]")
     effort = 0.5 * (o_count / o_ref + d_count / d_ref)
     return s_max * (1.0 - p_null) * math.exp(-effort)
 

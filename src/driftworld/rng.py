@@ -90,8 +90,11 @@ def restore_stream(state: dict) -> np.random.Generator:
 
 
 def clone_stream(gen: np.random.Generator) -> np.random.Generator:
-    """Independent copy continuing from the same state."""
-    return restore_stream(stream_state(gen))
+    """Independent copy continuing from the same state, buffer included.
+    The key given to the fresh generator is overwritten by that state."""
+    bg = np.random.Philox(key=0)
+    bg.state = gen.bit_generator.state
+    return np.random.Generator(bg)
 
 
 def ball_uniform(gen: np.random.Generator, dim: int, radius: float) -> np.ndarray:

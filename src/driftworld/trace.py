@@ -21,11 +21,12 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections import deque
 
 from .canon import canonical_dumps
 from .errors import ContractViolation
 
-TRACE_FORMAT = 3
+TRACE_FORMAT = 4
 
 LIVE = "live"
 DISCLOSURE = "disclosure"
@@ -83,6 +84,12 @@ class TraceWriter:
     to `path`.  Leaving the `with` block on an exception deletes it
     instead, so a crashed episode leaves no half-written trace behind
     that would replay as a divergence.
+
+    An event may be held: it keeps its place in the file, but its line
+    is written only when it is released, with the content it has then.
+    Lines that follow a held one wait as text, already encoded; only
+    the held documents stay objects.  A clean close writes what is
+    still held as it stands.
     """
 
     def __init__(self, path: str, header: dict):
@@ -92,31 +99,65 @@ class TraceWriter:
         self.mode = header.get("mode")
         if self.mode not in (LIVE, DISCLOSURE):
             raise ContractViolation("trace mode must be 'live' or 'disclosure'")
+        self._pending: deque = deque()  # lines and held documents, in order
+        self._held: set[int] = set()  # ids of the documents not yet released
         self._partial = path + ".partial"
         self._fh = open(self._partial, "w", encoding="utf-8")
-        self._write(header)
+        self._write(canonical_dumps(header))
 
-    def _write(self, doc: dict) -> None:
-        self._fh.write(canonical_dumps(doc))
+    def _write(self, line: str) -> None:
+        self._fh.write(line)
         self._fh.write("\n")
 
-    def event(self, doc: dict) -> None:
+    def event(self, doc: dict, hold: bool = False) -> None:
         if "kind" not in doc:
             raise ContractViolation("trace events need a kind")
-        self._write(doc)
+        if hold:
+            self._held.add(id(doc))
+            self._pending.append(doc)
+        elif self._pending:
+            self._pending.append(canonical_dumps(doc))
+        else:
+            self._write(canonical_dumps(doc))
+
+    def release(self, doc: dict) -> None:
+        """Write a held document as it is now, and the lines after it up
+        to the next document still held."""
+        if id(doc) not in self._held:
+            raise ContractViolation("released a trace event that is not held")
+        self._held.remove(id(doc))
+        self._flush()
+
+    def _flush(self) -> None:
+        pending = self._pending
+        while pending:
+            entry = pending[0]
+            if isinstance(entry, str):
+                self._write(entry)
+            elif id(entry) in self._held:
+                return
+            else:
+                self._write(canonical_dumps(entry))
+            pending.popleft()
 
     def close(self) -> None:
-        """Put the file in place at `path`; delete it if that fails."""
+        """Write what is held, then put the file in place at `path`;
+        delete it if that fails."""
         if not self._fh.closed:
             try:
+                self._held.clear()
+                self._flush()
                 self._fh.close()
                 os.replace(self._partial, self.path)
             except BaseException:
+                with contextlib.suppress(OSError):
+                    self._fh.close()
                 self._remove_partial()
                 raise
 
     def discard(self) -> None:
         """Delete the file; an error flushing what is deleted is moot."""
+        self._pending.clear()
         if not self._fh.closed:
             with contextlib.suppress(OSError):
                 self._fh.close()
@@ -141,10 +182,11 @@ class TraceSink:
 
     The disclosure file gets the document whole, the live file its
     `live_view`; either path may be None.  `event` returns the live view
-    so callers can hand exactly that to agents.  Like `TraceWriter`, it
-    puts both files in place only when its `with` block exits cleanly;
-    when the live file cannot be put in place, the disclosure file is
-    deleted too.
+    so callers can hand exactly that to agents.  A document may be held
+    in the disclosure tier until `release` (see `TraceWriter`); its live
+    view is written at once.  Like `TraceWriter`, it puts both files in
+    place only when its `with` block exits cleanly; when the live file
+    cannot be put in place, the disclosure file is deleted too.
     """
 
     def __init__(self, live_path: str | None, disclosure_path: str | None,
@@ -160,13 +202,17 @@ class TraceSink:
                     self.live.discard()
                 raise
 
-    def event(self, doc: dict) -> dict | None:
+    def event(self, doc: dict, hold: bool = False) -> dict | None:
         view = live_view(doc)
         if self.live and view is not None:
             self.live.event(view)
         if self.disc:
-            self.disc.event(doc)
+            self.disc.event(doc, hold)
         return view
+
+    def release(self, doc: dict) -> None:
+        if self.disc:
+            self.disc.release(doc)
 
     def __enter__(self) -> "TraceSink":
         return self
@@ -200,7 +246,8 @@ def iter_trace(path: str):
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
-               int: "an integer", (int, float): "a number"}
+               int: "an integer", (int, float): "a number",
+               (int, float, type(None)): "a number or null"}
 
 
 def typed(doc: dict, key: str, kind, where: str):

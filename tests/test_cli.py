@@ -183,7 +183,7 @@ def test_replay_live_trace_exit_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("old_format", [1, TRACE_FORMAT - 1])
+@pytest.mark.parametrize("old_format", [1, 2, TRACE_FORMAT - 1])
 def test_replay_names_a_format_mismatch(old_format, tmp_path, capsys):
     disc = write_disclosure(tmp_path, capsys)
     header, *events = disc.read_text().splitlines()
@@ -198,17 +198,70 @@ def test_replay_names_a_format_mismatch(old_format, tmp_path, capsys):
     assert f"trace format {old_format}" in capsys.readouterr().out
 
 
+#: A greedy episode that solves problems 0 (which solves itself) and 1,
+#: and closes problems 2 and 3 unsolved.
+SOLVING = ["--set", "gen.seed=19", "--set", "episode.horizon=40",
+           "--set", "drift.regime_times=10,20"]
+
+
+def solving_disclosure(tmp_path, capsys) -> list[str]:
+    disc = tmp_path / "solving.ndjson"
+    assert run_cli("run", *SOLVING, "--agent", "greedy",
+                   "--disclosure", str(disc)) == 0
+    capsys.readouterr()
+    return disc.read_text().splitlines()
+
+
+def _issued_line(lines: list[str], problem_id: int) -> int:
+    return next(i for i, l in enumerate(lines) if '"kind":"problem_issued"' in l
+                and json.loads(l)["problem"]["id"] == problem_id)
+
+
+def _with_p_null(lines: list[str], n: int, value) -> list[str]:
+    doc = json.loads(lines[n])
+    doc["problem"]["p_null"] = value
+    return lines[:n] + [canonical_dumps(doc)] + lines[n + 1:]
+
+
+def _write_lines(path: Path, lines: list[str]) -> str:
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def test_replay_names_a_missing_null_baseline(tmp_path, capsys):
-    disc = write_disclosure(tmp_path, capsys)
-    lines = disc.read_text().splitlines()
-    issued = [i for i, l in enumerate(lines) if '"kind":"problem_issued"' in l]
-    dropped = json.loads(lines[issued[1]])["problem"]["id"]
-    del lines[issued[1]]
-    cut = tmp_path / "cut.ndjson"
-    cut.write_text("\n".join(lines) + "\n")
-    verdict = replay_trace(str(cut))
-    assert verdict["verdict"] == "FAIL"
-    assert f"no null baseline for problem {dropped}" in verdict["error"]
+    lines = solving_disclosure(tmp_path, capsys)
+    n = _issued_line(lines, 1)
+    assert json.loads(lines[n])["problem"]["p_null"] == 0.0
+    nulled = _with_p_null(lines, n, None)
+    dropped = lines[:n] + lines[n + 1:]
+    for name, cut in (("nulled", nulled), ("dropped", dropped)):
+        verdict = replay_trace(_write_lines(tmp_path / f"{name}.ndjson", cut))
+        assert verdict["verdict"] == "FAIL", name
+        assert "no null baseline for problem 1" in verdict["error"], name
+
+
+def test_replay_fails_at_a_null_baseline_planted_on_an_unsolved_problem(
+        tmp_path, capsys):
+    lines = solving_disclosure(tmp_path, capsys)
+    for problem_id in (2, 3):  # timed out, cut by the horizon
+        n = _issued_line(lines, problem_id)
+        assert json.loads(lines[n])["problem"]["p_null"] is None
+        for value in (0.0, 1.0):
+            planted = _write_lines(tmp_path / "planted.ndjson",
+                                   _with_p_null(lines, n, value))
+            verdict = replay_trace(planted)
+            assert verdict["verdict"] == "FAIL"
+            assert verdict["first_divergence_line"] == n + 1
+
+
+def test_replay_accepts_null_on_an_unsolved_problem(tmp_path, capsys):
+    lines = solving_disclosure(tmp_path, capsys)
+    nulls = {doc["problem"]["id"]: doc["problem"]["p_null"]
+             for doc in map(json.loads, lines) if doc["kind"] == "problem_issued"}
+    assert nulls == {0: 1.0, 1: 0.0, 2: None, 3: None}
+    path = _write_lines(tmp_path / "ok.ndjson", lines)
+    assert run_cli("replay", path) == 0
+    assert capsys.readouterr().out.startswith("OK")
 
 
 GOLDEN_TRACE = Path(__file__).parent / "golden" / "stage2.disclosure.ndjson"

@@ -51,9 +51,9 @@ CASES = {
         "overrides": _SHORT + ["gen.seed=23", "gen.n_entities=24",
                                "gen.n_levels=3", "run.agents=greedy,random,null"],
     },
-    # Enough entities that the pair kernel's reductions and the shared
-    # zero-action rollout both matter; every agent gets a problem at tick 0,
-    # one of those three solves itself, and three problems are solved.
+    # Enough entities that the pair kernel's reductions and the null
+    # rollouts both matter; every agent gets a problem at tick 0, one of
+    # those three solves itself, and three problems are solved.
     "stage2-dense": {
         "stage": 2,
         "overrides": _SHORT + ["gen.seed=20", "gen.n_entities=64",

@@ -33,7 +33,7 @@ from driftworld.metrics import AgentMetrics, MetricParams
 from driftworld.problems import ProblemParams
 from driftworld.rng import derive_world_seed
 from driftworld.trace import read_trace
-from driftworld.worldgen import DriftSchedule, GenSpec, generate_world
+from driftworld.worldgen import DriftSchedule, GenSpec, World, generate_world
 
 from oracles import flip_one_bit
 from test_golden import CASES as GOLDEN_CASES
@@ -139,6 +139,78 @@ def test_problem_lifecycle_arithmetic(tmp_path):
         if c["reason"] == "timeout":
             assert not c["solved"]
             assert c["d_count"] == cfg.problem.timeout
+
+
+def solving_config(**episode_kw):
+    """Greedy solves problems 0 (which solves itself) and 1 here."""
+    return RunConfig(gen=GenSpec(seed=19, drift=DriftSchedule(regime_times=(10, 20))),
+                     episode=EpisodeConfig(**{"horizon": 40, **episode_kw}))
+
+
+def _issued_nulls(events):
+    return {e["problem"]["id"]: e["problem"]["p_null"]
+            for e in events if e["kind"] == "problem_issued"}
+
+
+def test_null_baseline_rolls_once_per_solved_problem(monkeypatch, tmp_path):
+    original, rolls = harness.null_baseline, []
+
+    def counting(origin, body, problem, step_params):
+        assert origin.tick == problem.issued_tick
+        rolls.append(problem.id)
+        return original(origin, body, problem, step_params)
+
+    monkeypatch.setattr(harness, "null_baseline", counting)
+    clones = []
+    clone = World.clone
+    monkeypatch.setattr(World, "clone", lambda w: clones.append(w.tick) or clone(w))
+    disc = str(tmp_path / "d.ndjson")
+    _, result = run_one(solving_config(), "greedy", disc_path=disc)
+    closures = result.closures["greedy"]
+    solved = [c["problem_id"] for c in closures if c["solved"]]
+    assert solved == [0, 1] and len(closures) > len(solved)
+    assert rolls == solved
+    # one clone per target script and one per issue tick, then one per
+    # solved problem's rollout; a tick that issues nothing takes none
+    assert len(clones) == 2 * len(closures) + len(solved)
+
+    # replay reuses the recorded values, so it clones only for targets
+    clones.clear()
+    assert replay_trace(disc)["ok"]
+    assert rolls == solved and len(clones) == len(closures)
+
+    _, events = read_trace(disc)
+    nulls = _issued_nulls(events)
+    assert set(nulls) == {c["problem_id"] for c in closures}
+    for c in closures:
+        if c["solved"]:
+            assert nulls[c["problem_id"]] in (0.0, 1.0)
+        else:
+            assert nulls[c["problem_id"]] is None
+    # problem 0 solves itself, so solving it is worth nothing
+    assert nulls[0] == 1.0
+    assert [c["score"] for c in closures if c["problem_id"] == 0] == [0.0]
+
+
+def test_problems_open_at_a_clean_stop_are_written_with_no_null(tmp_path):
+    # the greedy agent solves problem 0 at tick 10; 1 and 2 are still open
+    cfg = RunConfig(gen=GenSpec(seed=7, drift=DriftSchedule(regime_times=(10, 20))),
+                    episode=EpisodeConfig(horizon=40, stop_after_problems=1),
+                    agents=("greedy", "null", "random"))
+    slots = [harness._make_slot(kind, cfg, cfg.gen.seed, idx, multi=True)
+             for idx, kind in enumerate(cfg.agents)]
+    disc = str(tmp_path / "d.ndjson")
+    result = run_episode(generate_world(cfg.gen), slots, cfg.step, cfg.problem,
+                         cfg.score, cfg.episode, disclosure_path=disc)
+    assert result.final_tick == 10
+    assert [c["solved"] for c in result.closures["a0_greedy"]] == [True]
+    _, events = read_trace(disc)
+    nulls = _issued_nulls(events)
+    assert sorted(nulls) == [0, 1, 2]
+    assert nulls[0] in (0.0, 1.0) and nulls[1] is None and nulls[2] is None
+    ticks = [e["tick"] for e in events]
+    assert ticks == sorted(ticks) and events[-1]["kind"] == "end"
+    assert replay_trace(disc)["ok"]
 
 
 def test_null_agent_times_out_on_schedule_and_scores_zero():

@@ -16,7 +16,7 @@ from driftworld.problems import (
     generate_problem,
     hit_score,
     normalized_score,
-    null_baselines,
+    null_baseline,
 )
 from driftworld.trace import live_view
 from driftworld.worldgen import generate_world
@@ -149,8 +149,7 @@ def test_problem_repr_never_leaks_script():
 def test_null_baseline_binary():
     world, body = fresh(seed=12)
     p = generate_problem(world, body, ProblemParams(), StepParams(), 0)
-    [frac] = null_baselines(world, [(body, p)], StepParams())
-    assert frac in (0.0, 1.0)
+    assert null_baseline(world, body, p, StepParams()) in (0.0, 1.0)
 
 
 def test_null_baseline_trivial_problem_scores_zero():
@@ -161,13 +160,13 @@ def test_null_baseline_trivial_problem_scores_zero():
     problem = Problem(id=7, issued_tick=0, target_grid=reading.grid.copy(),
                       scriptor_len=1, epsilon=0.2, timeout=4, o_ref=1, d_ref=1,
                       hidden_actions=np.zeros((1, 3, 2)))
-    [frac] = null_baselines(world, [(body, problem)], StepParams())
+    frac = null_baseline(world, body, problem, StepParams())
     assert frac == 1.0
     assert hit_score(True, 1, 1, 1, 1, p_null=frac) == 0.0
 
 
 def _one_body_null(world, body, problem, step_params):
-    """Reference: one zero-action rollout of its own per problem."""
+    """Reference: a zero-action rollout written out step by step."""
     ghost = world.clone()
     for _ in range(problem.timeout):
         step(ghost, step_params)
@@ -187,7 +186,14 @@ def _idle_target(world, body, ticks, problem_id, timeout):
                    hidden_actions=np.zeros((1, len(body.member_ids), 2)))
 
 
-def test_null_baselines_match_one_rollout_per_body(monkeypatch):
+def _count_steps(monkeypatch) -> list:
+    steps = []
+    monkeypatch.setattr("driftworld.problems.step",
+                        lambda w, params: steps.append(w.tick) or step(w, params))
+    return steps
+
+
+def test_null_baseline_matches_a_reference_rollout_per_body():
     world = generate_world(flat_quiet_spec(9, n_entities=12))
     sp = StepParams()
     bodies = [BodySpec(member_ids=ids, resolution=16, window_halfwidth=8.0)
@@ -204,36 +210,30 @@ def test_null_baselines_match_one_rollout_per_body(monkeypatch):
     body, last_step = issued[2]
     assert _one_body_null(world, body, replace(last_step, timeout=5), sp) == 0.0
     before = world.to_canonical()
-    steps = []
-    monkeypatch.setattr("driftworld.problems.step",
-                        lambda w, params: steps.append(w.tick) or step(w, params))
-    assert null_baselines(world, issued, sp) == expected
-    # the rollout runs to the longest pending timeout, not one per body
-    assert len(steps) == max(p.timeout for _, p in issued)
-    # results follow input order, whatever the order of the batch
-    assert null_baselines(world, issued[::-1], sp) == expected[::-1]
-    for k in range(len(issued)):
-        assert null_baselines(world, issued[k:k + 1], sp) == expected[k:k + 1]
+    # any order, any number of times: the issue-time world is never moved
+    for b, p in issued[::-1] + issued:
+        assert null_baseline(world, b, p, sp) == _one_body_null(world, b, p, sp)
     assert world.to_canonical() == before
 
 
-def test_null_baselines_stop_when_every_body_has_solved(monkeypatch):
+def test_null_baseline_stops_at_the_first_solve(monkeypatch):
     world = generate_world(flat_quiet_spec(9, n_entities=12))
-    a = BodySpec(member_ids=(0, 1, 2), resolution=16, window_halfwidth=8.0)
-    b = BodySpec(member_ids=(3, 4, 5), resolution=16, window_halfwidth=8.0)
-    issued = [(a, _idle_target(world, a, 1, 0, timeout=24)),
-              (b, _idle_target(world, b, 3, 1, timeout=24))]
-    steps = []
-    monkeypatch.setattr("driftworld.problems.step",
-                        lambda w, params: steps.append(w.tick) or step(w, params))
-    assert null_baselines(world, issued, StepParams()) == [1.0, 1.0]
-    assert len(steps) <= 3
+    body = BodySpec(member_ids=(0, 1, 2), resolution=16, window_halfwidth=8.0)
+    for ticks in (1, 3):
+        problem = _idle_target(world, body, ticks, 0, timeout=24)
+        steps = _count_steps(monkeypatch)
+        assert null_baseline(world, body, problem, StepParams()) == 1.0
+        assert 1 <= len(steps) <= ticks
 
 
-def test_null_baselines_of_an_empty_batch(monkeypatch):
-    world, _ = fresh()
-    monkeypatch.setattr(type(world), "clone", lambda self: pytest.fail("cloned"))
-    assert null_baselines(world, [], StepParams()) == []
+def test_null_baseline_rolls_at_most_timeout_steps(monkeypatch):
+    world = generate_world(flat_quiet_spec(9, n_entities=12))
+    body = BodySpec(member_ids=(8, 9, 10, 11), resolution=16, window_halfwidth=8.0)
+    late = _idle_target(world, body, 5, 0, timeout=4)
+    steps = _count_steps(monkeypatch)
+    assert null_baseline(world, body, late, StepParams()) == 0.0
+    assert len(steps) == late.timeout
+    assert world.tick == 0
 
 
 def test_hit_score_formula_oracle():
@@ -244,7 +244,9 @@ def test_hit_score_formula_oracle():
 
 
 def test_hit_score_miss_is_zero():
-    assert hit_score(False, 0, 0, 1, 1, p_null=0.0) == 0.0
+    # an unsolved problem has no null baseline, and it is never looked at
+    for p_null in (0.0, 1.0, None, 1.5):
+        assert hit_score(False, 0, 0, 1, 1, p_null=p_null) == 0.0
 
 
 def test_hit_score_monotone_decreasing_in_effort():
@@ -260,6 +262,8 @@ def test_hit_score_validation():
         hit_score(True, 0, 0, 0, 1, 0.0)
     with pytest.raises(ContractViolation):
         hit_score(True, 0, 0, 1, 1, 1.5)
+    with pytest.raises(ContractViolation, match="p_null"):
+        hit_score(True, 0, 0, 1, 1, None)
 
 
 def test_normalized_score_identity_when_lambda_zero():

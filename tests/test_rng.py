@@ -71,6 +71,18 @@ def test_clone_stream_matches_then_diverges_independently():
     clone.uniform(size=100)
     assert rngmod.stream_state(stream) == before
 
+    # cut mid-buffer: a uint32 draw leaves half a 64-bit word behind
+    stream.integers(0, 1 << 32, dtype=np.uint32)
+    assert rngmod.stream_state(stream)["has_uint32"] == 1
+    clone = rngmod.clone_stream(stream)
+    assert rngmod.stream_state(clone) == rngmod.stream_state(stream)
+    for draw in (lambda g: g.integers(0, 1 << 32, size=3, dtype=np.uint32),
+                 lambda g: g.uniform(size=5), lambda g: g.standard_normal(4)):
+        assert np.array_equal(draw(stream), draw(clone))
+    before = rngmod.stream_state(stream)
+    clone.integers(0, 1 << 32, size=9, dtype=np.uint32)
+    assert rngmod.stream_state(stream) == before
+
 
 def test_derive_world_seed_distinct():
     seen = set()

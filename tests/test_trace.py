@@ -4,10 +4,14 @@ The episode-level tests write real traces through the harness and then
 hunt for the actual world secrets in the live tier.
 """
 
+import contextlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftworld.agents import GreedyAgent, make_agent
 from driftworld.canon import canonical_dumps
@@ -154,6 +158,68 @@ def test_sink_leaves_no_file_when_a_writer_fails_to_close(failing, tmp_path):
     # disclosure close; a failed live close takes the disclosure with it
     assert left == (["live.ndjson"] if failing == "disc" else [])
     assert sink.live._fh.closed and sink.disc._fh.closed
+
+
+# ------------------------------------------------------------ held events
+
+
+def _sense(n: int) -> dict:
+    return {"kind": "sense", "tick": n, "agent": "a", "grid_hash": f"at{n}",
+            "seed": 9}
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.one_of(st.tuples(st.just("event"), st.booleans()),
+                              st.tuples(st.just("release"),
+                                        st.integers(0, 1 << 16))),
+                    max_size=40),
+       crash=st.booleans())
+def test_sink_holds_disclosure_lines_in_event_order(ops, crash):
+    """Random event/hold/release sequences: the disclosure file has every
+    document in event order, each held one as it was at its release (or
+    at the clean exit), and the live file has every view as it was at
+    its event."""
+    header = {"kind": "header", "mode": DISCLOSURE, "format": 1}
+    with tempfile.TemporaryDirectory() as tmp:
+        live, disc = os.path.join(tmp, "live.ndjson"), os.path.join(tmp, "disc.ndjson")
+        docs, views, held = [], [], []
+        with pytest.raises(RuntimeError) if crash else contextlib.nullcontext():
+            with TraceSink(live, disc, header) as sink:
+                for op, arg in ops:
+                    if op == "event":
+                        doc = _sense(len(docs))
+                        views.append(sink.event(doc, hold=arg))
+                        docs.append(doc)
+                        if arg:
+                            held.append(doc)
+                    elif held:
+                        doc = held.pop(arg % len(held))
+                        doc["grid_hash"] = f"released{doc['tick']}"
+                        sink.release(doc)
+                for doc in held:  # still held at the exit
+                    doc["grid_hash"] = f"open{doc['tick']}"
+                if crash:
+                    raise RuntimeError("crash with lines held")
+        if crash:
+            assert os.listdir(tmp) == []
+            return
+        assert read_trace(disc) == (header, docs)
+        assert read_trace(live)[1] == views
+        assert all(v["grid_hash"] == f"at{v['tick']}" for v in views)
+
+
+def test_writer_refuses_to_release_an_event_it_does_not_hold(tmp_path):
+    header = {"kind": "header", "mode": DISCLOSURE, "format": 1}
+    with TraceWriter(str(tmp_path / "t.ndjson"), header) as w:
+        doc = _sense(0)
+        w.event(doc)
+        with pytest.raises(ContractViolation, match="not held"):
+            w.release(doc)
+        w.event(doc, hold=True)
+        w.release(doc)
+        with pytest.raises(ContractViolation, match="not held"):
+            w.release(doc)
+    assert read_trace(str(tmp_path / "t.ndjson"))[1] == [doc, doc]
 
 
 def test_iter_trace_skips_blanks_and_rejects_garbage(tmp_path):
