@@ -6,19 +6,25 @@ id order, advance the world one step (laws drift inside the step), close
 any problem that is solved or out of time, then record score samples and
 periodic snapshot hashes.  Every agent senses exactly once and acts
 exactly once per tick; the loop checks that invariant itself so
-multi-agent runs cannot silently starve anyone.  A problem's null
-baseline is rolled only if it closes solved, from a clone of the world
-taken when it was issued; its disclosure line is held until then.
+multi-agent runs cannot silently starve anyone.  Each body's sensor is
+read once before the loop and once after each step, and that reading
+serves both the close check and the next tick's observation.  A
+problem's null baseline is rolled only if it closes solved, from a clone
+of the world taken when it was issued; its disclosure line is held until
+then.
 
 Stage one evaluates each agent alone on matched worlds derived from one
 master seed.  Stage two puts all agents into a single shared world with
-disjoint bodies and per-agent problem streams.  Replay re-runs a
-disclosure trace against regenerated worlds with the recorded actions
-and compares the regenerated trace byte for byte.
+disjoint bodies and per-agent problem streams.  Replay reads a
+disclosure trace once, as a stream, re-runs it on a regenerated world
+with the recorded actions, and compares the regenerated file with the
+original line by line as raw bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import tempfile
@@ -32,7 +38,7 @@ from .canon import from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
-from .interface import BodySpec, SenseGrid, forces_to_accel, sense, validate_forces
+from .interface import BodySpec, forces_to_accel, sense, validate_forces
 from .metrics import AgentMetrics, MetricParams, compute_metrics, rank_agents
 from .problems import (
     Problem,
@@ -44,7 +50,7 @@ from .problems import (
     normalized_score,
     null_baseline,
 )
-from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, read_trace, typed
+from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, iter_trace, typed
 from .worldgen import GenSpec, World, generate_world
 
 
@@ -88,42 +94,35 @@ class EpisodeResult:
         return compute_metrics(self.samples[agent_id], self.drift_marks, params)
 
 
-class _ReplayScript:
-    """Recorded actions, resources, and null baselines for one agent."""
-
-    def __init__(self):
-        self.forces: dict[int, np.ndarray] = {}
-        self.resources: dict[int, dict] = {}
-        self.budget_misses = 0
-
-
 class ScriptedAgent(BaseAgent):
     """Replays recorded actions verbatim.  Forces are already validated,
     so the loop must not clamp them again (bit-exactness).  It also
-    impersonates the recorded agent's kind and budget misses, since both
-    are echoed into trace lines the replay must reproduce."""
+    impersonates the recorded agent's kind, declared resources and budget
+    misses, since all three are echoed into trace lines the replay must
+    reproduce.  Replay fills `forces`, `declared` and `budget_misses`
+    from the trace before the episode runs."""
 
     kind = "scripted"
     reportable = False
     pre_validated = True
 
-    def __init__(self, body: BodySpec, dim: int, script: _ReplayScript,
-                 kind: str | None = None):
+    def __init__(self, body: BodySpec, dim: int, kind: str | None = None):
         super().__init__(body, dim)
-        self.script = script
         if kind is not None:
             self.kind = kind
-        self.budget_misses = script.budget_misses
+        self.forces: dict[int, np.ndarray] = {}  # by tick
+        self.declared: dict[int, dict] = {}  # resources by tick
+        self.budget_misses = 0
 
     def act(self, observation: dict) -> np.ndarray:
         tick = observation["tick"]
-        if tick not in self.script.forces:
+        if tick not in self.forces:
             raise ContractViolation(f"no recorded action for tick {tick}")
         self._tick = tick
-        return self.script.forces[tick]
+        return self.forces[tick]
 
     def resources(self) -> dict:
-        return dict(self.script.resources[self._tick])
+        return dict(self.declared[self._tick])
 
 
 def _header(world: World, slots: list[Slot], step_params: StepParams,
@@ -184,7 +183,10 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
     marks: list[int] = []
     next_problem_id = 0
     closed_total = 0
-    closing: dict[str, SenseGrid] = {}  # close-phase readings by agent id
+    # one reading per body per tick: taken before the loop and after each
+    # step, it serves the close check and the next tick's observation,
+    # since issuing problems moves only clones
+    readings = {slot.agent_id: sense(world, slot.body) for slot in slots}
 
     with TraceSink(live_path, disclosure_path, header) as sink:
         for t in range(episode.horizon):
@@ -225,14 +227,10 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     slot.agent.load_script(problem.hidden_actions,
                                            problem.issued_tick)
 
-            # 2. sense phase, fixed id order; a close-phase reading taken
-            #    at this tick stands in for a fresh one, since only
-            #    clones move between the two
+            # 2. sense phase, fixed id order
             observations: dict[str, dict] = {}
             for slot in slots:
-                reading = closing.pop(slot.agent_id, None)
-                if reading is None or reading.tick != world.tick:
-                    reading = sense(world, slot.body)
+                reading = readings[slot.agent_id]
                 slot.senses += 1
                 if slot.active is not None:
                     slot.o_count += 1
@@ -267,6 +265,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
 
             # 4. advance the world; law drift happens inside the step
             step(world, step_params, external_accel=total_accel)
+            readings = {slot.agent_id: sense(world, slot.body) for slot in slots}
             if world.last_drift_events:
                 levels = sorted(e["level"] for e in world.last_drift_events)
                 marks.append(t)
@@ -280,9 +279,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 if slot.active is None:
                     continue
                 problem = slot.active
-                reading = sense(world, slot.body)  # internal, not charged
-                closing[slot.agent_id] = reading
-                solved, distance = check_solved(reading, problem)
+                solved, distance = check_solved(readings[slot.agent_id], problem)
                 timed_out = world.tick >= problem.deadline()
                 last_tick = t == episode.horizon - 1
                 if not (solved or timed_out or last_tick):
@@ -600,18 +597,35 @@ def oracle_calibration(config: RunConfig, n_problems: int) -> dict:
 # -- replay ----------------------------------------------------------------
 
 
-def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
-    """Collect per-agent recorded actions/resources and per-problem nulls,
-    None where the trace records none (a problem that did not close
-    solved)."""
-    scripts: dict[str, _ReplayScript] = {}
+def _verdict(line: int | None = None, tick: int | None = None,
+             checked: int = 0, error: str | None = None) -> dict:
+    """A replay verdict; OK when no line diverged and nothing failed."""
+    ok = line is None and error is None
+    return {"ok": ok, "verdict": "OK" if ok else "FAIL",
+            "first_divergence_line": line, "first_divergence_tick": tick,
+            "lines_checked": checked, "error": error}
+
+
+def _header_agent(agents: dict[str, ScriptedAgent], agent_id: str,
+                  where: str) -> ScriptedAgent:
+    if agent_id not in agents:
+        raise ContractViolation(
+            f"{where} names agent {agent_id!r}, which the header does not list")
+    return agents[agent_id]
+
+
+def _load_scripts(events, agents: dict[str, ScriptedAgent]
+                  ) -> dict[int, float | None]:
+    """Fill each agent's recorded forces, resources and budget misses from
+    the trace's events, in one pass, and return the recorded null baseline
+    of every problem: None where the trace records none (a problem that
+    did not close solved)."""
     nulls: dict[int, float | None] = {}
     for doc in events:
         kind = doc.get("kind")
         if kind == "act":
             where = "trace act"
-            script = scripts.setdefault(typed(doc, "agent", str, where),
-                                        _ReplayScript())
+            agent = _header_agent(agents, typed(doc, "agent", str, where), where)
             tick = typed(doc, "tick", int, where)
             try:
                 forces = np.asarray(typed(doc, "forces", list, where),
@@ -619,8 +633,8 @@ def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
             except TypeError as exc:
                 raise ContractViolation(
                     f"trace act forces at tick {tick} are not numbers") from exc
-            script.forces[tick] = forces
-            script.resources[tick] = typed(doc, "resources", dict, where)
+            agent.forces[tick] = forces
+            agent.declared[tick] = typed(doc, "resources", dict, where)
         elif kind == "problem_issued":
             p = typed(doc, "problem", dict, "trace problem_issued")
             if "p_null" not in p:
@@ -632,109 +646,80 @@ def _scripts_from_events(events: list[dict]) -> tuple[dict, dict]:
         elif kind == "end":
             misses = typed(doc, "budget_misses", dict, "trace end")
             for agent_id in misses:
-                scripts.setdefault(agent_id, _ReplayScript()).budget_misses = \
+                _header_agent(agents, agent_id, "trace end").budget_misses = \
                     typed(misses, agent_id, int, "trace end budget_misses")
-    return scripts, nulls
+    return nulls
 
 
 def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> dict:
     """Re-run a disclosure trace and compare the bytes.
 
-    The world is regenerated from the recorded spec, problems are redrawn
-    from the same streams at the same ticks, recorded actions are applied
-    verbatim, and the newly written disclosure trace must match the
-    original line for line.  Null baselines are not re-rolled: a problem
-    that closes solved reuses its recorded value, and one whose trace
-    line records none fails the replay.  Any other problem is written
-    with a null `p_null`, so a value recorded for it fails the compare.
+    The trace is read once, as a stream: the header rebuilds the world,
+    the agents' bodies and their problem streams, and the events give
+    each agent's recorded actions.  Problems are redrawn from the same
+    streams at the same ticks, the actions are applied verbatim, and the
+    regenerated disclosure trace is written to `regenerated_path` (a
+    temporary directory when None).  Then both files are walked line by
+    line as raw bytes, line endings included; the first line that
+    differs, or that only one file has, is the divergence.
+
+    Replay takes as given what it cannot recompute: the actions, their
+    declared resources, the budget misses and the agent kinds.  Null
+    baselines are not re-rolled either: a problem that closes solved
+    reuses its recorded value, and one whose trace line records none
+    fails the replay.  Any other problem is written with a null
+    `p_null`, so a value recorded for it fails the compare.
     """
     try:
-        header, events = read_trace(disclosure_path)
-        if header.get("mode") != DISCLOSURE:
-            raise ContractViolation("replay needs a disclosure trace")
-        if header.get("format") != TRACE_FORMAT:
-            raise ContractViolation(
-                f"trace format {header.get('format')} cannot be replayed by "
-                f"this program, which writes format {TRACE_FORMAT}"
-            )
+        with contextlib.ExitStack() as stack:
+            events = stack.enter_context(
+                contextlib.closing(iter_trace(disclosure_path)))
+            header = next(events, None)
+            if header is None or header.get("kind") != "header":
+                raise ContractViolation(f"{disclosure_path}: missing trace header")
+            if header.get("mode") != DISCLOSURE:
+                raise ContractViolation("replay needs a disclosure trace")
+            if header.get("format") != TRACE_FORMAT:
+                raise ContractViolation(
+                    f"trace format {header.get('format')} cannot be replayed by "
+                    f"this program, which writes format {TRACE_FORMAT}"
+                )
 
-        spec = from_doc(GenSpec, header["gen_spec"])
-        step_params = from_doc(StepParams, header["step_params"])
-        problem_params = from_doc(ProblemParams, header["problem_params"])
-        score_params = from_doc(ScoreParams, header["score_params"])
-        episode = from_doc(EpisodeConfig, header["episode"])
-        scripts, nulls = _scripts_from_events(events)
+            spec = from_doc(GenSpec, header["gen_spec"])
+            step_params = from_doc(StepParams, header["step_params"])
+            problem_params = from_doc(ProblemParams, header["problem_params"])
+            score_params = from_doc(ScoreParams, header["score_params"])
+            episode = from_doc(EpisodeConfig, header["episode"])
+            kinds = typed(header, "agent_kinds", dict, "trace header")
+            streams = typed(header, "stream_names", dict, "trace header")
+            slots = []
+            for agent_id, body_doc in sorted(
+                    typed(header, "bodies", dict, "trace header").items()):
+                body = from_doc(BodySpec, body_doc)
+                slots.append(Slot(
+                    agent_id=agent_id,
+                    agent=ScriptedAgent(body, spec.dim, kinds.get(agent_id)),
+                    body=body,
+                    stream_name=streams[agent_id],
+                ))
+            nulls = _load_scripts(events, {s.agent_id: s.agent for s in slots})
 
-        world = generate_world(spec)
-        slots = []
-        kinds = typed(header, "agent_kinds", dict, "trace header")
-        streams = typed(header, "stream_names", dict, "trace header")
-        for agent_id, body_doc in sorted(
-                typed(header, "bodies", dict, "trace header").items()):
-            body = from_doc(BodySpec, body_doc)
-            script = scripts.get(agent_id, _ReplayScript())
-            slots.append(Slot(
-                agent_id=agent_id,
-                agent=ScriptedAgent(body, spec.dim, script,
-                                    kind=kinds.get(agent_id)),
-                body=body,
-                stream_name=streams[agent_id],
-            ))
-
-        own_tmp = regenerated_path is None
-        if own_tmp:
-            fd, regenerated_path = tempfile.mkstemp(suffix=".ndjson")
-            os.close(fd)
-        try:
+            if regenerated_path is None:
+                tmp = stack.enter_context(tempfile.TemporaryDirectory())
+                regenerated_path = os.path.join(tmp, "regenerated.ndjson")
             run_episode(
-                world, slots, step_params, problem_params, score_params,
-                episode, disclosure_path=regenerated_path,
+                generate_world(spec), slots, step_params, problem_params,
+                score_params, episode, disclosure_path=regenerated_path,
                 replay_nulls=nulls,
             )
-            with open(disclosure_path, "r", encoding="utf-8") as fh:
-                original = fh.read().splitlines()
-            with open(regenerated_path, "r", encoding="utf-8") as fh:
-                regenerated = fh.read().splitlines()
-        finally:
-            if own_tmp:
-                os.unlink(regenerated_path)
-
-        for n, (old, new) in enumerate(zip(original, regenerated), start=1):
-            if old != new:
-                tick = None
-                try:
-                    tick = json.loads(new).get("tick")
-                except (ValueError, AttributeError):
-                    pass
-                return {
-                    "ok": False,
-                    "verdict": "FAIL",
-                    "first_divergence_line": n,
-                    "first_divergence_tick": tick,
-                    "lines_checked": n,
-                }
-        if len(original) != len(regenerated):
-            short = min(len(original), len(regenerated))
-            return {
-                "ok": False,
-                "verdict": "FAIL",
-                "first_divergence_line": short + 1,
-                "first_divergence_tick": None,
-                "lines_checked": short,
-            }
-        return {
-            "ok": True,
-            "verdict": "OK",
-            "first_divergence_line": None,
-            "first_divergence_tick": None,
-            "lines_checked": len(original),
-        }
+            n = 0
+            with open(disclosure_path, "rb") as old_fh, \
+                    open(regenerated_path, "rb") as new_fh:
+                for n, (old, new) in enumerate(
+                        itertools.zip_longest(old_fh, new_fh), start=1):
+                    if old != new:
+                        tick = None if new is None else json.loads(new).get("tick")
+                        return _verdict(line=n, tick=tick, checked=n)
+            return _verdict(checked=n)
     except (DriftworldError, KeyError, ValueError, OSError) as exc:
-        return {
-            "ok": False,
-            "verdict": "FAIL",
-            "error": f"{type(exc).__name__}: {exc}",
-            "first_divergence_line": None,
-            "first_divergence_tick": None,
-            "lines_checked": 0,
-        }
+        return _verdict(error=f"{type(exc).__name__}: {exc}")

@@ -87,9 +87,9 @@ class TraceWriter:
 
     An event may be held: it keeps its place in the file, but its line
     is written only when it is released, with the content it has then.
-    Lines that follow a held one wait as text, already encoded; only
-    the held documents stay objects.  A clean close writes what is
-    still held as it stands.
+    Lines that follow a held one wait as text, already encoded, so the
+    held documents are the only objects in the queue.  A clean close
+    writes what is still held as it stands.
     """
 
     def __init__(self, path: str, header: dict):
@@ -100,7 +100,6 @@ class TraceWriter:
         if self.mode not in (LIVE, DISCLOSURE):
             raise ContractViolation("trace mode must be 'live' or 'disclosure'")
         self._pending: deque = deque()  # lines and held documents, in order
-        self._held: set[int] = set()  # ids of the documents not yet released
         self._partial = path + ".partial"
         self._fh = open(self._partial, "w", encoding="utf-8")
         self._write(canonical_dumps(header))
@@ -112,40 +111,33 @@ class TraceWriter:
     def event(self, doc: dict, hold: bool = False) -> None:
         if "kind" not in doc:
             raise ContractViolation("trace events need a kind")
-        if hold:
-            self._held.add(id(doc))
-            self._pending.append(doc)
-        elif self._pending:
-            self._pending.append(canonical_dumps(doc))
-        else:
-            self._write(canonical_dumps(doc))
+        self._pending.append(doc if hold else canonical_dumps(doc))
+        self._flush()
 
     def release(self, doc: dict) -> None:
         """Write a held document as it is now, and the lines after it up
         to the next document still held."""
-        if id(doc) not in self._held:
-            raise ContractViolation("released a trace event that is not held")
-        self._held.remove(id(doc))
-        self._flush()
+        for i, entry in enumerate(self._pending):
+            if entry is doc:
+                self._pending[i] = canonical_dumps(doc)
+                self._flush()
+                return
+        raise ContractViolation("released a trace event that is not held")
 
     def _flush(self) -> None:
+        """Write the queued lines up to the first document still held."""
         pending = self._pending
-        while pending:
-            entry = pending[0]
-            if isinstance(entry, str):
-                self._write(entry)
-            elif id(entry) in self._held:
-                return
-            else:
-                self._write(canonical_dumps(entry))
-            pending.popleft()
+        while pending and isinstance(pending[0], str):
+            self._write(pending.popleft())
 
     def close(self) -> None:
         """Write what is held, then put the file in place at `path`;
         delete it if that fails."""
         if not self._fh.closed:
             try:
-                self._held.clear()
+                self._pending = deque(
+                    e if isinstance(e, str) else canonical_dumps(e)
+                    for e in self._pending)
                 self._flush()
                 self._fh.close()
                 os.replace(self._partial, self.path)

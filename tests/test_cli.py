@@ -326,9 +326,12 @@ def test_replay_names_a_mistyped_header_field(tmp_path):
     ("act", "forces", {"x": 1}),
     ("act", "forces", [[{"x": 1}, 0.0]]),
     ("act", "resources", 7),
+    ("act", "agent", "nobody"),
+    ("end", "budget_misses", {"nobody": 0}),
 ], ids=["problem-int", "problem-id-string", "p_null-string", "p_null-bool",
         "budget_misses-int", "budget_misses-value-string", "agent-int",
-        "tick-float", "forces-object", "forces-of-objects", "resources-int"])
+        "tick-float", "forces-object", "forces-of-objects", "resources-int",
+        "agent-unknown", "budget_misses-agent-unknown"])
 def test_replay_of_a_mistyped_event_fails(kind, field, value, tmp_path, capsys):
     lines = GOLDEN_TRACE.read_text().splitlines()
     n = next(i for i, l in enumerate(lines) if f'"kind":"{kind}"' in l)

@@ -6,22 +6,27 @@ audited through the same artifact external auditors would use.
 """
 
 import functools
+import json
 import multiprocessing
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftworld import harness
 from driftworld.agents import make_agent
-from driftworld.canon import canonical_dumps, to_doc
+from driftworld.canon import canonical_dumps, from_doc, to_doc
+from driftworld.cli import main
 from driftworld.config import EpisodeConfig, RunConfig, load_config
+from driftworld.dynamics import StepParams
 from driftworld.errors import ConfigError, ContractViolation
 from driftworld.harness import (
     ScriptedAgent,
     Slot,
-    _ReplayScript,
     _summarize,
     oracle_calibration,
     replay_trace,
@@ -29,8 +34,9 @@ from driftworld.harness import (
     run_stage1,
     run_stage2,
 )
+from driftworld.interface import BodySpec
 from driftworld.metrics import AgentMetrics, MetricParams
-from driftworld.problems import ProblemParams
+from driftworld.problems import ProblemParams, ScoreParams
 from driftworld.rng import derive_world_seed
 from driftworld.trace import read_trace
 from driftworld.worldgen import DriftSchedule, GenSpec, World, generate_world
@@ -78,8 +84,8 @@ def test_every_agent_senses_and_acts_once_per_tick():
 
 
 def test_live_world_is_sensed_once_per_body_per_tick(monkeypatch):
-    # The close phase reads each active body at tick t+1; tick t+1's
-    # charged observation reuses that reading instead of sensing again.
+    # Each body is read once before the loop and once after each step;
+    # the close check at tick t+1 and tick t+1's observation share it.
     cfg = small_config()
     world = generate_world(cfg.gen)
     bodies = [cfg.body(0), cfg.body(cfg.body_members)]
@@ -98,10 +104,10 @@ def test_live_world_is_sensed_once_per_body_per_tick(monkeypatch):
     result = run_episode(world, slots, cfg.step, cfg.problem, cfg.score,
                          cfg.episode)
     horizon = cfg.episode.horizon
-    assert len(live_reads) == len(set(live_reads))
+    assert len(live_reads) == len(set(live_reads)) == len(bodies) * (horizon + 1)
     for body in bodies:
         ticks = {t for t, ids in live_reads if ids == body.member_ids}
-        assert set(range(horizon)) <= ticks
+        assert ticks == set(range(horizon + 1))
     assert result.senses == {"greedy": horizon, "null": horizon}
 
 
@@ -266,7 +272,7 @@ def test_unique_ids_and_disjoint_bodies_enforced():
 def test_scripted_agent_requires_recorded_ticks():
     cfg = small_config()
     body = cfg.body()
-    agent = ScriptedAgent(body, 2, _ReplayScript())
+    agent = ScriptedAgent(body, 2)
     with pytest.raises(ContractViolation):
         agent.act({"tick": 0, "grid": []})
 
@@ -506,6 +512,142 @@ def test_replay_keeps_regenerated_copy(tmp_path):
     verdict = replay_trace(disc, regenerated_path=kept)
     assert verdict["ok"]
     assert open(kept, "rb").read() == open(disc, "rb").read()
+
+
+@pytest.fixture(scope="module")
+def greedy_trace(tmp_path_factory):
+    """A 30-tick greedy disclosure trace; problems 0 and 1 close solved."""
+    path = tmp_path_factory.mktemp("greedy") / "greedy.ndjson"
+    run_one(solving_config(horizon=30), "greedy", disc_path=str(path))
+    return path
+
+
+def _last_line_start(raw: bytes) -> int:
+    return raw.rindex(b"\n", 0, len(raw) - 1) + 1
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda raw: raw[:-1] + b"\x0b", lambda n: n),
+    (lambda raw: raw[:-1] + b"\x0c", lambda n: n),
+    (lambda raw: raw[:-1], lambda n: n),
+    (lambda raw: raw[:_last_line_start(raw)], lambda n: n),
+    (lambda raw: raw + raw[_last_line_start(raw):], lambda n: n + 1),
+    (lambda raw: raw.replace(b"\n", b"\r\n"), lambda n: 1),
+], ids=["last-newline-to-vt", "last-newline-to-ff", "last-byte-deleted",
+        "last-line-deleted", "line-appended", "crlf"])
+def test_replay_fails_at_the_first_edited_line(edit, line, greedy_trace,
+                                               tmp_path, capsys):
+    raw = greedy_trace.read_bytes()
+    n_lines = raw.count(b"\n")
+    edited = tmp_path / "edited.ndjson"
+    edited.write_bytes(edit(raw))
+    verdict = replay_trace(str(edited))
+    assert verdict["verdict"] == "FAIL" and not verdict["ok"]
+    assert verdict["error"] is None
+    assert verdict["first_divergence_line"] == line(n_lines)
+    assert verdict["lines_checked"] == line(n_lines)
+    if line(n_lines) > n_lines:  # the original has a line the replay lacks
+        assert verdict["first_divergence_tick"] is None
+    assert main(["replay", str(edited)]) == 1
+    assert f"first divergence at line {line(n_lines)}" in capsys.readouterr().out
+
+
+def test_replay_leaves_no_temporary_files(greedy_trace, tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    written = []
+    original = harness.run_episode
+
+    def recording(*args, **kwargs):
+        written.append(kwargs["disclosure_path"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", recording)
+    raw = greedy_trace.read_bytes()
+    cut = tmp_path / "cut.ndjson"
+    cut.write_bytes(raw[:-1])
+    # without its last act the episode raises once it reaches that tick
+    lines = raw.splitlines(keepends=True)
+    last_act = max(i for i, l in enumerate(lines) if b'"kind":"act"' in l)
+    no_act = tmp_path / "no_act.ndjson"
+    no_act.write_bytes(b"".join(lines[:last_act] + lines[last_act + 1:]))
+
+    verdicts = [replay_trace(str(path)) for path in (greedy_trace, cut, no_act)]
+    assert [v["verdict"] for v in verdicts] == ["OK", "FAIL", "FAIL"]
+    assert verdicts[1]["error"] is None
+    assert "no recorded action for tick 29" in verdicts[2]["error"]
+    assert len(written) == 3
+    assert all(os.path.dirname(os.path.dirname(p)) == str(scratch) for p in written)
+    assert list(scratch.iterdir()) == []
+
+
+#: The fields replay takes as given, by line kind: a change to one that
+#: shows in no recomputed line (a force rounding away, say) replays OK.
+TAKEN_AS_GIVEN = {"header": ("agent_kinds",), "act": ("forces", "resources"),
+                  "end": ("budget_misses",)}
+
+
+def _differs_only_in_given_fields(raw: bytes, edited: bytes) -> bool:
+    old, new = raw.split(b"\n"), edited.split(b"\n")
+    if len(old) != len(new):
+        return False
+    for a, b in zip(old, new):
+        if a != b:
+            a, b = json.loads(a), json.loads(b)
+            for key in TAKEN_AS_GIVEN.get(a["kind"], ()):
+                a.pop(key, None)
+                b.pop(key, None)
+            if a != b:
+                return False
+    return True
+
+
+def _fresh_run_writes(edited: bytes, out) -> bool:
+    """Whether the greedy agent, run afresh on the parameters in the
+    edited header, writes exactly the edited trace: the edit changed a
+    parameter that this episode never exercised."""
+    header = json.loads(edited.split(b"\n", 1)[0])
+    body = from_doc(BodySpec, header["bodies"]["greedy"])
+    slot = Slot(agent_id="greedy", agent=make_agent("greedy", body, 2), body=body)
+    run_episode(generate_world(from_doc(GenSpec, header["gen_spec"])), [slot],
+                *(from_doc(cls, header[key]) for cls, key in (
+                    (StepParams, "step_params"), (ProblemParams, "problem_params"),
+                    (ScoreParams, "score_params"), (EpisodeConfig, "episode"))),
+                disclosure_path=str(out))
+    return out.read_bytes() == edited
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_replay_of_a_damaged_trace_fails(greedy_trace, data):
+    """A flipped bit, a cut or two swapped lines: replay returns a verdict,
+    never raises, and says FAIL, unless a flip only changed a field replay
+    takes as given or a header parameter the episode never exercised (a
+    budget no in-process agent uses, a snapshot cadence longer than the
+    episode, a cap nothing reached)."""
+    raw = greedy_trace.read_bytes()
+    how = data.draw(st.sampled_from(["flip", "cut", "swap"]))
+    if how == "flip":
+        damaged = bytearray(raw)
+        damaged[data.draw(st.integers(0, len(raw) - 1))] ^= \
+            1 << data.draw(st.integers(0, 7))
+    elif how == "cut":
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        lines = raw.splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 2))
+        damaged = b"".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:])
+    path = greedy_trace.parent / "damaged.ndjson"
+    path.write_bytes(damaged)
+    verdict = replay_trace(str(path), str(greedy_trace.parent / "regenerated.ndjson"))
+    if verdict["ok"]:
+        damaged = bytes(damaged)
+        assert how == "flip"
+        assert _differs_only_in_given_fields(raw, damaged) or _fresh_run_writes(
+            damaged, greedy_trace.parent / "fresh.ndjson")
+    else:
+        assert verdict["verdict"] == "FAIL"
 
 
 # ----------------------------------------------------------------- law bytes
