@@ -1,7 +1,8 @@
 """Independent checks the tests hold the program to.
 
 Scalar and whole-world physics references, a plain-Python pair kernel,
-the sensor-reading hash packed with `struct`, the live-trace redaction
+aggregate pass and step, the sensor-reading hash packed with `struct`,
+the live-trace redaction
 audit and byte tools for tamper tests.  None of this is called by the
 package: a check written apart from the code it checks cannot share its
 mistakes.  `FORBIDDEN_LIVE_KEYS` is a denylist kept separately from the
@@ -20,7 +21,13 @@ import numpy as np
 
 from driftworld.dynamics import StepParams
 from driftworld.errors import ContractViolation
-from driftworld.worldgen import DAMPING_TERM, RADIAL_EXPONENT, CausationLaw, World
+from driftworld.worldgen import (
+    DAMPING_TERM,
+    RADIAL_EXPONENT,
+    CausationLaw,
+    World,
+    apply_drift,
+)
 
 # -------------------------------------------------------------- physics
 
@@ -64,6 +71,22 @@ def radial_power(r_eff, exponent: int):
     return 1.0 / value if exponent < 0 else value
 
 
+def minimal_image(d: float, span: float) -> float:
+    """`worldgen.minimal_image` of one coordinate difference."""
+    q = d / span
+    # numpy's round: half to even, and the sign of a zero kept
+    q = math.copysign(float(round(q)), q)
+    return d - q * span
+
+
+def wrap(x: float, extent: float) -> float:
+    """`worldgen.wrap_positions` of one coordinate.  Python's float `%` is
+    numpy's floor-mod to the bit: both take the exact `fmod`, add the
+    divisor when the signs differ and give a zero the divisor's sign, so
+    no numpy call is needed here."""
+    return (x + extent) % (2.0 * extent) - extent
+
+
 def level_accel(positions: np.ndarray, velocities: np.ndarray,
                 polarity: np.ndarray, inertia: np.ndarray, law: CausationLaw,
                 extent: float, params: StepParams) -> list[list[float]]:
@@ -89,13 +112,7 @@ def level_accel(positions: np.ndarray, velocities: np.ndarray,
         """What partner j exerts on receiver i."""
         if i == j:
             return [0.0] * dim
-        delta = []
-        for k in range(dim):
-            d = pos[i][k] - pos[j][k]
-            q = d / span
-            # numpy's round: half to even, and the sign of a zero kept
-            q = math.copysign(float(round(q)), q)
-            delta.append(d - q * span)
+        delta = [minimal_image(pos[i][k] - pos[j][k], span) for k in range(dim)]
         r2 = delta[0] * delta[0]
         for d in delta[1:]:
             r2 = r2 + d * d
@@ -127,6 +144,109 @@ def level_accel(positions: np.ndarray, velocities: np.ndarray,
             total = [t + a for t, a in zip(total, pair(i, j))]
         out.append(total)
     return out
+
+
+def aggregates(world: World) -> list[tuple[list, list, list, list]]:
+    """`World.recompute_aggregates` in plain Python floats.
+
+    One (positions, velocities, inertia, polarity) tuple of lists per
+    level >= 1, derived from the `parent` maps alone.  Every sum starts at
+    0.0 and adds the members in ascending row order, as `np.bincount`
+    does; a position is the anchor (the composite's first member row)
+    plus the weighted mean of the members' minimal-image offsets from it,
+    wrapped.
+    """
+    extent = world.spec.arena_extent
+    span = 2.0 * extent
+    pos, vel = world.positions.tolist(), world.velocities.tolist()
+    mass, pol = world.inertia.tolist(), world.polarity.tolist()
+    dim = len(pos[0])
+    out = []
+    for lv in world.levels:
+        m = len(lv.ids)
+        parent = lv.parent.tolist()
+        anchor: dict[int, int] = {}
+        for row, p in enumerate(parent):
+            anchor.setdefault(p, row)
+        total = [0.0] * m
+        charge = [0] * m
+        moment = [[0.0] * dim for _ in range(m)]
+        impulse = [[0.0] * dim for _ in range(m)]
+        for row, p in enumerate(parent):
+            origin = pos[anchor[p]]
+            total[p] = total[p] + mass[row]
+            charge[p] += pol[row]
+            for k in range(dim):
+                offset = minimal_image(pos[row][k] - origin[k], span)
+                moment[p][k] = moment[p][k] + offset * mass[row]
+                impulse[p][k] = impulse[p][k] + vel[row][k] * mass[row]
+        pos = [[wrap(pos[anchor[p]][k] + moment[p][k] / total[p], extent)
+                for k in range(dim)] for p in range(m)]
+        vel = [[impulse[p][k] / total[p] for k in range(dim)] for p in range(m)]
+        mass = total
+        pol = [1 if c >= 0 else -1 for c in charge]
+        out.append((pos, vel, mass, pol))
+    return out
+
+
+def reference_step(world: World, params: StepParams,
+                   external_accel: np.ndarray | None = None) -> dict:
+    """`dynamics.step` in plain Python floats; advances `world` in place.
+
+    Drift is `worldgen.apply_drift` itself: its draws have no plain-Python
+    form yet.  Everything after it is computed here: the aggregates, every
+    level's pair kernel, the push-down of composite accelerations to the
+    member entities, the semi-implicit Euler update, the speed clamp and
+    the toroidal wrap.  Returns the step's arrays as lists, keyed by
+    (level, name): each level's "accelerations", each composite level's
+    aggregate "positions", "velocities", "inertia" and "polarity", and
+    the entities' new "positions" and "velocities" at level 0.
+    """
+    apply_drift(world)
+    extent = world.spec.arena_extent
+    parts: dict = {}
+    levels = [(world.positions.tolist(), world.velocities.tolist(),
+               world.inertia.tolist(), world.polarity.tolist())]
+    for lv, agg in zip(world.levels, aggregates(world)):
+        levels.append(agg)
+        for name, value in zip(("positions", "velocities", "inertia", "polarity"), agg):
+            parts[lv.level, name] = value
+    n = world.n_entities
+    owner = list(range(n))
+    accel = None
+    for level, (pos, vel, mass, pol) in enumerate(levels):
+        if level:  # each entity's composite one level up
+            parent = world.levels[level - 1].parent.tolist()
+            owner = [parent[o] for o in owner]
+        comp = level_accel(np.array(pos), np.array(vel), np.array(pol),
+                           np.array(mass), world.laws[level], extent, params)
+        parts[level, "accelerations"] = comp
+        if accel is None:
+            accel = comp
+        else:
+            accel = [[a + c for a, c in zip(accel[e], comp[owner[e]])]
+                     for e in range(n)]
+    if external_accel is not None:
+        accel = [[a + x for a, x in zip(row, ext)]
+                 for row, ext in zip(accel, external_accel.tolist())]
+    dt, v_max = params.dt, params.v_max
+    velocities, positions = [], []
+    for p, v, a in zip(world.positions.tolist(), world.velocities.tolist(), accel):
+        v = [vk + ak * dt for vk, ak in zip(v, a)]
+        s2 = v[0] * v[0]
+        for vk in v[1:]:
+            s2 = s2 + vk * vk
+        speed = math.sqrt(s2)
+        if speed > v_max:
+            v = [vk * (v_max / speed) for vk in v]
+        velocities.append(v)
+        positions.append([wrap(pk + vk * dt, extent) for pk, vk in zip(p, v)])
+    world.velocities = np.array(velocities)
+    world.positions = np.array(positions)
+    world.tick += 1
+    parts[0, "velocities"] = velocities
+    parts[0, "positions"] = positions
+    return parts
 
 
 def momentum(world: World) -> np.ndarray:
