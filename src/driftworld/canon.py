@@ -24,8 +24,13 @@ import numpy as np
 from .errors import ContractViolation
 
 
+#: `json.dumps` with these options builds a new encoder on every call;
+#: an encoder keeps no state between calls, so one serves them all.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(doc)
 
 
 def canonical_hash(doc) -> str:

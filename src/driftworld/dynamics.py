@@ -15,27 +15,36 @@ thousands of ticks instead of a sloppy tolerance.
 
 The pair kernel writes every elementwise op into one workspace per level
 shape `(m, dim)`, allocated on first use and kept for the life of the
-process: two `(dim, m, m)` and five `(m, m)` float64 buffers and one
-`(m, m)` mask, about `(16 * dim + 41) * m**2` bytes (2.7 MB at m = 192,
+process: two `(dim, m, m)` and four `(m, m)` float64 buffers and one
+`(m, m)` mask, about `(16 * dim + 33) * m**2` bytes (2.4 MB at m = 192,
 dim = 2).  Elementwise results do not depend on where they are written,
-so the bytes are those of the plain expressions.
+so the bytes are those of the plain expressions.  What a level's pairs
+need that never changes (its inertia, polarity and `(m, m)` polarity
+products) lives in the world, in `World.level_constants`, computed once
+and shared with clones.
+
+At a tick that issues problems, `prepare` applies the tick's drift and
+computes its internal accelerations before any clone is taken, so the
+live step and the first step of every rollout from that state share one
+force pass; `step` stays the only integrator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canon import canonical_dumps, canonical_hash
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 from .worldgen import (
     DAMPING_TERM,
     RADIAL_EXPONENT,
     CausationLaw,
+    LevelConstants,
     World,
     apply_drift,
-    minimal_image,
     wrap_positions,
 )
 
@@ -71,8 +80,8 @@ class _Workspace:
     `r` the clamp norms and `r_eff` the clamp scales.
     """
 
-    __slots__ = ("delta", "pair", "r", "r_eff", "radial", "term", "pol_prod",
-                 "mask", "partner_sum")
+    __slots__ = ("delta", "pair", "r", "r_eff", "radial", "term", "mask",
+                 "partner_sum")
 
     def __init__(self, m: int, dim: int):
         self.delta = np.empty((dim, m, m))
@@ -81,7 +90,6 @@ class _Workspace:
         self.r_eff = np.empty((m, m))
         self.radial = np.empty((m, m))
         self.term = np.empty((m, m))
-        self.pol_prod = np.empty((m, m))
         self.mask = np.empty((m, m), dtype=bool)
         self.partner_sum = np.empty((dim, m))
 
@@ -89,42 +97,59 @@ class _Workspace:
 #: One workspace per `(m, dim)` the kernel has seen in this process.
 _WORKSPACES: dict[tuple[int, int], _Workspace] = {}
 
+#: Relative margin on the clamp bound, far above the few ulps by which
+#: the rounded pair accelerations can exceed their exact values.
+_BOUND_MARGIN = 1.0 + 1e-9
+
 
 def _axis_sum_of_squares(planes: np.ndarray, out: np.ndarray,
                          scratch: np.ndarray) -> np.ndarray:
     """Sum of squares over the leading (axis) dimension, added axis by axis."""
-    np.multiply(planes[0], planes[0], out=out)
+    np.square(planes[0], out=out)
     for plane in planes[1:]:
-        np.multiply(plane, plane, out=scratch)
+        np.square(plane, out=scratch)
         out += scratch
     return out
 
 
-def _radial_power(r_eff: np.ndarray, exponent: int, out: np.ndarray) -> np.ndarray:
-    """`r_eff ** exponent` into `out`, for every exponent in `RADIAL_EXPONENT`.
+def _pair_differences(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out[k, j, i] = values[k, i] - values[k, j]`: a broadcast copy, then
+    an in-place subtract, which is the same subtraction and faster, more
+    so from contiguous rows."""
+    values = np.ascontiguousarray(values)
+    np.copyto(out, values[:, None, :])
+    out -= values[:, :, None]
+    return out
+
+
+def _radial_term(r_eff: np.ndarray, exponent: int, coeff: float,
+                 out: np.ndarray):
+    """`coeff * r_eff ** exponent` into `out`, for every exponent in
+    `RADIAL_EXPONENT`; the `const` term is the scalar `coeff` itself,
+    since `1.0 * coeff` is `coeff`.
 
     Only products and one division, which IEEE 754 rounds exactly, so
     the bits do not depend on the CPU's SIMD dispatch; `np.power` does.
     """
     if exponent == 0:
-        out.fill(1.0)
-    elif exponent == 1:
-        np.copyto(out, r_eff)
-    elif exponent == 2:
+        return coeff
+    if exponent == 1:
+        return np.multiply(r_eff, coeff, out=out)
+    if exponent == 2:
         np.square(r_eff, out=out)
     elif exponent == -1:
         np.reciprocal(r_eff, out=out)
     elif exponent == -2:
-        np.multiply(r_eff, r_eff, out=out)
+        np.square(r_eff, out=out)
         np.divide(1.0, out, out=out)
     else:
         raise ValueError(f"no exact form for radial exponent {exponent}")
+    out *= coeff
     return out
 
 
 def _level_accel(positions: np.ndarray, velocities: np.ndarray,
-                 polarity: np.ndarray, inertia: np.ndarray,
-                 law: CausationLaw, extent: float,
+                 consts: LevelConstants, law: CausationLaw, extent: float,
                  params: StepParams) -> np.ndarray:
     """Summed pairwise acceleration for every member of one level.
 
@@ -135,7 +160,15 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
     would use pairwise summation and change the bytes.
 
     Every elementwise op writes into the `(m, dim)` workspace, so a warm
-    call allocates nothing pair-sized; the result is a fresh array.
+    call allocates nothing pair-sized; the result is a fresh array.  The
+    level's polarity products and inertia come from `consts`.
+
+    The radial sum starts with its first term, not with 0.0, so a zero in
+    it may be -0.0.  That sign only reaches pair accelerations that are
+    zeros themselves, and every partner sum also adds its diagonal +0.0,
+    so it never reaches the result.  Dividing by an inertia of all 1.0 is
+    skipped, and so is the clamp's per-pair norm when a bound shows no
+    pair can exceed `a_max`.
     """
     m = positions.shape[0]
     dim = positions.shape[1]
@@ -148,50 +181,66 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
     radial, term, mask = ws.radial, ws.term, ws.mask
 
     # minimal image: delta - span * round(delta / span)
-    pos = positions.T
     span = 2.0 * extent
-    np.subtract(pos[:, None, :], pos[:, :, None], out=delta)
+    _pair_differences(positions.T, delta)
     np.divide(delta, span, out=pair)
     np.round(pair, out=pair)
-    np.multiply(pair, span, out=pair)
-    np.subtract(delta, pair, out=delta)
+    pair *= span
+    delta -= pair
     np.sqrt(_axis_sum_of_squares(delta, r, term), out=r)
     np.maximum(r, params.eps_r, out=r_eff)
 
-    radial.fill(0.0)
+    started = False  # whether `radial` holds a term yet
     damping = 0.0
-    if any(law.polarity_coupled):
-        np.multiply(polarity[None, :], polarity[:, None], out=ws.pol_prod)
     for (name, coeff), coupled in zip(law.terms, law.polarity_coupled):
         if name == DAMPING_TERM:
             damping = coeff
             continue
-        magnitude = _radial_power(r_eff, RADIAL_EXPONENT[name], term)
-        np.multiply(magnitude, coeff, out=magnitude)
+        out = term if started else radial
+        magnitude = _radial_term(r_eff, RADIAL_EXPONENT[name], coeff, out)
         if coupled:
-            magnitude *= ws.pol_prod
-        radial += magnitude
+            magnitude = np.multiply(magnitude, consts.polarity_product, out=out)
+        if started:
+            radial += magnitude
+        elif magnitude is not radial:  # the scalar of an uncoupled `const`
+            radial.fill(magnitude)
+        started = True
+    if not started:
+        radial.fill(0.0)
 
-    # unit separation vectors (zero for coincident pairs), scaled in place
+    # unit separation vectors, +0.0 where r is not positive: a plain
+    # divide, then the rare coincident pair (or NaN) is fixed up; the
+    # diagonal's 0 / 0 is overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(delta, r, out=pair)
     np.greater(r, 0.0, out=mask)
-    pair.fill(0.0)
-    np.divide(delta, r, out=pair, where=mask)
-    np.divide(radial, inertia, out=radial)
+    if np.count_nonzero(mask) < m * (m - 1):
+        np.logical_not(mask, out=mask)
+        np.copyto(pair, 0.0, where=mask)
+    if not consts.unit_inertia:
+        np.divide(radial, consts.inertia, out=radial)
     pair *= radial
+    spread = 0.0
     if damping != 0.0:
         vel = velocities.T
-        relative = np.subtract(vel[:, None, :], vel[:, :, None], out=delta)
+        relative = _pair_differences(vel, delta)
         relative *= damping
         pair -= relative
+        spread = float(vel.max() - vel.min())
     pair.reshape(dim, m * m)[:, ::m + 1] = 0.0  # the diagonal, as a view
 
-    norm = np.sqrt(_axis_sum_of_squares(pair, r, term), out=r)
-    over = np.greater(norm, params.a_max, out=mask)
-    if over.any():
-        scale = r_eff
-        scale.fill(1.0)
-        np.divide(params.a_max, norm, out=scale, where=over)
-        pair *= scale
+    # |pair| <= |radial| + |damping| * |relative velocity|, and each
+    # relative velocity component is at most the spread of all of them
+    bound = (max(radial.max(), -radial.min())
+             + abs(damping) * math.sqrt(dim) * spread)
+    if not bound * _BOUND_MARGIN <= params.a_max:
+        norm = np.sqrt(_axis_sum_of_squares(pair, r, term), out=r)
+        over = np.greater(norm, params.a_max, out=mask)
+        if over.any():
+            scale = r_eff
+            scale.fill(1.0)
+            np.divide(params.a_max, norm, out=scale, where=over)
+            pair *= scale
 
     np.sum(pair, axis=1, out=ws.partner_sum)
     # a copy, never a view: for dim 1 the transpose is already contiguous
@@ -207,17 +256,48 @@ def compute_accelerations(world: World, params: StepParams,
     i.e. force in proportion to each member's share of the aggregate
     inertia.
     """
-    accel = _level_accel(
-        world.positions, world.velocities, world.polarity, world.inertia,
-        world.laws[0], world.spec.arena_extent, params,
-    )
-    for lv, (pos, vel, inertia, pol) in zip(world.levels, aggregates):
-        comp = _level_accel(
-            pos, vel, pol, inertia, world.laws[lv.level],
-            world.spec.arena_extent, params,
-        )
+    consts = world.level_constants()
+    extent = world.spec.arena_extent
+    accel = _level_accel(world.positions, world.velocities, consts[0],
+                         world.laws[0], extent, params)
+    for lv, (pos, vel, _, _) in zip(world.levels, aggregates):
+        comp = _level_accel(pos, vel, consts[lv.level], world.laws[lv.level],
+                            extent, params)
         accel += comp[lv.owner]
     return accel
+
+
+@dataclass(frozen=True, eq=False)
+class PendingForces:
+    """One tick's drift events and internal accelerations, computed before
+    its step.  `accel` is read-only, because clones share it."""
+
+    tick: int
+    params: StepParams
+    drift_events: list[dict]
+    accel: np.ndarray
+
+
+def prepare(world: World, params: StepParams) -> PendingForces:
+    """Apply this tick's scheduled drift and compute its internal
+    accelerations now, unless that is already done; `step` uses them.
+
+    They depend on the state alone, so a clone taken before the step
+    inherits them: at a tick that issues problems, the live step and the
+    first step of every script rollout and null baseline from that state
+    share one force pass.  A world holds at most one pending set, for its
+    current tick, and it must be stepped before it is serialized.
+    """
+    pending = world.pending
+    if pending is None:
+        events = apply_drift(world)
+        accel = compute_accelerations(world, params, world.recompute_aggregates())
+        accel.flags.writeable = False
+        pending = world.pending = PendingForces(world.tick, params, events, accel)
+    elif pending.tick != world.tick or pending.params != params:
+        raise ContractViolation(
+            "pending forces were prepared for another tick or other step params")
+    return pending
 
 
 def step(world: World, params: StepParams,
@@ -225,12 +305,15 @@ def step(world: World, params: StepParams,
     """Advance the world by one tick in place.
 
     Order: scheduled law drift, one aggregate pass, force evaluation at
-    all levels, external (agent) accelerations, then the semi-implicit
-    Euler update with the speed clamp and toroidal wrap.  Drift events for this tick end up in
+    all levels (the three done by `prepare`, or taken from it), external
+    (agent) accelerations, then the semi-implicit Euler update with the
+    speed clamp and toroidal wrap.  Drift events for this tick end up in
     `world.last_drift_events`.
     """
-    world.last_drift_events = apply_drift(world)
-    accel = compute_accelerations(world, params, world.recompute_aggregates())
+    pending = prepare(world, params)
+    world.pending = None
+    world.last_drift_events = pending.drift_events
+    accel = pending.accel
     if external_accel is not None:
         accel = accel + external_accel
 

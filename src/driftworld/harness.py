@@ -36,7 +36,7 @@ from . import rng as rngmod
 from .agents import BaseAgent, make_agent
 from .canon import from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
-from .dynamics import StepParams, snapshot_hash, step
+from .dynamics import StepParams, prepare, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
 from .interface import BodySpec, forces_to_accel, sense, validate_forces
 from .metrics import AgentMetrics, MetricParams, compute_metrics, rank_agents
@@ -193,19 +193,19 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
             if world.tick != t:
                 raise ContractViolation("episode loop lost the world clock")
 
-            # 1. issue problems to idle agents: draw them in slot order,
-            #    keep the world they were drawn from for their null
-            #    baselines, then announce them in order
+            # 1. issue problems to idle agents: compute this tick's forces
+            #    once, for the live step and every rollout from this state,
+            #    draw the problems in slot order, keep the world they were
+            #    drawn from for their null baselines, then announce them
+            idle = [slot for slot in slots if slot.active is None
+                    and (episode.max_problems is None
+                         or slot.issued_total < episode.max_problems)
+                    and (episode.problems_per_regime is None
+                         or slot.issued_in_segment < episode.problems_per_regime)]
+            if idle:
+                prepare(world, step_params)
             batch: list[tuple[Slot, Problem]] = []
-            for slot in slots:
-                if slot.active is not None:
-                    continue
-                if episode.max_problems is not None \
-                        and slot.issued_total >= episode.max_problems:
-                    continue
-                if episode.problems_per_regime is not None \
-                        and slot.issued_in_segment >= episode.problems_per_regime:
-                    continue
+            for slot in idle:
                 batch.append((slot, generate_problem(
                     world, slot.body, problem_params, step_params,
                     next_problem_id, slot.stream_name,

@@ -45,14 +45,11 @@ _INDEX = {"type": "integer", "minimum": 0}
 _SIZE = {"type": "integer", "minimum": 1}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _AMOUNT = {"type": "number", "minimum": 0}
+_PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 _GRID = {
     "type": "array",
     "minItems": 1,
-    "items": {
-        "type": "array",
-        "minItems": 1,
-        "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-    },
+    "items": {"type": "array", "minItems": 1, "items": _PAIR},
 }
 _FORCES = {
     "type": "array",
@@ -128,6 +125,11 @@ _TYPES = {
 }
 
 
+#: Number types a fast path takes as they are; anything else (a bool, a
+#: numpy scalar, a subclass) goes through `_TYPES` with its Draft-7 meaning.
+_PLAIN = (int, float)
+
+
 def _first_error(v, s: dict, path: tuple = ()):
     """(path, message) of the first Draft-7 failure of `v` against `s`, or None.
 
@@ -157,6 +159,10 @@ def _first_error(v, s: dict, path: tuple = ()):
         if "maxItems" in s and len(v) > s["maxItems"]:
             return path, f"has {len(v)} items, more than {s['maxItems']}"
         items = s.get("items")
+        if items is _PAIR and all(  # grid rows: pairs of plain numbers
+                type(p) is list and len(p) == 2
+                and type(p[0]) in _PLAIN and type(p[1]) in _PLAIN for p in v):
+            return None
         if items == _NUM:  # grid cells and force rows: no recursion per item
             for i, x in enumerate(v):
                 if type(x) is not float and not _is_number(x):
@@ -258,6 +264,11 @@ class _LineReader:
         except queue.Empty:
             return _TIMEOUT
 
+    def join(self, timeout: float) -> bool:
+        """Wait for the pipe's EOF; whether the reader has ended."""
+        self._thread.join(timeout)
+        return not self._thread.is_alive()
+
 
 _TIMEOUT = object()
 
@@ -316,6 +327,7 @@ class SubprocessAgent:
             self.proc.wait()
             with contextlib.suppress(OSError):
                 self.proc.stdin.close()
+            self._close_stdout()
             raise
         self.agent_name = doc["agent"]
 
@@ -409,6 +421,14 @@ class SubprocessAgent:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait()
+        self._close_stdout()
+
+    def _close_stdout(self) -> None:
+        """Close the reaped child's stdout once the reader has met its EOF.
+        A process the child started may hold the pipe open; then the
+        reader is still blocked in it and the pipe is left alone."""
+        if self._reader.join(timeout=2.0):
+            self.proc.stdout.close()
 
 
 # -- agent side ------------------------------------------------------------

@@ -67,12 +67,17 @@ _LIVE_TREES = {kind: _field_tree(paths) for kind, paths in LIVE_FIELDS.items()}
 
 
 def _project(doc: dict, tree: dict) -> dict:
-    return {key: doc[key] if sub is None else _project(doc[key], sub)
+    """`doc` cut down to `tree`; `doc` itself when that keeps all of it."""
+    view = {key: doc[key] if sub is None else _project(doc[key], sub)
             for key, sub in tree.items() if key in doc}
+    if len(view) == len(doc) and all(view[key] is doc[key] for key in view):
+        return doc
+    return view
 
 
 def live_view(doc: dict) -> dict | None:
-    """The live tier's copy of a disclosure-level document, or None."""
+    """The live tier's copy of a disclosure-level document, or None; the
+    document itself when the live tier may carry all of it."""
     tree = _LIVE_TREES.get(doc.get("kind"))
     return None if tree is None else _project(doc, tree)
 
@@ -108,10 +113,14 @@ class TraceWriter:
         self._fh.write(line)
         self._fh.write("\n")
 
-    def event(self, doc: dict, hold: bool = False) -> None:
+    def event(self, doc: dict, hold: bool = False, line: str | None = None) -> None:
+        """Write `doc`, or hold it; `line` is its encoding, if the caller
+        has it already."""
         if "kind" not in doc:
             raise ContractViolation("trace events need a kind")
-        self._pending.append(doc if hold else canonical_dumps(doc))
+        if not hold and line is None:
+            line = canonical_dumps(doc)
+        self._pending.append(doc if hold else line)
         self._flush()
 
     def release(self, doc: dict) -> None:
@@ -173,10 +182,11 @@ class TraceSink:
     """Writes each disclosure-level document once, to both tiers.
 
     The disclosure file gets the document whole, the live file its
-    `live_view`; either path may be None.  `event` returns the live view
-    so callers can hand exactly that to agents.  A document may be held
-    in the disclosure tier until `release` (see `TraceWriter`); its live
-    view is written at once.  Like `TraceWriter`, it puts both files in
+    `live_view`; either path may be None.  A document the live tier
+    carries whole is encoded once, for both files.  `event` returns the
+    live view so callers can hand exactly that to agents.  A document
+    may be held in the disclosure tier until `release` (see
+    `TraceWriter`); its live view is written at once.  Like `TraceWriter`, it puts both files in
     place only when its `with` block exits cleanly; when the live file
     cannot be put in place, the disclosure file is deleted too.
     """
@@ -196,10 +206,12 @@ class TraceSink:
 
     def event(self, doc: dict, hold: bool = False) -> dict | None:
         view = live_view(doc)
+        line = None
         if self.live and view is not None:
-            self.live.event(view)
+            line = canonical_dumps(view)
+            self.live.event(view, line=line)
         if self.disc:
-            self.disc.event(doc, hold)
+            self.disc.event(doc, hold, line if view is doc else None)
         return view
 
     def release(self, doc: dict) -> None:

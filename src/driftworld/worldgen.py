@@ -8,8 +8,11 @@ one world.  Laws at level 0 stay fixed for the life of the world; laws at
 the configured drift levels are resampled at scheduled regime times.
 
 Membership is frozen at build time as read-only index maps that clones
-share.  Composite aggregates are never stored: `World.recompute_aggregates`
-derives them from the current entity state, so they cannot go stale.
+share.  Inertia and polarity never change either, so each level's
+inertia, polarity and polarity products are computed once per world and
+shared the same way (`World.level_constants`).  Composite positions and
+velocities are never stored: `World.recompute_aggregates` derives them
+from the current entity state, so they cannot go stale.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .canon import from_doc, to_doc
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 
 #: Radial basis terms and their exponent of the pair separation, plus a
 #: relative-velocity damping term ("damp", never polarity coupled).
@@ -172,11 +175,53 @@ class _Level:
             index_map.flags.writeable = False
 
 
-def _sum_rows(parent: np.ndarray, m: int, values: np.ndarray) -> np.ndarray:
-    """Sum the rows of `values` into `m` bins by `parent`, each in ascending row order."""
-    if values.ndim == 1:
-        return np.bincount(parent, weights=values, minlength=m)
-    return np.stack([np.bincount(parent, weights=col, minlength=m) for col in values.T], axis=1)
+@dataclass(frozen=True, eq=False)
+class LevelConstants:
+    """What the step needs of one hierarchy level that never changes.
+
+    `inertia` and `polarity` per row: at level 0 the entities' own, at a
+    composite level each composite's members' inertia total and the sign
+    of their polarity sum, ties going to +1.  `polarity_product[j, i]` is
+    `polarity[j] * polarity[i]` as float64, the pair kernel's polarity
+    coupling.  `unit_inertia` says every inertia is 1.0, so that dividing
+    or weighting by it changes nothing.  At a composite level, `bins`
+    maps each `(row, column)` of a flattened `(rows, dim)` array of the
+    level below to its bin of this level's `(m, dim)` sums.  The arrays
+    are read-only because clones share them.
+    """
+
+    inertia: np.ndarray
+    polarity: np.ndarray
+    polarity_product: np.ndarray
+    unit_inertia: bool
+    bins: np.ndarray | None = None
+
+    def __post_init__(self):
+        for array in (self.inertia, self.polarity, self.polarity_product, self.bins):
+            if array is not None:
+                array.flags.writeable = False
+
+    @classmethod
+    def of(cls, inertia: np.ndarray, polarity: np.ndarray,
+           bins: np.ndarray | None = None) -> "LevelConstants":
+        """The constants of a level with these rows, copied."""
+        inertia, polarity = np.array(inertia), np.array(polarity)
+        product = np.multiply.outer(polarity, polarity).astype(np.float64)
+        return cls(inertia, polarity, product, bool(np.all(inertia == 1.0)), bins)
+
+
+def _row_bins(parent: np.ndarray, dim: int) -> np.ndarray:
+    """The bin of each `(row, column)` of a flattened `(rows, dim)` array,
+    for summing its rows by `parent` column by column."""
+    return (parent[:, None] * dim + np.arange(dim)).ravel()
+
+
+def _sum_rows(bins: np.ndarray, m: int, values: np.ndarray) -> np.ndarray:
+    """Sum the rows of `(rows, dim)` `values` into `m` rows by `bins`
+    (from `_row_bins`), each in ascending row order: one `bincount`
+    visits a bin's entries in input order, which is row order."""
+    dim = values.shape[1]
+    return np.bincount(bins, weights=values.ravel(), minlength=m * dim).reshape(m, dim)
 
 
 def wrap_positions(pos: np.ndarray, extent: float) -> np.ndarray:
@@ -196,7 +241,14 @@ def minimal_image(delta: np.ndarray, extent: float) -> np.ndarray:
 
 
 class World:
-    """The complete simulable state: entities, hierarchy, laws, clock, streams."""
+    """The complete simulable state: entities, hierarchy, laws, clock, streams.
+
+    `inertia` and `polarity` are never reassigned after build, nor
+    written once the world has been stepped: `level_constants` derives
+    each level's constants from them once, and clones share the result.  `pending`
+    holds the forces `dynamics.prepare` computed ahead of this tick's
+    step; clones inherit it.  Neither is serialized.
+    """
 
     def __init__(self, spec: GenSpec, positions, velocities, inertia, polarity,
                  laws, streams, tick=0):
@@ -211,6 +263,8 @@ class World:
         self.levels: list[_Level] = []
         # Drift events of the last step; transient, not serialized.
         self.last_drift_events: list[dict] = []
+        self.pending = None  # a dynamics.PendingForces, until the step
+        self._constants: list[LevelConstants] | None = None
 
     @property
     def n_entities(self) -> int:
@@ -221,13 +275,28 @@ class World:
             self.streams[name] = rngmod.make_stream(self.spec.seed, name)
         return self.streams[name]
 
+    def level_constants(self) -> list[LevelConstants]:
+        """Every level's constants, level 0 first, computed on first use."""
+        if self._constants is None:
+            consts = [LevelConstants.of(self.inertia, self.polarity)]
+            dim = self.positions.shape[1]
+            for lv in self.levels:
+                m = len(lv.ids)
+                below = consts[-1]
+                inertia = np.bincount(lv.parent, weights=below.inertia, minlength=m)
+                charge = np.bincount(lv.parent, weights=below.polarity, minlength=m)
+                consts.append(LevelConstants.of(
+                    inertia, np.where(charge >= 0, 1, -1), _row_bins(lv.parent, dim)))
+            self._constants = consts
+        return self._constants
+
     def recompute_aggregates(self) -> list[tuple[np.ndarray, ...]]:
         """Every composite's inertia-weighted aggregates, from the current state.
 
         Returns one (positions, velocities, inertia, polarity) tuple per
         level >= 1.  Each level aggregates the rows of the level below it,
-        summing members in ascending row order; polarity is the sign of
-        the members' polarity sum, ties going to +1.  Nothing is stored.
+        summing members in ascending row order; inertia and polarity are
+        the level's constants.  Nothing is stored.
 
         A position is the weighted mean of the members' minimal-image
         offsets from the composite's first member, wrapped, so a
@@ -236,23 +305,27 @@ class World:
         """
         out = []
         extent = self.spec.arena_extent
-        pos, vel, inertia, pol = self.positions, self.velocities, self.inertia, self.polarity
-        for lv in self.levels:
+        consts = self.level_constants()
+        pos, vel = self.positions, self.velocities
+        for lv, below, here in zip(self.levels, consts, consts[1:]):
             m = len(lv.ids)
-            total = _sum_rows(lv.parent, m, inertia)
             anchor = pos[lv.anchor]
             offsets = minimal_image(pos - anchor[lv.parent], extent)
-            mean_offset = _sum_rows(lv.parent, m, offsets * inertia[:, None]) / total[:, None]
-            pos = wrap_positions(anchor + mean_offset, extent)
-            vel = _sum_rows(lv.parent, m, vel * inertia[:, None]) / total[:, None]
-            pol = np.where(_sum_rows(lv.parent, m, pol) >= 0, 1, -1)
-            inertia = total
-            out.append((pos, vel, inertia, pol))
+            if not below.unit_inertia:
+                offsets *= below.inertia[:, None]
+                vel = vel * below.inertia[:, None]
+            total = here.inertia[:, None]
+            pos = wrap_positions(anchor + _sum_rows(here.bins, m, offsets) / total, extent)
+            vel = _sum_rows(here.bins, m, vel) / total
+            out.append((pos, vel, here.inertia, here.polarity))
         return out
 
     # -- canonical serialization ------------------------------------------
 
     def to_canonical(self) -> dict:
+        if self.pending is not None:
+            raise ContractViolation("a world with pending forces must be stepped "
+                                    "before it is serialized")
         return {
             "format": 1,
             "spec": to_doc(self.spec),
@@ -301,7 +374,8 @@ class World:
         return world
 
     def clone(self) -> "World":
-        """Independent copy of the state (streams included); membership is shared."""
+        """Independent copy of the state (streams included); membership,
+        level constants and pending forces are shared."""
         world = World(
             spec=self.spec,
             positions=self.positions.copy(),
@@ -313,6 +387,8 @@ class World:
             tick=self.tick,
         )
         world.levels = self.levels
+        world.pending = self.pending
+        world._constants = self._constants
         return world
 
 
@@ -417,7 +493,8 @@ def build_hierarchy(world: World) -> World:
         first_id, next_id = next_id, next_id + len(counts)
         # Positions for the next level up: the plain mean is enough for
         # bucketing; dynamics uses inertia-weighted aggregates.
-        prev_pos = _sum_rows(parent, len(counts), prev_pos) / counts[:, None]
+        bins = _row_bins(parent, prev_pos.shape[1])
+        prev_pos = _sum_rows(bins, len(counts), prev_pos) / counts[:, None]
 
     _attach_levels(world, hierarchy)
     return world

@@ -13,11 +13,13 @@ from driftworld.dynamics import (
     StepParams,
     _level_accel,
     compute_accelerations,
+    prepare,
     snapshot,
     snapshot_hash,
     step,
 )
-from driftworld.errors import ConfigError
+from driftworld.errors import ConfigError, ContractViolation
+from driftworld.interface import BodySpec, forces_to_accel
 from driftworld.rng import derive_world_seed
 from driftworld.worldgen import (
     DAMPING_TERM,
@@ -26,6 +28,7 @@ from driftworld.worldgen import (
     CausationLaw,
     DriftSchedule,
     GenSpec,
+    LevelConstants,
     generate_world,
     minimal_image,
 )
@@ -329,14 +332,14 @@ def _kernel_outputs(n: int, dim: int) -> list[np.ndarray]:
     for _ in range(3):
         step(world, StepParams())
     extent = world.spec.arena_extent
-    levels = [(world.positions, world.velocities, world.polarity, world.inertia)]
-    levels += [(pos, vel, pol, inertia)
-               for pos, vel, inertia, pol in world.recompute_aggregates()]
+    levels = [(world.positions, world.velocities)]
+    levels += [(pos, vel) for pos, vel, _, _ in world.recompute_aggregates()]
     outputs = []
-    for lv, (pos, vel, pol, inertia) in enumerate(levels):
+    for lv, (pos, vel) in enumerate(levels):
         for law in (world.laws[lv], _ALL_TERMS):
             for params in (StepParams(), StepParams(a_max=1e-4)):
-                outputs.append(_level_accel(pos, vel, pol, inertia, law, extent, params))
+                outputs.append(_level_accel(pos, vel, world.level_constants()[lv],
+                                            law, extent, params))
     return outputs
 
 
@@ -360,13 +363,13 @@ def _sum_of_squares(planes):
     return total
 
 
-def _reference_level_accel(positions, velocities, polarity, inertia, law,
-                           extent, params):
+def _reference_level_accel(positions, velocities, consts, law, extent, params):
     """The pair kernel written as plain expressions, one fresh array per op.
 
     The workspace kernel runs the same elementwise ops in the same order,
     so the two must agree to the bit.
     """
+    polarity, inertia = consts.polarity, consts.inertia
     m, dim = positions.shape
     if m < 2:
         return np.zeros((m, dim))
@@ -405,7 +408,7 @@ def _level_inputs(seed: int, n: int, dim: int, law: CausationLaw | None = None):
     """Ground-level kernel arguments of a stepped one-level world."""
     world = generate_world(_spec_of_dim(dim, seed=seed, n_entities=n, n_levels=1))
     step(world, StepParams())
-    return [world.positions, world.velocities, world.polarity, world.inertia,
+    return [world.positions, world.velocities, world.level_constants()[0],
             law or world.laws[0], world.spec.arena_extent]
 
 
@@ -440,14 +443,14 @@ def test_pair_kernel_equals_plain_python_oracle(dim, a_max):
     # dispatch or reduction order.
     params = StepParams(a_max=a_max)
     for m in range(2, 21):
-        args = _level_inputs(100 + m, m, dim)
-        coincident = args[0].copy()
+        positions, velocities, consts, own_law, extent = _level_inputs(100 + m, m, dim)
+        coincident = positions.copy()
         coincident[-1] = coincident[0]
-        for law in (args[4], _ALL_TERMS):
-            for positions in (args[0], coincident):
-                case = [positions, *args[1:4], law, args[5]]
-                want = np.array(level_accel(*case, params))
-                got = _level_accel(*case, params)
+        for law in (own_law, _ALL_TERMS):
+            for pos in (positions, coincident):
+                want = np.array(level_accel(pos, velocities, consts.polarity,
+                                            consts.inertia, law, extent, params))
+                got = _level_accel(pos, velocities, consts, law, extent, params)
                 assert got.tobytes() == want.tobytes(), (m, law)
 
 
@@ -493,7 +496,7 @@ def test_pair_kernel_keeps_no_state_between_calls(monkeypatch, a_max):
     assert _level_accel(*a, params).tobytes() == alone_a
 
     # the coincident pair acts through damping alone, as the oracle says
-    positions, velocities, polarity, inertia, law, extent = b
+    positions, velocities, consts, law, extent = b
     for receiver in (2, 5):
         total = np.zeros(2)
         for partner in range(12):
@@ -501,8 +504,8 @@ def test_pair_kernel_keeps_no_state_between_calls(monkeypatch, a_max):
                 continue
             delta = minimal_image(positions[receiver] - positions[partner], extent)
             total += eval_law(law, delta, velocities[receiver], velocities[partner],
-                              polarity[receiver], polarity[partner],
-                              inertia[receiver], params)
+                              consts.polarity[receiver], consts.polarity[partner],
+                              consts.inertia[receiver], params)
         assert np.allclose(after_a[receiver], total, rtol=1e-12, atol=1e-15)
 
 
@@ -518,3 +521,127 @@ def test_warm_pair_kernel_allocates_nothing_pair_sized():
     finally:
         tracemalloc.stop()
     assert peak < m * m * 8, f"warm call peaked at {peak} bytes"
+
+
+# -- exact shortcuts -------------------------------------------------------
+
+
+def _counting_sums_of_squares(monkeypatch) -> list:
+    calls = []
+    real = dynamics._axis_sum_of_squares
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_axis_sum_of_squares", counted)
+    return calls
+
+
+# the default cap, which no pair reaches, and one that clamps every pair
+@pytest.mark.parametrize("a_max, clamp_norms", [(8.0, 0), (1e-4, 1)])
+def test_clamp_norm_runs_only_when_the_bound_allows_a_clamp(monkeypatch, a_max,
+                                                             clamp_norms):
+    positions, velocities, consts, law, extent = _level_inputs(7, 32, 2, _ALL_TERMS)
+    params = StepParams(a_max=a_max)
+    calls = _counting_sums_of_squares(monkeypatch)
+    got = _level_accel(positions, velocities, consts, law, extent, params)
+    assert len(calls) == 1 + clamp_norms  # the separations, then the clamp
+    want = level_accel(positions, velocities, consts.polarity, consts.inertia,
+                       law, extent, params)
+    assert got.tobytes() == np.array(want).tobytes()
+    unclamped = _level_accel(positions, velocities, consts, law, extent, StepParams(a_max=1e9))
+    assert np.array_equal(got, unclamped) == (clamp_norms == 0)
+
+
+def test_non_unit_inertia_is_still_divided():
+    positions, velocities, consts, law, extent = _level_inputs(9, 12, 2, _ALL_TERMS)
+    heavy = LevelConstants.of(np.linspace(0.5, 3.0, 12), consts.polarity)
+    assert consts.unit_inertia and not heavy.unit_inertia
+    params = StepParams()
+    got = _level_accel(positions, velocities, heavy, law, extent, params)
+    want = level_accel(positions, velocities, heavy.polarity, heavy.inertia,
+                       law, extent, params)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert not np.array_equal(got, _level_accel(positions, velocities, consts, law,
+                                                extent, params))
+
+
+@pytest.mark.parametrize("terms", [
+    (("const", 0.0),),
+    (("const", 0.0), ("damp", 0.05)),
+    (("inv", 0.0), ("quad", 0.0), ("damp", 0.05)),
+    (("lin", -0.0), ("damp", 0.0)),
+])
+def test_zero_first_radial_term_keeps_the_bytes(terms):
+    # Coupled to opposite polarities, a zero first term puts -0.0 where
+    # the oracle's sum, started at 0.0, has +0.0; the bytes still agree.
+    law = CausationLaw(level=0, terms=terms,
+                       polarity_coupled=tuple(n != DAMPING_TERM for n, _ in terms))
+    positions, velocities, consts, _, extent = _level_inputs(10, 9, 2)
+    coincident = positions.copy()
+    coincident[4] = coincident[1]
+    params = StepParams()
+    for pos in (positions, coincident):
+        got = _level_accel(pos, velocities, consts, law, extent, params)
+        want = level_accel(pos, velocities, consts.polarity, consts.inertia,
+                           law, extent, params)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_level_constants_are_shared_and_read_only():
+    world = generate_world(GenSpec(seed=4, n_entities=30, n_levels=3))
+    consts = world.level_constants()
+    assert world.clone().level_constants() is consts
+    for level, agg in zip(consts[1:], world.recompute_aggregates()):
+        assert agg[2] is level.inertia and agg[3] is level.polarity
+    for level in consts:
+        assert not level.inertia.flags.writeable
+        assert not level.polarity_product.flags.writeable
+    assert consts[0].unit_inertia and not consts[1].unit_inertia
+
+
+# a regime resample at tick 3; tick 2 is quiet
+@pytest.mark.parametrize("tick", [2, 3])
+# a script rollout pushes the body; a null baseline does not
+@pytest.mark.parametrize("pushed", [True, False])
+def test_prepared_world_and_its_clones_step_like_plain_ones(tick, pushed):
+    spec = GenSpec(seed=12, n_entities=24, n_levels=3,
+                   drift=DriftSchedule(regime_times=(3,)))
+    params = StepParams()
+    plain = generate_world(spec)
+    for _ in range(tick):
+        step(plain, params)
+    live = plain.clone()
+    pending = prepare(live, params)
+    assert prepare(live, params) is pending
+    assert bool(pending.drift_events) == (tick == 3)
+    ghosts = [live.clone(), live.clone()]
+    body = BodySpec(member_ids=(0, 1, 2))
+    for ghost in ghosts:
+        reference = plain.clone()
+        for t in range(4):
+            push = None
+            if pushed:
+                push = forces_to_accel(ghost, body, np.full((3, 2), 0.5 * (t + 1)))
+            step(ghost, params, external_accel=push)
+            step(reference, params, external_accel=push)
+            assert ghost.last_drift_events == reference.last_drift_events
+            assert snapshot(ghost) == snapshot(reference), (tick, t)
+    step(live, params)
+    step(plain, params)
+    assert live.last_drift_events == plain.last_drift_events
+    assert snapshot(live) == snapshot(plain)
+    assert live.pending is None
+
+
+def test_pending_forces_belong_to_one_tick_and_one_set_of_params():
+    world = generate_world(GenSpec(seed=5, n_levels=2))
+    pending = prepare(world, StepParams())
+    assert not pending.accel.flags.writeable
+    with pytest.raises(ContractViolation):
+        prepare(world, StepParams(a_max=1.0))
+    with pytest.raises(ContractViolation):
+        world.to_canonical()
+    step(world, StepParams())
+    assert world.to_canonical()["tick"] == 1

@@ -8,6 +8,7 @@ no side channel can be smuggled past the validator.
 import copy
 import dataclasses
 import functools
+import gc
 import io
 import json
 import operator
@@ -16,6 +17,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftworld
+from driftworld.config import EpisodeConfig
+from driftworld.dynamics import StepParams
 from driftworld.errors import ConfigError, ProtocolError
+from driftworld.harness import Slot, run_episode
 from driftworld.interface import BodySpec
+from driftworld.problems import ProblemParams, ScoreParams
 from driftworld.protocol import (
     PROTOCOL_VERSION,
     SCHEMAS,
@@ -36,6 +42,7 @@ from driftworld.protocol import (
     validate_message,
 )
 from driftworld.trace import LIVE_FIELDS
+from driftworld.worldgen import GenSpec, generate_world
 
 BODY_DICT = {"member_ids": [0, 1, 2, 3], "resolution": 16,
              "window_halfwidth": 8.0, "f_max": 4.0}
@@ -619,6 +626,29 @@ def test_subprocess_random_agents_match_given_same_seed(body):
     finally:
         a.close()
         b.close()
+
+
+def test_wire_episode_leaves_no_pipe_open(body, monkeypatch):
+    # A file closed by its finalizer warns there, where the warning (an
+    # error here) can only reach sys.unraisablehook.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        agent = SubprocessAgent(bundled_argv("greedy"), body, dim=2, horizon=6,
+                                budget_s=5.0)
+        try:
+            run_episode(generate_world(GenSpec(seed=3)),
+                        [Slot(agent_id="greedy", agent=agent, body=body)],
+                        StepParams(), ProblemParams(), ScoreParams(),
+                        EpisodeConfig(horizon=6, budget_s=5.0))
+        finally:
+            agent.close()
+        assert agent.proc.returncode == 0
+        assert agent.proc.stdin.closed and agent.proc.stdout.closed
+        del agent
+        gc.collect()
+    assert [hook.exc_value for hook in unraisable] == []
 
 
 SLOW_AGENT = r"""

@@ -53,18 +53,18 @@ WORLDS = {case_id: (cfg, spec) for case_id, cfg, spec in _worlds()}
 def _package_step(world, params, external) -> dict:
     """`dynamics.step`, with the arrays `oracles.reference_step` returns."""
     parts = {}
-    levels = [(world.positions.copy(), world.velocities.copy(),
-               world.inertia, world.polarity)]
+    levels = [(world.positions.copy(), world.velocities.copy())]
     for lv, agg in zip(world.levels, world.recompute_aggregates()):
-        levels.append(agg)
+        levels.append(agg[:2])
         for name, value in zip(AGGREGATE_NAMES, agg):
             parts[lv.level, name] = value
     step(world, params, external_accel=external)
     extent = world.spec.arena_extent
-    for level, (pos, vel, inertia, pol) in enumerate(levels):
+    consts = world.level_constants()
+    for level, (pos, vel) in enumerate(levels):
         # the laws after the step are the ones it used: drift comes first
         parts[level, "accelerations"] = _level_accel(
-            pos, vel, pol, inertia, world.laws[level], extent, params)
+            pos, vel, consts[level], world.laws[level], extent, params)
     parts[0, "velocities"] = world.velocities
     parts[0, "positions"] = world.positions
     return parts
