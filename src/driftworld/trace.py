@@ -113,15 +113,19 @@ class TraceWriter:
         self._fh.write(line)
         self._fh.write("\n")
 
-    def event(self, doc: dict, hold: bool = False, line: str | None = None) -> None:
-        """Write `doc`, or hold it; `line` is its encoding, if the caller
-        has it already."""
+    def event(self, doc: dict, hold: bool = False,
+              line: str | None = None) -> str | None:
+        """Write `doc`, or hold it.  `line` is its encoding, if the caller
+        has it already; returns the encoding, or None for a held one."""
         if "kind" not in doc:
             raise ContractViolation("trace events need a kind")
-        if not hold and line is None:
+        if hold:
+            line = None
+        elif line is None:
             line = canonical_dumps(doc)
         self._pending.append(doc if hold else line)
         self._flush()
+        return line
 
     def release(self, doc: dict) -> None:
         """Write a held document as it is now, and the lines after it up
@@ -208,8 +212,7 @@ class TraceSink:
         view = live_view(doc)
         line = None
         if self.live and view is not None:
-            line = canonical_dumps(view)
-            self.live.event(view, line=line)
+            line = self.live.event(view)
         if self.disc:
             self.disc.event(doc, hold, line if view is doc else None)
         return view

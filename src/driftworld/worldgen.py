@@ -206,7 +206,8 @@ class LevelConstants:
            bins: np.ndarray | None = None) -> "LevelConstants":
         """The constants of a level with these rows, copied."""
         inertia, polarity = np.array(inertia), np.array(polarity)
-        product = np.multiply.outer(polarity, polarity).astype(np.float64)
+        sign = polarity.astype(np.float64)
+        product = np.multiply.outer(sign, sign)
         return cls(inertia, polarity, product, bool(np.all(inertia == 1.0)), bins)
 
 
