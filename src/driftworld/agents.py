@@ -102,12 +102,13 @@ class GreedyAgent(BaseAgent):
     kind = "greedy"
 
     MARGIN_FLOOR = 0.004
+    PROBE_SCALE = 0.5  # of f_max
     MAX_PROBE_LEN = 3
     MAX_BAD = 3
 
-    def __init__(self, body: BodySpec, dim: int, probe_scale: float = 0.5):
+    def __init__(self, body: BodySpec, dim: int):
         super().__init__(body, dim)
-        self.probe_force = probe_scale * body.f_max
+        self.probe_force = self.PROBE_SCALE * body.f_max
         self.target: np.ndarray | None = None
         self.noise = 0.005
         self.updates = 0

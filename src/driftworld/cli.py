@@ -39,8 +39,8 @@ def _check_out(path: str | None, force: bool) -> None:
         raise ConfigError(f"{path} exists; pass --force to overwrite")
 
 
-def _write_json(doc: dict, path: str | None, pretty: bool = True) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) if pretty else canonical_dumps(doc)
+def _write_json(doc: dict, path: str | None) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -196,21 +196,20 @@ def cmd_replay(args) -> int:
 def cmd_report(args) -> int:
     from .config import load_config
     from .metrics import compute_metrics, rank_agents, rate_curve
-    from .trace import read_trace, typed
+    from .trace import check_line, iter_trace
 
     cfg = load_config(args.config, args.overrides)
-    _, events = read_trace(args.trace)
     samples: dict[str, list[tuple[int, float]]] = {}
     marks: list[int] = []
-    for doc in events:
+    lines = iter_trace(args.trace)
+    tier = next(lines)["mode"]
+    for doc in lines:
         if doc.get("kind") == "sample":
-            where = "trace sample"
-            samples.setdefault(typed(doc, "agent", str, where), []).append(
-                (typed(doc, "tick", int, where),
-                 typed(doc, "cumulative", (int, float), where))
-            )
+            check_line(doc, tier)
+            samples.setdefault(doc["agent"], []).append(
+                (doc["tick"], doc["cumulative"]))
         elif doc.get("kind") == "drift":
-            marks.append(typed(doc, "tick", int, "trace drift"))
+            marks.append(check_line(doc, tier)["tick"])
     if not samples:
         raise InsufficientDataError("trace holds no score samples")
     csv_paths = {}

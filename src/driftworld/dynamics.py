@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon import canonical_dumps, canonical_hash
+from .canon import canonical_hash
 from .errors import ConfigError, ContractViolation
 from .worldgen import (
     DAMPING_TERM,
@@ -329,11 +329,6 @@ def step(world: World, params: StepParams,
     )
     world.tick += 1
     return world
-
-
-def snapshot(world: World) -> bytes:
-    """Canonical byte encoding of the full world state."""
-    return canonical_dumps(world.to_canonical()).encode("utf-8")
 
 
 def snapshot_hash(world: World) -> str:

@@ -50,7 +50,7 @@ from .problems import (
     normalized_score,
     null_baseline,
 )
-from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, iter_trace, typed
+from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, check_line, iter_trace
 from .worldgen import GenSpec, World, generate_world
 
 
@@ -619,35 +619,21 @@ def _load_scripts(events, agents: dict[str, ScriptedAgent]
     """Fill each agent's recorded forces, resources and budget misses from
     the trace's events, in one pass, and return the recorded null baseline
     of every problem: None where the trace records none (a problem that
-    did not close solved)."""
+    did not close solved).  Each line read from is checked first."""
     nulls: dict[int, float | None] = {}
     for doc in events:
         kind = doc.get("kind")
         if kind == "act":
-            where = "trace act"
-            agent = _header_agent(agents, typed(doc, "agent", str, where), where)
-            tick = typed(doc, "tick", int, where)
-            try:
-                forces = np.asarray(typed(doc, "forces", list, where),
-                                    dtype=np.float64)
-            except TypeError as exc:
-                raise ContractViolation(
-                    f"trace act forces at tick {tick} are not numbers") from exc
-            agent.forces[tick] = forces
-            agent.declared[tick] = typed(doc, "resources", dict, where)
+            check_line(doc, DISCLOSURE)
+            agent = _header_agent(agents, doc["agent"], "trace act")
+            agent.forces[doc["tick"]] = np.asarray(doc["forces"], dtype=np.float64)
+            agent.declared[doc["tick"]] = doc["resources"]
         elif kind == "problem_issued":
-            p = typed(doc, "problem", dict, "trace problem_issued")
-            if "p_null" not in p:
-                raise ContractViolation(
-                    "replay needs a disclosure trace, not a live trace"
-                )
-            nulls[typed(p, "id", int, "trace problem")] = \
-                typed(p, "p_null", (int, float, type(None)), "trace problem")
+            problem = check_line(doc, DISCLOSURE)["problem"]
+            nulls[problem["id"]] = problem["p_null"]
         elif kind == "end":
-            misses = typed(doc, "budget_misses", dict, "trace end")
-            for agent_id in misses:
-                _header_agent(agents, agent_id, "trace end").budget_misses = \
-                    typed(misses, agent_id, int, "trace end budget_misses")
+            for agent_id, count in check_line(doc, DISCLOSURE)["budget_misses"].items():
+                _header_agent(agents, agent_id, "trace end").budget_misses = count
     return nulls
 
 
@@ -674,34 +660,28 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
         with contextlib.ExitStack() as stack:
             events = stack.enter_context(
                 contextlib.closing(iter_trace(disclosure_path)))
-            header = next(events, None)
-            if header is None or header.get("kind") != "header":
-                raise ContractViolation(f"{disclosure_path}: missing trace header")
-            if header.get("mode") != DISCLOSURE:
+            header = next(events)
+            if header["mode"] != DISCLOSURE:
                 raise ContractViolation("replay needs a disclosure trace")
             if header.get("format") != TRACE_FORMAT:
                 raise ContractViolation(
                     f"trace format {header.get('format')} cannot be replayed by "
                     f"this program, which writes format {TRACE_FORMAT}"
                 )
+            check_line(header, DISCLOSURE)
 
             spec = from_doc(GenSpec, header["gen_spec"])
             step_params = from_doc(StepParams, header["step_params"])
             problem_params = from_doc(ProblemParams, header["problem_params"])
             score_params = from_doc(ScoreParams, header["score_params"])
             episode = from_doc(EpisodeConfig, header["episode"])
-            kinds = typed(header, "agent_kinds", dict, "trace header")
-            streams = typed(header, "stream_names", dict, "trace header")
             slots = []
-            for agent_id, body_doc in sorted(
-                    typed(header, "bodies", dict, "trace header").items()):
+            for agent_id, body_doc in sorted(header["bodies"].items()):
                 body = from_doc(BodySpec, body_doc)
-                slots.append(Slot(
-                    agent_id=agent_id,
-                    agent=ScriptedAgent(body, spec.dim, kinds.get(agent_id)),
-                    body=body,
-                    stream_name=streams[agent_id],
-                ))
+                agent = ScriptedAgent(body, spec.dim,
+                                      header["agent_kinds"].get(agent_id))
+                slots.append(Slot(agent_id=agent_id, agent=agent, body=body,
+                                  stream_name=header["stream_names"][agent_id]))
             nulls = _load_scripts(events, {s.agent_id: s.agent for s in slots})
 
             if regenerated_path is None:

@@ -5,12 +5,13 @@ closed schemas (unknown fields are rejected, not ignored), so the
 message set itself is the information bottleneck: there is no field an
 agent could read law coefficients or raw coordinates from.
 
-Validation is a small recursive checker over `SCHEMAS` that implements
-the JSON Schema Draft-07 keywords those schemas use, with Draft-7's
-meanings (a bool is no number, 1.0 is an integer), and names the path
-of the first failure.  A schema keyword it does not implement raises at
-import.  Both ends check every message they send and every one they
-receive; the harness checking its own messages is the secrecy guard.
+Validation is the package's one JSON checker, `_first_error`, over
+`SCHEMAS` and the trace's `trace.SCHEMAS`, built from the pieces below.
+It implements the JSON Schema Draft-07 keywords they use, with Draft-7's
+meanings (a bool is no number, 1.0 is an integer), names the path of the
+first failure, and refuses at import a keyword it lacks.  Both ends check
+every message they send and receive; the harness checking its own
+messages is the secrecy guard.
 
 Exchange per tick: harness sends an observation, the agent replies with
 exactly two lines, an action then a resources declaration.  Problem
@@ -78,6 +79,7 @@ _BODY = _closed({"member_ids": {"type": "array", "items": _INDEX, "minItems": 1}
                  "f_max": _POSITIVE})
 _PROBLEM = _closed({"id": _INDEX, "issued_tick": _INDEX, "target_grid": _GRID,
                     "epsilon": _POSITIVE, "timeout": _SIZE})
+_RESOURCES = {"model_size": _AMOUNT, "updates": _AMOUNT}
 _VERSION = {"const": PROTOCOL_VERSION}
 
 SCHEMAS: dict[tuple[str, str], dict] = {
@@ -90,8 +92,7 @@ SCHEMAS: dict[tuple[str, str], dict] = {
     ("to_agent", "observation"): _message("observation", tick=_INDEX, grid=_GRID),
     ("from_agent", "action"): _message(
         "action", optional=("tick",), forces=_FORCES, tick=_INDEX),
-    ("from_agent", "resources"): _message(
-        "resources", model_size=_AMOUNT, updates=_AMOUNT),
+    ("from_agent", "resources"): _message("resources", **_RESOURCES),
     ("to_agent", "score"): _message(
         "score", problem_id=_INDEX, solved={"type": "boolean"}, score=_NUM,
         tick=_INDEX),
@@ -106,15 +107,21 @@ _KEYWORDS = frozenset({
     "maxItems", "items", "properties", "required", "additionalProperties",
 })
 
+#: Number types a fast path takes as they are; anything else (a bool, a
+#: numpy scalar, a subclass) goes through `_TYPES` with its Draft-7 meaning.
+_PLAIN = (int, float)
+
 
 def _is_number(v) -> bool:
-    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+    return type(v) in _PLAIN or (isinstance(v, numbers.Number)
+                                 and not isinstance(v, bool))
 
 
 # Draft-7 type meanings: a bool is no number, an integral float is an
 # integer, and a numpy scalar counts by its Python base class
 # (np.float64 is a float, np.int64 only a Number).
 _TYPES = {
+    "null": lambda v: v is None,
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
@@ -125,59 +132,56 @@ _TYPES = {
 }
 
 
-#: Number types a fast path takes as they are; anything else (a bool, a
-#: numpy scalar, a subclass) goes through `_TYPES` with its Draft-7 meaning.
-_PLAIN = (int, float)
-
-
-def _first_error(v, s: dict, path: tuple = ()):
-    """(path, message) of the first Draft-7 failure of `v` against `s`, or None.
-
-    An object's or array's own keywords are checked before its members.
-    """
+def _first_error(v, s: dict, types: dict = _TYPES):
+    """(path, message) of the first Draft-7 failure of `v` against `s`, or None;
+    the path of a missing property ends in its name.  `types` gives each
+    type its meaning.  An object's or array's own keywords come first."""
     t = s.get("type")
-    if t is not None and not _TYPES[t](v):
-        return path, f"{v!r} is not of type {t!r}"
+    if t is not None and not (types[t](v) if type(t) is str
+                              else any(types[name](v) for name in t)):
+        return (), f"{v!r} is not of type {t!r}"
     if "const" in s:  # True and False equal only themselves, never 1 or 0
         c = s["const"]
         if not (v is c or (v is not True and v is not False and v == c)):
-            return path, f"{c!r} was expected"
+            return (), f"{c!r} was expected"
     if isinstance(v, dict):
         props = s.get("properties", {})
         for k in s.get("required", ()):
             if k not in v:
-                return path, f"{k!r} is a required property"
-        extra = [k for k in v if k not in props]
-        if extra and s.get("additionalProperties", True) is False:
-            return path, f"additional properties are not allowed: {extra}"
-        for k, sub in props.items():
-            if k in v and (err := _first_error(v[k], sub, path + (k,))):
-                return err
+                return (k,), f"{k!r} is a required property"
+        rest = s.get("additionalProperties", True)
+        if rest is False and (extra := [k for k in v if k not in props]):
+            return (), f"additional properties are not allowed: {extra}"
+        for k, x in v.items():  # a member no schema names is unchecked
+            sub = props.get(k, rest)
+            if sub is not True and (err := _first_error(x, sub, types)):
+                return (k, *err[0]), err[1]
     elif isinstance(v, list):
         if len(v) < s.get("minItems", 0):
-            return path, f"has {len(v)} items, fewer than {s['minItems']}"
+            return (), f"has {len(v)} items, fewer than {s['minItems']}"
         if "maxItems" in s and len(v) > s["maxItems"]:
-            return path, f"has {len(v)} items, more than {s['maxItems']}"
+            return (), f"has {len(v)} items, more than {s['maxItems']}"
         items = s.get("items")
         if items is _PAIR and all(  # grid rows: pairs of plain numbers
                 type(p) is list and len(p) == 2
                 and type(p[0]) in _PLAIN and type(p[1]) in _PLAIN for p in v):
             return None
-        if items == _NUM:  # grid cells and force rows: no recursion per item
+        if items is _FORCES["items"] and all(  # force rows of plain numbers
+                type(p) is list and p and all(type(x) in _PLAIN for x in p)
+                for p in v):
+            return None
+        if items is not None:
             for i, x in enumerate(v):
-                if type(x) is not float and not _is_number(x):
-                    return path + (i,), f"{x!r} is not of type 'number'"
-        elif items is not None:
-            for i, x in enumerate(v):
-                if err := _first_error(x, items, path + (i,)):
-                    return err
+                if err := _first_error(x, items, types):
+                    return (i, *err[0]), err[1]
+    elif isinstance(v, str):
+        if len(v) < s.get("minLength", 0):
+            return (), f"{v!r} is shorter than {s['minLength']}"
     elif _is_number(v):
         if "minimum" in s and v < s["minimum"]:
-            return path, f"{v!r} is less than the minimum of {s['minimum']!r}"
+            return (), f"{v!r} is less than the minimum of {s['minimum']!r}"
         if "exclusiveMinimum" in s and v <= s["exclusiveMinimum"]:
-            return path, f"{v!r} is not greater than {s['exclusiveMinimum']!r}"
-    elif isinstance(v, str) and len(v) < s.get("minLength", 0):
-        return path, f"{v!r} is shorter than {s['minLength']}"
+            return (), f"{v!r} is not greater than {s['exclusiveMinimum']!r}"
     return None
 
 
@@ -192,15 +196,17 @@ def _check_keywords(schemas: dict) -> None:
         unknown = sorted(set(s) - _KEYWORDS)
         if unknown:
             raise ValueError(f"schema {where} uses unsupported keywords {unknown}")
-        if s.get("type", "object") not in _TYPES:
-            raise ValueError(f"schema {where} has unsupported type {s['type']!r}")
-        if s.get("additionalProperties", False) is not False:
-            raise ValueError(f"schema {where}: additionalProperties must be false")
+        t = s.get("type", "object")
+        if not (t in _TYPES if type(t) is str else type(t) is list and t
+                and all(type(n) is str and n in _TYPES for n in t)):
+            raise ValueError(f"schema {where} has unsupported type {t!r}")
         # _first_error's const test is Draft-7's only for non-bool scalars
         if type(s.get("const", "")) not in (str, int, float):
             raise ValueError(f"schema {where}: const must be a string or a number")
         if "items" in s:
             walk(s["items"], f"{where}/items")
+        if s.get("additionalProperties", False) is not False:
+            walk(s["additionalProperties"], f"{where}/additionalProperties")
         for k, sub in s.get("properties", {}).items():
             walk(sub, f"{where}/{k}")
 
@@ -404,14 +410,10 @@ class SubprocessAgent:
         return dict(self._last_resources)
 
     def close(self) -> None:
-        try:
+        with contextlib.suppress(ProtocolError):
             self._send({"kind": "bye"})
-        except ProtocolError:
-            pass
-        try:
+        with contextlib.suppress(OSError):
             self.proc.stdin.close()
-        except OSError:
-            pass
         try:
             self.proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:

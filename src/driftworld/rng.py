@@ -3,8 +3,8 @@
 Every stream is a counter-based Philox generator seeded from
 (world seed, stream name), so generation, drift, problem sampling and
 agent randomness never perturb each other.  Stream states serialize to
-plain JSON and restore bit-exactly, which is what makes world snapshots
-and trace replay possible.
+plain JSON, so a world's canonical form, and its snapshot hash, covers
+them; replay regenerates the streams from their seeds.
 """
 
 from __future__ import annotations
@@ -70,23 +70,6 @@ def stream_state(gen: np.random.Generator) -> dict:
         "has_uint32": int(st["has_uint32"]),
         "uinteger": int(st["uinteger"]),
     }
-
-
-def restore_stream(state: dict) -> np.random.Generator:
-    """Rebuild a stream from `stream_state` output, bit-exactly."""
-    bg = np.random.Philox()
-    bg.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array(state["counter"], dtype=np.uint64),
-            "key": np.array(state["key"], dtype=np.uint64),
-        },
-        "buffer": np.array(state["buffer"], dtype=np.uint64),
-        "buffer_pos": state["buffer_pos"],
-        "has_uint32": state["has_uint32"],
-        "uinteger": state["uinteger"],
-    }
-    return np.random.Generator(bg)
 
 
 def clone_stream(gen: np.random.Generator) -> np.random.Generator:

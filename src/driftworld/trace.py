@@ -14,6 +14,13 @@ agents their problems through it too.  The tests audit the result
 independently (`tests/oracles.py`), against a denylist of secret keys and
 the actual secret values.  Neither trace contains wall-clock timestamps;
 trace bytes are a pure function of the run's inputs.
+
+A trace read back is input from outside the program.  `check_line`
+holds each line replay or report takes values from to its tier's closed
+schema in `SCHEMAS` (built from `protocol`'s pieces; a live schema is
+the disclosure one cut by `LIVE_FIELDS`) with `protocol`'s checker.
+Replay checks no other kind: it compares every line's bytes with the
+line it regenerates, which is stricter than any schema.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from collections import deque
 
 from .canon import canonical_dumps
 from .errors import ContractViolation
+from .protocol import _BODY, _FORCES, _INDEX, _NUM, _PROBLEM, _RESOURCES, _SIZE
+from .protocol import _TYPES, _check_keywords, _closed, _first_error, _message
 
 TRACE_FORMAT = 4
 
@@ -65,6 +74,69 @@ def _field_tree(paths: tuple[str, ...]) -> dict:
 
 _LIVE_TREES = {kind: _field_tree(paths) for kind, paths in LIVE_FIELDS.items()}
 
+_STRING = {"type": "string"}
+_PARAMS = {"type": "object"}  # a parameter block: canon.from_doc checks its fields
+
+
+def _by_agent(schema: dict) -> dict:  # a map from agent id to `schema`
+    return {"type": "object", "additionalProperties": schema}
+
+
+_LAW = _closed({"level": _INDEX, "terms": {"type": "array"},
+                "polarity_coupled": {"type": "array", "items": {"type": "boolean"}},
+                "drift_handle": {"type": ["string", "null"]}})
+
+_DISCLOSURE_SCHEMAS = {
+    "header": _message(
+        "header", mode=_STRING, format={"const": TRACE_FORMAT},
+        stream_algorithm=_STRING, step_params=_PARAMS, score_params=_PARAMS,
+        episode=_PARAMS, bodies=_by_agent(_BODY), agent_kinds=_by_agent(_STRING),
+        gen_spec=_PARAMS, problem_params=_PARAMS,
+        stream_names=_by_agent(_STRING), initial_state_hash=_STRING),
+    "problem_issued": _message(
+        "problem_issued", tick=_INDEX, agent=_STRING, problem=_closed({
+            **_PROBLEM["properties"], "scriptor_len": _SIZE, "o_ref": _NUM,
+            "d_ref": _NUM, "hidden_actions": {"type": "array", "items": _FORCES},
+            "p_null": {"type": ["number", "null"]}})),
+    "act": _message("act", tick=_INDEX, agent=_STRING, forces=_FORCES,
+                    resources=_closed(_RESOURCES)),
+    "drift": _message("drift", tick=_INDEX, levels={"type": "array", "items": _INDEX},
+                      new_laws={"type": "array", "items": _LAW}),
+    "sample": _message("sample", tick=_INDEX, agent=_STRING, cumulative=_NUM),
+    "end": _message("end", tick=_INDEX, cumulative=_by_agent(_NUM),
+                    problems_closed=_INDEX, budget_misses=_by_agent(_INDEX)),
+}
+_check_keywords({(DISCLOSURE, kind): s for kind, s in _DISCLOSURE_SCHEMAS.items()})
+
+
+def _cut(schema: dict, tree: dict, where: str) -> dict:
+    """`schema` cut down to the fields in `tree`, in the schema's order."""
+    props = schema.get("properties", {})
+    if missing := [key for key in tree if key not in props]:
+        raise ValueError(f"LIVE_FIELDS names {where}.{missing[0]}, which no schema has")
+    kept = {key: sub if tree[key] is None else _cut(sub, tree[key], f"{where}.{key}")
+            for key, sub in props.items() if key in tree}
+    return {**schema, "properties": kept,
+            "required": [key for key in schema["required"] if key in kept]}
+
+
+#: Per tier, per line kind a reader takes values from, the line's schema.
+SCHEMAS: dict[str, dict[str, dict]] = {DISCLOSURE: _DISCLOSURE_SCHEMAS, LIVE: {
+    kind: _cut(schema, _LIVE_TREES[kind], kind)
+    for kind, schema in _DISCLOSURE_SCHEMAS.items()}}
+
+#: A trace writes an integer as one: 1.0 is none there (Draft-4's meaning).
+_TRACE_TYPES = {**_TYPES, "integer": lambda v: type(v) is int}
+
+
+def check_line(doc: dict, tier: str) -> dict:
+    """`doc`, if its kind's schema in `tier` takes it; else ContractViolation."""
+    if err := _first_error(doc, SCHEMAS[tier][doc["kind"]], _TRACE_TYPES):
+        path, message = err
+        field = f" field {'.'.join(map(str, path))!r}" if path else ""
+        raise ContractViolation(f"trace {doc['kind']}{field}: {message}")
+    return doc
+
 
 def _project(doc: dict, tree: dict) -> dict:
     """`doc` cut down to `tree`; `doc` itself when that keeps all of it."""
@@ -98,12 +170,10 @@ class TraceWriter:
     """
 
     def __init__(self, path: str, header: dict):
-        if header.get("kind") != "header":
-            raise ContractViolation("trace header must have kind 'header'")
+        if header.get("kind") != "header" or header.get("mode") not in SCHEMAS:
+            raise ContractViolation(
+                "a trace header has kind 'header' and mode 'live' or 'disclosure'")
         self.path = path
-        self.mode = header.get("mode")
-        if self.mode not in (LIVE, DISCLOSURE):
-            raise ContractViolation("trace mode must be 'live' or 'disclosure'")
         self._pending: deque = deque()  # lines and held documents, in order
         self._partial = path + ".partial"
         self._fh = open(self._partial, "w", encoding="utf-8")
@@ -237,7 +307,9 @@ class TraceSink:
 
 
 def iter_trace(path: str):
-    """Yield decoded lines, each a JSON object; the first is the header."""
+    """Yield decoded lines, each a JSON object; the first must be a header
+    naming its tier, or ContractViolation."""
+    started = False
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             line = line.strip()
@@ -249,28 +321,15 @@ def iter_trace(path: str):
                 raise ContractViolation(f"{path}:{n}: not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ContractViolation(f"{path}:{n}: not a JSON object")
+            if not started and (doc.get("kind") != "header"
+                                or doc.get("mode") not in SCHEMAS):
+                break
+            started = True
             yield doc
-
-
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
-               int: "an integer", (int, float): "a number",
-               (int, float, type(None)): "a number or null"}
-
-
-def typed(doc: dict, key: str, kind, where: str):
-    """`doc[key]`, which must be present and have JSON type `kind`; a bool
-    is no number.  Replay and report check trace fields with it."""
-    if key not in doc:
-        raise ContractViolation(f"{where} field {key!r} is missing")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ContractViolation(
-            f"{where} field {key!r} must be {_JSON_TYPES[kind]}")
-    return value
+    if not started:
+        raise ContractViolation(f"{path}: missing trace header")
 
 
 def read_trace(path: str) -> tuple[dict, list[dict]]:
-    docs = list(iter_trace(path))
-    if not docs or docs[0].get("kind") != "header":
-        raise ContractViolation(f"{path}: missing trace header")
-    return docs[0], docs[1:]
+    header, *events = iter_trace(path)
+    return header, events

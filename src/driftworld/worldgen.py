@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng as rngmod
-from .canon import from_doc, to_doc
+from .canon import to_doc
 from .errors import ConfigError, ContractViolation
 
 #: Radial basis terms and their exponent of the pair separation, plus a
@@ -353,26 +353,6 @@ class World:
                 },
             },
         }
-
-    @classmethod
-    def from_canonical(cls, doc: dict) -> "World":
-        spec = from_doc(GenSpec, doc["spec"])
-        ent = doc["entities"]
-        world = cls(
-            spec=spec,
-            positions=np.array(ent["position"], dtype=np.float64),
-            velocities=np.array(ent["velocity"], dtype=np.float64),
-            inertia=np.array(ent["inertia"], dtype=np.float64),
-            polarity=np.array(ent["polarity"], dtype=np.int64),
-            laws=[from_doc(CausationLaw, d) for d in doc["laws"]],
-            streams={
-                name: rngmod.restore_stream(state)
-                for name, state in doc["rng"]["streams"].items()
-            },
-            tick=doc["tick"],
-        )
-        _attach_levels(world, doc["hierarchy"])
-        return world
 
     def clone(self) -> "World":
         """Independent copy of the state (streams included); membership,

@@ -1,12 +1,14 @@
 """Independent checks the tests hold the program to.
 
 Scalar and whole-world physics references, a plain-Python pair kernel,
-aggregate pass and step, the sensor-reading hash packed with `struct`,
-the live-trace redaction
-audit and byte tools for tamper tests.  None of this is called by the
-package: a check written apart from the code it checks cannot share its
-mistakes.  `FORBIDDEN_LIVE_KEYS` is a denylist kept separately from the
-allowlist `trace.LIVE_FIELDS` that decides what the live tier carries.
+aggregate pass and step, the restore path from a world's canonical form
+(the round-trip tests show through it that the form, and so the snapshot
+hash, covers all the state that affects the future), the sensor-reading
+hash packed with `struct`, the live-trace redaction audit and byte tools
+for tamper tests.  None of this is called by the package: a check
+written apart from the code it checks cannot share its mistakes.
+`FORBIDDEN_LIVE_KEYS` is a denylist kept separately from the allowlist
+`trace.LIVE_FIELDS` that decides what the live tier carries.
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ import struct
 
 import numpy as np
 
+from driftworld.canon import canonical_dumps, from_doc
 from driftworld.dynamics import StepParams
 from driftworld.errors import ContractViolation
 from driftworld.worldgen import (
     DAMPING_TERM,
     RADIAL_EXPONENT,
     CausationLaw,
+    GenSpec,
     World,
+    _attach_levels,
     apply_drift,
 )
 
@@ -252,6 +257,49 @@ def reference_step(world: World, params: StepParams,
 def momentum(world: World) -> np.ndarray:
     """Total inertia-weighted velocity, the conserved quantity audits track."""
     return (world.velocities * world.inertia[:, None]).sum(axis=0)
+
+
+# --------------------------------------------------------------- restore
+
+
+def restore_stream(state: dict) -> np.random.Generator:
+    """Rebuild a stream from `rng.stream_state` output, bit-exactly."""
+    bg = np.random.Philox()
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array(state["counter"], dtype=np.uint64),
+            "key": np.array(state["key"], dtype=np.uint64),
+        },
+        "buffer": np.array(state["buffer"], dtype=np.uint64),
+        "buffer_pos": state["buffer_pos"],
+        "has_uint32": state["has_uint32"],
+        "uinteger": state["uinteger"],
+    }
+    return np.random.Generator(bg)
+
+
+def from_canonical(doc: dict) -> World:
+    """Rebuild a world from `World.to_canonical` output."""
+    ent = doc["entities"]
+    world = World(
+        spec=from_doc(GenSpec, doc["spec"]),
+        positions=np.array(ent["position"], dtype=np.float64),
+        velocities=np.array(ent["velocity"], dtype=np.float64),
+        inertia=np.array(ent["inertia"], dtype=np.float64),
+        polarity=np.array(ent["polarity"], dtype=np.int64),
+        laws=[from_doc(CausationLaw, d) for d in doc["laws"]],
+        streams={name: restore_stream(state)
+                 for name, state in doc["rng"]["streams"].items()},
+        tick=doc["tick"],
+    )
+    _attach_levels(world, doc["hierarchy"])
+    return world
+
+
+def snapshot(world: World) -> bytes:
+    """Canonical byte encoding of the full world state."""
+    return canonical_dumps(world.to_canonical()).encode("utf-8")
 
 
 # --------------------------------------------------------------- sensing

@@ -20,7 +20,7 @@ from driftworld.config import ENV_CONFIG
 from driftworld.errors import ProtocolError
 from driftworld.harness import replay_trace
 from driftworld.rng import agent_seed
-from driftworld.trace import TRACE_FORMAT, read_trace
+from driftworld.trace import LIVE, TRACE_FORMAT, live_view, read_trace
 
 BASE = ["--set", "gen.seed=5", "--set", "episode.horizon=40"]
 
@@ -378,6 +378,21 @@ def test_report_of_a_mistyped_event_fails(kind, field, value, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert f"trace {kind} field {field!r}" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_report_checks_lines_against_the_tier_the_header_names(tmp_path, capsys):
+    docs = [json.loads(line) for line in GOLDEN_TRACE.read_text().splitlines()]
+    live = [dict(live_view(docs[0]), mode=LIVE)] + [
+        view for view in map(live_view, docs[1:]) if view is not None]
+    path = tmp_path / "live.ndjson"
+    path.write_text("".join(canonical_dumps(doc) + "\n" for doc in live))
+    assert run_cli("report", str(path), "--out", str(tmp_path / "m.json")) == 0
+    n = next(i for i, doc in enumerate(live) if doc["kind"] == "drift")
+    live[n] = dict(live[n], levels=[1])  # a disclosure field
+    path.write_text("".join(canonical_dumps(doc) + "\n" for doc in live))
+    assert run_cli("report", str(path), "--out", str(tmp_path / "m2.json")) == 3
+    assert "trace drift: additional properties are not allowed: ['levels']" in (
+        capsys.readouterr().err)
 
 
 def test_replay_missing_file_exit_one(tmp_path, capsys):

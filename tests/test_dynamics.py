@@ -14,7 +14,6 @@ from driftworld.dynamics import (
     _level_accel,
     compute_accelerations,
     prepare,
-    snapshot,
     snapshot_hash,
     step,
 )
@@ -34,7 +33,7 @@ from driftworld.worldgen import (
 )
 
 from conftest import flat_quiet_spec
-from oracles import eval_law, level_accel, momentum, radial_power
+from oracles import eval_law, level_accel, momentum, radial_power, snapshot
 
 
 # -- minimal image ---------------------------------------------------------

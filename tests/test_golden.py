@@ -27,6 +27,7 @@ import pytest
 from driftworld.canon import canonical_dumps
 from driftworld.config import load_config
 from driftworld.harness import replay_trace, run_stage1, run_stage2
+from driftworld.trace import SCHEMAS, check_line, iter_trace
 
 from oracles import audit_live_trace
 
@@ -87,16 +88,45 @@ def _load_digests() -> dict:
         return json.load(fh)
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Runs a case once per module: (its directory, its digests)."""
+    runs = {}
+
+    def run(name: str):
+        if name not in runs:
+            outdir = tmp_path_factory.mktemp(name)
+            runs[name] = outdir, run_case(name, str(outdir))
+        return runs[name]
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digests_unchanged(name, tmp_path):
+def test_golden_digests_unchanged(name, golden_run):
     expected = _load_digests()[name]
-    got = run_case(name, str(tmp_path))
+    outdir, got = golden_run(name)
     assert sorted(got) == sorted(expected), f"case {name}: different files written"
     for tier, digest in expected.items():
         assert got[tier] == digest, f"case {name}, {tier}: bytes changed"
     for fname in got:
         if fname.endswith(".live.ndjson"):
-            assert audit_live_trace(str(tmp_path / fname)) == [], fname
+            assert audit_live_trace(str(outdir / fname)) == [], fname
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_lines_pass_their_schemas(name, golden_run):
+    """Every line of a kind a reader checks, in both tiers of every case."""
+    outdir, got = golden_run(name)
+    for fname in got:
+        if fname == "report":
+            continue
+        lines = iter_trace(str(outdir / fname))
+        header = next(lines)
+        tier = header["mode"]
+        check_line(header, tier)
+        kinds = {check_line(doc, tier)["kind"] for doc in lines
+                 if doc["kind"] in SCHEMAS[tier]}
+        assert kinds == set(SCHEMAS[tier]) - {"header"}, fname
 
 
 def test_committed_disclosure_trace_replays(tmp_path):

@@ -41,7 +41,7 @@ from driftworld.rng import derive_world_seed
 from driftworld.trace import read_trace
 from driftworld.worldgen import DriftSchedule, GenSpec, World, generate_world
 
-from oracles import flip_one_bit
+from oracles import flip_one_bit, trace_bytes
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -480,7 +480,7 @@ def test_replay_verifies_and_detects_tampering(tmp_path):
 
     # Flip one bit of one digit mid-file; the line stays valid JSON but
     # no longer matches what the regeneration produces.
-    raw = open(disc, "rb").read()
+    raw = trace_bytes(disc)
     anchor = raw.index(b'"cumulative":', len(raw) // 2)
     offset = anchor + len(b'"cumulative":')
     while not chr(raw[offset]).isdigit():
@@ -511,7 +511,7 @@ def test_replay_keeps_regenerated_copy(tmp_path):
     kept = str(tmp_path / "regen.ndjson")
     verdict = replay_trace(disc, regenerated_path=kept)
     assert verdict["ok"]
-    assert open(kept, "rb").read() == open(disc, "rb").read()
+    assert trace_bytes(kept) == trace_bytes(disc)
 
 
 @pytest.fixture(scope="module")

@@ -36,12 +36,20 @@ from driftworld.protocol import (
     SCHEMAS,
     SubprocessAgent,
     _check_keywords,
+    _first_error,
     encode,
     parse_line,
     run_stdio_agent,
     validate_message,
 )
-from driftworld.trace import LIVE_FIELDS
+from driftworld.trace import (
+    DISCLOSURE,
+    LIVE,
+    LIVE_FIELDS,
+    _TRACE_TYPES,
+    live_view,
+)
+from driftworld.trace import SCHEMAS as TRACE_SCHEMAS  # `SCHEMAS` is the wire's
 from driftworld.worldgen import GenSpec, generate_world
 
 BODY_DICT = {"member_ids": [0, 1, 2, 3], "resolution": 16,
@@ -224,6 +232,7 @@ def test_problem_schema_is_the_live_view_of_a_problem():
     problem = SCHEMAS[("to_agent", "problem")]["properties"]["problem"]
     assert list(problem["properties"]) == live
     assert problem["required"] == live
+    assert TRACE_SCHEMAS[LIVE]["problem_issued"]["properties"]["problem"] == problem
 
 
 def test_body_schema_is_the_body_spec():
@@ -318,21 +327,71 @@ def test_parse_line_and_encode_roundtrip():
 # ------------------------------------------------ agreement with Draft-7
 
 # The checker must accept exactly what jsonschema's Draft7Validator
-# accepts.  jsonschema is a test-only dependency, imported here so its
+# accepts, for wire messages and for the trace lines replay and report
+# read.  jsonschema is a test-only dependency, imported here so its
 # absence fails these tests and nothing else.
+
+GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "golden",
+                            "stage2.disclosure.ndjson")
+
+
+def _trimmed(doc):
+    """`doc` with every array cut to its first two items."""
+    if isinstance(doc, dict):
+        return {k: _trimmed(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_trimmed(v) for v in doc[:2]]
+    return doc
+
+
+def _trace_examples() -> dict:
+    """Per (tier, kind) of `trace.SCHEMAS`, the first line of that kind in
+    the committed golden trace, or its live view, with every array cut to
+    two items so that a sweep over each value stays small."""
+    first: dict = {}
+    with open(GOLDEN_TRACE, encoding="utf-8") as fh:
+        for line in fh:
+            doc = json.loads(line)
+            first.setdefault(doc["kind"], doc)
+    examples = {}
+    for kind in TRACE_SCHEMAS[DISCLOSURE]:
+        view = live_view(first[kind])
+        if kind == "header":
+            view = dict(view, mode=LIVE)
+        examples[DISCLOSURE, kind] = _trimmed(first[kind])
+        examples[LIVE, kind] = _trimmed(view)
+    return examples
+
+
+TRACE_VALID = _trace_examples()
+EXAMPLES = {**VALID, **TRACE_VALID}
 
 
 @functools.cache
 def draft7(key):
-    from jsonschema import Draft7Validator
+    from jsonschema import Draft4Validator, Draft7Validator, validators
 
-    return Draft7Validator(SCHEMAS[key])
+    if key in SCHEMAS:
+        return Draft7Validator(SCHEMAS[key])
+    # Trace lines: Draft-7 but for Draft-4's integer, which 1.0 is not.
+    exact = Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: Draft4Validator.TYPE_CHECKER.is_type(v, "integer"))
+    tier, kind = key
+    return validators.extend(Draft7Validator, type_checker=exact)(
+        TRACE_SCHEMAS[tier][kind])
 
 
 def draft7_paths(key, doc):
-    """The paths of every error Draft7Validator reports, as the checker names them."""
-    return {"/".join(str(p) for p in e.path) or "<root>"
-            for e in draft7(key).iter_errors(doc)}
+    """The paths of every error Draft7Validator reports, as the checker
+    names them: a missing property by its own path."""
+    paths = set()
+    for e in draft7(key).iter_errors(doc):
+        if e.validator == "required":
+            paths |= {"/".join(map(str, [*e.path, k]))
+                      for k in e.validator_value if k not in e.instance}
+        else:
+            paths.add("/".join(str(p) for p in e.path) or "<root>")
+    return paths
 
 
 def checker_verdict(direction, doc):
@@ -345,14 +404,26 @@ def checker_verdict(direction, doc):
     return None
 
 
-def assert_agrees_with_draft7(direction, doc):
+def trace_verdict(key, doc):
+    """None if the checker accepts `doc` as a line of `key`, else the path it names."""
+    tier, kind = key
+    err = _first_error(doc, TRACE_SCHEMAS[tier][kind], _TRACE_TYPES)
+    return None if err is None else "/".join(map(str, err[0])) or "<root>"
+
+
+def assert_agrees_with_draft7(key, doc):
     """Accepted exactly when Draft-7 reports nothing; a rejection names a path it reports."""
-    named = checker_verdict(direction, doc)
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or (direction, kind) not in SCHEMAS:
-        assert named is not None  # no schema to check against
-        return
-    reported = draft7_paths((direction, kind), doc)
+    if key in TRACE_VALID:
+        named = trace_verdict(key, doc)
+    else:
+        direction, _ = key
+        named = checker_verdict(direction, doc)
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or (direction, kind) not in SCHEMAS:
+            assert named is not None  # no schema to check against
+            return
+        key = (direction, kind)
+    reported = draft7_paths(key, doc)
     assert (named is None) == (not reported), (doc, named, reported)
     if named is not None:
         assert named in reported, (doc, named, reported)
@@ -385,6 +456,30 @@ def test_type_meanings_match_draft7(key, field, value, accepted):
     assert (not draft7_paths(key, doc)) is accepted
 
 
+@pytest.mark.parametrize("kind, path, value, accepted", [
+    ("act", ("tick",), 1.0, False),  # a trace writes an integer as one
+    ("act", ("tick",), 1, True),
+    ("sample", ("cumulative",), 1, True),
+    ("problem_issued", ("problem", "p_null"), None, True),  # type ["number", "null"]
+    ("problem_issued", ("problem", "p_null"), 0.5, True),
+    ("problem_issued", ("problem", "p_null"), True, False),
+    ("problem_issued", ("problem", "p_null"), "0.5", False),
+    ("end", ("budget_misses", "a0_greedy"), 2, True),  # a map's values
+    ("end", ("budget_misses", "a0_greedy"), 2.0, False),
+    ("end", ("budget_misses", "nobody"), 0, True),  # any key, if the value fits
+    ("end", ("budget_misses", "nobody"), -1, False),
+    ("end", ("cumulative", "a0_greedy"), None, False),
+    ("header", ("bodies", "a0_greedy", "resolution"), 0, False),
+    ("header", ("agent_kinds", "x"), 3, False),
+], ids=repr)
+def test_trace_type_meanings_match_draft7(kind, path, value, accepted):
+    key = (DISCLOSURE, kind)
+    doc = copy.deepcopy(TRACE_VALID[key])
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    assert (trace_verdict(key, doc) is None) is accepted
+    assert (not draft7_paths(key, doc)) is accepted
+
+
 PROBES = [True, False, 0, 3, -1, 1.0, 1.5, float("nan"), float("inf"),
           np.int64(3), np.float64(2.0), np.float64(2.5), np.True_, None, "",
           "x", [], [1.0, 0.0], {}, {"x": 1}]
@@ -398,14 +493,13 @@ def slots(doc, path=()):
             yield from slots(v, path + (k,))
 
 
-@pytest.mark.parametrize("key", sorted(VALID), ids="/".join)
+@pytest.mark.parametrize("key", sorted(EXAMPLES), ids="/".join)
 def test_checker_agrees_with_draft7_on_every_single_replacement(key):
-    direction, _ = key
-    for path in slots(VALID[key]):
+    for path in slots(EXAMPLES[key]):
         for probe in PROBES:
-            doc = copy.deepcopy(VALID[key])
+            doc = copy.deepcopy(EXAMPLES[key])
             functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = copy.deepcopy(probe)
-            assert_agrees_with_draft7(direction, doc)
+            assert_agrees_with_draft7(key, doc)
 
 
 WIRE_VALUES = st.one_of(
@@ -432,8 +526,8 @@ def containers(doc):
 
 @st.composite
 def mutated(draw, key):
-    """A VALID example after one to three edits of a value, key or item."""
-    doc = copy.deepcopy(VALID[key])
+    """An example after one to three edits of a value, key or item."""
+    doc = copy.deepcopy(EXAMPLES[key])
     for _ in range(draw(st.integers(1, 3))):
         box = draw(st.sampled_from(list(containers(doc))))
         keys = list(box) if isinstance(box, dict) else list(range(len(box)))
@@ -451,17 +545,17 @@ def mutated(draw, key):
     return doc
 
 
-@pytest.mark.parametrize("key", sorted(VALID), ids="/".join)
+@pytest.mark.parametrize("key", sorted(EXAMPLES), ids="/".join)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_checker_agrees_with_draft7_on_mutated_messages(key, data):
-    direction, _ = key
-    assert_agrees_with_draft7(direction, data.draw(mutated(key)))
+    assert_agrees_with_draft7(key, data.draw(mutated(key)))
 
 
 @pytest.mark.parametrize("keyword, value", [
-    ("pattern", "x"), ("type", "null"), ("additionalProperties", True),
-    ("const", True),
+    ("pattern", "x"), ("type", "float"), ("type", ["integer", "float"]),
+    ("type", []), ("additionalProperties", True),
+    ("additionalProperties", {"pattern": "x"}), ("const", True),
 ])
 def test_unsupported_schema_fails_the_import_check(keyword, value):
     _check_keywords(copy.deepcopy(SCHEMAS))

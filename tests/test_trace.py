@@ -22,8 +22,11 @@ from driftworld.trace import (
     DISCLOSURE,
     LIVE,
     LIVE_FIELDS,
+    _DISCLOSURE_SCHEMAS,
     TraceSink,
     TraceWriter,
+    _cut,
+    _field_tree,
     iter_trace,
     read_trace,
 )
@@ -233,6 +236,15 @@ def test_iter_trace_skips_blanks_and_rejects_garbage(tmp_path):
         list(iter_trace(str(path)))
 
 
+def test_iter_trace_requires_header(tmp_path):
+    path = tmp_path / "t.ndjson"
+    for text in ('\n{"kind": "sense", "tick": 0}\n', "", "\n\n",
+                 '{"kind": "header", "mode": "secret"}\n'):
+        path.write_text(text)
+        with pytest.raises(ContractViolation, match="missing trace header"):
+            next(iter_trace(str(path)))
+
+
 def test_read_trace_requires_header(tmp_path):
     path = tmp_path / "t.ndjson"
     path.write_text('{"kind": "sense", "tick": 0}\n')
@@ -374,6 +386,17 @@ def test_live_field_table_names_no_forbidden_key():
         for path in paths:
             for name in path.split("."):
                 assert name not in FORBIDDEN_LIVE_KEYS, (kind, path)
+
+
+@pytest.mark.parametrize("kind, planted", [
+    ("act", "resources.energy"), ("sample", "seed"),
+    ("problem_issued", "problem.o_ref.x"), ("header", "secret"),
+])
+def test_a_live_field_no_schema_has_fails(kind, planted):
+    schema = _DISCLOSURE_SCHEMAS[kind]
+    assert _cut(schema, _field_tree(LIVE_FIELDS[kind]), kind)
+    with pytest.raises(ValueError, match=f"names {kind}.{planted}, which no schema"):
+        _cut(schema, _field_tree(LIVE_FIELDS[kind] + (planted,)), kind)
 
 
 def test_sink_keeps_unlisted_kinds_and_fields_out_of_the_live_tier(tmp_path):

@@ -13,13 +13,13 @@ from driftworld.worldgen import (
     CausationGrammar,
     DriftSchedule,
     GenSpec,
-    World,
     generate_world,
     minimal_image,
     sample_law,
 )
 
 from conftest import flat_quiet_spec
+from oracles import from_canonical
 
 
 def canonical(world):
@@ -185,7 +185,7 @@ def test_aggregates_are_never_stale():
     world.positions[3] = [1.0, -2.0]
     world.positions[7] = [-7.5, 7.5]
     world.velocities[5] = [0.3, -0.2]
-    rebuilt = World.from_canonical(world.to_canonical())
+    rebuilt = from_canonical(world.to_canonical())
     for _ in range(3):
         step(world, params)
         step(rebuilt, params)
@@ -199,7 +199,7 @@ def test_canonical_roundtrip_continues_identically(n_levels):
     params = StepParams()
     for _ in range(2):
         step(a, params)
-    b = World.from_canonical(a.to_canonical())
+    b = from_canonical(a.to_canonical())
     for _ in range(5):
         step(a, params)
         step(b, params)
