@@ -16,9 +16,10 @@ then.
 Stage one evaluates each agent alone on matched worlds derived from one
 master seed.  Stage two puts all agents into a single shared world with
 disjoint bodies and per-agent problem streams.  Replay reads a
-disclosure trace once, as a stream, re-runs it on a regenerated world
-with the recorded actions, and compares the regenerated file with the
-original line by line as raw bytes.
+disclosure trace once, as a stream, re-runs the same episode loop on a
+regenerated world with the recorded actions, null baselines included,
+and compares the regenerated file with the original line by line as
+raw bytes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from .problems import (
     normalized_score,
     null_baseline,
 )
-from .trace import DISCLOSURE, TRACE_FORMAT, TraceSink, check_line, iter_trace
+from .trace import (DISCLOSURE, TRACE_FORMAT, TraceSink, check_line, iter_trace,
+                    live_view)
 from .worldgen import GenSpec, World, generate_world
 
 
@@ -148,9 +150,7 @@ def _header(world: World, slots: list[Slot], step_params: StepParams,
 def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 problem_params: ProblemParams, score_params: ScoreParams,
                 episode: EpisodeConfig, live_path: str | None = None,
-                disclosure_path: str | None = None,
-                replay_nulls: dict[int, float | None] | None = None
-                ) -> EpisodeResult:
+                disclosure_path: str | None = None) -> EpisodeResult:
     """Run one episode in place.  The world is consumed.
 
     Every trace line goes through one `TraceSink`, which decides what the
@@ -158,9 +158,8 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
     disclosure tier until the problem closes.  Only a solved problem gets
     a null baseline, rolled then from a clone of the world taken after
     the problems of its issue tick were drawn; any other problem's
-    `p_null` is null.  `replay_nulls` substitutes recorded null-baseline
-    values by problem id instead of rolling them; everything else in
-    replay mode flows through the ordinary pipeline.
+    `p_null` is null.  Replay runs this same loop with scripted agents,
+    so it rolls and checks every null baseline the live run rolled.
     """
     ids = [s.agent_id for s in slots]
     if len(set(ids)) != len(ids):
@@ -211,7 +210,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     next_problem_id, slot.stream_name,
                 )))
                 next_problem_id += 1
-            origin = world.clone() if batch and replay_nulls is None else None
+            origin = world.clone() if batch else None
             for slot, problem in batch:
                 slot.active = problem
                 slot.origin = origin
@@ -221,8 +220,8 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 slot.issued_doc = {"kind": "problem_issued", "tick": t,
                                    "agent": slot.agent_id,
                                    "problem": to_doc(problem)}
-                issued = sink.event(slot.issued_doc, hold=True)
-                slot.agent.on_problem(issued["problem"])
+                sink.event(slot.issued_doc, hold=True)
+                slot.agent.on_problem(live_view(slot.issued_doc)["problem"])
                 if hasattr(slot.agent, "load_script"):
                     slot.agent.load_script(problem.hidden_actions,
                                            problem.issued_tick)
@@ -286,15 +285,8 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                     continue
                 # only a solved problem's score depends on its null baseline
                 if solved:
-                    if replay_nulls is None:
-                        problem.p_null = null_baseline(slot.origin, slot.body,
-                                                       problem, step_params)
-                    elif replay_nulls.get(problem.id) is None:
-                        raise ContractViolation(
-                            f"trace records no null baseline for problem {problem.id}"
-                        )
-                    else:
-                        problem.p_null = replay_nulls[problem.id]
+                    problem.p_null = null_baseline(slot.origin, slot.body,
+                                                   problem, step_params)
                     slot.issued_doc["problem"]["p_null"] = problem.p_null
                 sink.release(slot.issued_doc)
                 slot.origin = slot.issued_doc = None
@@ -614,13 +606,10 @@ def _header_agent(agents: dict[str, ScriptedAgent], agent_id: str,
     return agents[agent_id]
 
 
-def _load_scripts(events, agents: dict[str, ScriptedAgent]
-                  ) -> dict[int, float | None]:
+def _load_scripts(events, agents: dict[str, ScriptedAgent]) -> None:
     """Fill each agent's recorded forces, resources and budget misses from
-    the trace's events, in one pass, and return the recorded null baseline
-    of every problem: None where the trace records none (a problem that
-    did not close solved).  Each line read from is checked first."""
-    nulls: dict[int, float | None] = {}
+    the trace's `act` and `end` lines, in one pass.  Each line read from
+    is checked first; replay reads no other line."""
     for doc in events:
         kind = doc.get("kind")
         if kind == "act":
@@ -628,13 +617,9 @@ def _load_scripts(events, agents: dict[str, ScriptedAgent]
             agent = _header_agent(agents, doc["agent"], "trace act")
             agent.forces[doc["tick"]] = np.asarray(doc["forces"], dtype=np.float64)
             agent.declared[doc["tick"]] = doc["resources"]
-        elif kind == "problem_issued":
-            problem = check_line(doc, DISCLOSURE)["problem"]
-            nulls[problem["id"]] = problem["p_null"]
         elif kind == "end":
             for agent_id, count in check_line(doc, DISCLOSURE)["budget_misses"].items():
                 _header_agent(agents, agent_id, "trace end").budget_misses = count
-    return nulls
 
 
 def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> dict:
@@ -649,12 +634,12 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
     line as raw bytes, line endings included; the first line that
     differs, or that only one file has, is the divergence.
 
-    Replay takes as given what it cannot recompute: the actions, their
-    declared resources, the budget misses and the agent kinds.  Null
-    baselines are not re-rolled either: a problem that closes solved
-    reuses its recorded value, and one whose trace line records none
-    fails the replay.  Any other problem is written with a null
-    `p_null`, so a value recorded for it fails the compare.
+    Replay takes as given only what it cannot recompute: the actions,
+    their declared resources, the budget misses and the agent kinds.
+    Everything else is the live pipeline's own output, null baselines
+    included: a problem that closes solved has its baseline rolled again
+    from a clone of the world it was issued from, so a forged `p_null`
+    fails the compare at that problem's `problem_issued` line.
     """
     try:
         with contextlib.ExitStack() as stack:
@@ -682,7 +667,7 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
                                       header["agent_kinds"].get(agent_id))
                 slots.append(Slot(agent_id=agent_id, agent=agent, body=body,
                                   stream_name=header["stream_names"][agent_id]))
-            nulls = _load_scripts(events, {s.agent_id: s.agent for s in slots})
+            _load_scripts(events, {s.agent_id: s.agent for s in slots})
 
             if regenerated_path is None:
                 tmp = stack.enter_context(tempfile.TemporaryDirectory())
@@ -690,7 +675,6 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
             run_episode(
                 generate_world(spec), slots, step_params, problem_params,
                 score_params, episode, disclosure_path=regenerated_path,
-                replay_nulls=nulls,
             )
             n = 0
             with open(disclosure_path, "rb") as old_fh, \

@@ -19,8 +19,12 @@ A trace read back is input from outside the program.  `check_line`
 holds each line replay or report takes values from to its tier's closed
 schema in `SCHEMAS` (built from `protocol`'s pieces; a live schema is
 the disclosure one cut by `LIVE_FIELDS`) with `protocol`'s checker.
-Replay checks no other kind: it compares every line's bytes with the
-line it regenerates, which is stricter than any schema.
+Replay takes values only from the header and the `act` and `end` lines
+and checks no other kind: it compares every line's bytes with the line
+it regenerates, which is stricter than any schema.  The
+`problem_issued` schema stays all the same: `LIVE_FIELDS` is checked
+against it at import, and a test holds the wire's `problem` message
+equal to its live cut.
 """
 
 from __future__ import annotations
@@ -61,13 +65,19 @@ LIVE_FIELDS: dict[str, tuple[str, ...]] = {
 
 
 def _field_tree(paths: tuple[str, ...]) -> dict:
-    """Dotted names as nested {field: subtree}; None keeps a field whole."""
+    """Dotted names as nested {field: subtree}; None keeps a field whole.
+    A field named both whole and by a sub-field is a ValueError."""
     tree: dict = {}
     for path in paths:
         *parents, leaf = path.split(".")
         node = tree
         for name in parents:
             node = node.setdefault(name, {})
+            if node is None:
+                break
+        if node is None or node.get(leaf) is not None:
+            raise ValueError(f"{path} overlaps a field listed before it; list "
+                             "a field whole or by its sub-fields, not both")
         node[leaf] = None
     return tree
 
@@ -256,13 +266,13 @@ class TraceSink:
     """Writes each disclosure-level document once, to both tiers.
 
     The disclosure file gets the document whole, the live file its
-    `live_view`; either path may be None.  A document the live tier
-    carries whole is encoded once, for both files.  `event` returns the
-    live view so callers can hand exactly that to agents.  A document
-    may be held in the disclosure tier until `release` (see
-    `TraceWriter`); its live view is written at once.  Like `TraceWriter`, it puts both files in
-    place only when its `with` block exits cleanly; when the live file
-    cannot be put in place, the disclosure file is deleted too.
+    `live_view`, built only when there is a live file; either path may
+    be None.  A document the live tier carries whole is encoded once,
+    for both files.  A document may be held in the disclosure tier until
+    `release` (see `TraceWriter`); its live view is written at once.
+    Like `TraceWriter`, it puts both files in place only when its `with`
+    block exits cleanly; when the live file cannot be put in place, the
+    disclosure file is deleted too.
     """
 
     def __init__(self, live_path: str | None, disclosure_path: str | None,
@@ -278,14 +288,14 @@ class TraceSink:
                     self.live.discard()
                 raise
 
-    def event(self, doc: dict, hold: bool = False) -> dict | None:
-        view = live_view(doc)
+    def event(self, doc: dict, hold: bool = False) -> None:
         line = None
-        if self.live and view is not None:
+        if self.live and (view := live_view(doc)) is not None:
             line = self.live.event(view)
+            if view is not doc:
+                line = None
         if self.disc:
-            self.disc.event(doc, hold, line if view is doc else None)
-        return view
+            self.disc.event(doc, hold, line)
 
     def release(self, doc: dict) -> None:
         if self.disc:

@@ -234,10 +234,37 @@ def test_replay_names_a_missing_null_baseline(tmp_path, capsys):
     assert json.loads(lines[n])["problem"]["p_null"] == 0.0
     nulled = _with_p_null(lines, n, None)
     dropped = lines[:n] + lines[n + 1:]
+    # 1-based, both name line n + 1: the edited line, or the one after
+    # the deleted line, which now stands in its place
     for name, cut in (("nulled", nulled), ("dropped", dropped)):
         verdict = replay_trace(_write_lines(tmp_path / f"{name}.ndjson", cut))
         assert verdict["verdict"] == "FAIL", name
-        assert "no null baseline for problem 1" in verdict["error"], name
+        assert verdict["first_divergence_line"] == n + 1, name
+        assert verdict["error"] is None, name
+
+
+def test_replay_fails_at_a_forged_null_baseline(tmp_path, capsys, monkeypatch):
+    """A trace whose solved problem 1 was written with a null baseline of
+    0.5, and its score and every later line to match, fails at that
+    problem's issued line: replay rolls the baseline again."""
+    original = harness.null_baseline
+
+    def forged(origin, body, problem, step_params):
+        if problem.id == 1:
+            return 0.5
+        return original(origin, body, problem, step_params)
+
+    monkeypatch.setattr(harness, "null_baseline", forged)
+    lines = solving_disclosure(tmp_path, capsys)
+    monkeypatch.undo()
+    n = _issued_line(lines, 1)
+    assert json.loads(lines[n])["problem"]["p_null"] == 0.5
+    path = str(tmp_path / "solving.ndjson")
+    verdict = replay_trace(path)
+    assert verdict["verdict"] == "FAIL"
+    assert verdict["first_divergence_line"] == n + 1
+    assert run_cli("replay", path) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL  {path}")
 
 
 def test_replay_fails_at_a_null_baseline_planted_on_an_unsolved_problem(
@@ -346,7 +373,12 @@ def test_replay_of_a_mistyped_event_fails(kind, field, value, tmp_path, capsys):
     bad.write_text("\n".join(lines) + "\n")
     verdict = replay_trace(str(bad))
     assert verdict["verdict"] == "FAIL"
-    assert verdict["error"].startswith("ContractViolation: ")
+    if kind == "problem_issued":
+        # replay reads nothing from it; the bytes differ at that line
+        assert verdict["first_divergence_line"] == n + 1
+        assert verdict["error"] is None
+    else:
+        assert verdict["error"].startswith("ContractViolation: ")
     assert run_cli("replay", str(bad)) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith(f"FAIL  {bad}")

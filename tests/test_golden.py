@@ -27,7 +27,7 @@ import pytest
 from driftworld.canon import canonical_dumps
 from driftworld.config import load_config
 from driftworld.harness import replay_trace, run_stage1, run_stage2
-from driftworld.trace import SCHEMAS, check_line, iter_trace
+from driftworld.trace import LIVE, SCHEMAS, check_line, iter_trace, live_view
 
 from oracles import audit_live_trace
 
@@ -127,6 +127,22 @@ def test_golden_lines_pass_their_schemas(name, golden_run):
         kinds = {check_line(doc, tier)["kind"] for doc in lines
                  if doc["kind"] in SCHEMAS[tier]}
         assert kinds == set(SCHEMAS[tier]) - {"header"}, fname
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_live_trace_is_the_live_view_of_its_disclosure(name, golden_run):
+    """Each live file is `live_view` of its disclosure file, line for line,
+    with the header's `mode` relabelled: a published live trace can be
+    checked against its disclosure trace without re-running anything."""
+    outdir, got = golden_run(name)
+    lives = [f for f in got if f.endswith(".live.ndjson")]
+    assert lives, f"case {name} writes no live trace"
+    for live in lives:
+        header, *events = iter_trace(str(outdir / live.replace(".live.", ".disclosure.")))
+        expected = [dict(live_view(header), mode=LIVE)] + [
+            view for view in map(live_view, events) if view is not None]
+        with open(outdir / live, "r", encoding="utf-8") as fh:
+            assert fh.read().splitlines() == list(map(canonical_dumps, expected)), live
 
 
 def test_committed_disclosure_trace_replays(tmp_path):

@@ -180,10 +180,11 @@ def test_null_baseline_rolls_once_per_solved_problem(monkeypatch, tmp_path):
     # solved problem's rollout; a tick that issues nothing takes none
     assert len(clones) == 2 * len(closures) + len(solved)
 
-    # replay reuses the recorded values, so it clones only for targets
+    # replay runs the same loop: it rolls and clones as the live run did
     clones.clear()
     assert replay_trace(disc)["ok"]
-    assert rolls == solved and len(clones) == len(closures)
+    assert rolls == solved + solved
+    assert len(clones) == 2 * len(closures) + len(solved)
 
     _, events = read_trace(disc)
     nulls = _issued_nulls(events)

@@ -28,6 +28,7 @@ from driftworld.trace import (
     _cut,
     _field_tree,
     iter_trace,
+    live_view,
     read_trace,
 )
 from driftworld.worldgen import DriftSchedule, GenSpec, generate_world
@@ -191,7 +192,8 @@ def test_sink_holds_disclosure_lines_in_event_order(ops, crash):
                 for op, arg in ops:
                     if op == "event":
                         doc = _sense(len(docs))
-                        views.append(sink.event(doc, hold=arg))
+                        sink.event(doc, hold=arg)
+                        views.append(live_view(doc))
                         docs.append(doc)
                         if arg:
                             held.append(doc)
@@ -399,19 +401,27 @@ def test_a_live_field_no_schema_has_fails(kind, planted):
         _cut(schema, _field_tree(LIVE_FIELDS[kind] + (planted,)), kind)
 
 
+@pytest.mark.parametrize("paths", [("bodies", "bodies.x"), ("bodies.x", "bodies")],
+                         ids=["whole-first", "sub-field-first"])
+def test_a_field_listed_whole_and_by_a_sub_field_fails(paths):
+    with pytest.raises(ValueError, match="overlaps a field listed before it") as exc:
+        _field_tree(paths)
+    assert str(exc.value).startswith(f"{paths[1]} overlaps")
+
+
 def test_sink_keeps_unlisted_kinds_and_fields_out_of_the_live_tier(tmp_path):
     live, disc = str(tmp_path / "live.ndjson"), str(tmp_path / "disc.ndjson")
     header = {"kind": "header", "mode": DISCLOSURE, "format": 1, "seed": 9}
     with TraceSink(live, disc, header) as sink:
-        assert sink.event({"kind": "snapshot", "tick": 3, "state_hash": "ab"}) is None
-        assert sink.event({"kind": "unlisted", "tick": 3}) is None
-        view = sink.event({"kind": "sense", "tick": 3, "agent": "a",
-                           "grid_hash": "cd", "seed": 9})
-    assert view == {"kind": "sense", "tick": 3, "agent": "a", "grid_hash": "cd"}
+        sink.event({"kind": "snapshot", "tick": 3, "state_hash": "ab"})
+        sink.event({"kind": "unlisted", "tick": 3})
+        sink.event({"kind": "sense", "tick": 3, "agent": "a", "grid_hash": "cd",
+                    "seed": 9})
 
     live_header, live_events = read_trace(live)
     assert live_header == {"kind": "header", "mode": LIVE, "format": 1}
-    assert live_events == [view]
+    assert live_events == [{"kind": "sense", "tick": 3, "agent": "a",
+                            "grid_hash": "cd"}]
     disc_header, disc_events = read_trace(disc)
     assert disc_header == header
     assert [e["kind"] for e in disc_events] == ["snapshot", "unlisted", "sense"]
