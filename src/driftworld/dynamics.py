@@ -45,6 +45,7 @@ from .worldgen import (
     LevelConstants,
     World,
     apply_drift,
+    clamp_rows,
     wrap_positions,
 )
 
@@ -317,15 +318,9 @@ def step(world: World, params: StepParams,
     if external_accel is not None:
         accel = accel + external_accel
 
-    vel = world.velocities + accel * params.dt
-    speed = np.sqrt((vel * vel).sum(axis=1))
-    over = speed > params.v_max
-    if over.any():
-        scale = np.where(over, params.v_max / np.where(speed > 0, speed, 1.0), 1.0)
-        vel = vel * scale[:, None]
-    world.velocities = vel
+    world.velocities = clamp_rows(world.velocities + accel * params.dt, params.v_max)
     world.positions = wrap_positions(
-        world.positions + vel * params.dt, world.spec.arena_extent
+        world.positions + world.velocities * params.dt, world.spec.arena_extent
     )
     world.tick += 1
     return world

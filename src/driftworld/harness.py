@@ -39,7 +39,7 @@ from .canon import from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, prepare, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
-from .interface import BodySpec, forces_to_accel, sense, validate_forces
+from .interface import BodySpec, forces_to_accel, recorded_forces, sense, validate_forces
 from .metrics import AgentMetrics, MetricParams, compute_metrics, rank_agents
 from .problems import (
     Problem,
@@ -97,16 +97,15 @@ class EpisodeResult:
 
 
 class ScriptedAgent(BaseAgent):
-    """Replays recorded actions verbatim.  Forces are already validated,
-    so the loop must not clamp them again (bit-exactness).  It also
-    impersonates the recorded agent's kind, declared resources and budget
-    misses, since all three are echoed into trace lines the replay must
-    reproduce.  Replay fills `forces`, `declared` and `budget_misses`
-    from the trace before the episode runs."""
+    """Replays recorded actions verbatim.  `_load_scripts` checks them as
+    it reads them, and the loop must not clamp them again (bit-exactness).
+    It also impersonates the recorded agent's kind, declared resources
+    and budget misses, since all three are echoed into trace lines the
+    replay must reproduce.  Replay fills `forces`, `declared` and
+    `budget_misses` from the trace before the episode runs."""
 
     kind = "scripted"
     reportable = False
-    pre_validated = True
 
     def __init__(self, body: BodySpec, dim: int, kind: str | None = None):
         super().__init__(body, dim)
@@ -162,6 +161,8 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
     so it rolls and checks every null baseline the live run rolled.
     """
     ids = [s.agent_id for s in slots]
+    if not ids:
+        raise ConfigError("an episode needs at least one agent")
     if len(set(ids)) != len(ids):
         raise ConfigError("agent ids must be unique")
     claimed: set[int] = set()
@@ -178,7 +179,6 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
 
     header = _header(world, slots, step_params, problem_params, score_params,
                      episode)
-    dim = world.spec.dim
     marks: list[int] = []
     next_problem_id = 0
     closed_total = 0
@@ -240,13 +240,9 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
             # 3. act phase, fixed id order
             total_accel = np.zeros_like(world.positions)
             for slot in slots:
-                raw = slot.agent.act(observations[slot.agent_id])
-                if getattr(slot.agent, "pre_validated", False):
-                    forces = np.asarray(raw, dtype=np.float64)
-                    if forces.shape != (len(slot.body.member_ids), dim):
-                        raise ContractViolation("scripted action has wrong shape")
-                else:
-                    forces = validate_forces(raw, slot.body, dim)
+                forces = slot.agent.act(observations[slot.agent_id])
+                if not isinstance(slot.agent, ScriptedAgent):
+                    forces = validate_forces(forces, slot.body, world.spec.dim)
                 slot.acts += 1
                 resources = slot.agent.resources()
                 sink.event({"kind": "act", "tick": t, "agent": slot.agent_id,
@@ -609,13 +605,19 @@ def _header_agent(agents: dict[str, ScriptedAgent], agent_id: str,
 def _load_scripts(events, agents: dict[str, ScriptedAgent]) -> None:
     """Fill each agent's recorded forces, resources and budget misses from
     the trace's `act` and `end` lines, in one pass.  Each line read from
-    is checked first; replay reads no other line."""
+    is checked first, and each action as the live loop leaves it
+    (`recorded_forces`).  Replay reads no other line."""
     for doc in events:
         kind = doc.get("kind")
         if kind == "act":
             check_line(doc, DISCLOSURE)
             agent = _header_agent(agents, doc["agent"], "trace act")
-            agent.forces[doc["tick"]] = np.asarray(doc["forces"], dtype=np.float64)
+            try:
+                forces = recorded_forces(doc["forces"], agent.body, agent.dim)
+            except ContractViolation as exc:
+                raise ContractViolation(f"trace act of {doc['agent']!r} at tick "
+                                        f"{doc['tick']}: {exc}") from None
+            agent.forces[doc["tick"]] = forces
             agent.declared[doc["tick"]] = doc["resources"]
         elif kind == "end":
             for agent_id, count in check_line(doc, DISCLOSURE)["budget_misses"].items():

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .worldgen import World, minimal_image, wrap_positions
+from .worldgen import World, clamp_rows, minimal_image, wrap_positions
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,6 @@ def grid_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt((diff * diff).mean()))
 
 
-def clamp_forces(forces: np.ndarray, f_max: float) -> np.ndarray:
-    """Scale any member force whose magnitude exceeds the cap back onto it."""
-    norms = np.sqrt((forces * forces).sum(axis=1))
-    over = norms > f_max
-    if over.any():
-        scale = np.where(over, f_max / np.where(norms > 0, norms, 1.0), 1.0)
-        forces = forces * scale[:, None]
-    return forces
-
-
 def validate_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
     """Check an action's shape and finiteness, then clamp it to f_max."""
     arr = np.asarray(forces, dtype=np.float64)
@@ -152,7 +142,20 @@ def validate_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
         )
     if not np.isfinite(arr).all():
         raise ContractViolation("action forces must be finite")
-    return clamp_forces(arr, body.f_max)
+    return clamp_rows(arr, body.f_max)
+
+
+def recorded_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
+    """An action read back from a trace, checked as `validate_forces`
+    checks a live one and then refused, never clamped, if a row is longer
+    than f_max by more than the few ulps a clamped row can carry."""
+    arr = np.asarray(forces, dtype=np.float64)
+    validate_forces(arr, body, dim)
+    norm = float(np.sqrt((arr * arr).sum(axis=1)).max())
+    if norm > body.f_max * (1 + 1e-12):
+        raise ContractViolation(
+            f"action force of norm {norm!r} exceeds f_max {body.f_max!r}")
+    return arr
 
 
 def forces_to_accel(world: World, body: BodySpec, forces: np.ndarray) -> np.ndarray:

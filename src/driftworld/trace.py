@@ -316,18 +316,28 @@ class TraceSink:
             self.disc.__exit__(*exc)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def iter_trace(path: str):
     """Yield decoded lines, each a JSON object; the first must be a header
-    naming its tier, or ContractViolation."""
+    naming its tier, or ContractViolation.  A line must be what the writer
+    writes: UTF-8, no `NaN` or `Infinity`, no CR but a CRLF ending's."""
     started = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                if "\r" in line:
+                    raise ValueError("a carriage return inside the line")
+                doc = _DECODER.decode(line)
+            except ValueError as exc:
                 raise ContractViolation(f"{path}:{n}: not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ContractViolation(f"{path}:{n}: not a JSON object")

@@ -159,8 +159,10 @@ class _Level:
     `ids` and `children` are the canonical form.  `parent` maps each row
     of the level below to its composite's row here, `anchor` holds each
     composite's first such row, and `owner` maps each basic entity to it
-    (the composition of the `parent` maps so far).  All three are
-    read-only because clones share them.
+    (the composition of the `parent` maps so far).  `bins` maps each
+    `(row, column)` of a flattened `(rows, dim)` array of the level below
+    to `parent[row] * dim + column`, its bin of this level's `(m, dim)`
+    sums.  The arrays are read-only because clones share them.
     """
 
     level: int
@@ -169,9 +171,10 @@ class _Level:
     parent: np.ndarray
     anchor: np.ndarray
     owner: np.ndarray
+    bins: np.ndarray
 
     def __post_init__(self):
-        for index_map in (self.parent, self.anchor, self.owner):
+        for index_map in (self.parent, self.anchor, self.owner, self.bins):
             index_map.flags.writeable = False
 
 
@@ -184,43 +187,32 @@ class LevelConstants:
     of their polarity sum, ties going to +1.  `polarity_product[j, i]` is
     `polarity[j] * polarity[i]` as float64, the pair kernel's polarity
     coupling.  `unit_inertia` says every inertia is 1.0, so that dividing
-    or weighting by it changes nothing.  At a composite level, `bins`
-    maps each `(row, column)` of a flattened `(rows, dim)` array of the
-    level below to its bin of this level's `(m, dim)` sums.  The arrays
-    are read-only because clones share them.
+    or weighting by it changes nothing.  The arrays are read-only because
+    clones share them.
     """
 
     inertia: np.ndarray
     polarity: np.ndarray
     polarity_product: np.ndarray
     unit_inertia: bool
-    bins: np.ndarray | None = None
 
     def __post_init__(self):
-        for array in (self.inertia, self.polarity, self.polarity_product, self.bins):
-            if array is not None:
-                array.flags.writeable = False
+        for array in (self.inertia, self.polarity, self.polarity_product):
+            array.flags.writeable = False
 
     @classmethod
-    def of(cls, inertia: np.ndarray, polarity: np.ndarray,
-           bins: np.ndarray | None = None) -> "LevelConstants":
+    def of(cls, inertia: np.ndarray, polarity: np.ndarray) -> "LevelConstants":
         """The constants of a level with these rows, copied."""
         inertia, polarity = np.array(inertia), np.array(polarity)
         sign = polarity.astype(np.float64)
         product = np.multiply.outer(sign, sign)
-        return cls(inertia, polarity, product, bool(np.all(inertia == 1.0)), bins)
-
-
-def _row_bins(parent: np.ndarray, dim: int) -> np.ndarray:
-    """The bin of each `(row, column)` of a flattened `(rows, dim)` array,
-    for summing its rows by `parent` column by column."""
-    return (parent[:, None] * dim + np.arange(dim)).ravel()
+        return cls(inertia, polarity, product, bool(np.all(inertia == 1.0)))
 
 
 def _sum_rows(bins: np.ndarray, m: int, values: np.ndarray) -> np.ndarray:
     """Sum the rows of `(rows, dim)` `values` into `m` rows by `bins`
-    (from `_row_bins`), each in ascending row order: one `bincount`
-    visits a bin's entries in input order, which is row order."""
+    (a `_Level`'s), each in ascending row order: one `bincount` visits a
+    bin's entries in input order, which is row order."""
     dim = values.shape[1]
     return np.bincount(bins, weights=values.ravel(), minlength=m * dim).reshape(m, dim)
 
@@ -239,6 +231,16 @@ def minimal_image(delta: np.ndarray, extent: float) -> np.ndarray:
     """
     span = 2.0 * extent
     return delta - span * np.round(delta / span)
+
+
+def clamp_rows(rows: np.ndarray, cap: float) -> np.ndarray:
+    """Scale any row whose Euclidean norm exceeds `cap` back onto it."""
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    over = norms > cap
+    if over.any():
+        scale = np.where(over, cap / np.where(norms > 0, norms, 1.0), 1.0)
+        rows = rows * scale[:, None]
+    return rows
 
 
 class World:
@@ -280,14 +282,12 @@ class World:
         """Every level's constants, level 0 first, computed on first use."""
         if self._constants is None:
             consts = [LevelConstants.of(self.inertia, self.polarity)]
-            dim = self.positions.shape[1]
             for lv in self.levels:
                 m = len(lv.ids)
                 below = consts[-1]
                 inertia = np.bincount(lv.parent, weights=below.inertia, minlength=m)
                 charge = np.bincount(lv.parent, weights=below.polarity, minlength=m)
-                consts.append(LevelConstants.of(
-                    inertia, np.where(charge >= 0, 1, -1), _row_bins(lv.parent, dim)))
+                consts.append(LevelConstants.of(inertia, np.where(charge >= 0, 1, -1)))
             self._constants = consts
         return self._constants
 
@@ -316,8 +316,8 @@ class World:
                 offsets *= below.inertia[:, None]
                 vel = vel * below.inertia[:, None]
             total = here.inertia[:, None]
-            pos = wrap_positions(anchor + _sum_rows(here.bins, m, offsets) / total, extent)
-            vel = _sum_rows(here.bins, m, vel) / total
+            pos = wrap_positions(anchor + _sum_rows(lv.bins, m, offsets) / total, extent)
+            vel = _sum_rows(lv.bins, m, vel) / total
             out.append((pos, vel, here.inertia, here.polarity))
         return out
 
@@ -426,36 +426,20 @@ def sample_law(grammar: CausationGrammar, level: int,
     )
 
 
-def _attach_levels(world: World, hierarchy: list[list[dict]]) -> None:
-    """Install frozen membership, given in canonical form, with its index maps."""
-    world.levels = []
-    row_of = {i: i for i in range(world.n_entities)}
-    owner = np.arange(world.n_entities, dtype=np.intp)
-    for depth, level_doc in enumerate(hierarchy, start=1):
-        parent = np.empty(len(row_of), dtype=np.intp)
-        for row, comp in enumerate(level_doc):
-            parent[[row_of[k] for k in comp["children"]]] = row
-        anchor = np.unique(parent, return_index=True)[1]
-        owner = parent[owner]
-        ids = tuple(comp["id"] for comp in level_doc)
-        children = tuple(tuple(comp["children"]) for comp in level_doc)
-        world.levels.append(_Level(depth, ids, children, parent, anchor, owner))
-        row_of = {cid: row for row, cid in enumerate(ids)}
-
-
 def build_hierarchy(world: World) -> World:
     """Partition each level into composites by deterministic grid buckets.
 
     Bucket width at level L is arena_extent / 2**(n_levels - L), so low
     levels form many small composites and the top level a few large ones.
-    Composites are numbered in sorted bucket-key order.  The partition
-    depends only on positions at build time and the spec.
+    Composites are numbered in sorted bucket-key order, with consecutive
+    ids per level.  The partition depends only on positions at build
+    time and the spec.
     """
     spec = world.spec
     extent = spec.arena_extent
-    hierarchy: list[list[dict]] = []
-    first_id = 0  # ids are consecutive per level: row r below has first_id + r
-    next_id = world.n_entities
+    world.levels = []
+    first_id = 0  # row r of the level below has id first_id + r
+    owner = np.arange(world.n_entities, dtype=np.intp)
     prev_pos = world.positions
 
     for level in range(1, spec.n_levels):
@@ -463,21 +447,26 @@ def build_hierarchy(world: World) -> World:
         n_buckets = int(np.ceil(2 * extent / width))
         idx = np.floor((prev_pos + extent) / width).astype(np.int64)
         idx = np.clip(idx, 0, n_buckets - 1)
-        # np.unique orders bucket keys lexicographically, as sorted() does.
-        parent = np.unique(idx, axis=0, return_inverse=True)[1].reshape(-1)
+        # np.unique orders bucket keys lexicographically, as sorted() does,
+        # and returns each key's first row
+        _, anchor, parent = np.unique(idx, axis=0, return_index=True,
+                                      return_inverse=True)
+        parent = parent.reshape(-1)
         counts = np.bincount(parent)
+        m = len(counts)
         members = np.split(np.argsort(parent, kind="stable"), np.cumsum(counts)[:-1])
-        hierarchy.append([
-            {"id": next_id + j, "children": (first_id + rows).tolist()}
-            for j, rows in enumerate(members)
-        ])
-        first_id, next_id = next_id, next_id + len(counts)
+        next_id = first_id + len(parent)
+        owner = parent[owner]
+        bins = (parent[:, None] * spec.dim + np.arange(spec.dim)).ravel()
+        world.levels.append(_Level(
+            level, tuple(range(next_id, next_id + m)),
+            tuple(tuple((first_id + rows).tolist()) for rows in members),
+            parent, anchor, owner, bins))
+        first_id = next_id
         # Positions for the next level up: the plain mean is enough for
         # bucketing; dynamics uses inertia-weighted aggregates.
-        bins = _row_bins(parent, prev_pos.shape[1])
-        prev_pos = _sum_rows(bins, len(counts), prev_pos) / counts[:, None]
+        prev_pos = _sum_rows(bins, m, prev_pos) / counts[:, None]
 
-    _attach_levels(world, hierarchy)
     return world
 
 

@@ -30,7 +30,7 @@ from driftworld.worldgen import (
     CausationLaw,
     GenSpec,
     World,
-    _attach_levels,
+    _Level,
     apply_drift,
 )
 
@@ -295,6 +295,26 @@ def from_canonical(doc: dict) -> World:
     )
     _attach_levels(world, doc["hierarchy"])
     return world
+
+
+def _attach_levels(world: World, hierarchy: list[list[dict]]) -> None:
+    """Install frozen membership, given in canonical form, with its index
+    maps: the ids are looked up, not assumed consecutive."""
+    world.levels = []
+    row_of = {i: i for i in range(world.n_entities)}
+    owner = np.arange(world.n_entities, dtype=np.intp)
+    dim = world.positions.shape[1]
+    for depth, level_doc in enumerate(hierarchy, start=1):
+        parent = np.empty(len(row_of), dtype=np.intp)
+        for row, comp in enumerate(level_doc):
+            parent[[row_of[k] for k in comp["children"]]] = row
+        anchor = np.unique(parent, return_index=True)[1]
+        owner = parent[owner]
+        ids = tuple(comp["id"] for comp in level_doc)
+        children = tuple(tuple(comp["children"]) for comp in level_doc)
+        bins = (parent[:, None] * dim + np.arange(dim)).ravel()
+        world.levels.append(_Level(depth, ids, children, parent, anchor, owner, bins))
+        row_of = {cid: row for row, cid in enumerate(ids)}
 
 
 def snapshot(world: World) -> bytes:

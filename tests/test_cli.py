@@ -5,6 +5,7 @@ for real to cover the installed entry point.
 """
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -425,6 +426,104 @@ def test_report_checks_lines_against_the_tier_the_header_names(tmp_path, capsys)
     assert run_cli("report", str(path), "--out", str(tmp_path / "m2.json")) == 3
     assert "trace drift: additional properties are not allowed: ['levels']" in (
         capsys.readouterr().err)
+
+
+def test_replay_refuses_a_forged_action_over_f_max(tmp_path, capsys, monkeypatch):
+    """A trace written by a loop that tripled every action after clamping
+    it holds rows no live agent could have applied; replay refuses it as
+    it reads the `act` line, instead of applying it verbatim."""
+    original = harness.validate_forces
+    monkeypatch.setattr(harness, "validate_forces",
+                        lambda raw, body, dim: 3.0 * original(raw, body, dim))
+    disc = tmp_path / "tripled.ndjson"
+    assert run_cli("run", "--set", "gen.seed=19", "--set", "episode.horizon=60",
+                   "--agent", "greedy", "--disclosure", str(disc)) == 0
+    monkeypatch.undo()
+    header, events = read_trace(str(disc))
+    f_max = header["bodies"]["greedy"]["f_max"]
+    norms = [math.hypot(*row) for e in events if e["kind"] == "act"
+             for row in e["forces"]]
+    assert max(norms) == pytest.approx(3 * f_max)
+    verdict = replay_trace(str(disc))
+    assert verdict["verdict"] == "FAIL"
+    assert verdict["first_divergence_line"] is None
+    assert verdict["error"].startswith(
+        "ContractViolation: trace act of 'greedy' at tick 0: action force of norm ")
+    assert verdict["error"].endswith(" exceeds f_max 4.0")
+    assert run_cli("replay", str(disc)) == 1
+    assert "f_max" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("forces, error", [
+    (lambda f: canonical_dumps(f[:-1]), "action must be shape"),
+    # 1e400 parses to an infinity, which the encoder would refuse to write
+    (lambda f: canonical_dumps(f).replace(repr(f[0][0]), "1e400", 1),
+     "action forces must be finite"),
+    (lambda f: canonical_dumps([[4.0, 1e-5]] + f[1:]), "exceeds f_max 4.0"),
+], ids=["row-missing", "infinite", "over-cap"])
+def test_replay_refuses_an_inadmissible_recorded_action(forces, error, tmp_path):
+    lines = GOLDEN_TRACE.read_text().splitlines()
+    n = next(i for i, l in enumerate(lines) if '"kind":"act"' in l)
+    doc = json.loads(lines[n])
+    forged = lines[n].replace(canonical_dumps(doc["forces"]), forces(doc["forces"]))
+    assert forged != lines[n]
+    lines[n] = forged
+    verdict = replay_trace(_write_lines(tmp_path / "bad_act.ndjson", lines))
+    assert verdict["verdict"] == "FAIL"
+    assert verdict["error"].startswith(
+        f"ContractViolation: trace act of {doc['agent']!r} at tick {doc['tick']}: ")
+    assert error in verdict["error"]
+
+
+def test_undecodable_trace_is_a_contract_error_naming_its_line(tmp_path, capsys):
+    raw = GOLDEN_TRACE.read_bytes().split(b"\n")
+    n = next(i for i, l in enumerate(raw) if b'"kind":"sample"' in l)
+    raw[n] = raw[n].replace(b'"sample"', b'"sam\xffple"')
+    bad = tmp_path / "undecodable.ndjson"
+    bad.write_bytes(b"\n".join(raw))
+    assert run_cli("report", str(bad), "--out", str(tmp_path / "m.json")) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}:{n + 1}: ")
+    assert "Traceback" not in captured.out + captured.err
+    verdict = replay_trace(str(bad))
+    assert verdict["verdict"] == "FAIL"
+    assert verdict["error"].startswith(f"ContractViolation: {bad}:{n + 1}: ")
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("kind", ["sample", "act"])
+def test_non_finite_json_constants_are_refused(kind, constant, tmp_path, capsys):
+    lines = GOLDEN_TRACE.read_text().splitlines()
+    n = next(i for i, l in enumerate(lines) if f'"kind":"{kind}"' in l)
+    doc = json.loads(lines[n])
+    field, value = (("cumulative", doc["cumulative"]) if kind == "sample"
+                    else ("forces", doc["forces"][0][0]))
+    opening = ":" if kind == "sample" else ":[["
+    forged = lines[n].replace(f'"{field}"{opening}{value!r}',
+                              f'"{field}"{opening}{constant}', 1)
+    assert forged != lines[n]
+    lines[n] = forged
+    bad = _write_lines(tmp_path / "non_finite.ndjson", lines)
+    assert run_cli("report", bad, "--out", str(tmp_path / "m.json")) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{n + 1}: ")
+    verdict = replay_trace(bad)
+    assert verdict["verdict"] == "FAIL"
+    assert verdict["error"].startswith(f"ContractViolation: {bad}:{n + 1}: ")
+    assert f"{constant.lstrip('-')} is not a JSON number" in verdict["error"]
+
+
+def test_replay_of_an_agentless_header_fails_at_once(tmp_path):
+    header, *events = GOLDEN_TRACE.read_text().splitlines()
+    doc = json.loads(header)
+    doc.update(bodies={}, agent_kinds={}, stream_names={},
+               episode=dict(doc["episode"], horizon=3000))
+    bad = _write_lines(tmp_path / "agentless.ndjson",
+                       [canonical_dumps(doc)] + [e for e in events
+                                                 if '"kind":"act"' not in e
+                                                 and '"kind":"end"' not in e])
+    verdict = replay_trace(bad)
+    assert verdict["verdict"] == "FAIL"
+    assert verdict["error"] == "ConfigError: an episode needs at least one agent"
 
 
 def test_replay_missing_file_exit_one(tmp_path, capsys):

@@ -252,6 +252,13 @@ def test_sample_cadence():
     assert [t for t, _ in result.samples["null"]] == [10, 20, 30, 35]
 
 
+def test_an_episode_needs_an_agent():
+    cfg = small_config()
+    with pytest.raises(ConfigError, match="at least one agent"):
+        run_episode(generate_world(cfg.gen), [], cfg.step, cfg.problem,
+                    cfg.score, cfg.episode)
+
+
 def test_unique_ids_and_disjoint_bodies_enforced():
     cfg = small_config()
     world = generate_world(cfg.gen)

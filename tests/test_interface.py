@@ -12,13 +12,13 @@ from driftworld.interface import (
     SenseGrid,
     body_centroid,
     cell_index,
-    clamp_forces,
     forces_to_accel,
     grid_distance,
     sense,
     validate_forces,
 )
-from driftworld.worldgen import GenSpec, generate_world, minimal_image, wrap_positions
+from driftworld.worldgen import (GenSpec, clamp_rows, generate_world, minimal_image,
+                                 wrap_positions)
 
 from conftest import flat_quiet_spec
 from oracles import reading_hash
@@ -222,9 +222,9 @@ def test_grid_distance_shape_mismatch():
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.1, max_value=50.0))
-def test_clamp_forces_cap(limit):
+def test_clamp_rows_cap(limit):
     forces = np.array([[30.0, 40.0], [0.1, 0.0], [0.0, 0.0]])
-    out = clamp_forces(forces, limit)
+    out = clamp_rows(forces, limit)
     norms = np.linalg.norm(out, axis=1)
     assert np.all(norms <= limit + 1e-9)
     # under-limit rows pass through untouched

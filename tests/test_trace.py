@@ -7,6 +7,7 @@ hunt for the actual world secrets in the live tier.
 import contextlib
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -236,6 +237,24 @@ def test_iter_trace_skips_blanks_and_rejects_garbage(tmp_path):
     path.write_text('{"kind": "header"}\nnot json\n')
     with pytest.raises(ContractViolation):
         list(iter_trace(str(path)))
+
+
+@pytest.mark.parametrize("line, error", [
+    (b'{"kind": "sense", "agent": "a\xff"}', "can't decode byte 0xff"),
+    (b'{"kind": "sample", "cumulative": NaN}', "NaN is not a JSON number"),
+    (b'{"kind": "sample", "cumulative": Infinity}', "Infinity is not a JSON number"),
+    (b'{"kind": "sample", "cumulative": -Infinity}', "Infinity is not a JSON number"),
+    (b'{"kind": "sample",\r"tick": 1}', "carriage return inside the line"),
+], ids=["undecodable", "nan", "infinity", "minus-infinity", "carriage-return"])
+def test_iter_trace_refuses_what_the_writer_never_writes(line, error, tmp_path):
+    path = tmp_path / "t.ndjson"
+    path.write_bytes(b'{"kind": "header", "mode": "live"}\r\n\n' + line + b"\n")
+    with pytest.raises(ContractViolation,
+                       match=f"^{re.escape(str(path))}:3: not valid JSON: .*{error}"):
+        list(iter_trace(str(path)))
+    # the same bytes on the line as a string value are data, not a number
+    path.write_bytes(b'{"kind": "header", "mode": "live"}\r\n{"x": "NaN"}\r\n')
+    assert [doc.get("x") for doc in iter_trace(str(path))] == [None, "NaN"]
 
 
 def test_iter_trace_requires_header(tmp_path):

@@ -229,6 +229,23 @@ def test_anchor_is_each_composites_first_row():
         assert np.array_equal(lv.parent[lv.anchor], np.arange(len(lv.ids)))
 
 
+@pytest.mark.parametrize("n_entities", [16, 192])
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 4])
+def test_built_index_maps_equal_the_restored_ones(n_levels, n_entities):
+    # build_hierarchy derives the maps from its own arrays; the restore
+    # path looks every id up in the canonical form.  Both must agree.
+    world = generate_world(GenSpec(seed=13, n_entities=n_entities, n_levels=n_levels))
+    restored = from_canonical(world.to_canonical())
+    assert len(world.levels) == len(restored.levels) == n_levels - 1
+    for built, lv in zip(world.levels, restored.levels):
+        assert (built.level, built.ids, built.children) == (lv.level, lv.ids, lv.children)
+        for name in ("parent", "anchor", "owner", "bins"):
+            index_map = getattr(built, name)
+            assert index_map.dtype == getattr(lv, name).dtype, name
+            assert np.array_equal(index_map, getattr(lv, name)), name
+            assert not index_map.flags.writeable, name
+
+
 def test_drift_resamples_at_regime_times():
     spec = GenSpec(seed=13, n_levels=2, drift=DriftSchedule(regime_times=(2, 5)))
     world = generate_world(spec)
