@@ -21,7 +21,7 @@ from .interface import BodySpec
 
 
 class BaseAgent:
-    """In-process agent interface the episode loop drives.
+    """The agent interface the episode loop drives, in process or over the wire.
 
     Each tick the harness calls `act` with the observation payload and
     then `resources`.  Problem lifecycle notices arrive through
@@ -30,6 +30,7 @@ class BaseAgent:
 
     kind = "base"
     reportable = True
+    budget_misses = 0  # ticks whose reply missed the budget; counted over the wire
 
     def __init__(self, body: BodySpec, dim: int):
         if dim < 1:

@@ -2,8 +2,9 @@
 
 Two equal documents must always produce identical bytes: keys are sorted,
 separators are fixed, floats use Python's shortest-roundtrip repr, and
-non-finite numbers are rejected outright.  Every snapshot hash and trace
-line in the package goes through here.
+non-finite numbers are rejected outright.  Every snapshot hash, trace
+line and wire message in the package goes through here, written and
+read back.
 
 `to_doc` and `from_doc` turn the parameter and spec dataclasses into
 plain documents and back, field by field, so a class's field
@@ -31,6 +32,15 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=Fal
 
 def canonical_dumps(doc) -> str:
     return _ENCODER.encode(doc)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+#: Decode one JSON document; ValueError if it is not JSON, or holds `NaN`,
+#: `Infinity` or `-Infinity`, which no canonical encoding does.
+canonical_loads = json.JSONDecoder(parse_constant=_refuse_constant).decode
 
 
 def canonical_hash(doc) -> str:

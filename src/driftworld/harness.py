@@ -113,7 +113,6 @@ class ScriptedAgent(BaseAgent):
             self.kind = kind
         self.forces: dict[int, np.ndarray] = {}  # by tick
         self.declared: dict[int, dict] = {}  # resources by tick
-        self.budget_misses = 0
 
     def act(self, observation: dict) -> np.ndarray:
         tick = observation["tick"]
@@ -332,8 +331,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 break
 
         cumulative = {s.agent_id: s.cumulative for s in slots}
-        budget_misses = {s.agent_id: getattr(s.agent, "budget_misses", 0)
-                         for s in slots}
+        budget_misses = {s.agent_id: s.agent.budget_misses for s in slots}
         sink.event({"kind": "end", "tick": world.tick, "cumulative": cumulative,
                     "problems_closed": closed_total,
                     "budget_misses": budget_misses})

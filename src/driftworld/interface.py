@@ -133,8 +133,9 @@ def grid_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt((diff * diff).mean()))
 
 
-def validate_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
-    """Check an action's shape and finiteness, then clamp it to f_max."""
+def _checked_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
+    """An action as a float64 array, if its shape fits the body and every
+    force is finite; else ContractViolation."""
     arr = np.asarray(forces, dtype=np.float64)
     if arr.shape != (len(body.member_ids), dim):
         raise ContractViolation(
@@ -142,15 +143,19 @@ def validate_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
         )
     if not np.isfinite(arr).all():
         raise ContractViolation("action forces must be finite")
-    return clamp_rows(arr, body.f_max)
+    return arr
+
+
+def validate_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
+    """Check an action's shape and finiteness, then clamp it to f_max."""
+    return clamp_rows(_checked_forces(forces, body, dim), body.f_max)
 
 
 def recorded_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
     """An action read back from a trace, checked as `validate_forces`
     checks a live one and then refused, never clamped, if a row is longer
     than f_max by more than the few ulps a clamped row can carry."""
-    arr = np.asarray(forces, dtype=np.float64)
-    validate_forces(arr, body, dim)
+    arr = _checked_forces(forces, body, dim)
     norm = float(np.sqrt((arr * arr).sum(axis=1)).max())
     if norm > body.f_max * (1 + 1e-12):
         raise ContractViolation(

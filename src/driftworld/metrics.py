@@ -64,6 +64,8 @@ def _as_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray([s[1] for s in samples], dtype=np.float64)
     if ticks.size != scores.size:
         raise ContractViolation("tick and score columns differ in length")
+    if not (np.isfinite(ticks).all() and np.isfinite(scores).all()):
+        raise ContractViolation("sample ticks and scores must be finite")
     if np.any(np.diff(ticks) <= 0):
         raise ContractViolation("sample ticks must be strictly increasing")
     return ticks, scores

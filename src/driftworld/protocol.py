@@ -16,15 +16,21 @@ messages is the secrecy guard.
 Exchange per tick: harness sends an observation, the agent replies with
 exactly two lines, an action then a resources declaration.  Problem
 lifecycle travels as problem / score messages, session lifecycle as
-hello / bye.  The harness side enforces a wall-clock reply budget and
-substitutes a zero action when an agent overruns; the optional tick
-field on actions lets it discard stale replies afterwards.
+hello / bye; the agent has `HELLO_TIMEOUT_S` to answer the hello.  The
+harness side enforces a wall-clock reply budget per tick and counts a
+budget miss when either line overruns it: a late action is replaced by a
+zero action, a late resources line by the last declaration.  Each late
+line is discarded when it arrives, a late action by its optional tick
+tag.  Lines are decoded by `canon.canonical_loads`, so `NaN` and
+`Infinity` are refused, and the harness refuses any force or resource
+that is not finite (`1e400` decodes to an infinity): all three are
+protocol errors, as is an unparsable or out-of-schema line.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
+import math
 import numbers
 import queue
 import subprocess
@@ -34,7 +40,8 @@ import time
 
 import numpy as np
 
-from .canon import canonical_dumps, from_doc, to_doc
+from .agents import BaseAgent, make_agent
+from .canon import canonical_dumps, canonical_loads, from_doc, to_doc
 from .errors import ConfigError, ProtocolError
 from .interface import BodySpec
 from .rng import agent_stream
@@ -237,8 +244,8 @@ def validate_message(direction: str, doc) -> str:
 
 def parse_line(direction: str, line: str) -> dict:
     try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
+        doc = canonical_loads(line)
+    except ValueError as exc:
         raise ProtocolError(f"line is not valid JSON: {exc}") from exc
     validate_message(direction, doc)
     return doc
@@ -250,63 +257,38 @@ def encode(doc: dict) -> str:
 
 # -- harness side ----------------------------------------------------------
 
-
-class _LineReader:
-    """Background reader so replies can be awaited with a deadline."""
-
-    def __init__(self, pipe):
-        self._queue: queue.Queue = queue.Queue()
-        self._thread = threading.Thread(target=self._pump, args=(pipe,), daemon=True)
-        self._thread.start()
-
-    def _pump(self, pipe) -> None:
-        for line in pipe:
-            self._queue.put(line)
-        self._queue.put(None)
-
-    def get(self, timeout: float | None):
-        try:
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return _TIMEOUT
-
-    def join(self, timeout: float) -> bool:
-        """Wait for the pipe's EOF; whether the reader has ended."""
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
+#: Seconds an agent has to answer the harness's hello.
+HELLO_TIMEOUT_S = 5.0
 
 
-_TIMEOUT = object()
+def _pump(pipe, lines: queue.SimpleQueue) -> None:
+    """Queue every line of `pipe`, then None for its EOF."""
+    for line in pipe:
+        lines.put(line)
+    lines.put(None)
 
 
-class SubprocessAgent:
-    """Drives one external agent process over the line protocol.
-
-    Presents the same act / resources / lifecycle surface as the
-    in-process agents.  A reply that misses the per-tick budget is
-    replaced by a zero action; the late lines are discarded on later
-    ticks via their tick tags.  Malformed or out-of-schema traffic is a
-    hard protocol error.
-    """
+class SubprocessAgent(BaseAgent):
+    """An agent that is an external process, driven over the line
+    protocol.  Late replies are budget misses and bad ones protocol
+    errors, as the module docstring says."""
 
     kind = "subprocess"
-    reportable = True
 
     def __init__(self, argv: list[str], body: BodySpec, dim: int, horizon: int,
-                 agent_seed: int | None = None, budget_s: float = 0.05,
-                 hello_timeout_s: float = 5.0):
-        self.body = body
-        self.dim = dim
-        self.n_members = len(body.member_ids)
+                 agent_seed: int | None = None, budget_s: float = 0.05):
+        super().__init__(body, dim)
         self.budget_s = budget_s
-        self.budget_misses = 0
-        self._stale_pairs = 0
+        self._owed_resources = 0  # late ones, and stale actions' companions
         self._last_resources = {"model_size": 0, "updates": 0}
         self.proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             text=True, bufsize=1,
         )
-        self._reader = _LineReader(self.proc.stdout)
+        self._lines: queue.SimpleQueue = queue.SimpleQueue()
+        self._reader = threading.Thread(
+            target=_pump, args=(self.proc.stdout, self._lines), daemon=True)
+        self._reader.start()
 
         hello = {
             "kind": "hello",
@@ -319,12 +301,9 @@ class SubprocessAgent:
             hello["agent_seed"] = int(agent_seed)
         try:
             self._send(hello)
-            reply = self._recv(hello_timeout_s)
-            if reply is None:
-                raise ProtocolError("agent closed its pipe during handshake")
-            if reply is _TIMEOUT:
+            doc = self._reply(time.monotonic() + HELLO_TIMEOUT_S)
+            if doc is None:
                 raise ProtocolError("agent did not answer the handshake in time")
-            doc = parse_line("from_agent", reply)
             if doc["kind"] != "hello":
                 raise ProtocolError(f"expected hello, got {doc['kind']!r}")
         except ProtocolError:
@@ -339,14 +318,23 @@ class SubprocessAgent:
 
     def _send(self, doc: dict) -> None:
         validate_message("to_agent", doc)
+        line = encode(doc)
         try:
-            self.proc.stdin.write(encode(doc))
+            self.proc.stdin.write(line)
             self.proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
             raise ProtocolError("agent pipe is closed") from exc
 
-    def _recv(self, timeout: float):
-        return self._reader.get(timeout)
+    def _reply(self, deadline: float) -> dict | None:
+        """The agent's next message, checked, or None if no line comes
+        before `deadline` (a line already in flight gets a millisecond)."""
+        try:
+            line = self._lines.get(timeout=max(deadline - time.monotonic(), 0.001))
+        except queue.Empty:
+            return None
+        if line is None:
+            raise ProtocolError("agent closed its pipe")
+        return parse_line("from_agent", line)
 
     def on_problem(self, payload: dict) -> None:
         self._send({"kind": "problem", "problem": payload})
@@ -358,52 +346,39 @@ class SubprocessAgent:
         self._send({"kind": "observation", **observation})
         deadline = time.monotonic() + self.budget_s
         tick = observation["tick"]
-
-        action_doc = None
-        while action_doc is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        while True:
+            doc = self._reply(deadline)
+            if doc is None:
                 self.budget_misses += 1
-                return np.zeros((self.n_members, self.dim))
-            line = self._recv(remaining)
-            if line is _TIMEOUT:
-                self.budget_misses += 1
-                return np.zeros((self.n_members, self.dim))
-            if line is None:
-                raise ProtocolError("agent closed its pipe mid-episode")
-            doc = parse_line("from_agent", line)
-            if doc["kind"] == "resources" and self._stale_pairs > 0:
-                self._stale_pairs -= 1  # companion of a discarded action
-                continue
-            if doc["kind"] != "action":
+                return self._zero_action()
+            if doc["kind"] == "resources" and self._owed_resources > 0:
+                self._owed_resources -= 1
+            elif doc["kind"] != "action":
                 raise ProtocolError(f"expected action, got {doc['kind']!r}")
-            if "tick" in doc and doc["tick"] != tick:
-                self._stale_pairs += 1
-                continue  # stale reply from an earlier overrun
-            action_doc = doc
-
-        remaining = deadline - time.monotonic()
-        line = self._recv(max(remaining, 0.001))
-        if line is _TIMEOUT:
-            self.budget_misses += 1
-            return self._to_forces(action_doc)
-        if line is None:
-            raise ProtocolError("agent closed its pipe mid-episode")
-        doc = parse_line("from_agent", line)
-        if doc["kind"] != "resources":
-            raise ProtocolError(f"expected resources, got {doc['kind']!r}")
-        self._last_resources = {
-            "model_size": doc["model_size"], "updates": doc["updates"],
-        }
-        return self._to_forces(action_doc)
-
-    def _to_forces(self, doc: dict) -> np.ndarray:
+            elif doc.get("tick", tick) != tick:
+                self._owed_resources += 1  # stale reply from an earlier overrun
+            else:
+                break
         forces = np.asarray(doc["forces"], dtype=np.float64)
         if forces.shape != (self.n_members, self.dim):
             raise ProtocolError(
                 f"action shape {forces.shape} does not match body "
                 f"({self.n_members}, {self.dim})"
             )
+        if not np.isfinite(forces).all():
+            raise ProtocolError("action forces must be finite")
+
+        doc = self._reply(deadline)
+        if doc is None:
+            self.budget_misses += 1
+            self._owed_resources += 1
+            return forces
+        if doc["kind"] != "resources":
+            raise ProtocolError(f"expected resources, got {doc['kind']!r}")
+        declared = {"model_size": doc["model_size"], "updates": doc["updates"]}
+        if not all(map(math.isfinite, declared.values())):
+            raise ProtocolError(f"resources must be finite, got {declared}")
+        self._last_resources = declared
         return forces
 
     def resources(self) -> dict:
@@ -429,7 +404,8 @@ class SubprocessAgent:
         """Close the reaped child's stdout once the reader has met its EOF.
         A process the child started may hold the pipe open; then the
         reader is still blocked in it and the pipe is left alone."""
-        if self._reader.join(timeout=2.0):
+        self._reader.join(timeout=2.0)
+        if not self._reader.is_alive():
             self.proc.stdout.close()
 
 
@@ -442,12 +418,17 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
     The oracle is deliberately unavailable here: its input is the hidden
     script, which never crosses the wire.
     """
-    from .agents import make_agent
-
     if kind == "oracle":
         raise ConfigError("the oracle agent cannot run over the wire")
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
+
+    def send(*docs: dict) -> None:
+        """Check each message, then write them all in one write and one flush."""
+        for doc in docs:
+            validate_message("from_agent", doc)
+        stdout.write("".join(map(encode, docs)))
+        stdout.flush()
 
     line = stdin.readline()
     if not line:
@@ -462,10 +443,7 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
     if kind == "random":
         stream = agent_stream(hello.get("agent_seed", 0))
     agent = make_agent(kind, body, dim, stream=stream)
-
-    stdout.write(encode({"kind": "hello", "protocol": PROTOCOL_VERSION,
-                         "agent": kind}))
-    stdout.flush()
+    send({"kind": "hello", "protocol": PROTOCOL_VERSION, "agent": kind})
 
     for line in stdin:
         if not line.strip():
@@ -474,23 +452,14 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
         if doc["kind"] == "problem":
             agent.on_problem(doc["problem"])
         elif doc["kind"] == "observation":
-            forces = agent.act(doc)
-            stdout.write(encode({
-                "kind": "action",
-                "forces": [[float(v) for v in row] for row in forces],
-                "tick": doc["tick"],
-            }))
+            forces = np.asarray(agent.act(doc), dtype=np.float64).tolist()
             res = agent.resources()
-            stdout.write(encode({
-                "kind": "resources",
-                "model_size": res["model_size"],
-                "updates": res["updates"],
-            }))
-            stdout.flush()
+            send({"kind": "action", "forces": forces, "tick": doc["tick"]},
+                 {"kind": "resources", "model_size": res["model_size"],
+                  "updates": res["updates"]})
         elif doc["kind"] == "score":
             agent.on_problem_closed(doc)
         elif doc["kind"] == "bye":
-            stdout.write(encode({"kind": "bye"}))
-            stdout.flush()
+            send({"kind": "bye"})
             break
     return 0

@@ -30,11 +30,10 @@ equal to its live cut.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 from collections import deque
 
-from .canon import canonical_dumps
+from .canon import canonical_dumps, canonical_loads
 from .errors import ContractViolation
 from .protocol import _BODY, _FORCES, _INDEX, _NUM, _PROBLEM, _RESOURCES, _SIZE
 from .protocol import _TYPES, _check_keywords, _closed, _first_error, _message
@@ -316,13 +315,6 @@ class TraceSink:
             self.disc.__exit__(*exc)
 
 
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
-
-
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-
-
 def iter_trace(path: str):
     """Yield decoded lines, each a JSON object; the first must be a header
     naming its tier, or ContractViolation.  A line must be what the writer
@@ -336,7 +328,7 @@ def iter_trace(path: str):
                     continue
                 if "\r" in line:
                     raise ValueError("a carriage return inside the line")
-                doc = _DECODER.decode(line)
+                doc = canonical_loads(line)
             except ValueError as exc:
                 raise ContractViolation(f"{path}:{n}: not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -512,6 +513,23 @@ def test_non_finite_json_constants_are_refused(kind, constant, tmp_path, capsys)
     assert f"{constant.lstrip('-')} is not a JSON number" in verdict["error"]
 
 
+def test_report_refuses_a_sample_too_large_for_a_float(tmp_path, capsys):
+    # `1e400` is a JSON number, but it decodes to an infinity
+    lines = GOLDEN_TRACE.read_text().splitlines()
+    n = next(i for i, l in enumerate(lines) if '"kind":"sample"' in l)
+    value = json.loads(lines[n])["cumulative"]
+    forged = lines[n].replace(f'"cumulative":{value!r}', '"cumulative":1e400', 1)
+    assert forged != lines[n]
+    lines[n] = forged
+    bad = _write_lines(tmp_path / "huge.ndjson", lines)
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("report", bad, "--out", str(out)) == 3
+    assert capsys.readouterr().err == "error: sample ticks and scores must be finite\n"
+    assert not out.exists()
+
+
 def test_replay_of_an_agentless_header_fails_at_once(tmp_path):
     header, *events = GOLDEN_TRACE.read_text().splitlines()
     doc = json.loads(header)
@@ -694,6 +712,44 @@ def test_protocol_errors_exit_four(tmp_path, capsys):
     rc = run_cli("run", *BASE, "--agent-cmd", f"{sys.executable} {bad}")
     assert rc == 4
     assert "protocol error" in capsys.readouterr().err
+
+
+NON_FINITE_AGENT = r"""
+import json, sys
+n = len(json.loads(sys.stdin.readline())["body"]["member_ids"])
+print(json.dumps({"kind": "hello", "protocol": 1, "agent": "x"}), flush=True)
+for line in sys.stdin:
+    doc = json.loads(line)
+    if doc["kind"] == "observation":
+        print(ACTION.replace("ROWS", ",".join([FORCE] * n)) % doc["tick"])
+        print(RESOURCES, flush=True)
+    elif doc["kind"] == "bye":
+        break
+"""
+
+_ACTION = '{"kind":"action","forces":[ROWS],"tick":%d}'
+_RESOURCES = '{"kind":"resources","model_size":%s,"updates":0}'
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["trace", "no-trace"])
+@pytest.mark.parametrize("force, model_size", [
+    ("[NaN,0.0]", "0"), ("[1e400,0.0]", "0"),
+    ("[0.0,0.0]", "Infinity"), ("[0.0,0.0]", "1e400"),
+], ids=["force-NaN", "force-1e400", "resources-Infinity", "resources-1e400"])
+def test_non_finite_agent_numbers_exit_four(force, model_size, trace, tmp_path,
+                                            capsys):
+    script = tmp_path / "non_finite.py"
+    script.write_text(f"ACTION = {_ACTION!r}\nFORCE = {force!r}\n"
+                      f"RESOURCES = {_RESOURCES % model_size!r}\n"
+                      + NON_FINITE_AGENT)
+    disc = tmp_path / "disc.ndjson"
+    rc = run_cli("run", *BASE, "--set", "episode.budget_s=30",
+                 "--agent-cmd", f"{sys.executable} {script}",
+                 *(["--disclosure", str(disc)] if trace else []))
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("protocol error: ") and "pipe is closed" not in err
+    assert not disc.exists()
 
 
 # ------------------------------------------------------------- installed form

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftworld
+from driftworld import protocol
 from driftworld.config import EpisodeConfig
 from driftworld.dynamics import StepParams
 from driftworld.errors import ConfigError, ProtocolError
@@ -789,6 +790,57 @@ def test_subprocess_budget_overrun_substitutes_zero_action(body, tmp_path):
         agent.close()
 
 
+LATE_RESOURCES_AGENT = r"""
+import json, sys, time
+sys.stdin.readline()
+sys.stdout.write(json.dumps({"kind": "hello", "protocol": 1, "agent": "late"}) + "\n")
+sys.stdout.flush()
+for line in sys.stdin:
+    doc = json.loads(line)
+    if doc["kind"] == "observation":
+        sys.stdout.write(json.dumps({
+            "kind": "action", "forces": [[1.0, 1.0]] * 4, "tick": doc["tick"],
+        }) + "\n")
+        sys.stdout.flush()
+        if doc["tick"] == 2:
+            time.sleep(0.6)
+        sys.stdout.write(json.dumps({
+            "kind": "resources", "model_size": doc["tick"], "updates": 0,
+        }) + "\n")
+        sys.stdout.flush()
+    elif doc["kind"] == "bye":
+        break
+"""
+
+
+def test_subprocess_late_resources_are_a_budget_miss(body, tmp_path):
+    script = tmp_path / "late.py"
+    script.write_text(LATE_RESOURCES_AGENT)
+    agent = SubprocessAgent([sys.executable, str(script)], body, dim=2,
+                            horizon=20, budget_s=0.2)
+    try:
+        for tick in (0, 1):
+            assert np.all(agent.act({"tick": tick, "grid": [[[0.0, 0.0]]]}) == 1.0)
+        assert agent.budget_misses == 0
+
+        # The action is on time, so its forces stand; the resources line
+        # is not, so the last declaration stands in for it.
+        forces = agent.act({"tick": 2, "grid": [[[0.0, 0.0]]]})
+        assert np.all(forces == 1.0)
+        assert agent.budget_misses == 1
+        assert agent.resources() == {"model_size": 1, "updates": 0}
+
+        # The late line is discarded when it lands; the next reply stands.
+        time.sleep(0.6)
+        forces = agent.act({"tick": 3, "grid": [[[0.0, 0.0]]]})
+        assert np.all(forces == 1.0)
+        assert agent.budget_misses == 1
+        assert agent.resources() == {"model_size": 3, "updates": 0}
+    finally:
+        agent.close()
+    assert agent.proc.returncode == 0
+
+
 BAD_HELLO_AGENT = r"""
 import json, sys
 sys.stdin.readline()
@@ -834,9 +886,9 @@ def test_subprocess_handshake_timeout_reaps_agent(body, tmp_path, monkeypatch):
     script = tmp_path / "silent.py"
     script.write_text(SILENT_AGENT)
     started = started_processes(monkeypatch)
+    monkeypatch.setattr(protocol, "HELLO_TIMEOUT_S", 0.3)
     with pytest.raises(ProtocolError, match="in time"):
-        SubprocessAgent([sys.executable, str(script)], body, dim=2, horizon=20,
-                        hello_timeout_s=0.3)
+        SubprocessAgent([sys.executable, str(script)], body, dim=2, horizon=20)
     assert len(started) == 1
     assert started[0].poll() is not None
 
