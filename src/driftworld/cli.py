@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import os
+import shlex
 import sys
 
 from .canon import canonical_dumps, to_doc
@@ -90,7 +91,7 @@ def cmd_run(args) -> int:
     if args.agent_cmd:
         body = cfg.body(0)
         agent = SubprocessAgent(
-            args.agent_cmd.split(), body, cfg.gen.dim,
+            shlex.split(args.agent_cmd), body, cfg.gen.dim,
             horizon=cfg.episode.horizon,
             agent_seed=agent_seed(cfg.gen.seed),
             budget_s=cfg.episode.budget_s,
@@ -195,7 +196,7 @@ def cmd_replay(args) -> int:
 
 def cmd_report(args) -> int:
     from .config import load_config
-    from .metrics import compute_metrics, rank_agents, rate_curve
+    from .metrics import curve_metrics, rank_agents, rate_curve
     from .trace import check_line, iter_trace
 
     cfg = load_config(args.config, args.overrides)
@@ -226,8 +227,10 @@ def cmd_report(args) -> int:
         _check_out(path, args.force)
     entries = []
     per_agent = {}
+    rates = {}
     for agent_id, agent_samples in sorted(samples.items()):
-        m = compute_metrics(agent_samples, marks, cfg.metric)
+        ticks, rates[agent_id] = rate_curve(agent_samples, cfg.metric.window_halfwidth)
+        m = curve_metrics(ticks, rates[agent_id], marks, cfg.metric)
         entries.append((agent_id, m))
         per_agent[agent_id] = to_doc(m)
     doc = {
@@ -239,12 +242,11 @@ def cmd_report(args) -> int:
     if args.rates_csv:
         os.makedirs(args.rates_csv, exist_ok=True)
         for agent_id, agent_samples in sorted(samples.items()):
-            rates = rate_curve(agent_samples, cfg.metric.window_halfwidth)
             with open(csv_paths[agent_id], "w", newline="",
                       encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["tick", "rate"])
-                for (tick, _), rate in zip(agent_samples, rates):
+                for (tick, _), rate in zip(agent_samples, rates[agent_id]):
                     writer.writerow([tick, float(rate)])
     return E_OK
 

@@ -71,8 +71,9 @@ def _as_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
     return ticks, scores
 
 
-def rate_curve(samples, window_halfwidth: int = 5) -> np.ndarray:
-    """Per-sample score rate: centered least-squares slope, clamped at zero.
+def rate_curve(samples, window_halfwidth: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """(ticks, rates): the sample ticks as floats, and per sample the score
+    rate, a centered least-squares slope clamped at zero.
 
     The window is index-centered and truncated at the ends, so early
     samples are not discarded, just estimated from a shorter window.
@@ -91,7 +92,7 @@ def rate_curve(samples, window_halfwidth: int = 5) -> np.ndarray:
         var = (xm * xm).sum()
         if var > 0:
             rates[i] = max(0.0, float((xm * (y - y.mean())).sum() / var))
-    return rates
+    return ticks, rates
 
 
 def _segment_stats(ticks, rates, lo, hi, params: MetricParams) -> dict | None:
@@ -147,9 +148,12 @@ def retention_at(ticks, rates, mark: float, params: MetricParams) -> float | Non
 def compute_metrics(samples, drift_marks=(), params: MetricParams | None = None) -> AgentMetrics:
     """Full pipeline: rate curve, per-regime stats, combined index."""
     params = params or MetricParams()
-    ticks, _ = _as_arrays(samples)
-    rates = rate_curve(samples, params.window_halfwidth)
+    return curve_metrics(*rate_curve(samples, params.window_halfwidth),
+                         drift_marks, params)
 
+
+def curve_metrics(ticks, rates, drift_marks, params: MetricParams) -> AgentMetrics:
+    """Per-regime stats and the combined index of a `rate_curve`."""
     marks = sorted(float(m) for m in drift_marks
                    if ticks[0] < m < ticks[-1])
     bounds = [float(ticks[0])] + marks + [float(ticks[-1]) + 1.0]

@@ -16,7 +16,16 @@ messages is the secrecy guard.
 Exchange per tick: harness sends an observation, the agent replies with
 exactly two lines, an action then a resources declaration.  Problem
 lifecycle travels as problem / score messages, session lifecycle as
-hello / bye; the agent has `HELLO_TIMEOUT_S` to answer the hello.  The
+hello / bye; the agent has `HELLO_TIMEOUT_S` to answer each.
+
+Version 2 has sessions: one agent process may serve several episodes in
+a row.  The agent answers `bye` with `bye` and then waits for the next
+line, which is another `hello` (a new session, with nothing carried
+over from the last) or EOF (exit).  The harness parks a process that
+said `bye` and hands it to the next `SubprocessAgent` built with the
+same argv in the same process, so start-up is paid once per process,
+not once per episode; `close_idle_agents` (run at exit) ends the parked
+ones.  The
 harness side enforces a wall-clock reply budget per tick and counts a
 budget miss when either line overruns it: a late action is replaced by a
 zero action, a late resources line by the last declaration.  Each late
@@ -29,9 +38,11 @@ protocol errors, as is an unparsable or out-of-schema line.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import math
 import numbers
+import os
 import queue
 import subprocess
 import sys
@@ -46,7 +57,7 @@ from .errors import ConfigError, ProtocolError
 from .interface import BodySpec
 from .rng import agent_stream
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _NUM = {"type": "number"}
 _INDEX = {"type": "integer", "minimum": 0}
@@ -257,8 +268,17 @@ def encode(doc: dict) -> str:
 
 # -- harness side ----------------------------------------------------------
 
-#: Seconds an agent has to answer the harness's hello.
+#: Seconds an agent has to answer the harness's hello, and its bye.
 HELLO_TIMEOUT_S = 5.0
+
+#: Agent processes that answered `bye`, each waiting for its next hello:
+#: (proc, line queue, reader thread), at most one per (pid, argv).  The
+#: pid in the key keeps a forked child off its parent's processes.
+_IDLE: dict[tuple[int, tuple[str, ...]], tuple] = {}
+
+
+class _PipeClosed(ProtocolError):
+    """The agent process closed its end of a pipe."""
 
 
 def _pump(pipe, lines: queue.SimpleQueue) -> None:
@@ -268,10 +288,58 @@ def _pump(pipe, lines: queue.SimpleQueue) -> None:
     lines.put(None)
 
 
+def _spawn(argv: list[str]) -> tuple:
+    """Start an agent process and the thread that queues its lines."""
+    proc = subprocess.Popen(
+        argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        text=True, bufsize=1,
+    )
+    lines: queue.SimpleQueue = queue.SimpleQueue()
+    reader = threading.Thread(target=_pump, args=(proc.stdout, lines), daemon=True)
+    reader.start()
+    return proc, lines, reader
+
+
+def _end(proc: subprocess.Popen, reader: threading.Thread, kill: bool = False) -> None:
+    """Reap an agent process: EOF on its stdin, then terminate, then kill
+    (kill at once if `kill`).  Its stdout is closed once the reader has
+    met the EOF; a process the child started may hold the pipe open, and
+    then the reader is still blocked in it and the pipe is left alone."""
+    if kill:
+        proc.kill()
+    with contextlib.suppress(OSError):
+        proc.stdin.close()
+    try:
+        proc.wait(timeout=2.0)
+    except subprocess.TimeoutExpired:
+        proc.terminate()
+        try:
+            proc.wait(timeout=2.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    reader.join(timeout=2.0)
+    if not reader.is_alive():
+        proc.stdout.close()
+
+
+def close_idle_agents() -> None:
+    """End every agent process this process parked: EOF, reap, close pipes."""
+    pid = os.getpid()
+    for key in [key for key in _IDLE if key[0] == pid]:
+        proc, _, reader = _IDLE.pop(key)
+        _end(proc, reader)
+
+
+atexit.register(close_idle_agents)
+
+
 class SubprocessAgent(BaseAgent):
     """An agent that is an external process, driven over the line
     protocol.  Late replies are budget misses and bad ones protocol
-    errors, as the module docstring says."""
+    errors, as the module docstring says.  The process is the one parked
+    for `argv` by this process, if any, else a fresh one; `close` parks
+    it again if it answers `bye`."""
 
     kind = "subprocess"
 
@@ -281,14 +349,8 @@ class SubprocessAgent(BaseAgent):
         self.budget_s = budget_s
         self._owed_resources = 0  # late ones, and stale actions' companions
         self._last_resources = {"model_size": 0, "updates": 0}
-        self.proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1,
-        )
-        self._lines: queue.SimpleQueue = queue.SimpleQueue()
-        self._reader = threading.Thread(
-            target=_pump, args=(self.proc.stdout, self._lines), daemon=True)
-        self._reader.start()
+        self._key = (os.getpid(), tuple(argv))
+        self._closed = False
 
         hello = {
             "kind": "hello",
@@ -299,6 +361,20 @@ class SubprocessAgent(BaseAgent):
         }
         if agent_seed is not None:
             hello["agent_seed"] = int(agent_seed)
+        doc = None
+        if (parked := _IDLE.pop(self._key, None)) is not None:
+            self.proc, self._lines, self._reader = parked
+            with contextlib.suppress(_PipeClosed):  # it exited while parked
+                doc = self._greet(hello)
+        if doc is None:
+            self.proc, self._lines, self._reader = _spawn(argv)
+            doc = self._greet(hello)
+        self.agent_name = doc["agent"]
+
+    def _greet(self, hello: dict) -> dict:
+        """Open a session: the agent's checked hello.  On any protocol
+        error the process is killed and reaped, since no caller can
+        close() an agent whose constructor raised."""
         try:
             self._send(hello)
             doc = self._reply(time.monotonic() + HELLO_TIMEOUT_S)
@@ -307,14 +383,9 @@ class SubprocessAgent(BaseAgent):
             if doc["kind"] != "hello":
                 raise ProtocolError(f"expected hello, got {doc['kind']!r}")
         except ProtocolError:
-            # The constructor raised, so no caller can close() this agent.
-            self.proc.kill()
-            self.proc.wait()
-            with contextlib.suppress(OSError):
-                self.proc.stdin.close()
-            self._close_stdout()
+            _end(self.proc, self._reader, kill=True)
             raise
-        self.agent_name = doc["agent"]
+        return doc
 
     def _send(self, doc: dict) -> None:
         validate_message("to_agent", doc)
@@ -323,7 +394,7 @@ class SubprocessAgent(BaseAgent):
             self.proc.stdin.write(line)
             self.proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
-            raise ProtocolError("agent pipe is closed") from exc
+            raise _PipeClosed("agent pipe is closed") from exc
 
     def _reply(self, deadline: float) -> dict | None:
         """The agent's next message, checked, or None if no line comes
@@ -333,7 +404,7 @@ class SubprocessAgent(BaseAgent):
         except queue.Empty:
             return None
         if line is None:
-            raise ProtocolError("agent closed its pipe")
+            raise _PipeClosed("agent closed its pipe")
         return parse_line("from_agent", line)
 
     def on_problem(self, payload: dict) -> None:
@@ -385,38 +456,37 @@ class SubprocessAgent(BaseAgent):
         return dict(self._last_resources)
 
     def close(self) -> None:
+        """End the session.  Late replies still in flight are read and
+        dropped; if the agent answers `bye` within `HELLO_TIMEOUT_S`, its
+        process is parked for the next agent of this argv (unless one is
+        parked already), otherwise it is shut down.  Closing again does
+        nothing: a second bye would end the parked process's next session."""
+        if self._closed:
+            return
+        self._closed = True
+        doc = None
         with contextlib.suppress(ProtocolError):
             self._send({"kind": "bye"})
-        with contextlib.suppress(OSError):
-            self.proc.stdin.close()
-        try:
-            self.proc.wait(timeout=2.0)
-        except subprocess.TimeoutExpired:
-            self.proc.terminate()
-            try:
-                self.proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-                self.proc.wait()
-        self._close_stdout()
-
-    def _close_stdout(self) -> None:
-        """Close the reaped child's stdout once the reader has met its EOF.
-        A process the child started may hold the pipe open; then the
-        reader is still blocked in it and the pipe is left alone."""
-        self._reader.join(timeout=2.0)
-        if not self._reader.is_alive():
-            self.proc.stdout.close()
+            deadline = time.monotonic() + HELLO_TIMEOUT_S
+            while (doc := self._reply(deadline)) is not None \
+                    and doc["kind"] in ("action", "resources"):
+                pass  # a late reply of the ending session
+        if doc is not None and doc["kind"] == "bye" and self._key not in _IDLE:
+            _IDLE[self._key] = (self.proc, self._lines, self._reader)
+        else:
+            _end(self.proc, self._reader)
 
 
 # -- agent side ------------------------------------------------------------
 
 
 def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
-    """Serve one bundled agent over stdin/stdout until bye or EOF.
+    """Serve sessions of one bundled agent over stdin/stdout until EOF.
 
-    The oracle is deliberately unavailable here: its input is the hidden
-    script, which never crosses the wire.
+    Each hello builds a fresh agent, so nothing carries from one session
+    to the next.  Bye is answered with bye; the next line must be a hello
+    or EOF.  The oracle is deliberately unavailable here: its input is the
+    hidden script, which never crosses the wire.
     """
     if kind == "oracle":
         raise ConfigError("the oracle agent cannot run over the wire")
@@ -430,22 +500,21 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
         stdout.write("".join(map(encode, docs)))
         stdout.flush()
 
-    line = stdin.readline()
-    if not line:
-        raise ProtocolError("no hello received")
-    hello = parse_line("to_agent", line)
-    if hello["kind"] != "hello":
-        raise ProtocolError(f"expected hello, got {hello['kind']!r}")
-
-    body = from_doc(BodySpec, hello["body"])
-    dim = hello["dim"]
-    stream = None
-    if kind == "random":
-        stream = agent_stream(hello.get("agent_seed", 0))
-    agent = make_agent(kind, body, dim, stream=stream)
-    send({"kind": "hello", "protocol": PROTOCOL_VERSION, "agent": kind})
-
+    agent = None
+    greeted = False
     for line in stdin:
+        if agent is None:  # between sessions only a hello may come
+            hello = parse_line("to_agent", line)
+            if hello["kind"] != "hello":
+                raise ProtocolError(f"expected hello, got {hello['kind']!r}")
+            stream = None
+            if kind == "random":
+                stream = agent_stream(hello.get("agent_seed", 0))
+            agent = make_agent(kind, from_doc(BodySpec, hello["body"]), hello["dim"],
+                               stream=stream)
+            greeted = True
+            send({"kind": "hello", "protocol": PROTOCOL_VERSION, "agent": kind})
+            continue
         if not line.strip():
             continue
         doc = parse_line("to_agent", line)
@@ -461,5 +530,9 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
             agent.on_problem_closed(doc)
         elif doc["kind"] == "bye":
             send({"kind": "bye"})
-            break
+            agent = None
+        else:  # a second hello inside a session
+            raise ProtocolError(f"unexpected {doc['kind']!r} inside a session")
+    if not greeted:
+        raise ProtocolError("no hello received")
     return 0

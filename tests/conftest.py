@@ -4,12 +4,20 @@ import pytest
 from driftworld.config import RunConfig
 from driftworld.dynamics import StepParams
 from driftworld.interface import BodySpec
+from driftworld.protocol import close_idle_agents
 from driftworld.worldgen import (
     CausationGrammar,
     DriftSchedule,
     GenSpec,
     generate_world,
 )
+
+
+@pytest.fixture(autouse=True)
+def _end_parked_agents():
+    """End every wire agent process a test left parked, so none reaches the next."""
+    yield
+    close_idle_agents()
 
 
 @pytest.fixture

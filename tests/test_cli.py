@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -123,6 +124,20 @@ def test_run_over_the_wire_matches_in_process(kind, tmp_path, capsys):
     renamed = external.read_text().replace('"external"', f'"{kind}"') \
         .replace('"subprocess"', f'"{kind}"')
     assert renamed.splitlines() == inproc.read_text().splitlines()
+
+
+def test_run_agent_cmd_honours_quotes(tmp_path, capsys):
+    script = tmp_path / "my agents" / "null agent.py"
+    script.parent.mkdir()
+    script.write_text("import sys\n"
+                      "from driftworld.protocol import run_stdio_agent\n"
+                      "sys.exit(run_stdio_agent('null'))\n")
+    out = tmp_path / "report.json"
+    argv = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    assert run_cli("run", *BASE, "--set", "episode.budget_s=30",
+                   "--agent-cmd", argv, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["final_tick"] == 40
 
 
 def test_config_help_names_the_environment_variable(capsys):
@@ -704,7 +719,7 @@ def test_protocol_errors_exit_four(tmp_path, capsys):
     bad.write_text(
         "import json, sys\n"
         "sys.stdin.readline()\n"
-        "sys.stdout.write(json.dumps({'kind': 'hello', 'protocol': 1,"
+        "sys.stdout.write(json.dumps({'kind': 'hello', 'protocol': 2,"
         " 'agent': 'x', 'oops': 1}) + '\\n')\n"
         "sys.stdout.flush()\n"
         "sys.stdin.read()\n"
@@ -717,7 +732,7 @@ def test_protocol_errors_exit_four(tmp_path, capsys):
 NON_FINITE_AGENT = r"""
 import json, sys
 n = len(json.loads(sys.stdin.readline())["body"]["member_ids"])
-print(json.dumps({"kind": "hello", "protocol": 1, "agent": "x"}), flush=True)
+print(json.dumps({"kind": "hello", "protocol": 2, "agent": "x"}), flush=True)
 for line in sys.stdin:
     doc = json.loads(line)
     if doc["kind"] == "observation":

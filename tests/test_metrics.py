@@ -51,26 +51,27 @@ def kink_samples(t_end, mark, pre_rate, post_rate, dt=1.0):
 
 def test_rate_curve_exact_on_linear():
     samples = [(t, 0.3 * t) for t in range(50)]
-    rates = rate_curve(samples, window_halfwidth=5)
+    ticks, rates = rate_curve(samples, window_halfwidth=5)
     assert rates.shape == (50,)
+    assert ticks.tolist() == list(range(50))
     assert np.allclose(rates, 0.3)
 
 
 def test_rate_curve_zero_on_flat():
     samples = [(t, 7.0) for t in range(20)]
-    assert np.all(rate_curve(samples) == 0.0)
+    assert np.all(rate_curve(samples)[1] == 0.0)
 
 
 def test_rate_curve_clamps_negative_slopes():
     samples = [(t, -2.0 * t) for t in range(20)]
-    assert np.all(rate_curve(samples) == 0.0)
+    assert np.all(rate_curve(samples)[1] == 0.0)
 
 
 def test_rate_curve_truncated_window_by_hand():
     # scores 0,0,1,2,3: at index 0 with w=1 the window is {0,1}, slope 0;
     # at index 2 the window is {1,2,3}, slope 1.
     samples = [(0, 0.0), (1, 0.0), (2, 1.0), (3, 2.0), (4, 3.0)]
-    rates = rate_curve(samples, window_halfwidth=1)
+    _, rates = rate_curve(samples, window_halfwidth=1)
     assert rates[0] == 0.0
     assert rates[2] == pytest.approx(1.0)
     assert rates[4] == pytest.approx(1.0)

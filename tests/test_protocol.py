@@ -14,6 +14,7 @@ import json
 import operator
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 import driftworld
 from driftworld import protocol
+from driftworld.agents import make_agent
 from driftworld.config import EpisodeConfig
 from driftworld.dynamics import StepParams
 from driftworld.errors import ConfigError, ProtocolError
@@ -38,11 +40,13 @@ from driftworld.protocol import (
     SubprocessAgent,
     _check_keywords,
     _first_error,
+    close_idle_agents,
     encode,
     parse_line,
     run_stdio_agent,
     validate_message,
 )
+from driftworld.rng import agent_stream
 from driftworld.trace import (
     DISCLOSURE,
     LIVE,
@@ -442,8 +446,8 @@ def assert_agrees_with_draft7(key, doc):
     (("to_agent", "score"), "tick", float("nan"), False),
     (("to_agent", "score"), "tick", -1, False),
     (("to_agent", "score"), "solved", np.True_, False),  # not a bool subclass
-    (("from_agent", "hello"), "protocol", True, False),  # const: True is not 1
-    (("from_agent", "hello"), "protocol", 1.0, True),
+    (("from_agent", "hello"), "protocol", True, False),  # const: a bool is no number
+    (("from_agent", "hello"), "protocol", float(PROTOCOL_VERSION), True),
     (("from_agent", "hello"), "agent", "", False),
     (("from_agent", "resources"), "updates", 0, True),
     (("from_agent", "resources"), "updates", -0.5, False),
@@ -455,6 +459,18 @@ def test_type_meanings_match_draft7(key, field, value, accepted):
     doc[field] = value
     assert (checker_verdict(direction, doc) is None) is accepted
     assert (not draft7_paths(key, doc)) is accepted
+
+
+def test_const_zero_or_one_never_matches_a_bool():
+    # No message const is 0 or 1 since the version went to 2, so the
+    # checker's bool guard is held to Draft-7 on bare schemas here.
+    from jsonschema import Draft7Validator
+
+    for const in (0, 1):
+        for value in (True, False, 0, 1, 0.0, 1.0):
+            schema = {"const": const}
+            assert (_first_error(value, schema) is None) is \
+                Draft7Validator(schema).is_valid(value), (const, value)
 
 
 @pytest.mark.parametrize("kind, path, value, accepted", [
@@ -681,6 +697,76 @@ def test_stdio_requires_hello_first():
                         stdout=io.StringIO())
 
 
+PROBLEM = {"id": 0, "issued_tick": 0, "target_grid": [[[0.0, 0.0]]],
+           "epsilon": 0.1, "timeout": 10}
+
+
+def test_stdio_between_sessions_only_hello_or_eof():
+    session = [hello_doc(), observation_doc(0), {"kind": "bye"}]
+    rc, replies = stdio_session("null", session)
+    assert rc == 0 and replies[-1] == {"kind": "bye"}
+    for stray in ({"kind": "bye"}, observation_doc(1),
+                  {"kind": "problem", "problem": PROBLEM}):
+        with pytest.raises(ProtocolError, match="expected hello"):
+            stdio_session("null", session + [stray])
+    with pytest.raises(ProtocolError, match="inside a session"):
+        stdio_session("null", [hello_doc(), hello_doc()])
+
+
+def session_docs(agent_seed, grids):
+    """One session: a problem, one observation per grid, its score, bye."""
+    return [hello_doc(agent_seed=agent_seed),
+            {"kind": "problem", "problem": PROBLEM},
+            *({"kind": "observation", "tick": t, "grid": [[g]]}
+              for t, g in enumerate(grids)),
+            {"kind": "score", "problem_id": 0, "solved": False, "score": 0.0,
+             "tick": len(grids)},
+            {"kind": "bye"}]
+
+
+@pytest.mark.parametrize("kind", ["null", "random", "greedy"])
+def test_stdio_sessions_match_fresh_runs(kind):
+    # The random agent is seeded 7, then 8: each session draws from its
+    # own hello's seed.  Greedy's state is checked directly below.
+    first = session_docs(7, [[1.0, 0.0], [0.5, 0.5], [0.25, 0.5]])
+    second = session_docs(8, [[1.0, 0.0], [0.5, 0.5]])
+    second.insert(1, observation_doc(0))
+    (_, alone_first), (_, alone_second) = (stdio_session(kind, first),
+                                           stdio_session(kind, second))
+    rc, both = stdio_session(kind, first + second)
+    assert rc == 0
+    assert both == alone_first + alone_second
+    if kind == "random":
+        assert alone_first[1]["forces"] != alone_second[1]["forces"]
+
+
+def test_stdio_greedy_keeps_no_state_across_hello(monkeypatch):
+    built = []
+
+    def recording_make_agent(*args, **kwargs):
+        built.append(make_agent(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(protocol, "make_agent", recording_make_agent)
+    # Rests on a churning grid move the noise estimate; a problem on a grid
+    # that never responds sets a target and lengthens the probe.
+    churn = [observation_doc(0), {"kind": "observation", "tick": 1,
+                                  "grid": [[[0.0, 1.0]]]}, observation_doc(2)]
+    stuck = [{"kind": "observation", "tick": t, "grid": [[[0.3, 0.3]]]}
+             for t in range(3, 9)]
+    rc, _ = stdio_session("greedy", [
+        hello_doc(), *churn, {"kind": "problem", "problem": PROBLEM}, *stuck,
+        {"kind": "bye"}, hello_doc(), observation_doc(0), {"kind": "bye"}])
+    assert rc == 0
+    first, second = built
+    fresh = make_agent("greedy", first.body, 2)
+    assert first.target is not None
+    assert first.noise != fresh.noise and first.probe_len != fresh.probe_len
+    assert second is not first
+    assert second.target is None
+    assert second.noise == fresh.noise and second.probe_len == fresh.probe_len
+
+
 # ------------------------------------------------------------ subprocess side
 
 
@@ -705,6 +791,7 @@ def test_subprocess_null_agent_end_to_end(body):
         assert agent.budget_misses == 0
     finally:
         agent.close()
+    close_idle_agents()
     assert agent.proc.returncode == 0
 
 
@@ -739,6 +826,7 @@ def test_wire_episode_leaves_no_pipe_open(body, monkeypatch):
                         EpisodeConfig(horizon=6, budget_s=5.0))
         finally:
             agent.close()
+        close_idle_agents()
         assert agent.proc.returncode == 0
         assert agent.proc.stdin.closed and agent.proc.stdout.closed
         del agent
@@ -749,7 +837,7 @@ def test_wire_episode_leaves_no_pipe_open(body, monkeypatch):
 SLOW_AGENT = r"""
 import json, sys, time
 line = sys.stdin.readline()
-sys.stdout.write(json.dumps({"kind": "hello", "protocol": 1, "agent": "sloth"}) + "\n")
+sys.stdout.write(json.dumps({"kind": "hello", "protocol": 2, "agent": "sloth"}) + "\n")
 sys.stdout.flush()
 first = True
 for line in sys.stdin:
@@ -793,7 +881,7 @@ def test_subprocess_budget_overrun_substitutes_zero_action(body, tmp_path):
 LATE_RESOURCES_AGENT = r"""
 import json, sys, time
 sys.stdin.readline()
-sys.stdout.write(json.dumps({"kind": "hello", "protocol": 1, "agent": "late"}) + "\n")
+sys.stdout.write(json.dumps({"kind": "hello", "protocol": 2, "agent": "late"}) + "\n")
 sys.stdout.flush()
 for line in sys.stdin:
     doc = json.loads(line)
@@ -838,6 +926,7 @@ def test_subprocess_late_resources_are_a_budget_miss(body, tmp_path):
         assert agent.resources() == {"model_size": 3, "updates": 0}
     finally:
         agent.close()
+    close_idle_agents()
     assert agent.proc.returncode == 0
 
 
@@ -845,7 +934,7 @@ BAD_HELLO_AGENT = r"""
 import json, sys
 sys.stdin.readline()
 sys.stdout.write(json.dumps({
-    "kind": "hello", "protocol": 1, "agent": "x", "secrets": True,
+    "kind": "hello", "protocol": 2, "agent": "x", "secrets": True,
 }) + "\n")
 sys.stdout.flush()
 sys.stdin.read()
@@ -896,7 +985,7 @@ def test_subprocess_handshake_timeout_reaps_agent(body, tmp_path, monkeypatch):
 WRONG_SHAPE_AGENT = r"""
 import json, sys
 sys.stdin.readline()
-sys.stdout.write(json.dumps({"kind": "hello", "protocol": 1, "agent": "w"}) + "\n")
+sys.stdout.write(json.dumps({"kind": "hello", "protocol": 2, "agent": "w"}) + "\n")
 sys.stdout.flush()
 for line in sys.stdin:
     doc = json.loads(line)
@@ -923,3 +1012,172 @@ def test_subprocess_rejects_wrong_action_shape(body, tmp_path):
             agent.act({"tick": 0, "grid": [[[0.0, 0.0]]]})
     finally:
         agent.close()
+
+
+# ------------------------------------------------------------------ sessions
+
+
+def test_subprocess_agents_of_one_argv_share_a_process(body):
+    # Each session's random agent is seeded by its own hello, as a fresh
+    # process would be.
+    forces, pids = [], []
+    for seed in (7, 8):
+        agent = SubprocessAgent(bundled_argv("random"), body, dim=2, horizon=20,
+                                agent_seed=seed, budget_s=2.0)
+        try:
+            forces.append(agent.act({"tick": 0, "grid": [[[0.0, 0.0]]]}))
+            pids.append(agent.proc.pid)
+        finally:
+            agent.close()
+        agent.close()  # a no-op, so the parked process stays usable
+    assert pids[0] == pids[1]
+    for seed, got in zip((7, 8), forces):
+        local = make_agent("random", body, 2, stream=agent_stream(seed))
+        assert np.array_equal(got, local.act({"tick": 0, "grid": [[[0.0, 0.0]]]}))
+    other = SubprocessAgent(bundled_argv("null"), body, dim=2, horizon=20)
+    try:
+        assert other.proc.pid != pids[0]
+    finally:
+        other.close()
+
+
+SESSION_AGENT = r"""
+import json, sys, time
+sessions, slow = 0, True
+for line in sys.stdin:
+    doc = json.loads(line)
+    if doc["kind"] == "hello":
+        sessions += 1
+        print(json.dumps({"kind": "hello", "protocol": 2, "agent": "s"}), flush=True)
+    elif doc["kind"] == "observation":
+        if slow:
+            time.sleep(0.4)
+            slow = False
+        print(json.dumps({"kind": "action", "forces": [[sessions, sessions]] * 4,
+                          "tick": doc["tick"]}))
+        print(json.dumps({"kind": "resources", "model_size": sessions,
+                          "updates": 0}), flush=True)
+    elif doc["kind"] == "bye":
+        print(json.dumps({"kind": "bye"}), flush=True)
+        if ONE_SESSION:
+            break
+"""
+
+
+def session_agent(tmp_path, one_session):
+    script = tmp_path / "session.py"
+    script.write_text(f"ONE_SESSION = {one_session}\n" + SESSION_AGENT)
+    return [sys.executable, str(script)]
+
+
+def test_subprocess_close_drains_an_overrun_in_flight(body, tmp_path):
+    argv = session_agent(tmp_path, one_session=False)
+    first = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=0.05)
+    try:
+        assert np.all(first.act({"tick": 0, "grid": [[[0.0, 0.0]]]}) == 0.0)
+        assert first.budget_misses == 1
+    finally:
+        first.close()  # the late tick-0 pair lands during close
+    second = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    try:
+        assert second.proc.pid == first.proc.pid
+        # Session 2's own tick-0 reply, not the first session's late one.
+        assert np.all(second.act({"tick": 0, "grid": [[[0.0, 0.0]]]}) == 2.0)
+        assert second.resources() == {"model_size": 2, "updates": 0}
+        assert second.budget_misses == 0
+    finally:
+        second.close()
+
+
+def test_subprocess_agent_gone_after_bye_is_replaced(body, tmp_path, monkeypatch):
+    argv = session_agent(tmp_path, one_session=True)
+    started = started_processes(monkeypatch)
+    first = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    first.close()  # it answers bye, is parked, then exits
+    first.proc.wait(timeout=10)
+    second = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    try:
+        assert len(started) == 2 and second.proc is started[1]
+        assert first.proc.stdout.closed
+        # A fresh process: this is its first session.
+        assert np.all(second.act({"tick": 0, "grid": [[[0.0, 0.0]]]}) == 1.0)
+    finally:
+        second.close()
+
+
+def test_forked_child_never_takes_the_parents_process(body):
+    argv = bundled_argv("null")
+    agent = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    agent.close()
+    parked = agent.proc.pid
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = os.fork()
+    if child == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            theirs = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+            os.write(write_end, str(theirs.proc.pid).encode())
+            theirs.close()
+            close_idle_agents()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    # A child that took the parent's process can hang on a pipe lock the
+    # parent's reader thread held at the fork: give it a deadline.
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(child, os.WNOHANG))[0] == 0 \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    with os.fdopen(read_end, "rb") as fh:
+        theirs = fh.read()
+    assert done[0] == child and done[1] == 0
+    assert int(theirs) != parked
+    mine = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    try:
+        assert mine.proc.pid == parked
+    finally:
+        mine.close()
+
+
+LINGERING_AGENT = r"""
+import json, sys, time
+for line in sys.stdin:
+    doc = json.loads(line)
+    if doc["kind"] == "hello":
+        print(json.dumps({"kind": "hello", "protocol": 2, "agent": "l"}), flush=True)
+    elif doc["kind"] == "bye":
+        print(json.dumps({"kind": "bye"}), flush=True)
+time.sleep(30)  # outlives its stdin: only the harness's shutdown ends it
+"""
+
+OPEN_AND_EXIT = r"""
+import sys
+from driftworld import protocol
+from driftworld.interface import BodySpec
+body = BodySpec(member_ids=(0, 1), resolution=4, window_halfwidth=8.0, f_max=4.0)
+agent = protocol.SubprocessAgent([sys.executable, sys.argv[1]], body, 2, horizon=5)
+agent.close()
+assert protocol._IDLE, "the agent answered bye, so it is parked"
+print(agent.proc.pid)
+"""
+
+
+def test_exiting_harness_leaves_no_agent_process(tmp_path):
+    script = tmp_path / "lingering.py"
+    script.write_text(LINGERING_AGENT)
+    src = os.path.dirname(os.path.dirname(driftworld.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", OPEN_AND_EXIT, str(script)],
+                          env=env, capture_output=True, text=True, check=True,
+                          timeout=60)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(done.stdout), 0)
