@@ -32,11 +32,8 @@ class BaseAgent:
     reportable = True
     budget_misses = 0  # ticks whose reply missed the budget; counted over the wire
 
-    def __init__(self, body: BodySpec, dim: int):
-        if dim < 1:
-            raise ConfigError("dim must be >= 1")
+    def __init__(self, body: BodySpec):
         self.body = body
-        self.dim = dim
         self.n_members = len(body.member_ids)
 
     def on_problem(self, payload: dict) -> None:
@@ -52,7 +49,7 @@ class BaseAgent:
         return {"model_size": 0, "updates": 0}
 
     def _zero_action(self) -> np.ndarray:
-        return np.zeros((self.n_members, self.dim))
+        return np.zeros((self.n_members, 2))
 
 
 class NullAgent(BaseAgent):
@@ -69,14 +66,14 @@ class RandomAgent(BaseAgent):
 
     kind = "random"
 
-    def __init__(self, body: BodySpec, dim: int, stream: np.random.Generator):
-        super().__init__(body, dim)
+    def __init__(self, body: BodySpec, stream: np.random.Generator):
+        super().__init__(body)
         self.stream = stream
 
     def act(self, observation: dict) -> np.ndarray:
-        forces = np.empty((self.n_members, self.dim))
+        forces = np.empty((self.n_members, 2))
         for m in range(self.n_members):
-            forces[m] = rngmod.ball_uniform(self.stream, self.dim, self.body.f_max)
+            forces[m] = rngmod.ball_uniform(self.stream, self.body.f_max)
         return forces
 
 
@@ -107,8 +104,8 @@ class GreedyAgent(BaseAgent):
     MAX_PROBE_LEN = 3
     MAX_BAD = 3
 
-    def __init__(self, body: BodySpec, dim: int):
-        super().__init__(body, dim)
+    def __init__(self, body: BodySpec):
+        super().__init__(body)
         self.probe_force = self.PROBE_SCALE * body.f_max
         self.target: np.ndarray | None = None
         self.noise = 0.005
@@ -116,8 +113,8 @@ class GreedyAgent(BaseAgent):
         self.prev_grid: np.ndarray | None = None
         self.rest_streak = 0
         self.ops: list[tuple] = []
-        self.grad = np.zeros(dim)
-        self.d_ref = np.zeros(dim)
+        self.grad = np.zeros(2)
+        self.d_ref = np.zeros(2)
         self.probe_len = 1
         self.pursue_dir: np.ndarray | None = None
         self.best_d = np.inf
@@ -128,7 +125,7 @@ class GreedyAgent(BaseAgent):
         # displacement, push back the same number of ticks.  Net impulse
         # zero, so probing does not walk the body off the goal.
         ops: list[tuple] = [("rest",)] if brake else []
-        for axis in range(self.dim):
+        for axis in range(2):
             ops.append(("mark", axis))
             ops.extend([("out", axis)] * self.probe_len)
             ops.append(("read", axis))
@@ -168,7 +165,7 @@ class GreedyAgent(BaseAgent):
         return np.tile(common_force, (self.n_members, 1))
 
     def _axis_force(self, axis: int, sign: float) -> np.ndarray:
-        f = np.zeros(self.dim)
+        f = np.zeros(2)
         f[axis] = sign * self.probe_force
         return f
 
@@ -178,7 +175,7 @@ class GreedyAgent(BaseAgent):
         self.prev_grid = grid
 
         if self.target is None:
-            return self._emit(np.zeros(self.dim))
+            return self._emit(np.zeros(2))
         diff = grid - self.target
         d = float(np.sqrt((diff * diff).mean()))
 
@@ -196,7 +193,7 @@ class GreedyAgent(BaseAgent):
         while self.ops:
             op = self.ops.pop(0)
             if op[0] == "rest":
-                return self._emit(np.zeros(self.dim))
+                return self._emit(np.zeros(2))
             if op[0] == "mark":
                 self.d_ref[op[1]] = d
                 continue
@@ -219,7 +216,7 @@ class GreedyAgent(BaseAgent):
             self.bad = 0
             return self._emit(self.pursue_dir * self.body.f_max)
 
-        return self._emit(np.zeros(self.dim))
+        return self._emit(np.zeros(2))
 
     def resources(self) -> dict:
         return {"model_size": 1, "updates": int(self.updates)}
@@ -236,14 +233,14 @@ class OracleAgent(BaseAgent):
     kind = "oracle"
     reportable = False
 
-    def __init__(self, body: BodySpec, dim: int):
-        super().__init__(body, dim)
+    def __init__(self, body: BodySpec):
+        super().__init__(body)
         self.script: np.ndarray | None = None
         self.issued_tick: int | None = None
 
     def load_script(self, actions: np.ndarray, issued_tick: int) -> None:
         actions = np.asarray(actions, dtype=np.float64)
-        if actions.ndim != 3 or actions.shape[1:] != (self.n_members, self.dim):
+        if actions.ndim != 3 or actions.shape[1:] != (self.n_members, 2):
             raise ContractViolation("script shape does not match this body")
         self.script = actions
         self.issued_tick = issued_tick
@@ -269,13 +266,16 @@ AGENT_KINDS = {
 }
 
 
-def make_agent(kind: str, body: BodySpec, dim: int,
+def make_agent(kind: str, body: BodySpec, dim: int = 2,
                stream: np.random.Generator | None = None) -> BaseAgent:
-    """Instantiate a bundled agent by kind name."""
+    """Instantiate a bundled agent by kind name.  `dim` is the world's
+    dimension, which is always 2; no other value is accepted."""
+    if dim != 2:
+        raise ConfigError(f"dim must be 2, got {dim!r}")
     if kind not in AGENT_KINDS:
         raise ConfigError(f"unknown agent kind: {kind!r}")
     if kind == "random":
         if stream is None:
             raise ConfigError("the random agent needs a stream")
-        return RandomAgent(body, dim, stream)
-    return AGENT_KINDS[kind](body, dim)
+        return RandomAgent(body, stream)
+    return AGENT_KINDS[kind](body)

@@ -91,8 +91,7 @@ def cmd_run(args) -> int:
     if args.agent_cmd:
         body = cfg.body(0)
         agent = SubprocessAgent(
-            shlex.split(args.agent_cmd), body, cfg.gen.dim,
-            horizon=cfg.episode.horizon,
+            shlex.split(args.agent_cmd), body, horizon=cfg.episode.horizon,
             agent_seed=agent_seed(cfg.gen.seed),
             budget_s=cfg.episode.budget_s,
         )

@@ -14,14 +14,13 @@ clamp triggered), which is what lets the momentum audit demand 1e-9 over
 thousands of ticks instead of a sloppy tolerance.
 
 The pair kernel writes every elementwise op into one workspace per level
-shape `(m, dim)`, allocated on first use and kept for the life of the
-process: two `(dim, m, m)` and four `(m, m)` float64 buffers and one
-`(m, m)` mask, about `(16 * dim + 33) * m**2` bytes (2.4 MB at m = 192,
-dim = 2).  Elementwise results do not depend on where they are written,
-so the bytes are those of the plain expressions.  What a level's pairs
-need that never changes (its inertia, polarity and `(m, m)` polarity
-products) lives in the world, in `World.level_constants`, computed once
-and shared with clones.
+size `m`, allocated on first use and kept for the life of the process:
+two `(2, m, m)` and four `(m, m)` float64 buffers and one `(m, m)` mask,
+about `65 * m**2` bytes (2.4 MB at m = 192).  Elementwise results do not
+depend on where they are written, so the bytes are those of the plain
+expressions.  What a level's pairs need that never changes (its inertia,
+polarity and `(m, m)` polarity products) lives in the world, in
+`World.level_constants`, computed once and shared with clones.
 
 At a tick that issues problems, `prepare` applies the tick's drift and
 computes its internal accelerations before any clone is taken, so the
@@ -73,7 +72,7 @@ class StepParams:
 
 
 class _Workspace:
-    """Pair-sized buffers for one `(m, dim)`, overwritten by every call.
+    """Pair-sized buffers for one level size `m`, overwritten by every call.
 
     Buffers are reused across roles once their first value is dead:
     `pair` holds the rounding quotient of the minimal image before it
@@ -84,19 +83,19 @@ class _Workspace:
     __slots__ = ("delta", "pair", "r", "r_eff", "radial", "term", "mask",
                  "partner_sum")
 
-    def __init__(self, m: int, dim: int):
-        self.delta = np.empty((dim, m, m))
-        self.pair = np.empty((dim, m, m))
+    def __init__(self, m: int):
+        self.delta = np.empty((2, m, m))
+        self.pair = np.empty((2, m, m))
         self.r = np.empty((m, m))
         self.r_eff = np.empty((m, m))
         self.radial = np.empty((m, m))
         self.term = np.empty((m, m))
         self.mask = np.empty((m, m), dtype=bool)
-        self.partner_sum = np.empty((dim, m))
+        self.partner_sum = np.empty((2, m))
 
 
-#: One workspace per `(m, dim)` the kernel has seen in this process.
-_WORKSPACES: dict[tuple[int, int], _Workspace] = {}
+#: One workspace per level size `m` the kernel has seen in this process.
+_WORKSPACES: dict[int, _Workspace] = {}
 
 #: Relative margin on the clamp bound, far above the few ulps by which
 #: the rounded pair accelerations can exceed their exact values.
@@ -105,11 +104,10 @@ _BOUND_MARGIN = 1.0 + 1e-9
 
 def _axis_sum_of_squares(planes: np.ndarray, out: np.ndarray,
                          scratch: np.ndarray) -> np.ndarray:
-    """Sum of squares over the leading (axis) dimension, added axis by axis."""
+    """`x**2 + y**2` of the `(2, j, i)` planes, into `out`."""
     np.square(planes[0], out=out)
-    for plane in planes[1:]:
-        np.square(plane, out=scratch)
-        out += scratch
+    np.square(planes[1], out=scratch)
+    out += scratch
     return out
 
 
@@ -154,13 +152,13 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
                  params: StepParams) -> np.ndarray:
     """Summed pairwise acceleration for every member of one level.
 
-    Pair tensors are laid out `(dim, j, i)`: receiver i innermost, partner
-    j next, one plane per axis.  Squared norms are explicit per-axis adds,
+    Pair tensors are laid out `(2, j, i)`: receiver i innermost, partner
+    j next, one plane per axis.  Squared norms are explicit `x**2 + y**2`,
     and the partner sum runs over the middle axis, which numpy reduces
     sequentially in partner order.  A reduction along the innermost axis
     would use pairwise summation and change the bytes.
 
-    Every elementwise op writes into the `(m, dim)` workspace, so a warm
+    Every elementwise op writes into the size-`m` workspace, so a warm
     call allocates nothing pair-sized; the result is a fresh array.  The
     level's polarity products and inertia come from `consts`.
 
@@ -172,12 +170,11 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
     pair can exceed `a_max`.
     """
     m = positions.shape[0]
-    dim = positions.shape[1]
     if m < 2:
-        return np.zeros((m, dim))
-    ws = _WORKSPACES.get((m, dim))
+        return np.zeros((m, 2))
+    ws = _WORKSPACES.get(m)
     if ws is None:
-        ws = _WORKSPACES[m, dim] = _Workspace(m, dim)
+        ws = _WORKSPACES[m] = _Workspace(m)
     delta, pair, r, r_eff = ws.delta, ws.pair, ws.r, ws.r_eff
     radial, term, mask = ws.radial, ws.term, ws.mask
 
@@ -228,12 +225,12 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
         relative *= damping
         pair -= relative
         spread = float(vel.max() - vel.min())
-    pair.reshape(dim, m * m)[:, ::m + 1] = 0.0  # the diagonal, as a view
+    pair.reshape(2, m * m)[:, ::m + 1] = 0.0  # the diagonal, as a view
 
     # |pair| <= |radial| + |damping| * |relative velocity|, and each
     # relative velocity component is at most the spread of all of them
     bound = (max(radial.max(), -radial.min())
-             + abs(damping) * math.sqrt(dim) * spread)
+             + abs(damping) * math.sqrt(2.0) * spread)
     if not bound * _BOUND_MARGIN <= params.a_max:
         norm = np.sqrt(_axis_sum_of_squares(pair, r, term), out=r)
         over = np.greater(norm, params.a_max, out=mask)
@@ -244,7 +241,6 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
             pair *= scale
 
     np.sum(pair, axis=1, out=ws.partner_sum)
-    # a copy, never a view: for dim 1 the transpose is already contiguous
     return ws.partner_sum.T.copy()
 
 

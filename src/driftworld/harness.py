@@ -107,8 +107,8 @@ class ScriptedAgent(BaseAgent):
     kind = "scripted"
     reportable = False
 
-    def __init__(self, body: BodySpec, dim: int, kind: str | None = None):
-        super().__init__(body, dim)
+    def __init__(self, body: BodySpec, kind: str | None = None):
+        super().__init__(body)
         if kind is not None:
             self.kind = kind
         self.forces: dict[int, np.ndarray] = {}  # by tick
@@ -241,7 +241,7 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
             for slot in slots:
                 forces = slot.agent.act(observations[slot.agent_id])
                 if not isinstance(slot.agent, ScriptedAgent):
-                    forces = validate_forces(forces, slot.body, world.spec.dim)
+                    forces = validate_forces(forces, slot.body)
                 slot.acts += 1
                 resources = slot.agent.resources()
                 sink.event({"kind": "act", "tick": t, "agent": slot.agent_id,
@@ -361,7 +361,7 @@ def _make_slot(kind: str, config: RunConfig, world_seed: int, idx: int,
     stream = None
     if kind == "random":
         stream = rngmod.agent_stream(rngmod.agent_seed(world_seed, f"agent{suffix}"))
-    agent = make_agent(kind, body, config.gen.dim, stream=stream)
+    agent = make_agent(kind, body, stream=stream)
     agent_id = f"a{idx}_{kind}" if multi else kind
     problems_stream = f"problems{suffix}" if multi else "problems"
     return Slot(agent_id=agent_id, agent=agent, body=body,
@@ -611,7 +611,7 @@ def _load_scripts(events, agents: dict[str, ScriptedAgent]) -> None:
             check_line(doc, DISCLOSURE)
             agent = _header_agent(agents, doc["agent"], "trace act")
             try:
-                forces = recorded_forces(doc["forces"], agent.body, agent.dim)
+                forces = recorded_forces(doc["forces"], agent.body)
             except ContractViolation as exc:
                 raise ContractViolation(f"trace act of {doc['agent']!r} at tick "
                                         f"{doc['tick']}: {exc}") from None
@@ -663,8 +663,7 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
             slots = []
             for agent_id, body_doc in sorted(header["bodies"].items()):
                 body = from_doc(BodySpec, body_doc)
-                agent = ScriptedAgent(body, spec.dim,
-                                      header["agent_kinds"].get(agent_id))
+                agent = ScriptedAgent(body, header["agent_kinds"].get(agent_id))
                 slots.append(Slot(agent_id=agent_id, agent=agent, body=body,
                                   stream_name=header["stream_names"][agent_id]))
             _load_scripts(events, {s.agent_id: s.agent for s in slots})

@@ -133,29 +133,29 @@ def grid_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt((diff * diff).mean()))
 
 
-def _checked_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
-    """An action as a float64 array, if its shape fits the body and every
-    force is finite; else ContractViolation."""
+def _checked_forces(forces, body: BodySpec) -> np.ndarray:
+    """An action as a float64 array, if its shape is `(members, 2)` and
+    every force is finite; else ContractViolation."""
     arr = np.asarray(forces, dtype=np.float64)
-    if arr.shape != (len(body.member_ids), dim):
+    if arr.shape != (len(body.member_ids), 2):
         raise ContractViolation(
-            f"action must be shape ({len(body.member_ids)}, {dim}), got {arr.shape}"
+            f"action must be shape ({len(body.member_ids)}, 2), got {arr.shape}"
         )
     if not np.isfinite(arr).all():
         raise ContractViolation("action forces must be finite")
     return arr
 
 
-def validate_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
+def validate_forces(forces, body: BodySpec) -> np.ndarray:
     """Check an action's shape and finiteness, then clamp it to f_max."""
-    return clamp_rows(_checked_forces(forces, body, dim), body.f_max)
+    return clamp_rows(_checked_forces(forces, body), body.f_max)
 
 
-def recorded_forces(forces, body: BodySpec, dim: int) -> np.ndarray:
+def recorded_forces(forces, body: BodySpec) -> np.ndarray:
     """An action read back from a trace, checked as `validate_forces`
     checks a live one and then refused, never clamped, if a row is longer
     than f_max by more than the few ulps a clamped row can carry."""
-    arr = _checked_forces(forces, body, dim)
+    arr = _checked_forces(forces, body)
     norm = float(np.sqrt((arr * arr).sum(axis=1)).max())
     if norm > body.f_max * (1 + 1e-12):
         raise ContractViolation(

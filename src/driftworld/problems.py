@@ -76,7 +76,7 @@ class Problem:
     timeout: int
     o_ref: float
     d_ref: float
-    hidden_actions: np.ndarray = field(repr=False)  # (len, n_members, dim)
+    hidden_actions: np.ndarray = field(repr=False)  # (len, n_members, 2)
     p_null: float | None = None  # rolled only when the problem closes solved
 
     def deadline(self) -> int:
@@ -100,13 +100,12 @@ def generate_problem(world: World, body: BodySpec, params: ProblemParams,
     """
     stream = world.stream(stream_name)
     n_members = len(body.member_ids)
-    dim = world.spec.dim
 
-    actions = np.empty((params.scriptor_len, n_members, dim))
+    actions = np.empty((params.scriptor_len, n_members, 2))
     floor = params.impulse_floor * body.f_max
     for attempt in range(16):
         for t in range(params.scriptor_len):
-            common = rngmod.ball_uniform(stream, dim, body.f_max)
+            common = rngmod.ball_uniform(stream, body.f_max)
             actions[t, :] = common
         net = actions[:, 0, :].sum(axis=0)
         if float(np.sqrt((net * net).sum())) >= floor or floor == 0.0:

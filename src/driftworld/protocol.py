@@ -53,8 +53,8 @@ import numpy as np
 
 from .agents import BaseAgent, make_agent
 from .canon import canonical_dumps, canonical_loads, from_doc, to_doc
-from .errors import ConfigError, ProtocolError
-from .interface import BodySpec
+from .errors import ConfigError, ContractViolation, ProtocolError
+from .interface import BodySpec, _checked_forces
 from .rng import agent_stream
 
 PROTOCOL_VERSION = 2
@@ -102,7 +102,7 @@ _VERSION = {"const": PROTOCOL_VERSION}
 
 SCHEMAS: dict[tuple[str, str], dict] = {
     ("to_agent", "hello"): _message(
-        "hello", optional=("agent_seed",), protocol=_VERSION, dim=_SIZE,
+        "hello", optional=("agent_seed",), protocol=_VERSION, dim={"const": 2},
         horizon=_SIZE, body=_BODY, agent_seed=_INDEX),
     ("from_agent", "hello"): _message(
         "hello", protocol=_VERSION, agent={"type": "string", "minLength": 1}),
@@ -343,9 +343,12 @@ class SubprocessAgent(BaseAgent):
 
     kind = "subprocess"
 
-    def __init__(self, argv: list[str], body: BodySpec, dim: int, horizon: int,
-                 agent_seed: int | None = None, budget_s: float = 0.05):
-        super().__init__(body, dim)
+    def __init__(self, argv: list[str], body: BodySpec, dim: int = 2, *,
+                 horizon: int, agent_seed: int | None = None,
+                 budget_s: float = 0.05):
+        if dim != 2:  # the world's dimension, always 2
+            raise ConfigError(f"dim must be 2, got {dim!r}")
+        super().__init__(body)
         self.budget_s = budget_s
         self._owed_resources = 0  # late ones, and stale actions' companions
         self._last_resources = {"model_size": 0, "updates": 0}
@@ -355,7 +358,7 @@ class SubprocessAgent(BaseAgent):
         hello = {
             "kind": "hello",
             "protocol": PROTOCOL_VERSION,
-            "dim": dim,
+            "dim": 2,
             "horizon": horizon,
             "body": to_doc(body),
         }
@@ -430,14 +433,10 @@ class SubprocessAgent(BaseAgent):
                 self._owed_resources += 1  # stale reply from an earlier overrun
             else:
                 break
-        forces = np.asarray(doc["forces"], dtype=np.float64)
-        if forces.shape != (self.n_members, self.dim):
-            raise ProtocolError(
-                f"action shape {forces.shape} does not match body "
-                f"({self.n_members}, {self.dim})"
-            )
-        if not np.isfinite(forces).all():
-            raise ProtocolError("action forces must be finite")
+        try:
+            forces = _checked_forces(doc["forces"], self.body)
+        except ContractViolation as exc:
+            raise ProtocolError(str(exc)) from None
 
         doc = self._reply(deadline)
         if doc is None:
@@ -510,8 +509,7 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
             stream = None
             if kind == "random":
                 stream = agent_stream(hello.get("agent_seed", 0))
-            agent = make_agent(kind, from_doc(BodySpec, hello["body"]), hello["dim"],
-                               stream=stream)
+            agent = make_agent(kind, from_doc(BodySpec, hello["body"]), stream=stream)
             greeted = True
             send({"kind": "hello", "protocol": PROTOCOL_VERSION, "agent": kind})
             continue

@@ -80,17 +80,16 @@ def clone_stream(gen: np.random.Generator) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def ball_uniform(gen: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """Uniform draw from the solid L2 ball of the given radius.
+def ball_uniform(gen: np.random.Generator, radius: float) -> np.ndarray:
+    """Uniform draw from the disc of the given radius.
 
     Direction from a normalized Gaussian, length from the inverse-CDF
     radius transform; draw order is part of the determinism contract.
     """
-    direction = gen.standard_normal(dim)
+    direction = gen.standard_normal(2)
     norm = np.sqrt((direction * direction).sum())
     if norm == 0.0:
-        direction = np.zeros(dim)
-        direction[0] = 1.0
+        direction = np.array([1.0, 0.0])
         norm = 1.0
-    length = radius * gen.uniform() ** (1.0 / dim)
+    length = radius * gen.uniform() ** 0.5
     return direction / norm * length

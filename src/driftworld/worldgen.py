@@ -160,8 +160,8 @@ class _Level:
     of the level below to its composite's row here, `anchor` holds each
     composite's first such row, and `owner` maps each basic entity to it
     (the composition of the `parent` maps so far).  `bins` maps each
-    `(row, column)` of a flattened `(rows, dim)` array of the level below
-    to `parent[row] * dim + column`, its bin of this level's `(m, dim)`
+    `(row, column)` of a flattened `(rows, 2)` array of the level below
+    to `parent[row] * 2 + column`, its bin of this level's `(m, 2)`
     sums.  The arrays are read-only because clones share them.
     """
 
@@ -210,11 +210,10 @@ class LevelConstants:
 
 
 def _sum_rows(bins: np.ndarray, m: int, values: np.ndarray) -> np.ndarray:
-    """Sum the rows of `(rows, dim)` `values` into `m` rows by `bins`
+    """Sum the rows of `(rows, 2)` `values` into `m` rows by `bins`
     (a `_Level`'s), each in ascending row order: one `bincount` visits a
     bin's entries in input order, which is row order."""
-    dim = values.shape[1]
-    return np.bincount(bins, weights=values.ravel(), minlength=m * dim).reshape(m, dim)
+    return np.bincount(bins, weights=values.ravel(), minlength=m * 2).reshape(m, 2)
 
 
 def wrap_positions(pos: np.ndarray, extent: float) -> np.ndarray:
@@ -256,8 +255,8 @@ class World:
     def __init__(self, spec: GenSpec, positions, velocities, inertia, polarity,
                  laws, streams, tick=0):
         self.spec = spec
-        self.positions = positions    # (n, dim) float64, toroidal coords
-        self.velocities = velocities  # (n, dim) float64
+        self.positions = positions    # (n, 2) float64, toroidal coords
+        self.velocities = velocities  # (n, 2) float64
         self.inertia = inertia        # (n,) float64, > 0
         self.polarity = polarity      # (n,) int64, +1 or -1
         self.laws: list[CausationLaw] = laws
@@ -457,7 +456,7 @@ def build_hierarchy(world: World) -> World:
         members = np.split(np.argsort(parent, kind="stable"), np.cumsum(counts)[:-1])
         next_id = first_id + len(parent)
         owner = parent[owner]
-        bins = (parent[:, None] * spec.dim + np.arange(spec.dim)).ravel()
+        bins = (parent[:, None] * 2 + np.arange(2)).ravel()
         world.levels.append(_Level(
             level, tuple(range(next_id, next_id + m)),
             tuple(tuple((first_id + rows).tolist()) for rows in members),
@@ -473,9 +472,9 @@ def build_hierarchy(world: World) -> World:
 def generate_world(spec: GenSpec) -> World:
     """Generate a world from its spec, drawing only from the generation stream."""
     gen = rngmod.make_stream(spec.seed, "generation")
-    n, dim = spec.n_entities, spec.dim
-    positions = gen.uniform(-spec.arena_extent, spec.arena_extent, size=(n, dim))
-    velocities = np.zeros((n, dim))
+    n = spec.n_entities
+    positions = gen.uniform(-spec.arena_extent, spec.arena_extent, size=(n, 2))
+    velocities = np.zeros((n, 2))
     inertia = np.ones(n)
     n_positive = int(np.floor(spec.polarity_ratio * n))
     polarity = np.where(np.arange(n) < n_positive, 1, -1).astype(np.int64)

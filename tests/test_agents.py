@@ -50,7 +50,7 @@ def flat_grid(rms):
 
 
 def test_null_agent_never_pushes(body):
-    agent = NullAgent(body, 2)
+    agent = NullAgent(body)
     forces = agent.act(obs(flat_grid(0.3)))
     assert forces.shape == (4, 2)
     assert np.all(forces == 0.0)
@@ -59,16 +59,16 @@ def test_null_agent_never_pushes(body):
 
 
 def test_random_agent_deterministic_per_stream(body):
-    a = RandomAgent(body, 2, make_stream(11, "agent"))
-    b = RandomAgent(body, 2, make_stream(11, "agent"))
+    a = RandomAgent(body, make_stream(11, "agent"))
+    b = RandomAgent(body, make_stream(11, "agent"))
     for _ in range(20):
         assert np.array_equal(a.act(obs(flat_grid(0.1))), b.act(obs(flat_grid(0.1))))
-    c = RandomAgent(body, 2, make_stream(12, "agent"))
+    c = RandomAgent(body, make_stream(12, "agent"))
     assert not np.array_equal(a.act(obs(flat_grid(0.1))), c.act(obs(flat_grid(0.1))))
 
 
 def test_random_agent_forces_admissible(body):
-    agent = RandomAgent(body, 2, make_stream(5, "agent"))
+    agent = RandomAgent(body, make_stream(5, "agent"))
     for _ in range(200):
         forces = agent.act(obs(flat_grid(0.1)))
         norms = np.linalg.norm(forces, axis=1)
@@ -81,35 +81,40 @@ def test_random_agent_forces_admissible(body):
 def test_make_agent_kinds(body):
     stream = make_stream(1, "agent")
     for kind, cls in AGENT_KINDS.items():
-        agent = make_agent(kind, body, 2, stream=stream)
+        agent = make_agent(kind, body, stream=stream)
         assert isinstance(agent, cls)
         assert agent.kind == kind
-    assert not make_agent("oracle", body, 2).reportable
-    assert make_agent("greedy", body, 2).reportable
+    assert not make_agent("oracle", body).reportable
+    assert make_agent("greedy", body).reportable
 
 
 def test_make_agent_rejects_unknown_kind(body):
     with pytest.raises(ConfigError):
-        make_agent("psychic", body, 2)
+        make_agent("psychic", body)
 
 
 def test_make_agent_random_needs_stream(body):
     with pytest.raises(ConfigError):
-        make_agent("random", body, 2)
+        make_agent("random", body)
+
+
+def test_make_agent_refuses_dims_other_than_two(body):
+    for dim in (1, 3):
+        with pytest.raises(ConfigError, match="dim must be 2"):
+            make_agent("greedy", body, dim)
+    assert make_agent("greedy", body, 2).act(obs(flat_grid(0.0))).shape == (4, 2)
 
 
 def test_base_agent_guards(body):
-    with pytest.raises(ConfigError):
-        BaseAgent(body, 0)
     with pytest.raises(NotImplementedError):
-        BaseAgent(body, 2).act(obs(flat_grid(0.0)))
+        BaseAgent(body).act(obs(flat_grid(0.0)))
 
 
 # -------------------------------------------------------------------- greedy
 
 
 def test_greedy_idle_without_problem(body):
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     assert np.all(agent.act(obs(flat_grid(0.5))) == 0.0)
     agent.on_problem({"target_grid": flat_grid(0.0).tolist()})
     assert np.any(agent.act(obs(flat_grid(0.5))) != 0.0)
@@ -120,7 +125,7 @@ def test_greedy_idle_without_problem(body):
 def test_greedy_probe_sequence(body):
     # Static grid: probe +x, return -x, probe +y, return -y, all common
     # mode at half authority.
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     agent.on_problem({"target_grid": np.zeros(GRID_CELLS).tolist()})
     half = 0.5 * body.f_max
     expected = [(half, 0.0), (-half, 0.0), (0.0, half), (0.0, -half)]
@@ -133,7 +138,7 @@ def test_greedy_probe_sequence(body):
 def test_greedy_probe_lengthens_when_grid_is_unresponsive(body):
     # A grid that never reacts drives the gradient below the margin, so
     # the decide step escalates to two-tick pushes: +x, +x, read, back.
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     agent.on_problem({"target_grid": np.zeros(GRID_CELLS).tolist()})
     for _ in range(4):
         agent.act(obs(flat_grid(0.3)))
@@ -147,7 +152,7 @@ def test_greedy_probe_lengthens_when_grid_is_unresponsive(body):
 def test_greedy_probe_net_impulse_zero(body):
     # Probing must not walk the body: cumulative impulse returns to zero
     # after every out-and-back pass and stays bounded in between.
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     agent.on_problem({"target_grid": np.zeros(GRID_CELLS).tolist()})
     cumulative = np.zeros(2)
     zero_hits = 0
@@ -162,7 +167,7 @@ def test_greedy_probe_net_impulse_zero(body):
 
 
 def test_greedy_descends_the_probed_gradient(body):
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     agent.on_problem({"target_grid": np.zeros(GRID_CELLS).tolist()})
     agent.act(obs(flat_grid(0.3)))   # mark x at 0.3, push +x
     agent.act(obs(flat_grid(0.4)))   # read x: +0.1, push back
@@ -176,7 +181,7 @@ def test_greedy_descends_the_probed_gradient(body):
 
 def pursuing_agent(body):
     """A greedy agent mid-pursuit along (-1, +1)/sqrt(2), best_d 0.3."""
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     agent.on_problem({"target_grid": np.zeros(GRID_CELLS).tolist()})
     for rms in (0.3, 0.4, 0.3, 0.2, 0.3):
         agent.act(obs(flat_grid(rms)))
@@ -203,7 +208,7 @@ def test_greedy_brakes_after_repeated_stalls(body):
 
 
 def test_greedy_new_problem_resets_probe_length(body):
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     agent.on_problem({"target_grid": np.zeros(GRID_CELLS).tolist()})
     for _ in range(5):
         agent.act(obs(flat_grid(0.3)))
@@ -216,7 +221,7 @@ def test_greedy_new_problem_resets_probe_length(body):
 def test_greedy_noise_floor_learning(body):
     # Resting on a frozen grid: ambient churn reads as zero and the
     # floor decays, but the margin never drops below its hard floor.
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     for t in range(5):
         agent.act(obs(flat_grid(0.2), tick=t))
     assert agent.updates == 3
@@ -233,8 +238,8 @@ def test_greedy_deterministic(body):
     rng = np.random.default_rng(42)
     grids = rng.uniform(0.0, 1.0, size=(30, GRID_CELLS))
     target = rng.uniform(0.0, 1.0, size=GRID_CELLS)
-    a = GreedyAgent(body, 2)
-    b = GreedyAgent(body, 2)
+    a = GreedyAgent(body)
+    b = GreedyAgent(body)
     for agent in (a, b):
         agent.on_problem({"target_grid": target.tolist()})
     for t in range(30):
@@ -245,7 +250,7 @@ def test_greedy_deterministic(body):
 
 
 def test_greedy_resources(body):
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     res = agent.resources()
     assert res == {"model_size": 1, "updates": 0}
     for t in range(4):
@@ -259,7 +264,7 @@ def test_greedy_solves_a_fresh_problem_cold():
     cfg = RunConfig()
     body = cfg.body()
     world = generate_world(GenSpec(seed=12))
-    agent = GreedyAgent(body, 2)
+    agent = GreedyAgent(body)
     problem = generate_problem(world, body, cfg.problem, cfg.step, 0)
 
     d0 = grid_distance(sense(world, body).grid, np.asarray(problem.target_grid))
@@ -268,7 +273,7 @@ def test_greedy_solves_a_fresh_problem_cold():
     agent.on_problem(public_problem(problem))
     for _ in range(cfg.problem.timeout):
         reading = sense(world, body)
-        forces = validate_forces(agent.act(reading.to_payload()), body, 2)
+        forces = validate_forces(agent.act(reading.to_payload()), body)
         step(world, cfg.step, external_accel=forces_to_accel(world, body, forces))
         solved, _ = check_solved(sense(world, body), problem)
         if solved:
@@ -281,7 +286,7 @@ def test_greedy_solves_a_fresh_problem_cold():
 
 def test_oracle_replays_script_exactly(body, step_params, default_config):
     world = generate_world(flat_quiet_spec(9))
-    agent = OracleAgent(body, 2)
+    agent = OracleAgent(body)
     problem = generate_problem(world, body, default_config.problem, step_params, 0)
     agent.on_problem(public_problem(problem))
     agent.load_script(problem.hidden_actions, problem.issued_tick)
@@ -297,7 +302,7 @@ def test_oracle_replays_script_exactly(body, step_params, default_config):
 
 
 def test_oracle_rejects_mismatched_script(body):
-    agent = OracleAgent(body, 2)
+    agent = OracleAgent(body)
     with pytest.raises(ContractViolation):
         agent.load_script(np.zeros((4, 3, 2)), 0)
     with pytest.raises(ContractViolation):
@@ -305,7 +310,7 @@ def test_oracle_rejects_mismatched_script(body):
 
 
 def test_oracle_idle_outside_script(body):
-    agent = OracleAgent(body, 2)
+    agent = OracleAgent(body)
     assert np.all(agent.act(obs(flat_grid(0.1), tick=0)) == 0.0)
 
     script = np.ones((2, 4, 2))

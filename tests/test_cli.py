@@ -149,7 +149,7 @@ def test_config_help_names_the_environment_variable(capsys):
 def test_run_never_sends_the_world_seed(monkeypatch, capsys):
     sent = {}
 
-    def fake_agent(argv, body, dim, **kwargs):
+    def fake_agent(argv, body, **kwargs):
         sent.update(kwargs)
         raise ProtocolError("stop after the handshake arguments")
 
@@ -450,7 +450,7 @@ def test_replay_refuses_a_forged_action_over_f_max(tmp_path, capsys, monkeypatch
     it reads the `act` line, instead of applying it verbatim."""
     original = harness.validate_forces
     monkeypatch.setattr(harness, "validate_forces",
-                        lambda raw, body, dim: 3.0 * original(raw, body, dim))
+                        lambda raw, body: 3.0 * original(raw, body))
     disc = tmp_path / "tripled.ndjson"
     assert run_cli("run", "--set", "gen.seed=19", "--set", "episode.horizon=60",
                    "--agent", "greedy", "--disclosure", str(disc)) == 0

@@ -309,25 +309,14 @@ _KERNEL_DIGESTS = {
     (16, 2): "12d5eeccca496ed3601f15dc3655e2fa850f5065f69912ff3b26934dd380cef7",
     (64, 2): "b856d1c37235ffa7f8cfc6f5f08d80cd827f9a75aa44331d41b546d7158ff0bb",
     (192, 2): "549f1d1eaa144b204e24da42d57ef166b37190357f9932bbe190f5db399bef9c",
-    (40, 3): "705a95060f04da3a5f2e1a572b8bb845ba76072414d2410a6bfac1503f7d8ebe",
 }
 
 
-def _spec_of_dim(dim: int, **values) -> GenSpec:
-    """A GenSpec of any dimension.  GenSpec refuses every dim but 2,
-    because the sensor is 2-D, but the kernel takes its dimension from
-    the array shape; its tests reach 1-D and 3-D worlds through this
-    spec, whose frozen `dim` is set after the checks ran."""
-    spec = GenSpec(dim=2, **values)
-    object.__setattr__(spec, "dim", dim)
-    return spec
-
-
-def _kernel_outputs(n: int, dim: int) -> list[np.ndarray]:
+def _kernel_outputs(n: int) -> list[np.ndarray]:
     """`_level_accel` on every level of a stepped 3-level world, under its
     own law and `_ALL_TERMS`, with the default cap and with a cap low
     enough that the clamp rescales pairs."""
-    world = generate_world(_spec_of_dim(dim, seed=31 + n, n_entities=n, n_levels=3))
+    world = generate_world(GenSpec(seed=31 + n, n_entities=n, n_levels=3))
     for _ in range(3):
         step(world, StepParams())
     extent = world.spec.arena_extent
@@ -344,7 +333,8 @@ def _kernel_outputs(n: int, dim: int) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("n, dim", sorted(_KERNEL_DIGESTS))
 def test_pair_kernel_bytes_are_pinned(n, dim):
-    outputs = _kernel_outputs(n, dim)
+    outputs = _kernel_outputs(n)
+    assert {o.shape[1] for o in outputs} == {dim}
     # under `_ALL_TERMS` the low cap rescales pairs at every level
     assert all(not np.array_equal(default, capped)
                for default, capped in zip(outputs[2::4], outputs[3::4]))
@@ -403,27 +393,27 @@ def _reference_level_accel(positions, velocities, consts, law, extent, params):
     return pair.sum(axis=1).T.copy()
 
 
-def _level_inputs(seed: int, n: int, dim: int, law: CausationLaw | None = None):
+def _level_inputs(seed: int, n: int, law: CausationLaw | None = None):
     """Ground-level kernel arguments of a stepped one-level world."""
-    world = generate_world(_spec_of_dim(dim, seed=seed, n_entities=n, n_levels=1))
+    world = generate_world(GenSpec(seed=seed, n_entities=n, n_levels=1))
     step(world, StepParams())
     return [world.positions, world.velocities, world.level_constants()[0],
             law or world.laws[0], world.spec.arena_extent]
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 24), dim=st.integers(1, 3), seed=st.integers(0, 2**16),
+@given(n=st.integers(2, 24), seed=st.integers(0, 2**16),
        terms=st.lists(st.sampled_from(sorted(RADIAL_EXPONENT) + [DAMPING_TERM]),
                       min_size=1, max_size=6, unique=True),
        coincide=st.booleans(), a_max=st.sampled_from([8.0, 1e-2, 1e-4]))
-def test_pair_kernel_matches_plain_expressions(n, dim, seed, terms, coincide, a_max):
+def test_pair_kernel_matches_plain_expressions(n, seed, terms, coincide, a_max):
     law = CausationLaw(
         level=0,
         terms=tuple((name, 0.01 * (k + 1) * (-1) ** k) for k, name in enumerate(terms)),
         polarity_coupled=tuple(name != DAMPING_TERM and k % 2 == 0
                                for k, name in enumerate(terms)),
     )
-    args = _level_inputs(seed, n, dim, law)
+    args = _level_inputs(seed, n, law)
     if coincide:
         args[0] = args[0].copy()
         args[0][1] = args[0][0]
@@ -435,14 +425,13 @@ def test_pair_kernel_matches_plain_expressions(n, dim, seed, terms, coincide, a_
 
 # the clamp off, on for some pairs, and on for every pair
 @pytest.mark.parametrize("a_max", [8.0, 0.05, 1e-4])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_pair_kernel_equals_plain_python_oracle(dim, a_max):
+def test_pair_kernel_equals_plain_python_oracle(a_max):
     # The oracle does its arithmetic in Python floats, so equality to the
     # bit pins the kernel to IEEE 754 semantics, not to numpy's SIMD
     # dispatch or reduction order.
     params = StepParams(a_max=a_max)
     for m in range(2, 21):
-        positions, velocities, consts, own_law, extent = _level_inputs(100 + m, m, dim)
+        positions, velocities, consts, own_law, extent = _level_inputs(100 + m, m)
         coincident = positions.copy()
         coincident[-1] = coincident[0]
         for law in (own_law, _ALL_TERMS):
@@ -453,12 +442,9 @@ def test_pair_kernel_equals_plain_python_oracle(dim, a_max):
                 assert got.tobytes() == want.tobytes(), (m, law)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_pair_kernel_never_returns_workspace_memory(dim):
-    # For dim 1 the transposed partner sum is already contiguous, so a
-    # kernel returning it would hand out a view of its own buffer.
-    first_args = _level_inputs(1, 10, dim, _ALL_TERMS)
-    second_args = _level_inputs(2, 10, dim, _ALL_TERMS)
+def test_pair_kernel_never_returns_workspace_memory():
+    first_args = _level_inputs(1, 10, _ALL_TERMS)
+    second_args = _level_inputs(2, 10, _ALL_TERMS)
     first = _level_accel(*first_args, StepParams())
     kept = first.copy()
     second = _level_accel(*second_args, StepParams())
@@ -473,9 +459,9 @@ def test_pair_kernel_never_returns_workspace_memory(dim):
 @pytest.mark.parametrize("a_max", [8.0, 0.05, 1e-4])
 def test_pair_kernel_keeps_no_state_between_calls(monkeypatch, a_max):
     params = StepParams(a_max=a_max)
-    a = _level_inputs(3, 12, 2, _ALL_TERMS)
-    b = _level_inputs(4, 12, 2, _ALL_TERMS)
-    other_size = _level_inputs(5, 7, 2, _ALL_TERMS)
+    a = _level_inputs(3, 12, _ALL_TERMS)
+    b = _level_inputs(4, 12, _ALL_TERMS)
+    other_size = _level_inputs(5, 7, _ALL_TERMS)
     # b has a coincident off-diagonal pair; a has none
     b[0] = b[0].copy()
     b[0][5] = b[0][2]
@@ -510,7 +496,7 @@ def test_pair_kernel_keeps_no_state_between_calls(monkeypatch, a_max):
 
 def test_warm_pair_kernel_allocates_nothing_pair_sized():
     m = 192
-    args = _level_inputs(6, m, 2, _ALL_TERMS)
+    args = _level_inputs(6, m, _ALL_TERMS)
     params = StepParams(a_max=1e-4)  # the clamp path runs too
     _level_accel(*args, params)
     tracemalloc.start()
@@ -541,7 +527,7 @@ def _counting_sums_of_squares(monkeypatch) -> list:
 @pytest.mark.parametrize("a_max, clamp_norms", [(8.0, 0), (1e-4, 1)])
 def test_clamp_norm_runs_only_when_the_bound_allows_a_clamp(monkeypatch, a_max,
                                                              clamp_norms):
-    positions, velocities, consts, law, extent = _level_inputs(7, 32, 2, _ALL_TERMS)
+    positions, velocities, consts, law, extent = _level_inputs(7, 32, _ALL_TERMS)
     params = StepParams(a_max=a_max)
     calls = _counting_sums_of_squares(monkeypatch)
     got = _level_accel(positions, velocities, consts, law, extent, params)
@@ -554,7 +540,7 @@ def test_clamp_norm_runs_only_when_the_bound_allows_a_clamp(monkeypatch, a_max,
 
 
 def test_non_unit_inertia_is_still_divided():
-    positions, velocities, consts, law, extent = _level_inputs(9, 12, 2, _ALL_TERMS)
+    positions, velocities, consts, law, extent = _level_inputs(9, 12, _ALL_TERMS)
     heavy = LevelConstants.of(np.linspace(0.5, 3.0, 12), consts.polarity)
     assert consts.unit_inertia and not heavy.unit_inertia
     params = StepParams()
@@ -577,7 +563,7 @@ def test_zero_first_radial_term_keeps_the_bytes(terms):
     # the oracle's sum, started at 0.0, has +0.0; the bytes still agree.
     law = CausationLaw(level=0, terms=terms,
                        polarity_coupled=tuple(n != DAMPING_TERM for n, _ in terms))
-    positions, velocities, consts, _, extent = _level_inputs(10, 9, 2)
+    positions, velocities, consts, _, extent = _level_inputs(10, 9)
     coincident = positions.copy()
     coincident[4] = coincident[1]
     params = StepParams()

@@ -54,7 +54,7 @@ def small_config(**episode_kw):
 def run_one(cfg, kind, live_path=None, disc_path=None):
     world = generate_world(cfg.gen)
     body = cfg.body()
-    slot = Slot(agent_id=kind, agent=make_agent(kind, body, 2), body=body)
+    slot = Slot(agent_id=kind, agent=make_agent(kind, body), body=body)
     result = run_episode(world, [slot], cfg.step, cfg.problem, cfg.score,
                          cfg.episode, live_path=live_path,
                          disclosure_path=disc_path)
@@ -89,7 +89,7 @@ def test_live_world_is_sensed_once_per_body_per_tick(monkeypatch):
     cfg = small_config()
     world = generate_world(cfg.gen)
     bodies = [cfg.body(0), cfg.body(cfg.body_members)]
-    slots = [Slot(agent_id=kind, agent=make_agent(kind, body, 2), body=body,
+    slots = [Slot(agent_id=kind, agent=make_agent(kind, body), body=body,
                   stream_name=f"problems.{i}")
              for i, (kind, body) in enumerate(zip(("greedy", "null"), bodies))]
     live_reads = []
@@ -263,7 +263,7 @@ def test_unique_ids_and_disjoint_bodies_enforced():
     cfg = small_config()
     world = generate_world(cfg.gen)
     body = cfg.body()
-    mk = lambda aid: Slot(agent_id=aid, agent=make_agent("null", body, 2), body=body)
+    mk = lambda aid: Slot(agent_id=aid, agent=make_agent("null", body), body=body)
     with pytest.raises(ConfigError):
         run_episode(world, [mk("x"), mk("x")], cfg.step, cfg.problem,
                     cfg.score, cfg.episode)
@@ -272,7 +272,7 @@ def test_unique_ids_and_disjoint_bodies_enforced():
                     cfg.score, cfg.episode)  # same body twice
     far = cfg.body(first_id=cfg.gen.n_entities - 1)
     with pytest.raises(ConfigError, match="out of range"):
-        run_episode(world, [Slot(agent_id="x", agent=make_agent("null", far, 2),
+        run_episode(world, [Slot(agent_id="x", agent=make_agent("null", far),
                                  body=far)],
                     cfg.step, cfg.problem, cfg.score, cfg.episode)
 
@@ -280,7 +280,7 @@ def test_unique_ids_and_disjoint_bodies_enforced():
 def test_scripted_agent_requires_recorded_ticks():
     cfg = small_config()
     body = cfg.body()
-    agent = ScriptedAgent(body, 2)
+    agent = ScriptedAgent(body)
     with pytest.raises(ContractViolation):
         agent.act({"tick": 0, "grid": []})
 
@@ -617,7 +617,7 @@ def _fresh_run_writes(edited: bytes, out) -> bool:
     parameter that this episode never exercised."""
     header = json.loads(edited.split(b"\n", 1)[0])
     body = from_doc(BodySpec, header["bodies"]["greedy"])
-    slot = Slot(agent_id="greedy", agent=make_agent("greedy", body, 2), body=body)
+    slot = Slot(agent_id="greedy", agent=make_agent("greedy", body), body=body)
     run_episode(generate_world(from_doc(GenSpec, header["gen_spec"])), [slot],
                 *(from_doc(cls, header[key]) for cls, key in (
                     (StepParams, "step_params"), (ProblemParams, "problem_params"),

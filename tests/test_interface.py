@@ -235,17 +235,17 @@ def test_clamp_rows_cap(limit):
 
 def test_validate_forces_shape_and_finiteness(body):
     good = np.zeros((4, 2))
-    out = validate_forces(good, body, 2)
+    out = validate_forces(good, body)
     assert out.shape == (4, 2)
     with pytest.raises(ContractViolation):
-        validate_forces(np.zeros((3, 2)), body, 2)
+        validate_forces(np.zeros((3, 2)), body)
     with pytest.raises(ContractViolation):
-        validate_forces(np.full((4, 2), np.nan), body, 2)
+        validate_forces(np.full((4, 2), np.nan), body)
 
 
 def test_validate_forces_clamps(body):
     big = np.full((4, 2), 100.0)
-    out = validate_forces(big, body, 2)
+    out = validate_forces(big, body)
     assert np.all(np.linalg.norm(out, axis=1) <= body.f_max + 1e-9)
 
 

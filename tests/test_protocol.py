@@ -145,7 +145,7 @@ REFERENCE: dict[tuple[str, str], dict] = {
         "properties": {
             "kind": {"const": "hello"},
             "protocol": {"const": PROTOCOL_VERSION},
-            "dim": {"type": "integer", "minimum": 1},
+            "dim": {"const": 2},
             "horizon": {"type": "integer", "minimum": 1},
             "body": _BODY,
             "agent_seed": {"type": "integer", "minimum": 0},
@@ -452,6 +452,8 @@ def assert_agrees_with_draft7(key, doc):
     (("from_agent", "resources"), "updates", 0, True),
     (("from_agent", "resources"), "updates", -0.5, False),
     (("to_agent", "hello"), "agent_seed", None, False),
+    (("to_agent", "hello"), "dim", 3, False),  # worlds are 2-D only
+    (("to_agent", "hello"), "dim", 2.0, True),
 ], ids=repr)
 def test_type_meanings_match_draft7(key, field, value, accepted):
     direction, _ = key
@@ -689,6 +691,21 @@ def test_stdio_rejects_out_of_schema_traffic():
         run_stdio_agent("null", stdin=io.StringIO(lines), stdout=io.StringIO())
 
 
+def test_agent_command_refuses_a_hello_of_another_dim():
+    # A 3-D hello used to build a 3-D agent, whose every action the
+    # harness would refuse; now the hello itself is a protocol error.
+    src = os.path.dirname(os.path.dirname(driftworld.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "driftworld", "agent", "--kind", "null"],
+        input=encode(dict(hello_doc(), dim=3)), env=env, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("protocol error: ")
+    assert "at dim: 2 was expected" in done.stderr and done.stdout == ""
+
+
 def test_stdio_requires_hello_first():
     with pytest.raises(ProtocolError):
         run_stdio_agent("null", stdin=io.StringIO(""), stdout=io.StringIO())
@@ -759,7 +776,7 @@ def test_stdio_greedy_keeps_no_state_across_hello(monkeypatch):
         {"kind": "bye"}, hello_doc(), observation_doc(0), {"kind": "bye"}])
     assert rc == 0
     first, second = built
-    fresh = make_agent("greedy", first.body, 2)
+    fresh = make_agent("greedy", first.body)
     assert first.target is not None
     assert first.noise != fresh.noise and first.probe_len != fresh.probe_len
     assert second is not first
@@ -775,7 +792,7 @@ def bundled_argv(kind):
 
 
 def test_subprocess_null_agent_end_to_end(body):
-    agent = SubprocessAgent(bundled_argv("null"), body, dim=2, horizon=20,
+    agent = SubprocessAgent(bundled_argv("null"), body, horizon=20,
                             budget_s=2.0)
     try:
         assert agent.agent_name == "null"
@@ -796,9 +813,9 @@ def test_subprocess_null_agent_end_to_end(body):
 
 
 def test_subprocess_random_agents_match_given_same_seed(body):
-    a = SubprocessAgent(bundled_argv("random"), body, dim=2, horizon=20,
+    a = SubprocessAgent(bundled_argv("random"), body, horizon=20,
                         agent_seed=99, budget_s=2.0)
-    b = SubprocessAgent(bundled_argv("random"), body, dim=2, horizon=20,
+    b = SubprocessAgent(bundled_argv("random"), body, horizon=20,
                         agent_seed=99, budget_s=2.0)
     try:
         fa = a.act({"tick": 0, "grid": [[[0.0, 0.0]]]})
@@ -817,7 +834,7 @@ def test_wire_episode_leaves_no_pipe_open(body, monkeypatch):
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
-        agent = SubprocessAgent(bundled_argv("greedy"), body, dim=2, horizon=6,
+        agent = SubprocessAgent(bundled_argv("greedy"), body, horizon=6,
                                 budget_s=5.0)
         try:
             run_episode(generate_world(GenSpec(seed=3)),
@@ -861,7 +878,7 @@ for line in sys.stdin:
 def test_subprocess_budget_overrun_substitutes_zero_action(body, tmp_path):
     script = tmp_path / "sloth.py"
     script.write_text(SLOW_AGENT)
-    agent = SubprocessAgent([sys.executable, str(script)], body, dim=2,
+    agent = SubprocessAgent([sys.executable, str(script)], body,
                             horizon=20, budget_s=0.05)
     try:
         forces = agent.act({"tick": 0, "grid": [[[0.0, 0.0]]]})
@@ -904,7 +921,7 @@ for line in sys.stdin:
 def test_subprocess_late_resources_are_a_budget_miss(body, tmp_path):
     script = tmp_path / "late.py"
     script.write_text(LATE_RESOURCES_AGENT)
-    agent = SubprocessAgent([sys.executable, str(script)], body, dim=2,
+    agent = SubprocessAgent([sys.executable, str(script)], body,
                             horizon=20, budget_s=0.2)
     try:
         for tick in (0, 1):
@@ -965,7 +982,7 @@ def test_subprocess_rejects_out_of_schema_handshake(body, tmp_path, monkeypatch)
     script.write_text(BAD_HELLO_AGENT)
     started = started_processes(monkeypatch)
     with pytest.raises(ProtocolError):
-        SubprocessAgent([sys.executable, str(script)], body, dim=2, horizon=20)
+        SubprocessAgent([sys.executable, str(script)], body, horizon=20)
     # The agent blocks on stdin forever; a failed handshake must reap it.
     assert len(started) == 1
     assert started[0].poll() is not None
@@ -977,7 +994,7 @@ def test_subprocess_handshake_timeout_reaps_agent(body, tmp_path, monkeypatch):
     started = started_processes(monkeypatch)
     monkeypatch.setattr(protocol, "HELLO_TIMEOUT_S", 0.3)
     with pytest.raises(ProtocolError, match="in time"):
-        SubprocessAgent([sys.executable, str(script)], body, dim=2, horizon=20)
+        SubprocessAgent([sys.executable, str(script)], body, horizon=20)
     assert len(started) == 1
     assert started[0].poll() is not None
 
@@ -1002,10 +1019,22 @@ for line in sys.stdin:
 """
 
 
+def test_subprocess_agent_refuses_other_dims_before_spawning(body, monkeypatch):
+    def no_spawn(argv):
+        raise AssertionError("spawned an agent for a refused dim")
+
+    monkeypatch.setattr(protocol, "_spawn", no_spawn)
+    started = started_processes(monkeypatch)
+    for dim in (1, 3):
+        with pytest.raises(ConfigError, match="dim must be 2"):
+            SubprocessAgent(bundled_argv("null"), body, dim, horizon=20)
+    assert started == [] and protocol._IDLE == {}
+
+
 def test_subprocess_rejects_wrong_action_shape(body, tmp_path):
     script = tmp_path / "wrong_shape.py"
     script.write_text(WRONG_SHAPE_AGENT)
-    agent = SubprocessAgent([sys.executable, str(script)], body, dim=2,
+    agent = SubprocessAgent([sys.executable, str(script)], body,
                             horizon=20, budget_s=2.0)
     try:
         with pytest.raises(ProtocolError):
@@ -1022,7 +1051,7 @@ def test_subprocess_agents_of_one_argv_share_a_process(body):
     # process would be.
     forces, pids = [], []
     for seed in (7, 8):
-        agent = SubprocessAgent(bundled_argv("random"), body, dim=2, horizon=20,
+        agent = SubprocessAgent(bundled_argv("random"), body, horizon=20,
                                 agent_seed=seed, budget_s=2.0)
         try:
             forces.append(agent.act({"tick": 0, "grid": [[[0.0, 0.0]]]}))
@@ -1032,9 +1061,9 @@ def test_subprocess_agents_of_one_argv_share_a_process(body):
         agent.close()  # a no-op, so the parked process stays usable
     assert pids[0] == pids[1]
     for seed, got in zip((7, 8), forces):
-        local = make_agent("random", body, 2, stream=agent_stream(seed))
+        local = make_agent("random", body, stream=agent_stream(seed))
         assert np.array_equal(got, local.act({"tick": 0, "grid": [[[0.0, 0.0]]]}))
-    other = SubprocessAgent(bundled_argv("null"), body, dim=2, horizon=20)
+    other = SubprocessAgent(bundled_argv("null"), body, horizon=20)
     try:
         assert other.proc.pid != pids[0]
     finally:
@@ -1072,13 +1101,13 @@ def session_agent(tmp_path, one_session):
 
 def test_subprocess_close_drains_an_overrun_in_flight(body, tmp_path):
     argv = session_agent(tmp_path, one_session=False)
-    first = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=0.05)
+    first = SubprocessAgent(argv, body, horizon=20, budget_s=0.05)
     try:
         assert np.all(first.act({"tick": 0, "grid": [[[0.0, 0.0]]]}) == 0.0)
         assert first.budget_misses == 1
     finally:
         first.close()  # the late tick-0 pair lands during close
-    second = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    second = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
     try:
         assert second.proc.pid == first.proc.pid
         # Session 2's own tick-0 reply, not the first session's late one.
@@ -1092,10 +1121,10 @@ def test_subprocess_close_drains_an_overrun_in_flight(body, tmp_path):
 def test_subprocess_agent_gone_after_bye_is_replaced(body, tmp_path, monkeypatch):
     argv = session_agent(tmp_path, one_session=True)
     started = started_processes(monkeypatch)
-    first = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    first = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
     first.close()  # it answers bye, is parked, then exits
     first.proc.wait(timeout=10)
-    second = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    second = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
     try:
         assert len(started) == 2 and second.proc is started[1]
         assert first.proc.stdout.closed
@@ -1107,7 +1136,7 @@ def test_subprocess_agent_gone_after_bye_is_replaced(body, tmp_path, monkeypatch
 
 def test_forked_child_never_takes_the_parents_process(body):
     argv = bundled_argv("null")
-    agent = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    agent = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
     agent.close()
     parked = agent.proc.pid
     read_end, write_end = os.pipe()
@@ -1119,7 +1148,7 @@ def test_forked_child_never_takes_the_parents_process(body):
         code = 1
         try:
             os.close(read_end)
-            theirs = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+            theirs = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
             os.write(write_end, str(theirs.proc.pid).encode())
             theirs.close()
             close_idle_agents()
@@ -1140,7 +1169,7 @@ def test_forked_child_never_takes_the_parents_process(body):
         theirs = fh.read()
     assert done[0] == child and done[1] == 0
     assert int(theirs) != parked
-    mine = SubprocessAgent(argv, body, dim=2, horizon=20, budget_s=2.0)
+    mine = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
     try:
         assert mine.proc.pid == parked
     finally:
@@ -1163,7 +1192,7 @@ import sys
 from driftworld import protocol
 from driftworld.interface import BodySpec
 body = BodySpec(member_ids=(0, 1), resolution=4, window_halfwidth=8.0, f_max=4.0)
-agent = protocol.SubprocessAgent([sys.executable, sys.argv[1]], body, 2, horizon=5)
+agent = protocol.SubprocessAgent([sys.executable, sys.argv[1]], body, horizon=5)
 agent.close()
 assert protocol._IDLE, "the agent answered bye, so it is parked"
 print(agent.proc.pid)

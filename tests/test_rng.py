@@ -102,15 +102,14 @@ def test_derive_world_seed_deterministic():
 
 @settings(max_examples=50, deadline=None)
 @given(
-    dim=st.integers(min_value=1, max_value=4),
     radius=st.floats(min_value=1e-3, max_value=100.0,
                      allow_nan=False, allow_infinity=False),
 )
-def test_ball_uniform_in_ball(dim, radius):
+def test_ball_uniform_in_ball(radius):
     gen = rngmod.make_stream(1, "agent")
     for _ in range(20):
-        v = rngmod.ball_uniform(gen, dim, radius)
-        assert v.shape == (dim,)
+        v = rngmod.ball_uniform(gen, radius)
+        assert v.shape == (2,)
         assert np.linalg.norm(v) <= radius * (1 + 1e-12)
 
 
@@ -118,8 +117,8 @@ def test_ball_uniform_deterministic():
     a = rngmod.make_stream(8, "agent")
     b = rngmod.make_stream(8, "agent")
     for _ in range(10):
-        assert np.array_equal(rngmod.ball_uniform(a, 2, 4.0),
-                              rngmod.ball_uniform(b, 2, 4.0))
+        assert np.array_equal(rngmod.ball_uniform(a, 4.0),
+                              rngmod.ball_uniform(b, 4.0))
 
 
 def test_stream_algorithm_is_counter_based():

@@ -110,9 +110,9 @@ def test_crashed_episode_leaves_neither_trace_behind(tmp_path):
                     live_path=live, disclosure_path=disc)
 
     with pytest.raises(RuntimeError, match="tick 5"):
-        run(CrashesAtTick5(body, 2))
+        run(CrashesAtTick5(body))
     assert os.listdir(tmp_path) == []
-    run(make_agent("greedy", body, 2))
+    run(make_agent("greedy", body))
     assert sorted(os.listdir(tmp_path)) == ["disc.ndjson", "live.ndjson"]
     assert read_trace(disc)[1][-1]["kind"] == "end"
 
@@ -354,7 +354,7 @@ def run_traced_episode(tmp_path, tag):
                     episode=EpisodeConfig(horizon=60))
     body = cfg.body()
     world = generate_world(cfg.gen)
-    slot = Slot(agent_id="greedy", agent=make_agent("greedy", body, 2), body=body)
+    slot = Slot(agent_id="greedy", agent=make_agent("greedy", body), body=body)
     live = str(tmp_path / f"live_{tag}.ndjson")
     disc = str(tmp_path / f"disc_{tag}.ndjson")
     run_episode(world, [slot], cfg.step, cfg.problem, cfg.score, cfg.episode,
@@ -451,7 +451,7 @@ def test_agent_sees_exactly_the_live_problem(tmp_path):
     cfg = RunConfig(gen=GenSpec(seed=4, drift=DriftSchedule(regime_times=(25,))),
                     episode=EpisodeConfig(horizon=60))
     body = cfg.body()
-    agent = make_agent("greedy", body, 2)
+    agent = make_agent("greedy", body)
     received = []
     forward = agent.on_problem
     agent.on_problem = lambda payload: (received.append(payload), forward(payload))
