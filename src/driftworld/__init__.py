@@ -19,7 +19,7 @@ _EXPORTS = {
     **dict.fromkeys(("StepParams", "snapshot_hash", "step"), "dynamics"),
     **dict.fromkeys(("ConfigError", "ContractViolation", "DriftworldError",
                      "InsufficientDataError", "ProtocolError"), "errors"),
-    **dict.fromkeys(("EpisodeResult", "Slot", "StageReport", "oracle_calibration",
+    **dict.fromkeys(("Episode", "Slot", "StageReport", "oracle_calibration",
                      "replay_trace", "run_episode", "run_stage1", "run_stage2"),
                     "harness"),
     **dict.fromkeys(("BodySpec", "SenseGrid", "grid_distance", "sense"), "interface"),

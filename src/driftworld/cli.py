@@ -111,14 +111,15 @@ def cmd_run(args) -> int:
             slot.agent.close()
 
     metrics = result.metrics(agent_id, cfg.metric)
+    run = result.agents[agent_id]
     doc = {
         "agent": agent_id,
-        "cumulative": result.cumulative[agent_id],
-        "problems_closed": len(result.closures[agent_id]),
+        "cumulative": run.cumulative,
+        "problems_closed": len(run.closures),
         "drift_marks": result.drift_marks,
         "metrics": to_doc(metrics),
-        "budget_misses": result.budget_misses[agent_id],
-        "final_tick": result.final_tick,
+        "budget_misses": run.budget_misses,
+        "final_tick": result.tick,
     }
     _write_json(doc, args.out)
     return E_OK
@@ -269,10 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one single-agent episode")
     _add_config_args(p)
-    p.add_argument("--agent", default=None,
-                   help="bundled agent kind (default: first of run.agents)")
-    p.add_argument("--agent-cmd", default=None,
-                   help="external agent command line, spoken to over stdio")
+    who = p.add_mutually_exclusive_group()
+    who.add_argument("--agent", default=None,
+                     help="bundled agent kind (default: first of run.agents)")
+    who.add_argument("--agent-cmd", default=None,
+                     help="external agent command line, spoken to over stdio")
     p.add_argument("--live", default=None, help="write the live trace here")
     p.add_argument("--disclosure", default=None,
                    help="write the disclosure trace here")

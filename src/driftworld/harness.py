@@ -1,17 +1,19 @@
 """Episode loop, evaluation stages, and trace replay.
 
-The tick pipeline is fixed and order-deterministic: issue problems to
-idle agents, sense for every agent in id order, act for every agent in
-id order, advance the world one step (laws drift inside the step), close
-any problem that is solved or out of time, then record score samples and
-periodic snapshot hashes.  Every agent senses exactly once and acts
-exactly once per tick; the loop checks that invariant itself so
-multi-agent runs cannot silently starve anyone.  Each body's sensor is
-read once before the loop and once after each step, and that reading
-serves both the close check and the next tick's observation.  A
-problem's null baseline is rolled only if it closes solved, from a clone
-of the world taken when it was issued; its disclosure line is held until
-then.
+An `Episode` holds one episode's state, an `AgentRun` per seat, and
+advances it a tick at a time through a fixed, order-deterministic
+pipeline: `act()` issues problems to idle agents, senses for every agent
+in id order and lets every agent act in id order; the driver steps the
+world once (laws drift inside the step); `settle()` closes any problem
+that is solved or out of time, then records score samples and periodic
+snapshot hashes.  `run_episode` is that driver, for live runs and replay
+alike.  Every agent senses and acts exactly once per tick; the episode
+checks that itself so multi-agent runs cannot silently starve anyone.
+Each body is read once before the first tick and once after each step,
+and that reading serves both the close check and the next observation.
+A problem's null baseline is rolled only if it closes solved, from a
+clone of the world taken when it was issued; its disclosure line is
+held until then.
 
 Stage one evaluates each agent alone on matched worlds derived from one
 master seed.  Stage two puts all agents into a single shared world with
@@ -39,7 +41,8 @@ from .canon import from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, prepare, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
-from .interface import BodySpec, forces_to_accel, recorded_forces, sense, validate_forces
+from .interface import (BodySpec, SenseGrid, forces_to_accel, recorded_forces, sense,
+                        validate_forces)
 from .metrics import AgentMetrics, MetricParams, compute_metrics, rank_agents
 from .problems import (
     Problem,
@@ -58,42 +61,33 @@ from .worldgen import GenSpec, World, generate_world
 
 @dataclass
 class Slot:
-    """One agent's seat in an episode."""
+    """One agent's seat: the agent, its body and its problem stream.  An
+    episode only reads it, so a seat can run again; its agent keeps its own state."""
 
     agent_id: str
     agent: BaseAgent
     body: BodySpec
     stream_name: str = "problems"
 
-    # per-episode state, owned by the loop
+
+@dataclass
+class AgentRun:
+    """One seat's state through one episode, and after it its result."""
+
+    slot: Slot
+    reading: SenseGrid  # the body's latest reading: close check, then observation
     active: Problem | None = None
+    origin: World | None = None  # the world the active problem was issued from
+    issued_doc: dict | None = None  # its held disclosure line
     o_count: int = 0
-    cumulative: float = 0.0
-    samples: list = field(default_factory=list)
-    closures: list = field(default_factory=list)
     issued_in_segment: int = 0
     issued_total: int = 0
     senses: int = 0
     acts: int = 0
-    origin: World | None = None  # the world the active problem was issued from
-    issued_doc: dict | None = None  # its held disclosure line
-
-
-@dataclass
-class EpisodeResult:
-    agent_ids: list[str]
-    samples: dict[str, list[tuple[int, float]]]
-    cumulative: dict[str, float]
-    drift_marks: list[int]
-    closures: dict[str, list[dict]]
-    senses: dict[str, int]
-    acts: dict[str, int]
-    budget_misses: dict[str, int]
-    final_tick: int
-    problems_closed: int
-
-    def metrics(self, agent_id: str, params: MetricParams) -> AgentMetrics:
-        return compute_metrics(self.samples[agent_id], self.drift_marks, params)
+    cumulative: float = 0.0
+    samples: list = field(default_factory=list)
+    closures: list = field(default_factory=list)
+    budget_misses: int = 0
 
 
 class ScriptedAgent(BaseAgent):
@@ -125,229 +119,232 @@ class ScriptedAgent(BaseAgent):
         return dict(self.declared[self._tick])
 
 
-def _header(world: World, slots: list[Slot], step_params: StepParams,
-            problem_params: ProblemParams, score_params: ScoreParams,
-            episode: EpisodeConfig) -> dict:
-    return {
-        "kind": "header",
-        "mode": DISCLOSURE,
-        "format": TRACE_FORMAT,
-        "stream_algorithm": rngmod.STREAM_ALGORITHM,
-        "step_params": to_doc(step_params),
-        "score_params": to_doc(score_params),
-        "episode": to_doc(episode),
-        "bodies": {s.agent_id: to_doc(s.body) for s in slots},
-        "agent_kinds": {s.agent_id: s.agent.kind for s in slots},
-        "gen_spec": to_doc(world.spec),
-        "problem_params": to_doc(problem_params),
-        "stream_names": {s.agent_id: s.stream_name for s in slots},
-        "initial_state_hash": snapshot_hash(world),
-    }
+class Episode:
+    """One episode, advanced a tick at a time, and after `end()` its result.
+
+    Until `done`, the driver calls `act()`, steps the world once with the
+    acceleration it returns and calls `settle()`; every trace line goes
+    through the driver's `TraceSink`, opened with `header`.
+    """
+
+    def __init__(self, world: World, slots: list[Slot], step_params: StepParams,
+                 problem_params: ProblemParams, score_params: ScoreParams,
+                 episode: EpisodeConfig):
+        ids = [s.agent_id for s in slots]
+        if not ids:
+            raise ConfigError("an episode needs at least one agent")
+        if len(set(ids)) != len(ids):
+            raise ConfigError("agent ids must be unique")
+        claimed: set[int] = set()
+        for slot in slots:
+            members = set(slot.body.member_ids)
+            if max(members) >= world.n_entities:
+                raise ConfigError("body member id out of range for this world")
+            if members & claimed:
+                raise ConfigError("agent bodies must claim disjoint entities")
+            claimed |= members
+        if world.tick != 0:
+            raise ContractViolation("an episode starts from a world at tick 0")
+        slots = sorted(slots, key=lambda s: s.agent_id)
+        for slot in slots:
+            world.stream(slot.stream_name)  # materialize before first snapshot
+        self.world, self.config = world, episode
+        self.step_params, self.problem_params = step_params, problem_params
+        self.score_params = score_params
+        self.header = {
+            "kind": "header",
+            "mode": DISCLOSURE,
+            "format": TRACE_FORMAT,
+            "stream_algorithm": rngmod.STREAM_ALGORITHM,
+            "step_params": to_doc(step_params),
+            "score_params": to_doc(score_params),
+            "episode": to_doc(episode),
+            "bodies": {s.agent_id: to_doc(s.body) for s in slots},
+            "agent_kinds": {s.agent_id: s.agent.kind for s in slots},
+            "gen_spec": to_doc(world.spec),
+            "problem_params": to_doc(problem_params),
+            "stream_names": {s.agent_id: s.stream_name for s in slots},
+            "initial_state_hash": snapshot_hash(world),
+        }
+        # one reading per body per tick: taken here and after each step, it
+        # serves the close check and the next tick's observation, since
+        # issuing problems moves only clones
+        self.agents = {s.agent_id: AgentRun(s, sense(world, s.body)) for s in slots}
+        self.tick = self.problems_closed = self.next_problem_id = 0
+        self.drift_marks: list[int] = []
+
+    @property
+    def done(self) -> bool:
+        stop = self.config.stop_after_problems
+        return self.tick >= self.config.horizon or (
+            stop is not None and self.problems_closed >= stop)
+
+    def metrics(self, agent_id: str, params: MetricParams) -> AgentMetrics:
+        return compute_metrics(self.agents[agent_id].samples, self.drift_marks, params)
+
+    def act(self, sink: TraceSink) -> np.ndarray:
+        """Phases 1-3 of this tick: issue, sense, act.  Returns the agents'
+        summed acceleration for the driver's one world step."""
+        world, t, cfg, runs = self.world, self.tick, self.config, self.agents.values()
+
+        # 1. issue problems to idle agents: compute this tick's forces once,
+        #    for the live step and every rollout from this state, draw the
+        #    problems in seat order, keep the world they were drawn from for
+        #    their null baselines, then announce them
+        idle = [r for r in runs if r.active is None
+                and (cfg.max_problems is None or r.issued_total < cfg.max_problems)
+                and (cfg.problems_per_regime is None
+                     or r.issued_in_segment < cfg.problems_per_regime)]
+        if idle:
+            prepare(world, self.step_params)
+        problems = [generate_problem(world, r.slot.body, self.problem_params,
+                                     self.step_params, self.next_problem_id + i,
+                                     r.slot.stream_name) for i, r in enumerate(idle)]
+        self.next_problem_id += len(idle)
+        origin = world.clone() if idle else None
+        for run, problem in zip(idle, problems):
+            agent = run.slot.agent
+            run.active, run.origin, run.o_count = problem, origin, 0
+            run.issued_in_segment += 1
+            run.issued_total += 1
+            run.issued_doc = {"kind": "problem_issued", "tick": t,
+                              "agent": run.slot.agent_id, "problem": to_doc(problem)}
+            sink.event(run.issued_doc, hold=True)
+            agent.on_problem(live_view(run.issued_doc)["problem"])
+            if hasattr(agent, "load_script"):
+                agent.load_script(problem.hidden_actions, problem.issued_tick)
+
+        # 2. sense phase, fixed id order
+        for run in runs:
+            run.senses += 1
+            if run.active is not None:
+                run.o_count += 1
+            sink.event({"kind": "sense", "tick": t, "agent": run.slot.agent_id,
+                        "grid_hash": run.reading.hash()})
+        observations = [run.reading.to_payload() for run in runs]
+
+        # 3. act phase, fixed id order
+        total_accel = np.zeros_like(world.positions)
+        for run, observation in zip(runs, observations):
+            slot = run.slot
+            forces = slot.agent.act(observation)
+            if not isinstance(slot.agent, ScriptedAgent):
+                forces = validate_forces(forces, slot.body)
+            run.acts += 1
+            resources = slot.agent.resources()
+            sink.event({"kind": "act", "tick": t, "agent": slot.agent_id,
+                        "forces": forces.tolist(),
+                        "resources": {"model_size": resources["model_size"],
+                                      "updates": resources["updates"]}})
+            total_accel += forces_to_accel(world, slot.body, forces)
+
+        # fairness: exactly one sense and one act each, every tick
+        for aid, run in self.agents.items():
+            if run.senses != t + 1 or run.acts != t + 1:
+                raise ContractViolation(f"fairness broken for {aid} at tick {t}")
+        return total_accel
+
+    def settle(self, sink: TraceSink) -> None:
+        """Phases 5-7, after the driver stepped the world once (law drift
+        happens inside the step): read the bodies, mark drift, close
+        problems, then record samples and snapshots."""
+        world, t, cfg, runs = self.world, self.tick, self.config, self.agents.values()
+        if world.tick != t + 1:
+            raise ContractViolation("episode loop lost the world clock")
+        for run in runs:
+            run.reading = sense(world, run.slot.body)
+        if world.last_drift_events:
+            levels = sorted(e["level"] for e in world.last_drift_events)
+            self.drift_marks.append(t)
+            sink.event({"kind": "drift", "tick": t, "levels": levels,
+                        "new_laws": [to_doc(world.laws[lv]) for lv in levels]})
+            for run in runs:
+                run.issued_in_segment = 0
+
+        # 5. close solved and expired problems
+        for run in runs:
+            problem, slot = run.active, run.slot
+            if problem is None:
+                continue
+            solved, distance = check_solved(run.reading, problem)
+            timed_out = world.tick >= problem.deadline()
+            if not (solved or timed_out or t == cfg.horizon - 1):
+                continue
+            # only a solved problem's score depends on its null baseline
+            if solved:
+                problem.p_null = null_baseline(run.origin, slot.body, problem,
+                                               self.step_params)
+                run.issued_doc["problem"]["p_null"] = problem.p_null
+            sink.release(run.issued_doc)
+            run.origin = run.issued_doc = run.active = None
+            d_count = world.tick - problem.issued_tick
+            raw_score = hit_score(
+                solved, run.o_count, d_count, problem.o_ref,
+                problem.d_ref, problem.p_null, self.score_params.s_max,
+            )
+            resources = slot.agent.resources()
+            value = normalized_score(
+                raw_score, resources["model_size"], resources["updates"],
+                self.score_params.lam_model, self.score_params.lam_compute,
+            )
+            run.cumulative += value
+            reason = "solved" if solved else ("timeout" if timed_out else "horizon")
+            record = {
+                "kind": "problem_closed", "tick": world.tick,
+                "agent": slot.agent_id, "problem_id": problem.id,
+                "solved": solved, "reason": reason,
+                "o_count": run.o_count, "d_count": d_count,
+                "distance": distance, "score": value,
+            }
+            sink.event(record)
+            run.closures.append(record)
+            self.problems_closed += 1
+            slot.agent.on_problem_closed({
+                "problem_id": problem.id, "solved": solved,
+                "score": value, "tick": world.tick,
+            })
+
+        # 6. score samples
+        if world.tick % cfg.sample_every == 0 or t == cfg.horizon - 1:
+            for aid, run in self.agents.items():
+                run.samples.append((world.tick, run.cumulative))
+                sink.event({"kind": "sample", "tick": world.tick, "agent": aid,
+                            "cumulative": run.cumulative})
+
+        # 7. periodic state fingerprints for replay verification
+        if world.tick % cfg.snapshot_every == 0:
+            sink.event({"kind": "snapshot", "tick": world.tick,
+                        "state_hash": snapshot_hash(world)})
+        self.tick += 1
+
+    def end(self, sink: TraceSink) -> None:
+        """Write the `end` line with each agent's total and budget misses."""
+        for run in self.agents.values():
+            run.budget_misses = run.slot.agent.budget_misses
+        sink.event({"kind": "end", "tick": self.world.tick,
+                    "cumulative": {a: r.cumulative for a, r in self.agents.items()},
+                    "problems_closed": self.problems_closed,
+                    "budget_misses": {a: r.budget_misses for a, r in self.agents.items()}})
 
 
 def run_episode(world: World, slots: list[Slot], step_params: StepParams,
                 problem_params: ProblemParams, score_params: ScoreParams,
                 episode: EpisodeConfig, live_path: str | None = None,
-                disclosure_path: str | None = None) -> EpisodeResult:
-    """Run one episode in place.  The world is consumed.
+                disclosure_path: str | None = None) -> Episode:
+    """Run one episode to its end and return it.  The world is consumed.
 
-    Every trace line goes through one `TraceSink`, which decides what the
-    live tier sees.  A problem's `problem_issued` line is held in the
-    disclosure tier until the problem closes.  Only a solved problem gets
-    a null baseline, rolled then from a clone of the world taken after
-    the problems of its issue tick were drawn; any other problem's
-    `p_null` is null.  Replay runs this same loop with scripted agents,
-    so it rolls and checks every null baseline the live run rolled.
+    A problem's `problem_issued` line is held in the disclosure tier until
+    it closes; only a solved problem's `p_null` is rolled, the others stay
+    null.  Replay runs this same loop with scripted agents, so it rolls
+    and checks every null baseline the live run rolled.
     """
-    ids = [s.agent_id for s in slots]
-    if not ids:
-        raise ConfigError("an episode needs at least one agent")
-    if len(set(ids)) != len(ids):
-        raise ConfigError("agent ids must be unique")
-    claimed: set[int] = set()
-    for slot in slots:
-        members = set(slot.body.member_ids)
-        if max(members) >= world.n_entities:
-            raise ConfigError("body member id out of range for this world")
-        if members & claimed:
-            raise ConfigError("agent bodies must claim disjoint entities")
-        claimed |= members
-    slots = sorted(slots, key=lambda s: s.agent_id)
-    for slot in slots:
-        world.stream(slot.stream_name)  # materialize before first snapshot
-
-    header = _header(world, slots, step_params, problem_params, score_params,
-                     episode)
-    marks: list[int] = []
-    next_problem_id = 0
-    closed_total = 0
-    # one reading per body per tick: taken before the loop and after each
-    # step, it serves the close check and the next tick's observation,
-    # since issuing problems moves only clones
-    readings = {slot.agent_id: sense(world, slot.body) for slot in slots}
-
-    with TraceSink(live_path, disclosure_path, header) as sink:
-        for t in range(episode.horizon):
-            if world.tick != t:
-                raise ContractViolation("episode loop lost the world clock")
-
-            # 1. issue problems to idle agents: compute this tick's forces
-            #    once, for the live step and every rollout from this state,
-            #    draw the problems in slot order, keep the world they were
-            #    drawn from for their null baselines, then announce them
-            idle = [slot for slot in slots if slot.active is None
-                    and (episode.max_problems is None
-                         or slot.issued_total < episode.max_problems)
-                    and (episode.problems_per_regime is None
-                         or slot.issued_in_segment < episode.problems_per_regime)]
-            if idle:
-                prepare(world, step_params)
-            batch: list[tuple[Slot, Problem]] = []
-            for slot in idle:
-                batch.append((slot, generate_problem(
-                    world, slot.body, problem_params, step_params,
-                    next_problem_id, slot.stream_name,
-                )))
-                next_problem_id += 1
-            origin = world.clone() if batch else None
-            for slot, problem in batch:
-                slot.active = problem
-                slot.origin = origin
-                slot.o_count = 0
-                slot.issued_in_segment += 1
-                slot.issued_total += 1
-                slot.issued_doc = {"kind": "problem_issued", "tick": t,
-                                   "agent": slot.agent_id,
-                                   "problem": to_doc(problem)}
-                sink.event(slot.issued_doc, hold=True)
-                slot.agent.on_problem(live_view(slot.issued_doc)["problem"])
-                if hasattr(slot.agent, "load_script"):
-                    slot.agent.load_script(problem.hidden_actions,
-                                           problem.issued_tick)
-
-            # 2. sense phase, fixed id order
-            observations: dict[str, dict] = {}
-            for slot in slots:
-                reading = readings[slot.agent_id]
-                slot.senses += 1
-                if slot.active is not None:
-                    slot.o_count += 1
-                sink.event({"kind": "sense", "tick": t, "agent": slot.agent_id,
-                            "grid_hash": reading.hash()})
-                observations[slot.agent_id] = reading.to_payload()
-
-            # 3. act phase, fixed id order
-            total_accel = np.zeros_like(world.positions)
-            for slot in slots:
-                forces = slot.agent.act(observations[slot.agent_id])
-                if not isinstance(slot.agent, ScriptedAgent):
-                    forces = validate_forces(forces, slot.body)
-                slot.acts += 1
-                resources = slot.agent.resources()
-                sink.event({"kind": "act", "tick": t, "agent": slot.agent_id,
-                            "forces": forces.tolist(),
-                            "resources": {"model_size": resources["model_size"],
-                                          "updates": resources["updates"]}})
-                total_accel += forces_to_accel(world, slot.body, forces)
-
-            # fairness: exactly one sense and one act each, every tick
-            for slot in slots:
-                if slot.senses != t + 1 or slot.acts != t + 1:
-                    raise ContractViolation(
-                        f"fairness broken for {slot.agent_id} at tick {t}"
-                    )
-
-            # 4. advance the world; law drift happens inside the step
-            step(world, step_params, external_accel=total_accel)
-            readings = {slot.agent_id: sense(world, slot.body) for slot in slots}
-            if world.last_drift_events:
-                levels = sorted(e["level"] for e in world.last_drift_events)
-                marks.append(t)
-                sink.event({"kind": "drift", "tick": t, "levels": levels,
-                            "new_laws": [to_doc(world.laws[lv]) for lv in levels]})
-                for slot in slots:
-                    slot.issued_in_segment = 0
-
-            # 5. close solved and expired problems
-            for slot in slots:
-                if slot.active is None:
-                    continue
-                problem = slot.active
-                solved, distance = check_solved(readings[slot.agent_id], problem)
-                timed_out = world.tick >= problem.deadline()
-                last_tick = t == episode.horizon - 1
-                if not (solved or timed_out or last_tick):
-                    continue
-                # only a solved problem's score depends on its null baseline
-                if solved:
-                    problem.p_null = null_baseline(slot.origin, slot.body,
-                                                   problem, step_params)
-                    slot.issued_doc["problem"]["p_null"] = problem.p_null
-                sink.release(slot.issued_doc)
-                slot.origin = slot.issued_doc = None
-                d_count = world.tick - problem.issued_tick
-                raw_score = hit_score(
-                    solved, slot.o_count, d_count, problem.o_ref,
-                    problem.d_ref, problem.p_null, score_params.s_max,
-                )
-                resources = slot.agent.resources()
-                value = normalized_score(
-                    raw_score, resources["model_size"], resources["updates"],
-                    score_params.lam_model, score_params.lam_compute,
-                )
-                slot.cumulative += value
-                reason = "solved" if solved else ("timeout" if timed_out else "horizon")
-                record = {
-                    "kind": "problem_closed", "tick": world.tick,
-                    "agent": slot.agent_id, "problem_id": problem.id,
-                    "solved": solved, "reason": reason,
-                    "o_count": slot.o_count, "d_count": d_count,
-                    "distance": distance, "score": value,
-                }
-                sink.event(record)
-                slot.closures.append(record)
-                closed_total += 1
-                slot.agent.on_problem_closed({
-                    "problem_id": problem.id, "solved": solved,
-                    "score": value, "tick": world.tick,
-                })
-                slot.active = None
-
-            # 6. score samples
-            if world.tick % episode.sample_every == 0 or t == episode.horizon - 1:
-                for slot in slots:
-                    slot.samples.append((world.tick, slot.cumulative))
-                    sink.event({"kind": "sample", "tick": world.tick,
-                                "agent": slot.agent_id,
-                                "cumulative": slot.cumulative})
-
-            # 7. periodic state fingerprints for replay verification
-            if world.tick % episode.snapshot_every == 0:
-                sink.event({"kind": "snapshot", "tick": world.tick,
-                            "state_hash": snapshot_hash(world)})
-
-            if episode.stop_after_problems is not None \
-                    and closed_total >= episode.stop_after_problems:
-                break
-
-        cumulative = {s.agent_id: s.cumulative for s in slots}
-        budget_misses = {s.agent_id: s.agent.budget_misses for s in slots}
-        sink.event({"kind": "end", "tick": world.tick, "cumulative": cumulative,
-                    "problems_closed": closed_total,
-                    "budget_misses": budget_misses})
-
-    return EpisodeResult(
-        agent_ids=[s.agent_id for s in slots],
-        samples={s.agent_id: list(s.samples) for s in slots},
-        cumulative=cumulative,
-        drift_marks=marks,
-        closures={s.agent_id: list(s.closures) for s in slots},
-        senses={s.agent_id: s.senses for s in slots},
-        acts={s.agent_id: s.acts for s in slots},
-        budget_misses=budget_misses,
-        final_tick=world.tick,
-        problems_closed=closed_total,
-    )
+    ep = Episode(world, slots, step_params, problem_params, score_params, episode)
+    with TraceSink(live_path, disclosure_path, ep.header) as sink:
+        while not ep.done:
+            step(world, step_params, external_accel=ep.act(sink))
+            ep.settle(sink)
+        ep.end(sink)
+    return ep
 
 
 # -- stages ----------------------------------------------------------------
@@ -433,10 +430,11 @@ def _stage1_job(config: RunConfig, i: int, kind: str, outdir: str | None
         config.episode, live_path=live_path, disclosure_path=disc_path,
     )
     m = result.metrics(slot.agent_id, config.metric)
+    run = result.agents[slot.agent_id]
     return m, {
         "metrics": to_doc(m),
-        "cumulative": result.cumulative[slot.agent_id],
-        "problems_closed": len(result.closures[slot.agent_id]),
+        "cumulative": run.cumulative,
+        "problems_closed": len(run.closures),
         "drift_marks": result.drift_marks,
     }
 
@@ -533,21 +531,21 @@ def run_stage2(config: RunConfig, live_path: str | None = None,
 
     metrics: dict[str, AgentMetrics] = {}
     agents_row: dict = {}
-    for slot_id in result.agent_ids:
+    for slot_id, run in result.agents.items():
         m = metrics[slot_id] = result.metrics(slot_id, config.metric)
         agents_row[slot_id] = {
             "metrics": to_doc(m),
-            "cumulative": result.cumulative[slot_id],
-            "problems_closed": len(result.closures[slot_id]),
-            "senses": result.senses[slot_id],
-            "acts": result.acts[slot_id],
+            "cumulative": run.cumulative,
+            "problems_closed": len(run.closures),
+            "senses": run.senses,
+            "acts": run.acts,
         }
     per_world = [{
         "world": 0, "seed": config.gen.seed, "agents": agents_row,
         "drift_marks": result.drift_marks,
     }]
-    means, ranking, wins = _summarize(result.agent_ids, [metrics])
-    return StageReport(stage=2, agent_ids=result.agent_ids,
+    means, ranking, wins = _summarize(list(metrics), [metrics])
+    return StageReport(stage=2, agent_ids=list(metrics),
                        per_world=per_world, means=means, ranking=ranking,
                        wins=wins)
 
@@ -570,13 +568,13 @@ def oracle_calibration(config: RunConfig, n_problems: int) -> dict:
     result = run_episode(
         world, [slot], config.step, config.problem, config.score, episode,
     )
-    closures = result.closures[slot.agent_id][:n_problems]
+    closures = result.agents[slot.agent_id].closures[:n_problems]
     solved = sum(1 for c in closures if c["solved"])
     return {
         "total": len(closures),
         "solved": solved,
         "closures": closures,
-        "final_tick": result.final_tick,
+        "final_tick": result.tick,
     }
 
 

@@ -126,6 +126,13 @@ def test_run_over_the_wire_matches_in_process(kind, tmp_path, capsys):
     assert renamed.splitlines() == inproc.read_text().splitlines()
 
 
+def test_run_takes_a_bundled_agent_or_a_command_not_both(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", *BASE, "--agent", "greedy", "--agent-cmd", "true")
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_run_agent_cmd_honours_quotes(tmp_path, capsys):
     script = tmp_path / "my agents" / "null agent.py"
     script.parent.mkdir()

@@ -5,6 +5,7 @@ checked by joining the disclosure trace against itself, so the loop is
 audited through the same artifact external auditors would use.
 """
 
+import contextlib
 import functools
 import json
 import multiprocessing
@@ -22,9 +23,10 @@ from driftworld.agents import make_agent
 from driftworld.canon import canonical_dumps, from_doc, to_doc
 from driftworld.cli import main
 from driftworld.config import EpisodeConfig, RunConfig, load_config
-from driftworld.dynamics import StepParams
+from driftworld.dynamics import StepParams, step
 from driftworld.errors import ConfigError, ContractViolation
 from driftworld.harness import (
+    Episode,
     ScriptedAgent,
     Slot,
     _summarize,
@@ -38,7 +40,7 @@ from driftworld.interface import BodySpec
 from driftworld.metrics import AgentMetrics, MetricParams
 from driftworld.problems import ProblemParams, ScoreParams
 from driftworld.rng import derive_world_seed
-from driftworld.trace import read_trace
+from driftworld.trace import TraceSink, read_trace
 from driftworld.worldgen import DriftSchedule, GenSpec, World, generate_world
 
 from oracles import flip_one_bit, trace_bytes
@@ -68,19 +70,19 @@ def test_episode_deterministic():
     cfg = small_config()
     _, a = run_one(cfg, "greedy")
     _, b = run_one(cfg, "greedy")
-    assert a.samples == b.samples
-    assert a.cumulative == b.cumulative
+    assert a.agents["greedy"].samples == b.agents["greedy"].samples
+    assert a.agents["greedy"].cumulative == b.agents["greedy"].cumulative
     assert a.drift_marks == b.drift_marks
-    assert [c["score"] for c in a.closures["greedy"]] \
-        == [c["score"] for c in b.closures["greedy"]]
+    assert [c["score"] for c in a.agents["greedy"].closures] \
+        == [c["score"] for c in b.agents["greedy"].closures]
 
 
 def test_every_agent_senses_and_acts_once_per_tick():
     cfg = small_config()
     _, result = run_one(cfg, "greedy")
-    assert result.final_tick == cfg.episode.horizon
-    assert result.senses["greedy"] == cfg.episode.horizon
-    assert result.acts["greedy"] == cfg.episode.horizon
+    assert result.tick == cfg.episode.horizon
+    assert result.agents["greedy"].senses == cfg.episode.horizon
+    assert result.agents["greedy"].acts == cfg.episode.horizon
 
 
 def test_live_world_is_sensed_once_per_body_per_tick(monkeypatch):
@@ -108,7 +110,8 @@ def test_live_world_is_sensed_once_per_body_per_tick(monkeypatch):
     for body in bodies:
         ticks = {t for t, ids in live_reads if ids == body.member_ids}
         assert ticks == set(range(horizon + 1))
-    assert result.senses == {"greedy": horizon, "null": horizon}
+    assert {aid: r.senses for aid, r in result.agents.items()} \
+        == {"greedy": horizon, "null": horizon}
 
 
 def test_drift_marks_land_on_regime_times():
@@ -172,7 +175,7 @@ def test_null_baseline_rolls_once_per_solved_problem(monkeypatch, tmp_path):
     monkeypatch.setattr(World, "clone", lambda w: clones.append(w.tick) or clone(w))
     disc = str(tmp_path / "d.ndjson")
     _, result = run_one(solving_config(), "greedy", disc_path=disc)
-    closures = result.closures["greedy"]
+    closures = result.agents["greedy"].closures
     solved = [c["problem_id"] for c in closures if c["solved"]]
     assert solved == [0, 1] and len(closures) > len(solved)
     assert rolls == solved
@@ -209,8 +212,8 @@ def test_problems_open_at_a_clean_stop_are_written_with_no_null(tmp_path):
     disc = str(tmp_path / "d.ndjson")
     result = run_episode(generate_world(cfg.gen), slots, cfg.step, cfg.problem,
                          cfg.score, cfg.episode, disclosure_path=disc)
-    assert result.final_tick == 10
-    assert [c["solved"] for c in result.closures["a0_greedy"]] == [True]
+    assert result.tick == 10
+    assert [c["solved"] for c in result.agents["a0_greedy"].closures] == [True]
     _, events = read_trace(disc)
     nulls = _issued_nulls(events)
     assert sorted(nulls) == [0, 1, 2]
@@ -224,12 +227,12 @@ def test_null_agent_times_out_on_schedule_and_scores_zero():
     # no drift: pure timeout cadence
     cfg = replace(small_config(max_problems=2), gen=GenSpec(seed=5))
     _, result = run_one(cfg, "null")
-    closures = result.closures["null"]
+    closures = result.agents["null"].closures
     assert len(closures) == 2
     assert [c["reason"] for c in closures] == ["timeout", "timeout"]
     assert [c["d_count"] for c in closures] == [cfg.problem.timeout] * 2
     assert [c["tick"] for c in closures] == [24, 48]
-    assert result.cumulative["null"] == 0.0
+    assert result.agents["null"].cumulative == 0.0
     m = result.metrics("null", cfg.metric)
     assert m.index == 0.0
 
@@ -242,14 +245,14 @@ def test_problems_per_regime_resets_at_drift():
     _, result = run_one(cfg, "null")
     # One problem per regime: the second slot opens only because the
     # drift at tick 20 reset the segment budget.
-    assert len(result.closures["null"]) == 2
+    assert len(result.agents["null"].closures) == 2
 
 
 def test_sample_cadence():
     cfg = replace(small_config(horizon=35, sample_every=10),
                   gen=GenSpec(seed=5))
     _, result = run_one(cfg, "null")
-    assert [t for t, _ in result.samples["null"]] == [10, 20, 30, 35]
+    assert [t for t, _ in result.agents["null"].samples] == [10, 20, 30, 35]
 
 
 def test_an_episode_needs_an_agent():
@@ -283,6 +286,95 @@ def test_scripted_agent_requires_recorded_ticks():
     agent = ScriptedAgent(body)
     with pytest.raises(ContractViolation):
         agent.act({"tick": 0, "grid": []})
+
+
+def test_a_slot_seats_its_agent_episode_after_episode(tmp_path):
+    # the episode keeps its state in its own records and only reads the
+    # slots, so a rerun on the same slots is a run on fresh ones
+    cfg = small_config()
+    body = cfg.body()
+
+    def seats():
+        return [Slot(agent_id="null", agent=make_agent("null", body), body=body)]
+
+    def run(name, slots):
+        live, disc = tmp_path / f"{name}.live", tmp_path / f"{name}.disc"
+        result = run_episode(generate_world(cfg.gen), slots, cfg.step, cfg.problem,
+                             cfg.score, cfg.episode, live_path=str(live),
+                             disclosure_path=str(disc))
+        return (live.read_bytes(), disc.read_bytes(), result.tick,
+                result.drift_marks, result.problems_closed,
+                [(aid, r.samples, r.cumulative, r.closures, r.senses, r.acts,
+                  r.budget_misses) for aid, r in result.agents.items()])
+
+    slots = seats()
+    before = [replace(slot) for slot in slots]
+    first = run("first", slots)
+    assert first[4] > 0
+    assert run("again", slots) == run("fresh", seats()) == first
+    assert slots == before
+
+
+def test_episode_refuses_a_world_off_its_clock():
+    cfg = small_config()
+    body = cfg.body()
+    slots = [Slot(agent_id="null", agent=make_agent("null", body), body=body)]
+    params = (cfg.step, cfg.problem, cfg.score, cfg.episode)
+    world = generate_world(cfg.gen)
+    step(world, cfg.step)
+    with pytest.raises(ContractViolation, match="at tick 0"):
+        Episode(world, slots, *params)
+    # the driver must step the world exactly once between act and settle
+    for steps in (0, 2):
+        world = generate_world(cfg.gen)
+        episode = Episode(world, slots, *params)
+        with TraceSink(None, None, episode.header) as sink:
+            accel = episode.act(sink)
+            for _ in range(steps):
+                step(world, cfg.step, external_accel=accel)
+            with pytest.raises(ContractViolation, match="lost the world clock"):
+                episode.settle(sink)
+
+
+def test_episodes_driven_in_lockstep_write_their_solo_bytes(tmp_path):
+    # A lockstep driver runs every episode's act, then every world step,
+    # then every settle.  Same-size worlds share the kernel's workspace,
+    # so each world's steps, live and in null-baseline rollouts, must
+    # leave the other's trace bytes alone; the oracle solves problems, so
+    # it rolls null baselines.
+    cfgs = [RunConfig(gen=GenSpec(seed=seed, n_entities=48, n_levels=3,
+                                  drift=DriftSchedule(regime_times=(20, 40))),
+                      episode=EpisodeConfig(horizon=60)) for seed in (11, 12)]
+
+    def slots(cfg):
+        body = cfg.body()
+        return [Slot(agent_id="oracle", agent=make_agent("oracle", body), body=body)]
+
+    for i, cfg in enumerate(cfgs):
+        run_episode(generate_world(cfg.gen), slots(cfg), cfg.step, cfg.problem,
+                    cfg.score, cfg.episode,
+                    disclosure_path=str(tmp_path / f"solo{i}.ndjson"))
+    episodes = [Episode(generate_world(cfg.gen), slots(cfg), cfg.step, cfg.problem,
+                        cfg.score, cfg.episode) for cfg in cfgs]
+    with contextlib.ExitStack() as stack:
+        sinks = [stack.enter_context(TraceSink(
+            None, str(tmp_path / f"lockstep{i}.ndjson"), episode.header))
+            for i, episode in enumerate(episodes)]
+        pairs = list(zip(episodes, sinks))
+        while not episodes[0].done:
+            accels = [episode.act(sink) for episode, sink in pairs]
+            for episode, accel in zip(episodes, accels):
+                step(episode.world, episode.step_params, external_accel=accel)
+            for episode, sink in pairs:
+                episode.settle(sink)
+        for episode, sink in pairs:
+            assert episode.done
+            episode.end(sink)
+    assert all(any(c["solved"] for c in e.agents["oracle"].closures)
+               for e in episodes)
+    for i in range(len(cfgs)):
+        assert (tmp_path / f"lockstep{i}.ndjson").read_bytes() \
+            == (tmp_path / f"solo{i}.ndjson").read_bytes()
 
 
 # ------------------------------------------------------------------- stage 1
