@@ -8,7 +8,9 @@ calibrate the difficulty scale and is barred from ranked evaluations;
 harnesses enforce that through the `reportable` flag.
 
 All agents are deterministic given their construction arguments; the
-random agent's stream is injected so the harness controls seeding.
+random agent's stream is injected so the harness controls seeding.  An
+episode resets every agent first, so each episode starts from the state
+the agent was built in and a reused seat writes a fresh seat's bytes.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ from .interface import BodySpec
 class BaseAgent:
     """The agent interface the episode loop drives, in process or over the wire.
 
-    Each tick the harness calls `act` with the observation payload and
-    then `resources`.  Problem lifecycle notices arrive through
-    `on_problem` / `on_problem_closed`.
+    An episode calls `reset` once before its first tick.  Each tick the
+    harness calls `act` with the observation, `{"tick": int, "grid":
+    array}`, and then `resources`.  The grid is a read-only float64
+    `(R, R, 2)` array of counts (channel 0 positive, 1 negative), the same
+    in process and, rebuilt from its occupied cells, over the wire.
+    Problem lifecycle notices arrive through `on_problem` /
+    `on_problem_closed`.
     """
 
     kind = "base"
@@ -35,6 +41,9 @@ class BaseAgent:
     def __init__(self, body: BodySpec):
         self.body = body
         self.n_members = len(body.member_ids)
+
+    def reset(self) -> None:
+        """Return to the state the agent was built in."""
 
     def on_problem(self, payload: dict) -> None:
         pass
@@ -68,7 +77,11 @@ class RandomAgent(BaseAgent):
 
     def __init__(self, body: BodySpec, stream: np.random.Generator):
         super().__init__(body)
+        self._start = rngmod.clone_stream(stream)
         self.stream = stream
+
+    def reset(self) -> None:
+        self.stream = rngmod.clone_stream(self._start)
 
     def act(self, observation: dict) -> np.ndarray:
         forces = np.empty((self.n_members, 2))
@@ -107,6 +120,9 @@ class GreedyAgent(BaseAgent):
     def __init__(self, body: BodySpec):
         super().__init__(body)
         self.probe_force = self.PROBE_SCALE * body.f_max
+        self.reset()
+
+    def reset(self) -> None:
         self.target: np.ndarray | None = None
         self.noise = 0.005
         self.updates = 0
@@ -170,7 +186,7 @@ class GreedyAgent(BaseAgent):
         return f
 
     def act(self, observation: dict) -> np.ndarray:
-        grid = np.asarray(observation["grid"], dtype=np.float64).ravel()
+        grid = observation["grid"].ravel()
         self._learn_noise(grid)
         self.prev_grid = grid
 
@@ -235,6 +251,9 @@ class OracleAgent(BaseAgent):
 
     def __init__(self, body: BodySpec):
         super().__init__(body)
+        self.reset()
+
+    def reset(self) -> None:
         self.script: np.ndarray | None = None
         self.issued_tick: int | None = None
 
@@ -246,8 +265,7 @@ class OracleAgent(BaseAgent):
         self.issued_tick = issued_tick
 
     def on_problem_closed(self, payload: dict) -> None:
-        self.script = None
-        self.issued_tick = None
+        self.reset()
 
     def act(self, observation: dict) -> np.ndarray:
         if self.script is None:

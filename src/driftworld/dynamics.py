@@ -45,6 +45,7 @@ from .worldgen import (
     World,
     apply_drift,
     clamp_rows,
+    divide_by_span,
     wrap_positions,
 )
 
@@ -178,10 +179,11 @@ def _level_accel(positions: np.ndarray, velocities: np.ndarray,
     delta, pair, r, r_eff = ws.delta, ws.pair, ws.r, ws.r_eff
     radial, term, mask = ws.radial, ws.term, ws.mask
 
-    # minimal image: delta - span * round(delta / span)
+    # minimal image: delta - span * round(delta / span), the quotient by
+    # a multiply when span is a power of two (the same bits)
     span = 2.0 * extent
     _pair_differences(positions.T, delta)
-    np.divide(delta, span, out=pair)
+    divide_by_span(delta, span, out=pair)
     np.round(pair, out=pair)
     pair *= span
     delta -= pair

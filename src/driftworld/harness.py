@@ -62,7 +62,8 @@ from .worldgen import GenSpec, World, generate_world
 @dataclass
 class Slot:
     """One agent's seat: the agent, its body and its problem stream.  An
-    episode only reads it, so a seat can run again; its agent keeps its own state."""
+    episode only reads it and resets its agent first, so a seat can run
+    again and starts each episode as it was built."""
 
     agent_id: str
     agent: BaseAgent
@@ -147,6 +148,7 @@ class Episode:
             raise ContractViolation("an episode starts from a world at tick 0")
         slots = sorted(slots, key=lambda s: s.agent_id)
         for slot in slots:
+            slot.agent.reset()  # a reused seat starts as it was built
             world.stream(slot.stream_name)  # materialize before first snapshot
         self.world, self.config = world, episode
         self.step_params, self.problem_params = step_params, problem_params

@@ -8,6 +8,11 @@ is validated, clamped to the per-member cap, and converted to
 acceleration.  Resolution and the force cap are the whole information
 bottleneck between agent and world, so nothing here may expose law
 coefficients or exact entity coordinates.
+
+An agent observes a reading through `SenseGrid.to_payload`: the tick and
+a read-only view of the float64 `(R, R, 2)` grid, never a copy or a
+list.  Over the wire only the occupied cells travel, and the agent side
+rebuilds the same array (`protocol.grid_cells` and `cells_grid`).
 """
 
 from __future__ import annotations
@@ -68,7 +73,10 @@ class SenseGrid:
     grid: np.ndarray  # (R, R, 2): channel 0 positive, channel 1 negative
 
     def to_payload(self) -> dict:
-        return {"tick": self.tick, "grid": self.grid.tolist()}
+        """The agent's observation: the tick and a read-only view of the grid."""
+        grid = self.grid.view()
+        grid.flags.writeable = False
+        return {"tick": self.tick, "grid": grid}
 
     def hash(self) -> str:
         """Hex sha256 of the reading's fixed little-endian layout: `tick`

@@ -18,22 +18,29 @@ exactly two lines, an action then a resources declaration.  Problem
 lifecycle travels as problem / score messages, session lifecycle as
 hello / bye; the agent has `HELLO_TIMEOUT_S` to answer each.
 
-Version 2 has sessions: one agent process may serve several episodes in
-a row.  The agent answers `bye` with `bye` and then waits for the next
-line, which is another `hello` (a new session, with nothing carried
-over from the last) or EOF (exit).  The harness parks a process that
-said `bye` and hands it to the next `SubprocessAgent` built with the
-same argv in the same process, so start-up is paid once per process,
+Version 3 sends an observation as its occupied cells: one `[row, column,
+positive, negative]` per cell holding a count, in row-major order, empty
+cells left out (`grid_cells`).  Besides the schema, the agent side
+refuses a row or column not below the body's resolution, cells not
+strictly in row-major order and a listed empty cell, then rebuilds the
+read-only float64 `(R, R, 2)` grid an in-process agent is given
+(`cells_grid`).
+
+Since version 2 there are sessions: one agent process may serve several
+episodes in a row.  The agent answers `bye` with `bye` and then waits
+for the next line, which is another `hello` (a new session, with nothing
+carried over from the last) or EOF (exit).  The harness parks a process
+that said `bye` and hands it to the next `SubprocessAgent` built with
+the same argv in the same process, so start-up is paid once per process,
 not once per episode; `close_idle_agents` (run at exit) ends the parked
-ones.  The
-harness side enforces a wall-clock reply budget per tick and counts a
-budget miss when either line overruns it: a late action is replaced by a
-zero action, a late resources line by the last declaration.  Each late
-line is discarded when it arrives, a late action by its optional tick
-tag.  Lines are decoded by `canon.canonical_loads`, so `NaN` and
-`Infinity` are refused, and the harness refuses any force or resource
-that is not finite (`1e400` decodes to an infinity): all three are
-protocol errors, as is an unparsable or out-of-schema line.
+ones.  The harness side enforces a wall-clock reply budget per tick and
+counts a budget miss when either line overruns it: a late action is
+replaced by a zero action, a late resources line by the last
+declaration.  Each late line is discarded when it arrives, a late action
+by its optional tick tag.  Lines are decoded by `canon.canonical_loads`,
+so `NaN` and `Infinity` are refused, and the harness refuses any force
+or resource that is not finite (`1e400` decodes to an infinity): all
+three are protocol errors, as is an unparsable or out-of-schema line.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from .errors import ConfigError, ContractViolation, ProtocolError
 from .interface import BodySpec, _checked_forces
 from .rng import agent_stream
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _NUM = {"type": "number"}
 _INDEX = {"type": "integer", "minimum": 0}
@@ -70,6 +77,8 @@ _GRID = {
     "minItems": 1,
     "items": {"type": "array", "minItems": 1, "items": _PAIR},
 }
+#: One occupied sensor cell: row, column, positive count, negative count.
+_CELL = {"type": "array", "items": _INDEX, "minItems": 4, "maxItems": 4}
 _FORCES = {
     "type": "array",
     "minItems": 1,
@@ -107,7 +116,8 @@ SCHEMAS: dict[tuple[str, str], dict] = {
     ("from_agent", "hello"): _message(
         "hello", protocol=_VERSION, agent={"type": "string", "minLength": 1}),
     ("to_agent", "problem"): _message("problem", problem=_PROBLEM),
-    ("to_agent", "observation"): _message("observation", tick=_INDEX, grid=_GRID),
+    ("to_agent", "observation"): _message(
+        "observation", tick=_INDEX, cells={"type": "array", "items": _CELL}),
     ("from_agent", "action"): _message(
         "action", optional=("tick",), forces=_FORCES, tick=_INDEX),
     ("from_agent", "resources"): _message("resources", **_RESOURCES),
@@ -183,6 +193,10 @@ def _first_error(v, s: dict, types: dict = _TYPES):
         if items is _PAIR and all(  # grid rows: pairs of plain numbers
                 type(p) is list and len(p) == 2
                 and type(p[0]) in _PLAIN and type(p[1]) in _PLAIN for p in v):
+            return None
+        if items is _CELL and all(  # sensor cells: four plain nonnegative ints
+                type(c) is list and len(c) == 4
+                and all(type(x) is int and x >= 0 for x in c) for c in v):
             return None
         if items is _FORCES["items"] and all(  # force rows of plain numbers
                 type(p) is list and p and all(type(x) in _PLAIN for x in p)
@@ -264,6 +278,48 @@ def parse_line(direction: str, line: str) -> dict:
 
 def encode(doc: dict) -> str:
     return canonical_dumps(doc) + "\n"
+
+
+def grid_cells(grid: np.ndarray) -> list[list[int]]:
+    """The occupied cells of an `(R, R, 2)` count grid in row-major order,
+    each as `[row, column, positive, negative]`; empty cells are left out.
+    Counts are exact integers, so the int conversion loses nothing."""
+    flat = grid.reshape(-1, 2)
+    occupied = np.flatnonzero(flat[:, 0] + flat[:, 1])
+    cells = np.empty((occupied.size, 4), dtype=np.int64)
+    cells[:, 0], cells[:, 1] = np.divmod(occupied, grid.shape[1])
+    cells[:, 2:] = flat[occupied]
+    return cells.tolist()
+
+
+def cells_grid(cells: list, resolution: int) -> np.ndarray:
+    """The read-only float64 `(R, R, 2)` grid that schema-checked `cells`
+    stand for.  ProtocolError unless every row and column is below
+    `resolution`, the cells are strictly in row-major order (so none is
+    repeated) and every listed cell holds a count."""
+    index, counts, last = [], [], -1
+    for row, column, positive, negative in cells:
+        if row >= resolution or column >= resolution:
+            raise ProtocolError(f"cell [{row}, {column}] is outside the "
+                                f"{resolution}x{resolution} grid")
+        at = int(row) * resolution + int(column)
+        if at <= last:
+            raise ProtocolError(f"cell [{row}, {column}] is not after the cell "
+                                "before it in row-major order")
+        if not (positive or negative):
+            raise ProtocolError(f"cell [{row}, {column}] is listed but empty")
+        index.append(at)
+        counts.append((positive, negative))
+        last = at
+    flat = np.zeros((resolution * resolution, 2))
+    try:
+        if index:
+            flat[index] = counts
+    except OverflowError:  # an integer too large for a float
+        raise ProtocolError("a cell count is too large") from None
+    grid = flat.reshape(resolution, resolution, 2)
+    grid.flags.writeable = False
+    return grid
 
 
 # -- harness side ----------------------------------------------------------
@@ -417,9 +473,10 @@ class SubprocessAgent(BaseAgent):
         self._send({"kind": "score", **payload})
 
     def act(self, observation: dict) -> np.ndarray:
-        self._send({"kind": "observation", **observation})
-        deadline = time.monotonic() + self.budget_s
         tick = observation["tick"]
+        self._send({"kind": "observation", "tick": tick,
+                    "cells": grid_cells(observation["grid"])})
+        deadline = time.monotonic() + self.budget_s
         while True:
             doc = self._reply(deadline)
             if doc is None:
@@ -509,7 +566,8 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
             stream = None
             if kind == "random":
                 stream = agent_stream(hello.get("agent_seed", 0))
-            agent = make_agent(kind, from_doc(BodySpec, hello["body"]), stream=stream)
+            body = from_doc(BodySpec, hello["body"])
+            agent = make_agent(kind, body, stream=stream)
             greeted = True
             send({"kind": "hello", "protocol": PROTOCOL_VERSION, "agent": kind})
             continue
@@ -519,7 +577,9 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
         if doc["kind"] == "problem":
             agent.on_problem(doc["problem"])
         elif doc["kind"] == "observation":
-            forces = np.asarray(agent.act(doc), dtype=np.float64).tolist()
+            grid = cells_grid(doc["cells"], body.resolution)
+            forces = np.asarray(agent.act({"tick": doc["tick"], "grid": grid}),
+                                dtype=np.float64).tolist()
             res = agent.resources()
             send({"kind": "action", "forces": forces, "tick": doc["tick"]},
                  {"kind": "resources", "model_size": res["model_size"],

@@ -17,6 +17,7 @@ from the current entity state, so they cannot go stale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -222,6 +223,15 @@ def wrap_positions(pos: np.ndarray, extent: float) -> np.ndarray:
     return (pos + extent) % span - extent
 
 
+def divide_by_span(delta: np.ndarray, span: float, out=None) -> np.ndarray:
+    """`delta / span`, elementwise.  When `span` is a power of two its
+    reciprocal is exact, so a multiply by it rounds the same real number
+    and gives the same bits, faster."""
+    if math.frexp(span)[0] == 0.5:
+        return np.multiply(delta, 1.0 / span, out=out)
+    return np.divide(delta, span, out=out)
+
+
 def minimal_image(delta: np.ndarray, extent: float) -> np.ndarray:
     """Shortest toroidal displacement equivalent to `delta`.
 
@@ -229,7 +239,7 @@ def minimal_image(delta: np.ndarray, extent: float) -> np.ndarray:
     minimal_image(-d) == -minimal_image(d) bit for bit.
     """
     span = 2.0 * extent
-    return delta - span * np.round(delta / span)
+    return delta - span * np.round(divide_by_span(delta, span))
 
 
 def clamp_rows(rows: np.ndarray, cap: float) -> np.ndarray:

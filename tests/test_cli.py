@@ -14,16 +14,20 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftworld import cli, harness
 from driftworld.canon import canonical_dumps
 from driftworld.cli import main
-from driftworld.config import ENV_CONFIG
+from driftworld.config import ENV_CONFIG, load_config
 from driftworld.errors import ProtocolError
 from driftworld.harness import replay_trace
+from driftworld.interface import sense
+from driftworld.protocol import PROTOCOL_VERSION
 from driftworld.rng import agent_seed
 from driftworld.trace import LIVE, TRACE_FORMAT, live_view, read_trace
+from driftworld.worldgen import generate_world
 
 BASE = ["--set", "gen.seed=5", "--set", "episode.horizon=40"]
 
@@ -110,11 +114,11 @@ def test_run_writes_report_and_traces(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("kind", ["null", "random", "greedy"])
-def test_run_over_the_wire_matches_in_process(kind, tmp_path, capsys):
-    # Same agent in process and as `driftworld agent` over stdio: the
-    # disclosure traces agree byte for byte apart from agent id and kind.
-    wire = BASE + ["--set", "episode.budget_s=30"]
+def assert_wire_matches_in_process(kind, tmp_path, capsys, *overrides):
+    """Same agent in process and as `driftworld agent` over stdio: the
+    disclosure traces agree byte for byte apart from agent id and kind."""
+    wire = BASE + [arg for key in ("episode.budget_s=30", *overrides)
+                   for arg in ("--set", key)]
     inproc, external = tmp_path / "inproc.ndjson", tmp_path / "wire.ndjson"
     assert run_cli("run", *wire, "--agent", kind, "--disclosure", str(inproc)) == 0
     argv = f"{sys.executable} -m driftworld agent --kind {kind}"
@@ -124,6 +128,21 @@ def test_run_over_the_wire_matches_in_process(kind, tmp_path, capsys):
     renamed = external.read_text().replace('"external"', f'"{kind}"') \
         .replace('"subprocess"', f'"{kind}"')
     assert renamed.splitlines() == inproc.read_text().splitlines()
+
+
+@pytest.mark.parametrize("kind", ["null", "random", "greedy"])
+def test_run_over_the_wire_matches_in_process(kind, tmp_path, capsys):
+    assert_wire_matches_in_process(kind, tmp_path, capsys)
+
+
+def test_run_over_the_wire_matches_in_process_in_a_crowded_window(tmp_path, capsys):
+    # 192 entities on 3 levels fill about half of the 256 sensor cells:
+    # the dense case of the observation's cell list
+    crowded = ["gen.n_entities=192", "gen.n_levels=3", "episode.horizon=30"]
+    cfg = load_config(None, ["gen.seed=5", *crowded])
+    grid = sense(generate_world(cfg.gen), cfg.body(0)).grid
+    assert np.count_nonzero(grid.any(axis=2)) > 100
+    assert_wire_matches_in_process("greedy", tmp_path, capsys, *crowded)
 
 
 def test_run_takes_a_bundled_agent_or_a_command_not_both(capsys):
@@ -726,7 +745,8 @@ def test_protocol_errors_exit_four(tmp_path, capsys):
     bad.write_text(
         "import json, sys\n"
         "sys.stdin.readline()\n"
-        "sys.stdout.write(json.dumps({'kind': 'hello', 'protocol': 2,"
+        "sys.stdout.write(json.dumps({'kind': 'hello', 'protocol': "
+        f"{PROTOCOL_VERSION},"
         " 'agent': 'x', 'oops': 1}) + '\\n')\n"
         "sys.stdout.flush()\n"
         "sys.stdin.read()\n"
@@ -739,7 +759,8 @@ def test_protocol_errors_exit_four(tmp_path, capsys):
 NON_FINITE_AGENT = r"""
 import json, sys
 n = len(json.loads(sys.stdin.readline())["body"]["member_ids"])
-print(json.dumps({"kind": "hello", "protocol": 2, "agent": "x"}), flush=True)
+print(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION, "agent": "x"}),
+      flush=True)
 for line in sys.stdin:
     doc = json.loads(line)
     if doc["kind"] == "observation":
@@ -761,7 +782,8 @@ _RESOURCES = '{"kind":"resources","model_size":%s,"updates":0}'
 def test_non_finite_agent_numbers_exit_four(force, model_size, trace, tmp_path,
                                             capsys):
     script = tmp_path / "non_finite.py"
-    script.write_text(f"ACTION = {_ACTION!r}\nFORCE = {force!r}\n"
+    script.write_text(f"PROTOCOL_VERSION = {PROTOCOL_VERSION}\n"
+                      f"ACTION = {_ACTION!r}\nFORCE = {force!r}\n"
                       f"RESOURCES = {_RESOURCES % model_size!r}\n"
                       + NON_FINITE_AGENT)
     disc = tmp_path / "disc.ndjson"

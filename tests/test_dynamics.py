@@ -28,6 +28,7 @@ from driftworld.worldgen import (
     DriftSchedule,
     GenSpec,
     LevelConstants,
+    divide_by_span,
     generate_world,
     minimal_image,
 )
@@ -45,6 +46,18 @@ def test_minimal_image_basic():
     assert minimal_image(np.array(15.0), e) == -1.0
     assert minimal_image(np.array(-15.0), e) == 1.0
     assert minimal_image(np.array(17.0), e) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-30, 30),
+       st.sampled_from([1.0, 0.75, 1.5, 3.0]))
+def test_divide_by_span_is_the_divide_to_the_bit(delta, power, mantissa):
+    # a power-of-two span (mantissa 1.0) takes the multiply, which must
+    # round to the divide's bits, subnormal and overflowing quotients included
+    span = mantissa * 2.0 ** power
+    deltas = np.array([delta, -delta, 0.0])
+    with np.errstate(over="ignore"):
+        assert divide_by_span(deltas, span).tobytes() == (deltas / span).tobytes()
 
 
 def test_minimal_image_vectorized_matches_scalar():

@@ -39,7 +39,7 @@ from driftworld.harness import (
 from driftworld.interface import BodySpec
 from driftworld.metrics import AgentMetrics, MetricParams
 from driftworld.problems import ProblemParams, ScoreParams
-from driftworld.rng import derive_world_seed
+from driftworld.rng import derive_world_seed, stream_state
 from driftworld.trace import TraceSink, read_trace
 from driftworld.worldgen import DriftSchedule, GenSpec, World, generate_world
 
@@ -313,6 +313,31 @@ def test_a_slot_seats_its_agent_episode_after_episode(tmp_path):
     assert first[4] > 0
     assert run("again", slots) == run("fresh", seats()) == first
     assert slots == before
+
+
+@pytest.mark.parametrize("kind", ["random", "greedy"])
+def test_a_reused_seat_starts_as_it_was_built(kind, tmp_path):
+    # an agent's own state (the random stream, greedy's noise estimate,
+    # learnt at rest between problems) is reset by each episode, as a wire
+    # agent is by its hello
+    cfg = small_config(horizon=120, max_problems=2)
+
+    def run(name, slot):
+        disc = tmp_path / f"{name}.disc"
+        run_episode(generate_world(cfg.gen), [slot], cfg.step, cfg.problem,
+                    cfg.score, cfg.episode, disclosure_path=str(disc))
+        return disc.read_bytes()
+
+    def seat():
+        return harness._make_slot(kind, cfg, cfg.gen.seed, 0, multi=False)
+
+    def state(agent):
+        return stream_state(agent.stream) if kind == "random" else agent.noise
+
+    slot = seat()
+    first = run("first", slot)
+    assert state(slot.agent) != state(seat().agent)  # the first episode moved it
+    assert run("again", slot) == run("fresh", seat()) == first
 
 
 def test_episode_refuses_a_world_off_its_clock():

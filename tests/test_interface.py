@@ -176,7 +176,12 @@ def test_sense_payload_and_hash():
     assert a.hash() == b.hash()
     payload = a.to_payload()
     assert payload["tick"] == world.tick
-    assert np.asarray(payload["grid"]).shape == a.grid.shape
+    grid = payload["grid"]
+    # a read-only view of the reading's own array, never a copy or a list
+    assert grid.dtype == np.float64 and grid.shape == a.grid.shape
+    assert not grid.flags.writeable and np.shares_memory(grid, a.grid)
+    with pytest.raises(ValueError):
+        grid[0, 0, 0] = 1.0
 
 
 def test_reading_hash_equals_struct_layout_oracle():

@@ -24,15 +24,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import driftworld
 from driftworld import protocol
-from driftworld.agents import make_agent
+from driftworld.agents import NullAgent, make_agent
+from driftworld.canon import to_doc
 from driftworld.config import EpisodeConfig
 from driftworld.dynamics import StepParams
 from driftworld.errors import ConfigError, ProtocolError
 from driftworld.harness import Slot, run_episode
-from driftworld.interface import BodySpec
+from driftworld.interface import BodySpec, sense
 from driftworld.problems import ProblemParams, ScoreParams
 from driftworld.protocol import (
     PROTOCOL_VERSION,
@@ -40,8 +42,10 @@ from driftworld.protocol import (
     SubprocessAgent,
     _check_keywords,
     _first_error,
+    cells_grid,
     close_idle_agents,
     encode,
+    grid_cells,
     parse_line,
     run_stdio_agent,
     validate_message,
@@ -74,7 +78,7 @@ VALID = {
                     "epsilon": 0.16, "timeout": 24},
     },
     ("to_agent", "observation"): {
-        "kind": "observation", "tick": 5, "grid": [[[1.0, 0.0]]],
+        "kind": "observation", "tick": 5, "cells": [[0, 1, 1, 0], [2, 0, 0, 3]],
     },
     ("from_agent", "action"): {
         "kind": "action", "forces": [[0.5, -0.5]], "tick": 5,
@@ -106,6 +110,11 @@ _GRID = {
         "minItems": 1,
         "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
     },
+}
+_CELLS = {
+    "type": "array",
+    "items": {"type": "array", "items": {"type": "integer", "minimum": 0},
+              "minItems": 4, "maxItems": 4},
 }
 _FORCES = {
     "type": "array",
@@ -174,9 +183,9 @@ REFERENCE: dict[tuple[str, str], dict] = {
         "properties": {
             "kind": {"const": "observation"},
             "tick": {"type": "integer", "minimum": 0},
-            "grid": _GRID,
+            "cells": _CELLS,
         },
-        "required": ["kind", "tick", "grid"],
+        "required": ["kind", "tick", "cells"],
         "additionalProperties": False,
     },
     ("from_agent", "action"): {
@@ -308,8 +317,19 @@ def test_wrong_protocol_version_rejected():
 
 
 def test_grid_cells_must_be_channel_pairs():
-    doc = {"kind": "observation", "tick": 0, "grid": [[[1.0, 0.0, 2.0]]]}
+    doc = copy.deepcopy(VALID[("to_agent", "problem")])
+    doc["problem"]["target_grid"] = [[[1.0, 0.0, 2.0]]]
     with pytest.raises(ProtocolError):
+        validate_message("to_agent", doc)
+
+
+@pytest.mark.parametrize("cells", [
+    [[0, 0, 1]], [[0, 0, 1, 0, 0]], [[0, 0, -1, 0]], [[0, -1, 1, 0]],
+    [[0, 0, 1.5, 0]], [[0, 0, True, 0]], [[0, 0, np.int64(1), 0]], [0, 0, 1, 0],
+], ids=repr)
+def test_observation_cells_are_four_nonnegative_integers(cells):
+    doc = {"kind": "observation", "tick": 0, "cells": cells}
+    with pytest.raises(ProtocolError, match="at cells/0"):
         validate_message("to_agent", doc)
 
 
@@ -454,6 +474,15 @@ def assert_agrees_with_draft7(key, doc):
     (("to_agent", "hello"), "agent_seed", None, False),
     (("to_agent", "hello"), "dim", 3, False),  # worlds are 2-D only
     (("to_agent", "hello"), "dim", 2.0, True),
+    # the cells' fast path takes plain ints only; the rest is walked
+    (("to_agent", "observation"), "cells", [], True),  # an empty window
+    (("to_agent", "observation"), "cells", [[0, 0, 1.0, 0]], True),
+    (("to_agent", "observation"), "cells", [[0, 0, 1.5, 0]], False),
+    (("to_agent", "observation"), "cells", [[0, 0, True, 0]], False),
+    (("to_agent", "observation"), "cells", [[0, 0, 0, -1]], False),
+    (("to_agent", "observation"), "cells", [[0, 0, np.int64(1), 0]], False),
+    (("to_agent", "observation"), "cells", [[0, 0, 1, 0], [1, 0, 1]], False),
+    (("to_agent", "observation"), "cells", [[0, 0, 1, 0], (1, 0, 1, 0)], False),
 ], ids=repr)
 def test_type_meanings_match_draft7(key, field, value, accepted):
     direction, _ = key
@@ -585,19 +614,23 @@ def test_unsupported_schema_fails_the_import_check(keyword, value):
         _check_keywords(schemas)
 
 
-def test_protocol_does_not_import_jsonschema():
+def package_env():
+    """This process's environment with the package's source on PYTHONPATH,
+    for a child process that imports it."""
     src = os.path.dirname(os.path.dirname(driftworld.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_protocol_does_not_import_jsonschema():
+    env = package_env()
     code = "import sys, driftworld.protocol; assert 'jsonschema' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_agent_command_loads_only_what_serving_needs():
     # `-X importtime` writes one stderr line per module the command imports
-    src = os.path.dirname(os.path.dirname(driftworld.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = package_env()
     done = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "driftworld", "agent",
          "--kind", "random"],
@@ -623,16 +656,18 @@ def stdio_session(kind, docs):
     return rc, [json.loads(line) for line in stdout.getvalue().splitlines()]
 
 
-def hello_doc(agent_seed=None):
+def hello_doc(agent_seed=None, resolution=1):
+    """A hello for the test body; one sensor cell by default, so the 1x1
+    target grids below fit it."""
     doc = {"kind": "hello", "protocol": PROTOCOL_VERSION, "dim": 2,
-           "horizon": 50, "body": BODY_DICT}
+           "horizon": 50, "body": dict(BODY_DICT, resolution=resolution)}
     if agent_seed is not None:
         doc["agent_seed"] = agent_seed
     return doc
 
 
-def observation_doc(tick):
-    return {"kind": "observation", "tick": tick, "grid": [[[1.0, 0.0]]]}
+def observation_doc(tick, cells=((0, 0, 1, 0),)):
+    return {"kind": "observation", "tick": tick, "cells": [list(c) for c in cells]}
 
 
 def test_stdio_null_agent_session():
@@ -691,12 +726,72 @@ def test_stdio_rejects_out_of_schema_traffic():
         run_stdio_agent("null", stdin=io.StringIO(lines), stdout=io.StringIO())
 
 
+COUNT_GRIDS = st.integers(1, 6).flatmap(lambda r: hnp.arrays(
+    np.float64, (r, r, 2), elements=st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 300.0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=COUNT_GRIDS)
+def test_cells_round_trip_any_count_grid(grid):
+    cells = grid_cells(grid)
+    assert len(cells) == np.count_nonzero(grid.any(axis=2))
+    sent = parse_line("to_agent", encode({"kind": "observation", "tick": 0,
+                                          "cells": cells}))
+    rebuilt = cells_grid(sent["cells"], grid.shape[0])
+    assert rebuilt.dtype == np.float64 and not rebuilt.flags.writeable
+    assert np.array_equal(rebuilt, grid)
+
+
+def test_stdio_agent_sees_the_in_process_grid(monkeypatch):
+    # the runner rebuilds from the cells the very array sense() gave the
+    # harness: float64, (R, R, 2), read-only, value for value
+    seen = []
+
+    class Recording(NullAgent):
+        def act(self, observation):
+            seen.append(observation)
+            return super().act(observation)
+
+    monkeypatch.setattr(protocol, "make_agent", lambda kind, body, **kw: Recording(body))
+    world = generate_world(GenSpec(seed=3))
+    body = BodySpec((0, 1, 2, 3), resolution=16, window_halfwidth=8.0)
+    payload = sense(world, body).to_payload()
+    hello = dict(hello_doc(), body=to_doc(body))
+    stdio_session("null", [hello, {"kind": "observation", "tick": payload["tick"],
+                                   "cells": grid_cells(payload["grid"])}])
+    [observation] = seen
+    assert observation.keys() == payload.keys()
+    grid = observation["grid"]
+    assert grid.dtype == np.float64 and grid.shape == payload["grid"].shape
+    assert not grid.flags.writeable and not payload["grid"].flags.writeable
+    assert np.array_equal(grid, payload["grid"])
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([[4, 0, 1, 0]], "cell [4, 0] is outside the 4x4 grid"),
+    ([[0, 4, 1, 0]], "cell [0, 4] is outside the 4x4 grid"),
+    ([[1, 0, 1, 0], [0, 3, 1, 0]], "cell [0, 3] is not after the cell before it"),
+    ([[2, 2, 1, 0], [2, 2, 0, 1]], "cell [2, 2] is not after the cell before it"),
+    ([[0, 0, 1, 0], [0, 1, 0, 0]], "cell [0, 1] is listed but empty"),
+    ([[0, 0, 1, -1]], "at cells/0/3: -1 is less than the minimum of 0"),
+    ([[0, 0, 10 ** 400, 0]], "a cell count is too large"),
+], ids=["row", "column", "order", "repeat", "empty", "negative", "huge"])
+def test_agent_command_refuses_a_bad_cell(cells, message):
+    env = package_env()
+    done = subprocess.run(
+        [sys.executable, "-m", "driftworld", "agent", "--kind", "null"],
+        input=encode(hello_doc(resolution=4)) + encode(observation_doc(0, cells)),
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("protocol error: ") and message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert [json.loads(line)["kind"] for line in done.stdout.splitlines()] == ["hello"]
+
+
 def test_agent_command_refuses_a_hello_of_another_dim():
     # A 3-D hello used to build a 3-D agent, whose every action the
     # harness would refuse; now the hello itself is a protocol error.
-    src = os.path.dirname(os.path.dirname(driftworld.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = package_env()
     done = subprocess.run(
         [sys.executable, "-m", "driftworld", "agent", "--kind", "null"],
         input=encode(dict(hello_doc(), dim=3)), env=env, capture_output=True,
@@ -734,8 +829,7 @@ def session_docs(agent_seed, grids):
     """One session: a problem, one observation per grid, its score, bye."""
     return [hello_doc(agent_seed=agent_seed),
             {"kind": "problem", "problem": PROBLEM},
-            *({"kind": "observation", "tick": t, "grid": [[g]]}
-              for t, g in enumerate(grids)),
+            *(observation_doc(t, [(0, 0, *g)]) for t, g in enumerate(grids)),
             {"kind": "score", "problem_id": 0, "solved": False, "score": 0.0,
              "tick": len(grids)},
             {"kind": "bye"}]
@@ -745,8 +839,8 @@ def session_docs(agent_seed, grids):
 def test_stdio_sessions_match_fresh_runs(kind):
     # The random agent is seeded 7, then 8: each session draws from its
     # own hello's seed.  Greedy's state is checked directly below.
-    first = session_docs(7, [[1.0, 0.0], [0.5, 0.5], [0.25, 0.5]])
-    second = session_docs(8, [[1.0, 0.0], [0.5, 0.5]])
+    first = session_docs(7, [[1, 0], [2, 1], [1, 3]])
+    second = session_docs(8, [[1, 0], [2, 1]])
     second.insert(1, observation_doc(0))
     (_, alone_first), (_, alone_second) = (stdio_session(kind, first),
                                            stdio_session(kind, second))
@@ -767,10 +861,9 @@ def test_stdio_greedy_keeps_no_state_across_hello(monkeypatch):
     monkeypatch.setattr(protocol, "make_agent", recording_make_agent)
     # Rests on a churning grid move the noise estimate; a problem on a grid
     # that never responds sets a target and lengthens the probe.
-    churn = [observation_doc(0), {"kind": "observation", "tick": 1,
-                                  "grid": [[[0.0, 1.0]]]}, observation_doc(2)]
-    stuck = [{"kind": "observation", "tick": t, "grid": [[[0.3, 0.3]]]}
-             for t in range(3, 9)]
+    churn = [observation_doc(0), observation_doc(1, [(0, 0, 0, 1)]),
+             observation_doc(2)]
+    stuck = [observation_doc(t, [(0, 0, 1, 1)]) for t in range(3, 9)]
     rc, _ = stdio_session("greedy", [
         hello_doc(), *churn, {"kind": "problem", "problem": PROBLEM}, *stuck,
         {"kind": "bye"}, hello_doc(), observation_doc(0), {"kind": "bye"}])
@@ -787,6 +880,10 @@ def test_stdio_greedy_keeps_no_state_across_hello(monkeypatch):
 # ------------------------------------------------------------ subprocess side
 
 
+#: A one-cell reading with nothing in it, as `sense` would return it.
+EMPTY_GRID = np.zeros((1, 1, 2))
+
+
 def bundled_argv(kind):
     return [sys.executable, "-m", "driftworld", "agent", "--kind", kind]
 
@@ -799,7 +896,7 @@ def test_subprocess_null_agent_end_to_end(body):
         agent.on_problem({"id": 0, "issued_tick": 0,
                           "target_grid": [[[0.0, 0.0]]],
                           "epsilon": 0.1, "timeout": 5})
-        forces = agent.act({"tick": 0, "grid": [[[1.0, 0.0]]]})
+        forces = agent.act({"tick": 0, "grid": np.array([[[1.0, 0.0]]])})
         assert forces.shape == (4, 2)
         assert np.all(forces == 0.0)
         assert agent.resources() == {"model_size": 0, "updates": 0}
@@ -818,8 +915,8 @@ def test_subprocess_random_agents_match_given_same_seed(body):
     b = SubprocessAgent(bundled_argv("random"), body, horizon=20,
                         agent_seed=99, budget_s=2.0)
     try:
-        fa = a.act({"tick": 0, "grid": [[[0.0, 0.0]]]})
-        fb = b.act({"tick": 0, "grid": [[[0.0, 0.0]]]})
+        fa = a.act({"tick": 0, "grid": EMPTY_GRID})
+        fb = b.act({"tick": 0, "grid": EMPTY_GRID})
         assert np.array_equal(fa, fb)
         assert np.any(fa != 0.0)
     finally:
@@ -851,10 +948,18 @@ def test_wire_episode_leaves_no_pipe_open(body, monkeypatch):
     assert [hook.exc_value for hook in unraisable] == []
 
 
+def write_agent(path, source, **names):
+    """Write a hand-written agent script with `PROTOCOL_VERSION` and
+    `names` bound at its top."""
+    names = {"PROTOCOL_VERSION": PROTOCOL_VERSION, **names}
+    path.write_text("".join(f"{k} = {v!r}\n" for k, v in names.items()) + source)
+
+
 SLOW_AGENT = r"""
 import json, sys, time
 line = sys.stdin.readline()
-sys.stdout.write(json.dumps({"kind": "hello", "protocol": 2, "agent": "sloth"}) + "\n")
+sys.stdout.write(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
+                             "agent": "sloth"}) + "\n")
 sys.stdout.flush()
 first = True
 for line in sys.stdin:
@@ -877,18 +982,18 @@ for line in sys.stdin:
 
 def test_subprocess_budget_overrun_substitutes_zero_action(body, tmp_path):
     script = tmp_path / "sloth.py"
-    script.write_text(SLOW_AGENT)
+    write_agent(script, SLOW_AGENT)
     agent = SubprocessAgent([sys.executable, str(script)], body,
                             horizon=20, budget_s=0.05)
     try:
-        forces = agent.act({"tick": 0, "grid": [[[0.0, 0.0]]]})
+        forces = agent.act({"tick": 0, "grid": EMPTY_GRID})
         assert np.all(forces == 0.0)
         assert agent.budget_misses == 1
 
         # Once the backlog lands, the stale pair is discarded by its tick
         # tag and the fresh reply comes through untouched.
         time.sleep(0.6)
-        forces = agent.act({"tick": 1, "grid": [[[0.0, 0.0]]]})
+        forces = agent.act({"tick": 1, "grid": EMPTY_GRID})
         assert np.all(forces == 1.0)
         assert agent.budget_misses == 1
     finally:
@@ -898,7 +1003,8 @@ def test_subprocess_budget_overrun_substitutes_zero_action(body, tmp_path):
 LATE_RESOURCES_AGENT = r"""
 import json, sys, time
 sys.stdin.readline()
-sys.stdout.write(json.dumps({"kind": "hello", "protocol": 2, "agent": "late"}) + "\n")
+sys.stdout.write(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
+                             "agent": "late"}) + "\n")
 sys.stdout.flush()
 for line in sys.stdin:
     doc = json.loads(line)
@@ -920,24 +1026,24 @@ for line in sys.stdin:
 
 def test_subprocess_late_resources_are_a_budget_miss(body, tmp_path):
     script = tmp_path / "late.py"
-    script.write_text(LATE_RESOURCES_AGENT)
+    write_agent(script, LATE_RESOURCES_AGENT)
     agent = SubprocessAgent([sys.executable, str(script)], body,
                             horizon=20, budget_s=0.2)
     try:
         for tick in (0, 1):
-            assert np.all(agent.act({"tick": tick, "grid": [[[0.0, 0.0]]]}) == 1.0)
+            assert np.all(agent.act({"tick": tick, "grid": EMPTY_GRID}) == 1.0)
         assert agent.budget_misses == 0
 
         # The action is on time, so its forces stand; the resources line
         # is not, so the last declaration stands in for it.
-        forces = agent.act({"tick": 2, "grid": [[[0.0, 0.0]]]})
+        forces = agent.act({"tick": 2, "grid": EMPTY_GRID})
         assert np.all(forces == 1.0)
         assert agent.budget_misses == 1
         assert agent.resources() == {"model_size": 1, "updates": 0}
 
         # The late line is discarded when it lands; the next reply stands.
         time.sleep(0.6)
-        forces = agent.act({"tick": 3, "grid": [[[0.0, 0.0]]]})
+        forces = agent.act({"tick": 3, "grid": EMPTY_GRID})
         assert np.all(forces == 1.0)
         assert agent.budget_misses == 1
         assert agent.resources() == {"model_size": 3, "updates": 0}
@@ -951,7 +1057,7 @@ BAD_HELLO_AGENT = r"""
 import json, sys
 sys.stdin.readline()
 sys.stdout.write(json.dumps({
-    "kind": "hello", "protocol": 2, "agent": "x", "secrets": True,
+    "kind": "hello", "protocol": PROTOCOL_VERSION, "agent": "x", "secrets": True,
 }) + "\n")
 sys.stdout.flush()
 sys.stdin.read()
@@ -979,7 +1085,7 @@ def started_processes(monkeypatch):
 
 def test_subprocess_rejects_out_of_schema_handshake(body, tmp_path, monkeypatch):
     script = tmp_path / "bad_hello.py"
-    script.write_text(BAD_HELLO_AGENT)
+    write_agent(script, BAD_HELLO_AGENT)
     started = started_processes(monkeypatch)
     with pytest.raises(ProtocolError):
         SubprocessAgent([sys.executable, str(script)], body, horizon=20)
@@ -1002,7 +1108,8 @@ def test_subprocess_handshake_timeout_reaps_agent(body, tmp_path, monkeypatch):
 WRONG_SHAPE_AGENT = r"""
 import json, sys
 sys.stdin.readline()
-sys.stdout.write(json.dumps({"kind": "hello", "protocol": 2, "agent": "w"}) + "\n")
+sys.stdout.write(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
+                             "agent": "w"}) + "\n")
 sys.stdout.flush()
 for line in sys.stdin:
     doc = json.loads(line)
@@ -1033,12 +1140,12 @@ def test_subprocess_agent_refuses_other_dims_before_spawning(body, monkeypatch):
 
 def test_subprocess_rejects_wrong_action_shape(body, tmp_path):
     script = tmp_path / "wrong_shape.py"
-    script.write_text(WRONG_SHAPE_AGENT)
+    write_agent(script, WRONG_SHAPE_AGENT)
     agent = SubprocessAgent([sys.executable, str(script)], body,
                             horizon=20, budget_s=2.0)
     try:
         with pytest.raises(ProtocolError):
-            agent.act({"tick": 0, "grid": [[[0.0, 0.0]]]})
+            agent.act({"tick": 0, "grid": EMPTY_GRID})
     finally:
         agent.close()
 
@@ -1054,7 +1161,7 @@ def test_subprocess_agents_of_one_argv_share_a_process(body):
         agent = SubprocessAgent(bundled_argv("random"), body, horizon=20,
                                 agent_seed=seed, budget_s=2.0)
         try:
-            forces.append(agent.act({"tick": 0, "grid": [[[0.0, 0.0]]]}))
+            forces.append(agent.act({"tick": 0, "grid": EMPTY_GRID}))
             pids.append(agent.proc.pid)
         finally:
             agent.close()
@@ -1062,7 +1169,7 @@ def test_subprocess_agents_of_one_argv_share_a_process(body):
     assert pids[0] == pids[1]
     for seed, got in zip((7, 8), forces):
         local = make_agent("random", body, stream=agent_stream(seed))
-        assert np.array_equal(got, local.act({"tick": 0, "grid": [[[0.0, 0.0]]]}))
+        assert np.array_equal(got, local.act({"tick": 0, "grid": EMPTY_GRID}))
     other = SubprocessAgent(bundled_argv("null"), body, horizon=20)
     try:
         assert other.proc.pid != pids[0]
@@ -1077,7 +1184,8 @@ for line in sys.stdin:
     doc = json.loads(line)
     if doc["kind"] == "hello":
         sessions += 1
-        print(json.dumps({"kind": "hello", "protocol": 2, "agent": "s"}), flush=True)
+        print(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
+                          "agent": "s"}), flush=True)
     elif doc["kind"] == "observation":
         if slow:
             time.sleep(0.4)
@@ -1095,7 +1203,7 @@ for line in sys.stdin:
 
 def session_agent(tmp_path, one_session):
     script = tmp_path / "session.py"
-    script.write_text(f"ONE_SESSION = {one_session}\n" + SESSION_AGENT)
+    write_agent(script, SESSION_AGENT, ONE_SESSION=one_session)
     return [sys.executable, str(script)]
 
 
@@ -1103,7 +1211,7 @@ def test_subprocess_close_drains_an_overrun_in_flight(body, tmp_path):
     argv = session_agent(tmp_path, one_session=False)
     first = SubprocessAgent(argv, body, horizon=20, budget_s=0.05)
     try:
-        assert np.all(first.act({"tick": 0, "grid": [[[0.0, 0.0]]]}) == 0.0)
+        assert np.all(first.act({"tick": 0, "grid": EMPTY_GRID}) == 0.0)
         assert first.budget_misses == 1
     finally:
         first.close()  # the late tick-0 pair lands during close
@@ -1111,7 +1219,7 @@ def test_subprocess_close_drains_an_overrun_in_flight(body, tmp_path):
     try:
         assert second.proc.pid == first.proc.pid
         # Session 2's own tick-0 reply, not the first session's late one.
-        assert np.all(second.act({"tick": 0, "grid": [[[0.0, 0.0]]]}) == 2.0)
+        assert np.all(second.act({"tick": 0, "grid": EMPTY_GRID}) == 2.0)
         assert second.resources() == {"model_size": 2, "updates": 0}
         assert second.budget_misses == 0
     finally:
@@ -1129,7 +1237,7 @@ def test_subprocess_agent_gone_after_bye_is_replaced(body, tmp_path, monkeypatch
         assert len(started) == 2 and second.proc is started[1]
         assert first.proc.stdout.closed
         # A fresh process: this is its first session.
-        assert np.all(second.act({"tick": 0, "grid": [[[0.0, 0.0]]]}) == 1.0)
+        assert np.all(second.act({"tick": 0, "grid": EMPTY_GRID}) == 1.0)
     finally:
         second.close()
 
@@ -1181,7 +1289,8 @@ import json, sys, time
 for line in sys.stdin:
     doc = json.loads(line)
     if doc["kind"] == "hello":
-        print(json.dumps({"kind": "hello", "protocol": 2, "agent": "l"}), flush=True)
+        print(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
+                          "agent": "l"}), flush=True)
     elif doc["kind"] == "bye":
         print(json.dumps({"kind": "bye"}), flush=True)
 time.sleep(30)  # outlives its stdin: only the harness's shutdown ends it
@@ -1201,10 +1310,8 @@ print(agent.proc.pid)
 
 def test_exiting_harness_leaves_no_agent_process(tmp_path):
     script = tmp_path / "lingering.py"
-    script.write_text(LINGERING_AGENT)
-    src = os.path.dirname(os.path.dirname(driftworld.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    write_agent(script, LINGERING_AGENT)
+    env = package_env()
     done = subprocess.run([sys.executable, "-c", OPEN_AND_EXIT, str(script)],
                           env=env, capture_output=True, text=True, check=True,
                           timeout=60)
