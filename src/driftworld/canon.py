@@ -1,10 +1,13 @@
-"""Canonical JSON encoding and hashing, and the dataclass codec.
+"""Canonical JSON encoding and hashing, the JSON type model, and the
+dataclass codec.
 
 Two equal documents must always produce identical bytes: keys are sorted,
 separators are fixed, floats use Python's shortest-roundtrip repr, and
 non-finite numbers are rejected outright.  Every snapshot hash, trace
 line and wire message in the package goes through here, written and
-read back.
+read back; `canonical_loads`, the one decoder, reads a line as bytes.
+`JSON_TYPES`, read by the schema checker and by `from_doc`, says which
+Python types are which JSON type.
 
 `to_doc` and `from_doc` turn the parameter and spec dataclasses into
 plain documents and back, field by field, so a class's field
@@ -38,9 +41,30 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-#: Decode one JSON document; ValueError if it is not JSON, or holds `NaN`,
-#: `Infinity` or `-Infinity`, which no canonical encoding does.
-canonical_loads = json.JSONDecoder(parse_constant=_refuse_constant).decode
+_DECODE = json.JSONDecoder(parse_constant=_refuse_constant).decode
+
+
+def canonical_loads(line: bytes):
+    """The JSON document on one line of bytes, which may end in `\n` or
+    `\r\n`.  ValueError for bytes that are not UTF-8, any other carriage
+    return, text that is not JSON, and `NaN`, `Infinity` or `-Infinity`,
+    which no canonical encoding holds."""
+    text = line.decode("utf-8")
+    if "\r" in text.removesuffix("\r\n"):
+        raise ValueError("a carriage return inside the line")
+    return _DECODE(text)  # the ending is the JSON whitespace after the value
+
+
+#: The package's one JSON type model: per JSON Schema type, the exact
+#: Python types `canonical_loads` yields for it.  Types are compared
+#: exactly, so a bool is no number, `1.0` is no integer, and a subclass
+#: (a numpy scalar among them) is no JSON type at all.
+JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "null": (type(None),), "boolean": (bool,), "integer": (int,),
+    "number": (int, float), "string": (str,), "array": (list,), "object": (dict,)}
+
+#: The JSON type of each scalar field annotation `from_doc` fills.
+_FIELD_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
 def canonical_hash(doc) -> str:
@@ -71,9 +95,10 @@ def from_doc(cls, doc):
     """The inverse of `to_doc`, driven by the field annotations.
 
     Every field must be present (KeyError names the first missing one);
-    extra keys are ignored.  A document of the wrong shape, or a scalar of
-    the wrong type for its field, raises ContractViolation naming the
-    field.
+    extra keys are ignored.  A document of the wrong shape, or a scalar
+    whose type `JSON_TYPES` does not give its field (an int field takes an
+    int, a float field an int or a float), raises ContractViolation naming
+    the field.
     """
     if not isinstance(doc, dict):
         raise ContractViolation(
@@ -87,16 +112,6 @@ def from_doc(cls, doc):
         except ContractViolation as exc:
             raise ContractViolation(f"{cls.__name__}.{f.name}: {exc}") from None
     return cls(**values)
-
-
-def _scalar_ok(tp, value) -> bool:
-    """Whether a JSON scalar may fill a field annotated `tp`: an int field
-    takes an int, a float field an int or a float, never a bool."""
-    if tp is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if tp is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return isinstance(value, tp)
 
 
 def _decode(tp, value):
@@ -117,6 +132,6 @@ def _decode(tp, value):
         if len(value) != len(args):
             raise ContractViolation(f"expected {len(args)} items, not {len(value)}")
         return tuple(_decode(a, v) for a, v in zip(args, value))
-    if tp in (int, float, str, bool) and not _scalar_ok(tp, value):
+    if tp in _FIELD_TYPES and type(value) not in JSON_TYPES[_FIELD_TYPES[tp]]:
         raise ContractViolation(f"expected {tp.__name__}, not {type(value).__name__}")
     return value

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .agents import BaseAgent, make_agent
-from .canon import from_doc, to_doc
+from .canon import canonical_loads, from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, prepare, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
@@ -681,7 +680,7 @@ def replay_trace(disclosure_path: str, regenerated_path: str | None = None) -> d
                 for n, (old, new) in enumerate(
                         itertools.zip_longest(old_fh, new_fh), start=1):
                     if old != new:
-                        tick = None if new is None else json.loads(new).get("tick")
+                        tick = None if new is None else canonical_loads(new).get("tick")
                         return _verdict(line=n, tick=tick, checked=n)
             return _verdict(checked=n)
     except (DriftworldError, KeyError, ValueError, OSError) as exc:

@@ -1,22 +1,25 @@
 """Newline-delimited JSON protocol between harness and external agents.
 
-One JSON object per line, schema-validated in both directions with
-closed schemas (unknown fields are rejected, not ignored), so the
+One JSON object per UTF-8 line, schema-validated in both directions
+with closed schemas (unknown fields are rejected, not ignored), so the
 message set itself is the information bottleneck: there is no field an
 agent could read law coefficients or raw coordinates from.
 
 Validation is the package's one JSON checker, `_first_error`, over
 `SCHEMAS` and the trace's `trace.SCHEMAS`, built from the pieces below.
-It implements the JSON Schema Draft-07 keywords they use, with Draft-7's
-meanings (a bool is no number, 1.0 is an integer), names the path of the
-first failure, and refuses at import a keyword it lacks.  Both ends check
-every message they send and receive; the harness checking its own
+It implements the JSON Schema Draft-07 keywords they use, with the types
+of `canon.JSON_TYPES` (a bool is no number, 1.0 is no integer) and
+`const` compared by exact type (3.0 is no version 3), names the path of
+the first failure, and refuses at import a keyword it lacks.  Both ends
+check every message they send and receive; the harness checking its own
 messages is the secrecy guard.
 
 Exchange per tick: harness sends an observation, the agent replies with
 exactly two lines, an action then a resources declaration.  Problem
 lifecycle travels as problem / score messages, session lifecycle as
-hello / bye; the agent has `HELLO_TIMEOUT_S` to answer each.
+hello / bye; the agent has `HELLO_TIMEOUT_S` to answer each.  The
+harness holds problem and score messages until its next observation or
+bye, and writes them with it, so it makes one pipe write per tick.
 
 Version 3 sends an observation as its occupied cells: one `[row, column,
 positive, negative]` per cell holding a count, in row-major order, empty
@@ -37,10 +40,11 @@ ones.  The harness side enforces a wall-clock reply budget per tick and
 counts a budget miss when either line overruns it: a late action is
 replaced by a zero action, a late resources line by the last
 declaration.  Each late line is discarded when it arrives, a late action
-by its optional tick tag.  Lines are decoded by `canon.canonical_loads`,
-so `NaN` and `Infinity` are refused, and the harness refuses any force
-or resource that is not finite (`1e400` decodes to an infinity): all
-three are protocol errors, as is an unparsable or out-of-schema line.
+by its optional tick tag.  Both ends read their pipes as bytes and
+decode each line with `canon.canonical_loads`, so a line that is not
+UTF-8 and `NaN` and `Infinity` are refused, and the harness refuses any
+force or resource that is not finite (`1e400` decodes to an infinity):
+all are protocol errors, as is an unparsable or out-of-schema line.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from __future__ import annotations
 import atexit
 import contextlib
 import math
-import numbers
 import os
 import queue
 import subprocess
@@ -59,7 +62,7 @@ import time
 import numpy as np
 
 from .agents import BaseAgent, make_agent
-from .canon import canonical_dumps, canonical_loads, from_doc, to_doc
+from .canon import JSON_TYPES, canonical_dumps, canonical_loads, from_doc, to_doc
 from .errors import ConfigError, ContractViolation, ProtocolError
 from .interface import BodySpec, _checked_forces
 from .rng import agent_stream
@@ -135,43 +138,20 @@ _KEYWORDS = frozenset({
     "maxItems", "items", "properties", "required", "additionalProperties",
 })
 
-#: Number types a fast path takes as they are; anything else (a bool, a
-#: numpy scalar, a subclass) goes through `_TYPES` with its Draft-7 meaning.
-_PLAIN = (int, float)
+_NUMBER, _INTEGER = JSON_TYPES["number"], JSON_TYPES["integer"]
 
 
-def _is_number(v) -> bool:
-    return type(v) in _PLAIN or (isinstance(v, numbers.Number)
-                                 and not isinstance(v, bool))
-
-
-# Draft-7 type meanings: a bool is no number, an integral float is an
-# integer, and a numpy scalar counts by its Python base class
-# (np.float64 is a float, np.int64 only a Number).
-_TYPES = {
-    "null": lambda v: v is None,
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "number": _is_number,
-    "integer": lambda v: (v.is_integer() if isinstance(v, float)
-                          else isinstance(v, int) and not isinstance(v, bool)),
-}
-
-
-def _first_error(v, s: dict, types: dict = _TYPES):
+def _first_error(v, s: dict):
     """(path, message) of the first Draft-7 failure of `v` against `s`, or None;
-    the path of a missing property ends in its name.  `types` gives each
-    type its meaning.  An object's or array's own keywords come first."""
+    the path of a missing property ends in its name.  Types are those of
+    `JSON_TYPES`, and `const` matches only a value of its own type.  An
+    object's or array's own keywords come first."""
     t = s.get("type")
-    if t is not None and not (types[t](v) if type(t) is str
-                              else any(types[name](v) for name in t)):
+    if t is not None and not (type(v) in JSON_TYPES[t] if type(t) is str
+                              else any(type(v) in JSON_TYPES[n] for n in t)):
         return (), f"{v!r} is not of type {t!r}"
-    if "const" in s:  # True and False equal only themselves, never 1 or 0
-        c = s["const"]
-        if not (v is c or (v is not True and v is not False and v == c)):
-            return (), f"{c!r} was expected"
+    if "const" in s and (type(v) is not type(s["const"]) or v != s["const"]):
+        return (), f"{s['const']!r} was expected"
     if isinstance(v, dict):
         props = s.get("properties", {})
         for k in s.get("required", ()):
@@ -182,7 +162,7 @@ def _first_error(v, s: dict, types: dict = _TYPES):
             return (), f"additional properties are not allowed: {extra}"
         for k, x in v.items():  # a member no schema names is unchecked
             sub = props.get(k, rest)
-            if sub is not True and (err := _first_error(x, sub, types)):
+            if sub is not True and (err := _first_error(x, sub)):
                 return (k, *err[0]), err[1]
     elif isinstance(v, list):
         if len(v) < s.get("minItems", 0):
@@ -190,26 +170,26 @@ def _first_error(v, s: dict, types: dict = _TYPES):
         if "maxItems" in s and len(v) > s["maxItems"]:
             return (), f"has {len(v)} items, more than {s['maxItems']}"
         items = s.get("items")
-        if items is _PAIR and all(  # grid rows: pairs of plain numbers
+        if items is _PAIR and all(  # grid rows: pairs of numbers
                 type(p) is list and len(p) == 2
-                and type(p[0]) in _PLAIN and type(p[1]) in _PLAIN for p in v):
+                and type(p[0]) in _NUMBER and type(p[1]) in _NUMBER for p in v):
             return None
-        if items is _CELL and all(  # sensor cells: four plain nonnegative ints
+        if items is _CELL and all(  # sensor cells: four nonnegative integers
                 type(c) is list and len(c) == 4
-                and all(type(x) is int and x >= 0 for x in c) for c in v):
+                and all(type(x) in _INTEGER and x >= 0 for x in c) for c in v):
             return None
-        if items is _FORCES["items"] and all(  # force rows of plain numbers
-                type(p) is list and p and all(type(x) in _PLAIN for x in p)
+        if items is _FORCES["items"] and all(  # force rows of numbers
+                type(p) is list and p and all(type(x) in _NUMBER for x in p)
                 for p in v):
             return None
         if items is not None:
             for i, x in enumerate(v):
-                if err := _first_error(x, items, types):
+                if err := _first_error(x, items):
                     return (i, *err[0]), err[1]
     elif isinstance(v, str):
         if len(v) < s.get("minLength", 0):
             return (), f"{v!r} is shorter than {s['minLength']}"
-    elif _is_number(v):
+    elif type(v) in _NUMBER:
         if "minimum" in s and v < s["minimum"]:
             return (), f"{v!r} is less than the minimum of {s['minimum']!r}"
         if "exclusiveMinimum" in s and v <= s["exclusiveMinimum"]:
@@ -229,11 +209,10 @@ def _check_keywords(schemas: dict) -> None:
         if unknown:
             raise ValueError(f"schema {where} uses unsupported keywords {unknown}")
         t = s.get("type", "object")
-        if not (t in _TYPES if type(t) is str else type(t) is list and t
-                and all(type(n) is str and n in _TYPES for n in t)):
+        if not (t in JSON_TYPES if type(t) is str else type(t) is list and t
+                and all(type(n) is str and n in JSON_TYPES for n in t)):
             raise ValueError(f"schema {where} has unsupported type {t!r}")
-        # _first_error's const test is Draft-7's only for non-bool scalars
-        if type(s.get("const", "")) not in (str, int, float):
+        if type(s.get("const", "")) not in (*JSON_TYPES["string"], *_NUMBER):
             raise ValueError(f"schema {where}: const must be a string or a number")
         if "items" in s:
             walk(s["items"], f"{where}/items")
@@ -267,7 +246,7 @@ def validate_message(direction: str, doc) -> str:
     return kind
 
 
-def parse_line(direction: str, line: str) -> dict:
+def parse_line(direction: str, line: bytes) -> dict:
     try:
         doc = canonical_loads(line)
     except ValueError as exc:
@@ -276,8 +255,8 @@ def parse_line(direction: str, line: str) -> dict:
     return doc
 
 
-def encode(doc: dict) -> str:
-    return canonical_dumps(doc) + "\n"
+def encode(doc: dict) -> bytes:
+    return (canonical_dumps(doc) + "\n").encode()
 
 
 def grid_cells(grid: np.ndarray) -> list[list[int]]:
@@ -302,7 +281,7 @@ def cells_grid(cells: list, resolution: int) -> np.ndarray:
         if row >= resolution or column >= resolution:
             raise ProtocolError(f"cell [{row}, {column}] is outside the "
                                 f"{resolution}x{resolution} grid")
-        at = int(row) * resolution + int(column)
+        at = row * resolution + column
         if at <= last:
             raise ProtocolError(f"cell [{row}, {column}] is not after the cell "
                                 "before it in row-major order")
@@ -338,7 +317,7 @@ class _PipeClosed(ProtocolError):
 
 
 def _pump(pipe, lines: queue.SimpleQueue) -> None:
-    """Queue every line of `pipe`, then None for its EOF."""
+    """Queue every line of `pipe` as it came, in bytes, then None for its EOF."""
     for line in pipe:
         lines.put(line)
     lines.put(None)
@@ -346,10 +325,7 @@ def _pump(pipe, lines: queue.SimpleQueue) -> None:
 
 def _spawn(argv: list[str]) -> tuple:
     """Start an agent process and the thread that queues its lines."""
-    proc = subprocess.Popen(
-        argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        text=True, bufsize=1,
-    )
+    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     lines: queue.SimpleQueue = queue.SimpleQueue()
     reader = threading.Thread(target=_pump, args=(proc.stdout, lines), daemon=True)
     reader.start()
@@ -407,6 +383,7 @@ class SubprocessAgent(BaseAgent):
         super().__init__(body)
         self.budget_s = budget_s
         self._owed_resources = 0  # late ones, and stale actions' companions
+        self._held: list[bytes] = []  # checked lines for the next write
         self._last_resources = {"model_size": 0, "updates": 0}
         self._key = (os.getpid(), tuple(argv))
         self._closed = False
@@ -446,11 +423,19 @@ class SubprocessAgent(BaseAgent):
             raise
         return doc
 
-    def _send(self, doc: dict) -> None:
+    def _hold(self, doc: dict) -> None:
+        """Check a message and keep it for the next `_send`."""
         validate_message("to_agent", doc)
-        line = encode(doc)
+        self._held.append(encode(doc))
+
+    def _send(self, doc: dict) -> None:
+        """Check a message, then write the held ones and it in one write
+        and one flush."""
+        self._hold(doc)
+        data = b"".join(self._held)
+        self._held.clear()
         try:
-            self.proc.stdin.write(line)
+            self.proc.stdin.write(data)
             self.proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
             raise _PipeClosed("agent pipe is closed") from exc
@@ -467,10 +452,10 @@ class SubprocessAgent(BaseAgent):
         return parse_line("from_agent", line)
 
     def on_problem(self, payload: dict) -> None:
-        self._send({"kind": "problem", "problem": payload})
+        self._hold({"kind": "problem", "problem": payload})
 
     def on_problem_closed(self, payload: dict) -> None:
-        self._send({"kind": "score", **payload})
+        self._hold({"kind": "score", **payload})
 
     def act(self, observation: dict) -> np.ndarray:
         tick = observation["tick"]
@@ -538,6 +523,7 @@ class SubprocessAgent(BaseAgent):
 
 def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
     """Serve sessions of one bundled agent over stdin/stdout until EOF.
+    Both are binary streams; they default to the process's own.
 
     Each hello builds a fresh agent, so nothing carries from one session
     to the next.  Bye is answered with bye; the next line must be a hello
@@ -546,14 +532,14 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
     """
     if kind == "oracle":
         raise ConfigError("the oracle agent cannot run over the wire")
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+    stdin = stdin if stdin is not None else sys.stdin.buffer
+    stdout = stdout if stdout is not None else sys.stdout.buffer
 
     def send(*docs: dict) -> None:
         """Check each message, then write them all in one write and one flush."""
         for doc in docs:
             validate_message("from_agent", doc)
-        stdout.write("".join(map(encode, docs)))
+        stdout.write(b"".join(map(encode, docs)))
         stdout.flush()
 
     agent = None

@@ -15,10 +15,13 @@ independently (`tests/oracles.py`), against a denylist of secret keys and
 the actual secret values.  Neither trace contains wall-clock timestamps;
 trace bytes are a pure function of the run's inputs.
 
-A trace read back is input from outside the program.  `check_line`
-holds each line replay or report takes values from to its tier's closed
-schema in `SCHEMAS` (built from `protocol`'s pieces; a live schema is
-the disclosure one cut by `LIVE_FIELDS`) with `protocol`'s checker.
+A trace read back is input from outside the program.  `iter_trace`
+reads it as bytes and decodes each line with `canon.canonical_loads`,
+the decoder the wire uses too.  `check_line` holds each line replay or
+report takes values from to its tier's closed schema in `SCHEMAS` (built
+from `protocol`'s pieces; a live schema is the disclosure one cut by
+`LIVE_FIELDS`) with `protocol`'s checker and `canon.JSON_TYPES`, the
+wire's type model: an integer is written as one, so 1.0 is none.
 Replay takes values only from the header and the `act` and `end` lines
 and checks no other kind: it compares every line's bytes with the line
 it regenerates, which is stricter than any schema.  The
@@ -36,7 +39,7 @@ from collections import deque
 from .canon import canonical_dumps, canonical_loads
 from .errors import ContractViolation
 from .protocol import _BODY, _FORCES, _INDEX, _NUM, _PROBLEM, _RESOURCES, _SIZE
-from .protocol import _TYPES, _check_keywords, _closed, _first_error, _message
+from .protocol import _check_keywords, _closed, _first_error, _message
 
 TRACE_FORMAT = 4
 
@@ -134,13 +137,9 @@ SCHEMAS: dict[str, dict[str, dict]] = {DISCLOSURE: _DISCLOSURE_SCHEMAS, LIVE: {
     kind: _cut(schema, _LIVE_TREES[kind], kind)
     for kind, schema in _DISCLOSURE_SCHEMAS.items()}}
 
-#: A trace writes an integer as one: 1.0 is none there (Draft-4's meaning).
-_TRACE_TYPES = {**_TYPES, "integer": lambda v: type(v) is int}
-
-
 def check_line(doc: dict, tier: str) -> dict:
     """`doc`, if its kind's schema in `tier` takes it; else ContractViolation."""
-    if err := _first_error(doc, SCHEMAS[tier][doc["kind"]], _TRACE_TYPES):
+    if err := _first_error(doc, SCHEMAS[tier][doc["kind"]]):
         path, message = err
         field = f" field {'.'.join(map(str, path))!r}" if path else ""
         raise ContractViolation(f"trace {doc['kind']}{field}: {message}")
@@ -317,17 +316,14 @@ class TraceSink:
 
 def iter_trace(path: str):
     """Yield decoded lines, each a JSON object; the first must be a header
-    naming its tier, or ContractViolation.  A line must be what the writer
-    writes: UTF-8, no `NaN` or `Infinity`, no CR but a CRLF ending's."""
+    naming its tier, or ContractViolation.  Empty lines are skipped; any
+    other line must be one `canonical_loads` takes."""
     started = False
     with open(path, "rb") as fh:
         for n, line in enumerate(fh, start=1):
+            if line in (b"\n", b"\r\n"):
+                continue
             try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                if "\r" in line:
-                    raise ValueError("a carriage return inside the line")
                 doc = canonical_loads(line)
             except ValueError as exc:
                 raise ContractViolation(f"{path}:{n}: not valid JSON: {exc}") from exc

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from driftworld.canon import canonical_dumps, canonical_hash, from_doc, to_doc
+from driftworld.canon import (canonical_dumps, canonical_hash, canonical_loads,
+                              from_doc, to_doc)
 from driftworld.config import EpisodeConfig, RunConfig
 from driftworld.dynamics import StepParams
 from driftworld.errors import ContractViolation, ProtocolError
@@ -43,6 +45,24 @@ def test_hash_is_hex_sha256():
 def test_nan_rejected():
     with pytest.raises(ValueError):
         canonical_dumps({"x": math.nan})
+
+
+@pytest.mark.parametrize("line", [b'{"a":[1,2.5]}', b'{"a":[1,2.5]}\n',
+                                  b'{"a":[1,2.5]}\r\n', b'{"a": [1, 2.5]} \n'])
+def test_canonical_loads_strips_only_the_line_ending(line):
+    assert canonical_loads(line) == {"a": [1, 2.5]}
+
+
+@pytest.mark.parametrize("line, error", [
+    (b'{"a":1}\r', "carriage return"), (b'{"a":1}\r\r\n', "carriage return"),
+    (b'{"a":\r1}\n', "carriage return"), (b'{"a":"\xff"}\n', "can't decode byte 0xff"),
+    (' {"a":1} \u0085\n'.encode(), "Extra data"), (b'{"a":1}\x0b\n', "Extra data"),
+    (b'{"a":NaN}\n', "NaN is not a JSON number"),
+    (b"\n", "Expecting value"),
+], ids=["bare-cr", "cr-crlf", "inner-cr", "not-utf8", "nel", "vt", "nan", "empty"])
+def test_canonical_loads_refuses_what_no_writer_writes(line, error):
+    with pytest.raises(ValueError, match=error):
+        canonical_loads(line)
 
 
 def test_float_repr_is_stable():
@@ -169,6 +189,11 @@ def test_from_doc_checks_scalar_types():
         with pytest.raises(ContractViolation, match="StepParams.dt: expected float"):
             from_doc(StepParams, dict(step, dt=bad))
     assert from_doc(StepParams, dict(step, dt=2)).dt == 2
+    # a numpy scalar is no JSON type, whatever its base class
+    with pytest.raises(ContractViolation, match="expected int, not int64"):
+        from_doc(EpisodeConfig, dict(episode, horizon=np.int64(3)))
+    with pytest.raises(ContractViolation, match="expected float, not float64"):
+        from_doc(StepParams, dict(step, dt=np.float64(0.5)))
     with pytest.raises(ContractViolation, match="BodySpec.member_ids: expected int, not bool"):
         from_doc(BodySpec, dict(body, member_ids=[0, False]))
     # str and bool match exactly

@@ -11,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from driftworld.config import ENV_CONFIG, load_config
 from driftworld.errors import ProtocolError
 from driftworld.harness import replay_trace
 from driftworld.interface import sense
-from driftworld.protocol import PROTOCOL_VERSION
+from driftworld.protocol import HELLO_TIMEOUT_S, PROTOCOL_VERSION
 from driftworld.rng import agent_seed
 from driftworld.trace import LIVE, TRACE_FORMAT, live_view, read_trace
 from driftworld.worldgen import generate_world
@@ -571,6 +572,28 @@ def test_report_refuses_a_sample_too_large_for_a_float(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_trace_reader_takes_only_the_line_endings_the_writer_writes(tmp_path, capsys):
+    # a trailing NEL (U+0085) is whitespace to str.strip(), not to the reader
+    raw = GOLDEN_TRACE.read_bytes()
+    lines = raw.splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if b'"kind":"sample"' in line)
+    nel = tmp_path / "nel.ndjson"
+    nel.write_bytes(b"".join(line[:-1] + " \u0085\n".encode()
+                             if b'"kind":"sample"' in line else line
+                             for line in lines))
+    assert run_cli("report", str(nel), "--out", str(tmp_path / "m.json")) == 3
+    assert capsys.readouterr().err.startswith(f"error: {nel}:{n + 1}: not valid JSON: ")
+    assert replay_trace(str(nel))["error"].startswith(f"ContractViolation: {nel}:{n + 1}: ")
+    # a CRLF copy reports as the original does and replays to FAIL at line 1
+    crlf = tmp_path / "crlf.ndjson"
+    crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
+    for path, out in ((GOLDEN_TRACE, "lf.json"), (crlf, "crlf.json")):
+        assert run_cli("report", str(path), "--out", str(tmp_path / out)) == 0
+    assert (tmp_path / "lf.json").read_bytes() == (tmp_path / "crlf.json").read_bytes()
+    verdict = replay_trace(str(crlf))
+    assert verdict["first_divergence_line"] == 1 and verdict["error"] is None
+
+
 def test_replay_of_an_agentless_header_fails_at_once(tmp_path):
     header, *events = GOLDEN_TRACE.read_text().splitlines()
     doc = json.loads(header)
@@ -793,6 +816,49 @@ def test_non_finite_agent_numbers_exit_four(force, model_size, trace, tmp_path,
     err = capsys.readouterr().err
     assert rc == 4, err
     assert err.startswith("protocol error: ") and "pipe is closed" not in err
+    assert not disc.exists()
+
+
+NON_UTF8_AGENT = r"""
+import json, sys
+stdin, out = sys.stdin.buffer, sys.stdout.buffer
+n = len(json.loads(stdin.readline())["body"]["member_ids"])
+name = b"\xff" if IN_HELLO else b"x"
+out.write(b'{"kind":"hello","protocol":%d,"agent":"%s"}\n' % (PROTOCOL_VERSION, name))
+out.flush()
+for line in stdin:
+    kind = json.loads(line)["kind"]
+    if kind == "observation":
+        rows = b",".join([b"[0.0,0.0]"] * n)
+        out.write(b'{"kind":"action\xff","forces":[%s]}\n' % rows)
+        out.write(b'{"kind":"resources","model_size":0,"updates":0}\n')
+    elif kind == "bye":
+        out.write(b'{"kind":"bye"}\n')
+    out.flush()
+"""
+
+
+@pytest.mark.parametrize("in_hello", [True, False], ids=["hello", "action"])
+def test_non_utf8_agent_line_exits_four_at_once(in_hello, tmp_path):
+    # Run as a process, so that a dying reader thread would print its traceback.
+    script = tmp_path / "non_utf8.py"
+    script.write_text(f"PROTOCOL_VERSION = {PROTOCOL_VERSION}\n"
+                      f"IN_HELLO = {in_hello}\n" + NON_UTF8_AGENT)
+    disc = tmp_path / "disc.ndjson"
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "driftworld", "run", *BASE,
+         "--set", "episode.budget_s=30", "--disclosure", str(disc),
+         "--agent-cmd", f"{sys.executable} {script}"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - started < HELLO_TIMEOUT_S
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("protocol error: line is not valid JSON: ")
+    assert "can't decode byte 0xff" in done.stderr
+    assert "Exception in thread" not in done.stderr
     assert not disc.exists()
 
 

@@ -651,16 +651,16 @@ def _last_line_start(raw: bytes) -> int:
     return raw.rindex(b"\n", 0, len(raw) - 1) + 1
 
 
-@pytest.mark.parametrize("edit, line", [
-    (lambda raw: raw[:-1] + b"\x0b", lambda n: n),
-    (lambda raw: raw[:-1] + b"\x0c", lambda n: n),
-    (lambda raw: raw[:-1], lambda n: n),
-    (lambda raw: raw[:_last_line_start(raw)], lambda n: n),
-    (lambda raw: raw + raw[_last_line_start(raw):], lambda n: n + 1),
-    (lambda raw: raw.replace(b"\n", b"\r\n"), lambda n: 1),
+@pytest.mark.parametrize("edit, line, refused", [
+    (lambda raw: raw[:-1] + b"\x0b", lambda n: n, True),
+    (lambda raw: raw[:-1] + b"\x0c", lambda n: n, True),
+    (lambda raw: raw[:-1], lambda n: n, False),
+    (lambda raw: raw[:_last_line_start(raw)], lambda n: n, False),
+    (lambda raw: raw + raw[_last_line_start(raw):], lambda n: n + 1, False),
+    (lambda raw: raw.replace(b"\n", b"\r\n"), lambda n: 1, False),
 ], ids=["last-newline-to-vt", "last-newline-to-ff", "last-byte-deleted",
         "last-line-deleted", "line-appended", "crlf"])
-def test_replay_fails_at_the_first_edited_line(edit, line, greedy_trace,
+def test_replay_fails_at_the_first_edited_line(edit, line, refused, greedy_trace,
                                                tmp_path, capsys):
     raw = greedy_trace.read_bytes()
     n_lines = raw.count(b"\n")
@@ -668,6 +668,11 @@ def test_replay_fails_at_the_first_edited_line(edit, line, greedy_trace,
     edited.write_bytes(edit(raw))
     verdict = replay_trace(str(edited))
     assert verdict["verdict"] == "FAIL" and not verdict["ok"]
+    if refused:  # a line ending the writer never writes: the reader names it
+        assert verdict["error"].startswith(
+            f"ContractViolation: {edited}:{line(n_lines)}: not valid JSON: ")
+        assert main(["replay", str(edited)]) == 1
+        return
     assert verdict["error"] is None
     assert verdict["first_divergence_line"] == line(n_lines)
     assert verdict["lines_checked"] == line(n_lines)

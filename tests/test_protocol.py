@@ -29,10 +29,10 @@ from hypothesis.extra import numpy as hnp
 import driftworld
 from driftworld import protocol
 from driftworld.agents import NullAgent, make_agent
-from driftworld.canon import to_doc
+from driftworld.canon import JSON_TYPES, from_doc, to_doc
 from driftworld.config import EpisodeConfig
 from driftworld.dynamics import StepParams
-from driftworld.errors import ConfigError, ProtocolError
+from driftworld.errors import ConfigError, ContractViolation, ProtocolError
 from driftworld.harness import Slot, run_episode
 from driftworld.interface import BodySpec, sense
 from driftworld.problems import ProblemParams, ScoreParams
@@ -55,7 +55,6 @@ from driftworld.trace import (
     DISCLOSURE,
     LIVE,
     LIVE_FIELDS,
-    _TRACE_TYPES,
     live_view,
 )
 from driftworld.trace import SCHEMAS as TRACE_SCHEMAS  # `SCHEMAS` is the wire's
@@ -343,17 +342,20 @@ def test_non_object_and_kindless_rejected():
 def test_parse_line_and_encode_roundtrip():
     doc = VALID[("from_agent", "action")]
     line = encode(doc)
-    assert line.endswith("\n")
+    assert line.endswith(b"\n")
     assert parse_line("from_agent", line) == doc
-    with pytest.raises(ProtocolError):
-        parse_line("from_agent", "{not json")
+    for bad in (b"{not json\n", b'{"kind": "bye\xff"}\n', b'{"kind":\r"bye"}\n'):
+        with pytest.raises(ProtocolError, match="line is not valid JSON"):
+            parse_line("from_agent", bad)
 
 
 # ------------------------------------------------ agreement with Draft-7
 
-# The checker must accept exactly what jsonschema's Draft7Validator
-# accepts, for wire messages and for the trace lines replay and report
-# read.  jsonschema is a test-only dependency, imported here so its
+# The checker must accept exactly what one reference validator accepts,
+# for wire messages and for the trace lines replay and report read: the
+# reference is jsonschema's Draft7Validator with the package's type model
+# (`canon.JSON_TYPES`) and a `const` that matches only a value of its own
+# type.  jsonschema is a test-only dependency, imported here so its
 # absence fails these tests and nothing else.
 
 GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "golden",
@@ -393,17 +395,26 @@ EXAMPLES = {**VALID, **TRACE_VALID}
 
 
 @functools.cache
-def draft7(key):
-    from jsonschema import Draft4Validator, Draft7Validator, validators
+def reference_validator():
+    """The reference validator class: Draft-7, extended as said above."""
+    from jsonschema import Draft7Validator, ValidationError, validators
 
-    if key in SCHEMAS:
-        return Draft7Validator(SCHEMAS[key])
-    # Trace lines: Draft-7 but for Draft-4's integer, which 1.0 is not.
-    exact = Draft7Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: Draft4Validator.TYPE_CHECKER.is_type(v, "integer"))
-    tier, kind = key
-    return validators.extend(Draft7Validator, type_checker=exact)(
-        TRACE_SCHEMAS[tier][kind])
+    def exact_const(validator, const, instance, schema):
+        if type(instance) is not type(const) or instance != const:
+            yield ValidationError(f"{const!r} was expected")
+
+    types = Draft7Validator.TYPE_CHECKER.redefine_many({
+        name: functools.partial(lambda exact, _, v: type(v) in exact, exact)
+        for name, exact in JSON_TYPES.items()})
+    return validators.extend(Draft7Validator, {"const": exact_const},
+                             type_checker=types)
+
+
+@functools.cache
+def draft7(key):
+    """The reference validator of a wire key or a (tier, kind) trace key."""
+    return reference_validator()(
+        SCHEMAS[key] if key in SCHEMAS else TRACE_SCHEMAS[key[0]][key[1]])
 
 
 def draft7_paths(key, doc):
@@ -432,7 +443,7 @@ def checker_verdict(direction, doc):
 def trace_verdict(key, doc):
     """None if the checker accepts `doc` as a line of `key`, else the path it names."""
     tier, kind = key
-    err = _first_error(doc, TRACE_SCHEMAS[tier][kind], _TRACE_TYPES)
+    err = _first_error(doc, TRACE_SCHEMAS[tier][kind])
     return None if err is None else "/".join(map(str, err[0])) or "<root>"
 
 
@@ -456,27 +467,27 @@ def assert_agrees_with_draft7(key, doc):
 
 @pytest.mark.parametrize("key, field, value, accepted", [
     (("to_agent", "score"), "score", True, False),  # a bool is no number
-    (("to_agent", "score"), "score", np.int64(3), True),  # but np.int64 is
+    (("to_agent", "score"), "score", np.int64(3), False),  # nor a numpy scalar
     (("to_agent", "score"), "score", float("nan"), True),
     (("to_agent", "score"), "score", float("inf"), True),
-    (("to_agent", "score"), "tick", 1.0, True),  # an integral float is an integer
-    (("to_agent", "score"), "tick", np.float64(2.0), True),
+    (("to_agent", "score"), "tick", 1.0, False),  # an integral float is no integer
+    (("to_agent", "score"), "tick", np.float64(2.0), False),
     (("to_agent", "score"), "tick", np.int64(3), False),  # not an int subclass
     (("to_agent", "score"), "tick", 1.5, False),
     (("to_agent", "score"), "tick", float("nan"), False),
     (("to_agent", "score"), "tick", -1, False),
     (("to_agent", "score"), "solved", np.True_, False),  # not a bool subclass
     (("from_agent", "hello"), "protocol", True, False),  # const: a bool is no number
-    (("from_agent", "hello"), "protocol", float(PROTOCOL_VERSION), True),
+    (("from_agent", "hello"), "protocol", float(PROTOCOL_VERSION), False),  # nor 3.0
     (("from_agent", "hello"), "agent", "", False),
     (("from_agent", "resources"), "updates", 0, True),
     (("from_agent", "resources"), "updates", -0.5, False),
     (("to_agent", "hello"), "agent_seed", None, False),
     (("to_agent", "hello"), "dim", 3, False),  # worlds are 2-D only
-    (("to_agent", "hello"), "dim", 2.0, True),
-    # the cells' fast path takes plain ints only; the rest is walked
+    (("to_agent", "hello"), "dim", 2.0, False),
+    # the cells' fast path and the walk agree: integers only
     (("to_agent", "observation"), "cells", [], True),  # an empty window
-    (("to_agent", "observation"), "cells", [[0, 0, 1.0, 0]], True),
+    (("to_agent", "observation"), "cells", [[0, 0, 1.0, 0]], False),
     (("to_agent", "observation"), "cells", [[0, 0, 1.5, 0]], False),
     (("to_agent", "observation"), "cells", [[0, 0, True, 0]], False),
     (("to_agent", "observation"), "cells", [[0, 0, 0, -1]], False),
@@ -494,14 +505,33 @@ def test_type_meanings_match_draft7(key, field, value, accepted):
 
 def test_const_zero_or_one_never_matches_a_bool():
     # No message const is 0 or 1 since the version went to 2, so the
-    # checker's bool guard is held to Draft-7 on bare schemas here.
-    from jsonschema import Draft7Validator
-
+    # exact-type const is held to the reference on bare schemas here.
     for const in (0, 1):
         for value in (True, False, 0, 1, 0.0, 1.0):
             schema = {"const": const}
-            assert (_first_error(value, schema) is None) is \
-                Draft7Validator(schema).is_valid(value), (const, value)
+            accepted = _first_error(value, schema) is None
+            assert accepted is reference_validator()(schema).is_valid(value)
+            assert accepted is (type(value) is int and value == const), (const, value)
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=3))
+#: A one-field dataclass per scalar annotation.
+FIELDS = {tp: dataclasses.make_dataclass("Field", [("value", tp)])
+          for tp in (int, float, bool, str)}
+
+
+@pytest.mark.parametrize("tp, name", [
+    (int, "integer"), (float, "number"), (bool, "boolean"), (str, "string")])
+@settings(max_examples=100, deadline=None)
+@given(value=JSON_SCALARS)
+def test_from_doc_and_the_checker_agree_on_every_json_scalar(tp, name, value):
+    try:
+        from_doc(FIELDS[tp], {"value": value})
+        filled = True
+    except ContractViolation:
+        filled = False
+    assert filled is (_first_error(value, {"type": name}) is None), (tp, value)
 
 
 @pytest.mark.parametrize("kind, path, value, accepted", [
@@ -635,10 +665,11 @@ def test_agent_command_loads_only_what_serving_needs():
         [sys.executable, "-X", "importtime", "-m", "driftworld", "agent",
          "--kind", "random"],
         input=encode(hello_doc(agent_seed=3)) + encode({"kind": "bye"}),
-        env=env, capture_output=True, text=True, check=True, timeout=60)
+        env=env, capture_output=True, check=True, timeout=60)
     assert [json.loads(line)["kind"] for line in done.stdout.splitlines()] == \
         ["hello", "bye"]
-    loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+    loaded = {line.rsplit("|", 1)[-1].strip()
+              for line in done.stderr.decode().splitlines()
               if line.startswith("import time:")}
     assert {"driftworld.protocol", "driftworld.agents"} <= loaded
     unneeded = {f"driftworld.{m}" for m in
@@ -650,8 +681,8 @@ def test_agent_command_loads_only_what_serving_needs():
 
 
 def stdio_session(kind, docs):
-    stdin = io.StringIO("".join(encode(d) for d in docs))
-    stdout = io.StringIO()
+    stdin = io.BytesIO(b"".join(encode(d) for d in docs))
+    stdout = io.BytesIO()
     rc = run_stdio_agent(kind, stdin=stdin, stdout=stdout)
     return rc, [json.loads(line) for line in stdout.getvalue().splitlines()]
 
@@ -717,13 +748,13 @@ def test_stdio_random_agent_seeded_by_hello():
 
 def test_stdio_rejects_oracle():
     with pytest.raises(ConfigError):
-        run_stdio_agent("oracle", stdin=io.StringIO(), stdout=io.StringIO())
+        run_stdio_agent("oracle", stdin=io.BytesIO(), stdout=io.BytesIO())
 
 
 def test_stdio_rejects_out_of_schema_traffic():
-    lines = encode(hello_doc()) + '{"kind": "observation", "tick": 0}\n'
+    lines = encode(hello_doc()) + b'{"kind": "observation", "tick": 0}\n'
     with pytest.raises(ProtocolError):
-        run_stdio_agent("null", stdin=io.StringIO(lines), stdout=io.StringIO())
+        run_stdio_agent("null", stdin=io.BytesIO(lines), stdout=io.BytesIO())
 
 
 COUNT_GRIDS = st.integers(1, 6).flatmap(lambda r: hnp.arrays(
@@ -781,10 +812,11 @@ def test_agent_command_refuses_a_bad_cell(cells, message):
     done = subprocess.run(
         [sys.executable, "-m", "driftworld", "agent", "--kind", "null"],
         input=encode(hello_doc(resolution=4)) + encode(observation_doc(0, cells)),
-        env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 4, done.stderr
-    assert done.stderr.startswith("protocol error: ") and message in done.stderr
-    assert "Traceback" not in done.stderr
+        env=env, capture_output=True, timeout=60)
+    stderr = done.stderr.decode()
+    assert done.returncode == 4, stderr
+    assert stderr.startswith("protocol error: ") and message in stderr
+    assert "Traceback" not in stderr
     assert [json.loads(line)["kind"] for line in done.stdout.splitlines()] == ["hello"]
 
 
@@ -795,18 +827,19 @@ def test_agent_command_refuses_a_hello_of_another_dim():
     done = subprocess.run(
         [sys.executable, "-m", "driftworld", "agent", "--kind", "null"],
         input=encode(dict(hello_doc(), dim=3)), env=env, capture_output=True,
-        text=True, timeout=60)
-    assert done.returncode == 4, done.stderr
-    assert done.stderr.startswith("protocol error: ")
-    assert "at dim: 2 was expected" in done.stderr and done.stdout == ""
+        timeout=60)
+    stderr = done.stderr.decode()
+    assert done.returncode == 4, stderr
+    assert stderr.startswith("protocol error: ")
+    assert "at dim: 2 was expected" in stderr and done.stdout == b""
 
 
 def test_stdio_requires_hello_first():
     with pytest.raises(ProtocolError):
-        run_stdio_agent("null", stdin=io.StringIO(""), stdout=io.StringIO())
+        run_stdio_agent("null", stdin=io.BytesIO(), stdout=io.BytesIO())
     with pytest.raises(ProtocolError):
-        run_stdio_agent("null", stdin=io.StringIO(encode({"kind": "bye"})),
-                        stdout=io.StringIO())
+        run_stdio_agent("null", stdin=io.BytesIO(encode({"kind": "bye"})),
+                        stdout=io.BytesIO())
 
 
 PROBLEM = {"id": 0, "issued_tick": 0, "target_grid": [[[0.0, 0.0]]],
@@ -946,6 +979,52 @@ def test_wire_episode_leaves_no_pipe_open(body, monkeypatch):
         del agent
         gc.collect()
     assert [hook.exc_value for hook in unraisable] == []
+
+
+class CountingPipe:
+    """A pipe that keeps what each `write` was given."""
+
+    def __init__(self, pipe):
+        self.pipe, self.writes = pipe, []
+
+    def write(self, data):
+        self.writes.append(data)
+        return self.pipe.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.pipe, name)
+
+
+def test_one_pipe_write_per_tick(body, monkeypatch):
+    # problem and score messages ride with the next observation, or the bye
+    pipes, spawn = [], protocol._spawn
+
+    def counting_spawn(argv):
+        proc, lines, reader = spawn(argv)
+        proc.stdin = CountingPipe(proc.stdin)
+        pipes.append(proc.stdin)
+        return proc, lines, reader
+
+    monkeypatch.setattr(protocol, "_spawn", counting_spawn)
+    close_idle_agents()  # the agent must be spawned, not taken from the park
+    horizon = 30
+    agent = SubprocessAgent(bundled_argv("greedy"), body, horizon=horizon,
+                            budget_s=5.0)
+    try:
+        run_episode(generate_world(GenSpec(seed=3)),
+                    [Slot(agent_id="greedy", agent=agent, body=body)],
+                    StepParams(), ProblemParams(), ScoreParams(),
+                    EpisodeConfig(horizon=horizon, budget_s=5.0))
+    finally:
+        agent.close()
+    close_idle_agents()
+    [pipe] = pipes
+    kinds = [[json.loads(line)["kind"] for line in data.splitlines()]
+             for data in pipe.writes]
+    assert len(kinds) == 1 + horizon + 1
+    assert kinds[0] == ["hello"] and kinds[-1][-1] == "bye"
+    assert all(k[-1] == "observation" for k in kinds[1:-1])
+    assert "problem" in sum(kinds, []) and "score" in sum(kinds, [])
 
 
 def write_agent(path, source, **names):
