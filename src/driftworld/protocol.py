@@ -36,15 +36,17 @@ carried over from the last) or EOF (exit).  The harness parks a process
 that said `bye` and hands it to the next `SubprocessAgent` built with
 the same argv in the same process, so start-up is paid once per process,
 not once per episode; `close_idle_agents` (run at exit) ends the parked
-ones.  The harness side enforces a wall-clock reply budget per tick and
-counts a budget miss when either line overruns it: a late action is
-replaced by a zero action, a late resources line by the last
+ones.  The harness reads replies on the caller's thread, polling the
+pipe until the reply's deadline.  It enforces a wall-clock reply budget
+per tick and counts a budget miss when either line overruns it: a late
+action is replaced by a zero action, a late resources line by the last
 declaration.  Each late line is discarded when it arrives, a late action
 by its optional tick tag.  Both ends read their pipes as bytes and
 decode each line with `canon.canonical_loads`, so a line that is not
 UTF-8 and `NaN` and `Infinity` are refused, and the harness refuses any
 force or resource that is not finite (`1e400` decodes to an infinity):
-all are protocol errors, as is an unparsable or out-of-schema line.
+all are protocol errors, as is an unparsable or out-of-schema line.  A
+protocol error in a hello or a tick's reply kills the process at once.
 """
 
 from __future__ import annotations
@@ -53,10 +55,9 @@ import atexit
 import contextlib
 import math
 import os
-import queue
+import select
 import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
@@ -307,36 +308,24 @@ def cells_grid(cells: list, resolution: int) -> np.ndarray:
 HELLO_TIMEOUT_S = 5.0
 
 #: Agent processes that answered `bye`, each waiting for its next hello:
-#: (proc, line queue, reader thread), at most one per (pid, argv).  The
-#: pid in the key keeps a forked child off its parent's processes.
-_IDLE: dict[tuple[int, tuple[str, ...]], tuple] = {}
+#: (proc, bytes read past its last line), at most one per (pid, argv).
+#: The pid in the key keeps a forked child off its parent's processes.
+_IDLE: dict[tuple[int, tuple[str, ...]], tuple[subprocess.Popen, bytes]] = {}
 
 
 class _PipeClosed(ProtocolError):
     """The agent process closed its end of a pipe."""
 
 
-def _pump(pipe, lines: queue.SimpleQueue) -> None:
-    """Queue every line of `pipe` as it came, in bytes, then None for its EOF."""
-    for line in pipe:
-        lines.put(line)
-    lines.put(None)
+def _spawn(argv: list[str]) -> subprocess.Popen:
+    """Start an agent process with both its stdio ends piped to us."""
+    return subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
 
-def _spawn(argv: list[str]) -> tuple:
-    """Start an agent process and the thread that queues its lines."""
-    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-    lines: queue.SimpleQueue = queue.SimpleQueue()
-    reader = threading.Thread(target=_pump, args=(proc.stdout, lines), daemon=True)
-    reader.start()
-    return proc, lines, reader
-
-
-def _end(proc: subprocess.Popen, reader: threading.Thread, kill: bool = False) -> None:
+def _end(proc: subprocess.Popen, kill: bool = False) -> None:
     """Reap an agent process: EOF on its stdin, then terminate, then kill
-    (kill at once if `kill`).  Its stdout is closed once the reader has
-    met the EOF; a process the child started may hold the pipe open, and
-    then the reader is still blocked in it and the pipe is left alone."""
+    (kill at once if `kill`, as after a protocol error); then close our end
+    of its stdout, even if a process the agent started still holds theirs."""
     if kill:
         proc.kill()
     with contextlib.suppress(OSError):
@@ -350,17 +339,14 @@ def _end(proc: subprocess.Popen, reader: threading.Thread, kill: bool = False) -
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-    reader.join(timeout=2.0)
-    if not reader.is_alive():
-        proc.stdout.close()
+    proc.stdout.close()
 
 
 def close_idle_agents() -> None:
     """End every agent process this process parked: EOF, reap, close pipes."""
     pid = os.getpid()
     for key in [key for key in _IDLE if key[0] == pid]:
-        proc, _, reader = _IDLE.pop(key)
-        _end(proc, reader)
+        _end(_IDLE.pop(key)[0])
 
 
 atexit.register(close_idle_agents)
@@ -369,9 +355,9 @@ atexit.register(close_idle_agents)
 class SubprocessAgent(BaseAgent):
     """An agent that is an external process, driven over the line
     protocol.  Late replies are budget misses and bad ones protocol
-    errors, as the module docstring says.  The process is the one parked
-    for `argv` by this process, if any, else a fresh one; `close` parks
-    it again if it answers `bye`."""
+    errors, which end the process at once, as the module docstring says.
+    The process is the one parked for `argv` by this process, if any,
+    else a fresh one; `close` parks it again if it answers `bye`."""
 
     kind = "subprocess"
 
@@ -386,7 +372,6 @@ class SubprocessAgent(BaseAgent):
         self._held: list[bytes] = []  # checked lines for the next write
         self._last_resources = {"model_size": 0, "updates": 0}
         self._key = (os.getpid(), tuple(argv))
-        self._closed = False
 
         hello = {
             "kind": "hello",
@@ -399,28 +384,35 @@ class SubprocessAgent(BaseAgent):
             hello["agent_seed"] = int(agent_seed)
         doc = None
         if (parked := _IDLE.pop(self._key, None)) is not None:
-            self.proc, self._lines, self._reader = parked
+            self.proc, self._unread = parked
             with contextlib.suppress(_PipeClosed):  # it exited while parked
                 doc = self._greet(hello)
         if doc is None:
-            self.proc, self._lines, self._reader = _spawn(argv)
+            self.proc, self._unread = _spawn(argv), b""
             doc = self._greet(hello)
         self.agent_name = doc["agent"]
+        self._closed = False
+
+    @contextlib.contextmanager
+    def _ended_on_error(self):
+        """On any protocol error, kill and reap the process and mark this
+        agent closed: nothing, `close` included, waits on a broken agent."""
+        try:
+            yield
+        except ProtocolError:
+            self._closed = True
+            _end(self.proc, kill=True)
+            raise
 
     def _greet(self, hello: dict) -> dict:
-        """Open a session: the agent's checked hello.  On any protocol
-        error the process is killed and reaped, since no caller can
-        close() an agent whose constructor raised."""
-        try:
+        """Open a session: the agent's checked hello."""
+        with self._ended_on_error():
             self._send(hello)
             doc = self._reply(time.monotonic() + HELLO_TIMEOUT_S)
             if doc is None:
                 raise ProtocolError("agent did not answer the handshake in time")
             if doc["kind"] != "hello":
                 raise ProtocolError(f"expected hello, got {doc['kind']!r}")
-        except ProtocolError:
-            _end(self.proc, self._reader, kill=True)
-            raise
         return doc
 
     def _hold(self, doc: dict) -> None:
@@ -443,12 +435,18 @@ class SubprocessAgent(BaseAgent):
     def _reply(self, deadline: float) -> dict | None:
         """The agent's next message, checked, or None if no line comes
         before `deadline` (a line already in flight gets a millisecond)."""
-        try:
-            line = self._lines.get(timeout=max(deadline - time.monotonic(), 0.001))
-        except queue.Empty:
-            return None
-        if line is None:
-            raise _PipeClosed("agent closed its pipe")
+        fd = self.proc.stdout.fileno()
+        while (end := self._unread.find(b"\n") + 1) == 0:
+            ready = select.poll()
+            ready.register(fd, select.POLLIN)
+            if not ready.poll(max(deadline - time.monotonic(), 0.001) * 1000.0):
+                return None
+            if not (data := os.read(fd, 65536)):  # EOF; a last line needs no \n
+                if not (end := len(self._unread)):
+                    raise _PipeClosed("agent closed its pipe")
+                break
+            self._unread += data
+        line, self._unread = self._unread[:end], self._unread[end:]
         return parse_line("from_agent", line)
 
     def on_problem(self, payload: dict) -> None:
@@ -458,40 +456,41 @@ class SubprocessAgent(BaseAgent):
         self._hold({"kind": "score", **payload})
 
     def act(self, observation: dict) -> np.ndarray:
-        tick = observation["tick"]
-        self._send({"kind": "observation", "tick": tick,
-                    "cells": grid_cells(observation["grid"])})
-        deadline = time.monotonic() + self.budget_s
-        while True:
+        with self._ended_on_error():
+            tick = observation["tick"]
+            self._send({"kind": "observation", "tick": tick,
+                        "cells": grid_cells(observation["grid"])})
+            deadline = time.monotonic() + self.budget_s
+            while True:
+                doc = self._reply(deadline)
+                if doc is None:
+                    self.budget_misses += 1
+                    return self._zero_action()
+                if doc["kind"] == "resources" and self._owed_resources > 0:
+                    self._owed_resources -= 1
+                elif doc["kind"] != "action":
+                    raise ProtocolError(f"expected action, got {doc['kind']!r}")
+                elif doc.get("tick", tick) != tick:
+                    self._owed_resources += 1  # stale reply from an earlier overrun
+                else:
+                    break
+            try:
+                forces = _checked_forces(doc["forces"], self.body)
+            except ContractViolation as exc:
+                raise ProtocolError(str(exc)) from None
+
             doc = self._reply(deadline)
             if doc is None:
                 self.budget_misses += 1
-                return self._zero_action()
-            if doc["kind"] == "resources" and self._owed_resources > 0:
-                self._owed_resources -= 1
-            elif doc["kind"] != "action":
-                raise ProtocolError(f"expected action, got {doc['kind']!r}")
-            elif doc.get("tick", tick) != tick:
-                self._owed_resources += 1  # stale reply from an earlier overrun
-            else:
-                break
-        try:
-            forces = _checked_forces(doc["forces"], self.body)
-        except ContractViolation as exc:
-            raise ProtocolError(str(exc)) from None
-
-        doc = self._reply(deadline)
-        if doc is None:
-            self.budget_misses += 1
-            self._owed_resources += 1
+                self._owed_resources += 1
+                return forces
+            if doc["kind"] != "resources":
+                raise ProtocolError(f"expected resources, got {doc['kind']!r}")
+            declared = {"model_size": doc["model_size"], "updates": doc["updates"]}
+            if not all(map(math.isfinite, declared.values())):
+                raise ProtocolError(f"resources must be finite, got {declared}")
+            self._last_resources = declared
             return forces
-        if doc["kind"] != "resources":
-            raise ProtocolError(f"expected resources, got {doc['kind']!r}")
-        declared = {"model_size": doc["model_size"], "updates": doc["updates"]}
-        if not all(map(math.isfinite, declared.values())):
-            raise ProtocolError(f"resources must be finite, got {declared}")
-        self._last_resources = declared
-        return forces
 
     def resources(self) -> dict:
         return dict(self._last_resources)
@@ -513,9 +512,9 @@ class SubprocessAgent(BaseAgent):
                     and doc["kind"] in ("action", "resources"):
                 pass  # a late reply of the ending session
         if doc is not None and doc["kind"] == "bye" and self._key not in _IDLE:
-            _IDLE[self._key] = (self.proc, self._lines, self._reader)
+            _IDLE[self._key] = (self.proc, self._unread)
         else:
-            _end(self.proc, self._reader)
+            _end(self.proc)
 
 
 # -- agent side ------------------------------------------------------------

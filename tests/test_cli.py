@@ -840,7 +840,7 @@ for line in stdin:
 
 @pytest.mark.parametrize("in_hello", [True, False], ids=["hello", "action"])
 def test_non_utf8_agent_line_exits_four_at_once(in_hello, tmp_path):
-    # Run as a process, so that a dying reader thread would print its traceback.
+    # Run as a process, so that anything printed on the way out is seen.
     script = tmp_path / "non_utf8.py"
     script.write_text(f"PROTOCOL_VERSION = {PROTOCOL_VERSION}\n"
                       f"IN_HELLO = {in_hello}\n" + NON_UTF8_AGENT)
@@ -860,6 +860,44 @@ def test_non_utf8_agent_line_exits_four_at_once(in_hello, tmp_path):
     assert "can't decode byte 0xff" in done.stderr
     assert "Exception in thread" not in done.stderr
     assert not disc.exists()
+
+
+STUCK_AGENT = r"""
+import json, os, sys, time
+stdin, out = sys.stdin.buffer, sys.stdout.buffer
+n = len(json.loads(stdin.readline())["body"]["member_ids"])
+with open(PID_FILE, "w") as fh:
+    fh.write(str(os.getpid()))
+out.write(b'{"kind":"hello","protocol":%d,"agent":"x"}\n' % PROTOCOL_VERSION)
+out.flush()
+stdin.readline()  # the first observation
+rows = b",".join([b"[0.0,0.0]"] * n)
+out.write(b'{"kind":"action\xff","forces":[%s]}\n' % rows)
+out.flush()
+time.sleep(30)  # reads nothing more: neither the bye nor the EOF
+"""
+
+
+def test_broken_agent_is_ended_at_once(tmp_path):
+    # After a protocol error the harness kills the agent; it does not send
+    # bye and wait for an agent that already broke the protocol.
+    script, pid_file = tmp_path / "stuck.py", tmp_path / "agent.pid"
+    script.write_text(f"PROTOCOL_VERSION = {PROTOCOL_VERSION}\n"
+                      f"PID_FILE = {str(pid_file)!r}\n" + STUCK_AGENT)
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "driftworld", "run",
+         "--set", "episode.horizon=5", "--set", "episode.budget_s=30",
+         "--agent-cmd", f"{sys.executable} {script}"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - started < HELLO_TIMEOUT_S
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("protocol error: ")
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 # ------------------------------------------------------------- installed form

@@ -17,6 +17,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -981,6 +982,89 @@ def test_wire_episode_leaves_no_pipe_open(body, monkeypatch):
     assert [hook.exc_value for hook in unraisable] == []
 
 
+def test_wire_agents_start_no_thread(body):
+    # replies are read on the caller's thread, parked processes included
+    before = threading.active_count()
+    agent = SubprocessAgent(bundled_argv("greedy"), body, horizon=6,
+                            budget_s=5.0)
+    run_episode(generate_world(GenSpec(seed=3)),
+                [Slot(agent_id="greedy", agent=agent, body=body)],
+                StepParams(), ProblemParams(), ScoreParams(),
+                EpisodeConfig(horizon=6, budget_s=5.0))
+    counts = [threading.active_count()]
+    agent.close()
+    assert protocol._IDLE, "the agent answered bye, so it is parked"
+    counts.append(threading.active_count())
+    second = SubprocessAgent(bundled_argv("greedy"), body, horizon=6,
+                             budget_s=5.0)
+    assert second.proc is agent.proc
+    counts.append(threading.active_count())
+    second.close()
+    close_idle_agents()
+    counts.append(threading.active_count())
+    assert counts == [before] * 4
+
+
+CUT_REPLY_AGENT = r"""
+import json, sys, time
+out = sys.stdout.buffer
+for line in sys.stdin.buffer:
+    doc = json.loads(line)
+    if doc["kind"] == "hello":
+        out.write(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
+                              "agent": "cut"}).encode() + b"\n")
+    elif doc["kind"] == "observation":
+        tick = doc["tick"]
+        action = json.dumps({"kind": "action", "tick": tick,
+                             "forces": [[0.5 * tick, -0.25]] * 4}).encode()
+        half = len(action) // 2
+        out.write(action[:half])
+        out.flush()
+        time.sleep(0.05)
+        out.write(action[half:] + b"\n" + json.dumps({
+            "kind": "resources", "model_size": tick, "updates": 1,
+        }).encode() + b"\n")
+    elif doc["kind"] == "bye":
+        out.write(b'{"kind": "bye"}\n')
+    out.flush()
+"""
+
+
+def test_subprocess_reply_cut_across_reads(body, tmp_path):
+    # an action line in two writes, the resources line riding the second
+    script = tmp_path / "cut.py"
+    write_agent(script, CUT_REPLY_AGENT)
+    agent = SubprocessAgent([sys.executable, str(script)], body,
+                            horizon=20, budget_s=2.0)
+    try:
+        for tick in range(3):
+            forces = agent.act({"tick": tick, "grid": EMPTY_GRID})
+            assert forces.tolist() == [[0.5 * tick, -0.25]] * 4
+            assert agent.resources() == {"model_size": tick, "updates": 1}
+        assert agent.budget_misses == 0
+    finally:
+        agent.close()
+    assert protocol._IDLE, "the agent answered bye, so it is parked"
+
+
+UNTERMINATED_HELLO_AGENT = r"""
+import json, sys
+sys.stdin.readline()
+sys.stdout.write(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
+                             "agent": "terse"}))  # no newline, then EOF
+"""
+
+
+def test_last_line_without_newline_is_a_line(body, tmp_path):
+    script = tmp_path / "terse.py"
+    write_agent(script, UNTERMINATED_HELLO_AGENT)
+    agent = SubprocessAgent([sys.executable, str(script)], body, horizon=20)
+    assert agent.agent_name == "terse"
+    agent.close()  # it has exited, so it is shut down, not parked
+    assert protocol._IDLE == {}
+    assert agent.proc.returncode == 0 and agent.proc.stdout.closed
+
+
 class CountingPipe:
     """A pipe that keeps what each `write` was given."""
 
@@ -1000,10 +1084,10 @@ def test_one_pipe_write_per_tick(body, monkeypatch):
     pipes, spawn = [], protocol._spawn
 
     def counting_spawn(argv):
-        proc, lines, reader = spawn(argv)
+        proc = spawn(argv)
         proc.stdin = CountingPipe(proc.stdin)
         pipes.append(proc.stdin)
-        return proc, lines, reader
+        return proc
 
     monkeypatch.setattr(protocol, "_spawn", counting_spawn)
     close_idle_agents()  # the agent must be spawned, not taken from the park
@@ -1343,8 +1427,8 @@ def test_forked_child_never_takes_the_parents_process(body):
         finally:
             os._exit(code)
     os.close(write_end)
-    # A child that took the parent's process can hang on a pipe lock the
-    # parent's reader thread held at the fork: give it a deadline.
+    # A child that took the parent's process could hang on it, or on a
+    # pipe lock held at the fork: give it a deadline.
     deadline = time.monotonic() + 30.0
     while (done := os.waitpid(child, os.WNOHANG))[0] == 0 \
             and time.monotonic() < deadline:
@@ -1396,3 +1480,35 @@ def test_exiting_harness_leaves_no_agent_process(tmp_path):
                           timeout=60)
     with pytest.raises(ProcessLookupError):
         os.kill(int(done.stdout), 0)
+
+
+FORKING_AGENT = r"""
+import json, subprocess, sys
+# the child inherits this process's stdout and outlives it
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(30)"])
+with open(PID_FILE, "w") as fh:
+    fh.write(str(child.pid))
+for line in sys.stdin:
+    kind = json.loads(line)["kind"]
+    if kind == "hello":
+        print(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
+                          "agent": "f"}), flush=True)
+    elif kind == "bye":
+        print(json.dumps({"kind": "bye"}), flush=True)
+"""
+
+
+def test_grandchild_holding_stdout_does_not_stall_teardown(body, tmp_path):
+    script, pid_file = tmp_path / "forking.py", tmp_path / "child.pid"
+    write_agent(script, FORKING_AGENT, PID_FILE=str(pid_file))
+    agent = SubprocessAgent([sys.executable, str(script)], body, horizon=20)
+    try:
+        agent.close()  # it answers bye, so it is parked
+        started = time.monotonic()
+        close_idle_agents()  # EOF: the agent exits, its child lives on
+        took = time.monotonic() - started
+        assert agent.proc.returncode == 0
+        assert agent.proc.stdout.closed
+        assert took < 1.0
+    finally:
+        os.kill(int(pid_file.read_text()), signal.SIGKILL)
