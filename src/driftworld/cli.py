@@ -86,12 +86,20 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config, args.overrides)
     for path in (args.live, args.disclosure, args.out):
         _check_out(path, args.force)
+    external = args.agent_cmd is not None
+    if external:
+        try:
+            argv = shlex.split(args.agent_cmd)
+        except ValueError as exc:
+            raise ConfigError(f"--agent-cmd {args.agent_cmd!r}: {exc}") from None
+        if not argv:
+            raise ConfigError("--agent-cmd names no command")
     world = generate_world(cfg.gen)
 
-    if args.agent_cmd:
+    if external:
         body = cfg.body(0)
         agent = SubprocessAgent(
-            shlex.split(args.agent_cmd), body, horizon=cfg.episode.horizon,
+            argv, body, horizon=cfg.episode.horizon,
             agent_seed=agent_seed(cfg.gen.seed),
             budget_s=cfg.episode.budget_s,
         )
@@ -107,7 +115,7 @@ def cmd_run(args) -> int:
             live_path=args.live, disclosure_path=args.disclosure,
         )
     finally:
-        if args.agent_cmd:
+        if external:
             slot.agent.close()
 
     metrics = result.metrics(agent_id, cfg.metric)

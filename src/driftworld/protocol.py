@@ -1,49 +1,51 @@
 """Newline-delimited JSON protocol between harness and external agents.
 
 One JSON object per UTF-8 line, schema-validated in both directions
-with closed schemas (unknown fields are rejected, not ignored), so the
-message set itself is the information bottleneck: there is no field an
-agent could read law coefficients or raw coordinates from.
+with closed schemas (unknown fields are rejected, not ignored, and every
+field is required), so the message set itself is the information
+bottleneck: there is no field an agent could read law coefficients or
+raw coordinates from.
 
 Validation is the package's one JSON checker, `_first_error`, over
 `SCHEMAS` and the trace's `trace.SCHEMAS`, built from the pieces below.
 It implements the JSON Schema Draft-07 keywords they use, with the types
 of `canon.JSON_TYPES` (a bool is no number, 1.0 is no integer) and
-`const` compared by exact type (3.0 is no version 3), names the path of
+`const` compared by exact type (4.0 is no version 4), names the path of
 the first failure, and refuses at import a keyword it lacks.  Both ends
 check every message they send and receive; the harness checking its own
 messages is the secrecy guard.
 
 Exchange per tick: harness sends an observation, the agent replies with
-exactly two lines, an action then a resources declaration.  Problem
-lifecycle travels as problem / score messages, session lifecycle as
-hello / bye; the agent has `HELLO_TIMEOUT_S` to answer each.  The
-harness holds problem and score messages until its next observation or
-bye, and writes them with it, so it makes one pipe write per tick.
+exactly one line, an action tagged with the observation's tick that
+carries its forces and its resources declaration.  Problem lifecycle
+travels as problem / score messages, session lifecycle as hello / bye;
+the agent has `HELLO_TIMEOUT_S` to answer each.  The harness holds
+problem and score messages until its next observation or bye, and
+writes them with it, so it makes one pipe write per tick.
 
-Version 3 sends an observation as its occupied cells: one `[row, column,
-positive, negative]` per cell holding a count, in row-major order, empty
-cells left out (`grid_cells`).  Besides the schema, the agent side
-refuses a row or column not below the body's resolution, cells not
-strictly in row-major order and a listed empty cell, then rebuilds the
-read-only float64 `(R, R, 2)` grid an in-process agent is given
-(`cells_grid`).
+A grid travels as its occupied cells: one `[row, column, positive,
+negative]` per cell holding a count, in row-major order, empty cells
+left out (`grid_cells`).  That holds for an observation's `cells` and a
+problem's `target_cells`.  Besides the schema, the agent side refuses a
+row or column not below the body's resolution, cells not strictly in
+row-major order and a listed empty cell, then rebuilds the read-only
+float64 `(R, R, 2)` grid an in-process agent is given (`cells_grid`).
 
-Since version 2 there are sessions: one agent process may serve several
-episodes in a row.  The agent answers `bye` with `bye` and then waits
-for the next line, which is another `hello` (a new session, with nothing
-carried over from the last) or EOF (exit).  The harness parks a process
-that said `bye` and hands it to the next `SubprocessAgent` built with
-the same argv in the same process, so start-up is paid once per process,
-not once per episode; `close_idle_agents` (run at exit) ends the parked
-ones.  The harness reads replies on the caller's thread, polling the
-pipe until the reply's deadline.  It enforces a wall-clock reply budget
-per tick and counts a budget miss when either line overruns it: a late
-action is replaced by a zero action, a late resources line by the last
-declaration.  Each late line is discarded when it arrives, a late action
-by its optional tick tag.  Both ends read their pipes as bytes and
-decode each line with `canon.canonical_loads`, so a line that is not
-UTF-8 and `NaN` and `Infinity` are refused, and the harness refuses any
+There are sessions: one agent process may serve several episodes in a
+row.  The agent answers `bye` with `bye` and then waits for the next
+line, which is another `hello` (a new session, with nothing carried over
+from the last) or EOF (exit).  The harness parks a process that said
+`bye` and hands it to the next `SubprocessAgent` built with the same
+argv in the same process, so start-up is paid once per process, not once
+per episode; `close_idle_agents` (run at exit) ends the parked ones.
+The harness reads replies on the caller's thread, polling the pipe until
+the reply's deadline.  It enforces a wall-clock reply budget per tick: a
+reply that misses it is one budget miss, its forces are replaced by a
+zero action and the last declaration stands.  A reply tagged with an
+earlier tick is dropped when it arrives; one tagged with a later tick is
+a protocol error.  Both ends read their pipes as bytes and decode each
+line with `canon.canonical_loads`, so a line that is not UTF-8, a blank
+line and `NaN` and `Infinity` are refused, and the harness refuses any
 force or resource that is not finite (`1e400` decodes to an infinity):
 all are protocol errors, as is an unparsable or out-of-schema line.  A
 protocol error in a hello or a tick's reply kills the process at once.
@@ -68,21 +70,16 @@ from .errors import ConfigError, ContractViolation, ProtocolError
 from .interface import BodySpec, _checked_forces
 from .rng import agent_stream
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 _NUM = {"type": "number"}
 _INDEX = {"type": "integer", "minimum": 0}
 _SIZE = {"type": "integer", "minimum": 1}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _AMOUNT = {"type": "number", "minimum": 0}
-_PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
-_GRID = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": _PAIR},
-}
 #: One occupied sensor cell: row, column, positive count, negative count.
 _CELL = {"type": "array", "items": _INDEX, "minItems": 4, "maxItems": 4}
+_CELLS = {"type": "array", "items": _CELL}
 _FORCES = {
     "type": "array",
     "minItems": 1,
@@ -90,41 +87,38 @@ _FORCES = {
 }
 
 
-def _closed(properties: dict, optional: tuple = ()) -> dict:
-    """A closed object schema: every property is required unless named optional."""
+def _closed(properties: dict) -> dict:
+    """A closed object schema: every property is required."""
     return {
         "type": "object",
         "properties": properties,
-        "required": [k for k in properties if k not in optional],
+        "required": list(properties),
         "additionalProperties": False,
     }
 
 
-def _message(kind: str, optional: tuple = (), **properties) -> dict:
+def _message(kind: str, **properties) -> dict:
     """The closed schema of one message kind, led by its `kind` const."""
-    return _closed({"kind": {"const": kind}, **properties}, optional)
+    return _closed({"kind": {"const": kind}, **properties})
 
 
 _BODY = _closed({"member_ids": {"type": "array", "items": _INDEX, "minItems": 1},
                  "resolution": _SIZE, "window_halfwidth": _POSITIVE,
                  "f_max": _POSITIVE})
-_PROBLEM = _closed({"id": _INDEX, "issued_tick": _INDEX, "target_grid": _GRID,
+_PROBLEM = _closed({"id": _INDEX, "issued_tick": _INDEX, "target_cells": _CELLS,
                     "epsilon": _POSITIVE, "timeout": _SIZE})
-_RESOURCES = {"model_size": _AMOUNT, "updates": _AMOUNT}
+_RESOURCES = _closed({"model_size": _AMOUNT, "updates": _AMOUNT})
 _VERSION = {"const": PROTOCOL_VERSION}
 
 SCHEMAS: dict[tuple[str, str], dict] = {
     ("to_agent", "hello"): _message(
-        "hello", optional=("agent_seed",), protocol=_VERSION, dim={"const": 2},
-        horizon=_SIZE, body=_BODY, agent_seed=_INDEX),
+        "hello", protocol=_VERSION, horizon=_SIZE, body=_BODY, agent_seed=_INDEX),
     ("from_agent", "hello"): _message(
         "hello", protocol=_VERSION, agent={"type": "string", "minLength": 1}),
     ("to_agent", "problem"): _message("problem", problem=_PROBLEM),
-    ("to_agent", "observation"): _message(
-        "observation", tick=_INDEX, cells={"type": "array", "items": _CELL}),
+    ("to_agent", "observation"): _message("observation", tick=_INDEX, cells=_CELLS),
     ("from_agent", "action"): _message(
-        "action", optional=("tick",), forces=_FORCES, tick=_INDEX),
-    ("from_agent", "resources"): _message("resources", **_RESOURCES),
+        "action", tick=_INDEX, forces=_FORCES, resources=_RESOURCES),
     ("to_agent", "score"): _message(
         "score", problem_id=_INDEX, solved={"type": "boolean"}, score=_NUM,
         tick=_INDEX),
@@ -171,10 +165,6 @@ def _first_error(v, s: dict):
         if "maxItems" in s and len(v) > s["maxItems"]:
             return (), f"has {len(v)} items, more than {s['maxItems']}"
         items = s.get("items")
-        if items is _PAIR and all(  # grid rows: pairs of numbers
-                type(p) is list and len(p) == 2
-                and type(p[0]) in _NUMBER and type(p[1]) in _NUMBER for p in v):
-            return None
         if items is _CELL and all(  # sensor cells: four nonnegative integers
                 type(c) is list and len(c) == 4
                 and all(type(x) in _INTEGER and x >= 0 for x in c) for c in v):
@@ -362,26 +352,17 @@ class SubprocessAgent(BaseAgent):
     kind = "subprocess"
 
     def __init__(self, argv: list[str], body: BodySpec, dim: int = 2, *,
-                 horizon: int, agent_seed: int | None = None,
-                 budget_s: float = 0.05):
+                 horizon: int, agent_seed: int, budget_s: float = 0.05):
         if dim != 2:  # the world's dimension, always 2
             raise ConfigError(f"dim must be 2, got {dim!r}")
         super().__init__(body)
         self.budget_s = budget_s
-        self._owed_resources = 0  # late ones, and stale actions' companions
         self._held: list[bytes] = []  # checked lines for the next write
         self._last_resources = {"model_size": 0, "updates": 0}
         self._key = (os.getpid(), tuple(argv))
 
-        hello = {
-            "kind": "hello",
-            "protocol": PROTOCOL_VERSION,
-            "dim": 2,
-            "horizon": horizon,
-            "body": to_doc(body),
-        }
-        if agent_seed is not None:
-            hello["agent_seed"] = int(agent_seed)
+        hello = {"kind": "hello", "protocol": PROTOCOL_VERSION, "horizon": horizon,
+                 "body": to_doc(body), "agent_seed": int(agent_seed)}
         doc = None
         if (parked := _IDLE.pop(self._key, None)) is not None:
             self.proc, self._unread = parked
@@ -450,7 +431,9 @@ class SubprocessAgent(BaseAgent):
         return parse_line("from_agent", line)
 
     def on_problem(self, payload: dict) -> None:
-        self._hold({"kind": "problem", "problem": payload})
+        problem = dict(payload)
+        problem["target_cells"] = grid_cells(np.asarray(problem.pop("target_grid")))
+        self._hold({"kind": "problem", "problem": problem})
 
     def on_problem_closed(self, payload: dict) -> None:
         self._hold({"kind": "score", **payload})
@@ -466,27 +449,19 @@ class SubprocessAgent(BaseAgent):
                 if doc is None:
                     self.budget_misses += 1
                     return self._zero_action()
-                if doc["kind"] == "resources" and self._owed_resources > 0:
-                    self._owed_resources -= 1
-                elif doc["kind"] != "action":
+                if doc["kind"] != "action":
                     raise ProtocolError(f"expected action, got {doc['kind']!r}")
-                elif doc.get("tick", tick) != tick:
-                    self._owed_resources += 1  # stale reply from an earlier overrun
-                else:
-                    break
+                if doc["tick"] < tick:
+                    continue  # a late reply to an earlier tick
+                if doc["tick"] > tick:
+                    raise ProtocolError(f"action tagged tick {doc['tick']} arrived "
+                                        f"at tick {tick}, before its observation")
+                break
             try:
                 forces = _checked_forces(doc["forces"], self.body)
             except ContractViolation as exc:
                 raise ProtocolError(str(exc)) from None
-
-            doc = self._reply(deadline)
-            if doc is None:
-                self.budget_misses += 1
-                self._owed_resources += 1
-                return forces
-            if doc["kind"] != "resources":
-                raise ProtocolError(f"expected resources, got {doc['kind']!r}")
-            declared = {"model_size": doc["model_size"], "updates": doc["updates"]}
+            declared = doc["resources"]
             if not all(map(math.isfinite, declared.values())):
                 raise ProtocolError(f"resources must be finite, got {declared}")
             self._last_resources = declared
@@ -509,7 +484,7 @@ class SubprocessAgent(BaseAgent):
             self._send({"kind": "bye"})
             deadline = time.monotonic() + HELLO_TIMEOUT_S
             while (doc := self._reply(deadline)) is not None \
-                    and doc["kind"] in ("action", "resources"):
+                    and doc["kind"] == "action":
                 pass  # a late reply of the ending session
         if doc is not None and doc["kind"] == "bye" and self._key not in _IDLE:
             _IDLE[self._key] = (self.proc, self._unread)
@@ -534,11 +509,10 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
 
-    def send(*docs: dict) -> None:
-        """Check each message, then write them all in one write and one flush."""
-        for doc in docs:
-            validate_message("from_agent", doc)
-        stdout.write(b"".join(map(encode, docs)))
+    def send(doc: dict) -> None:
+        """Check a message, then write it and flush."""
+        validate_message("from_agent", doc)
+        stdout.write(encode(doc))
         stdout.flush()
 
     agent = None
@@ -550,25 +524,26 @@ def run_stdio_agent(kind: str, stdin=None, stdout=None) -> int:
                 raise ProtocolError(f"expected hello, got {hello['kind']!r}")
             stream = None
             if kind == "random":
-                stream = agent_stream(hello.get("agent_seed", 0))
+                stream = agent_stream(hello["agent_seed"])
             body = from_doc(BodySpec, hello["body"])
             agent = make_agent(kind, body, stream=stream)
             greeted = True
             send({"kind": "hello", "protocol": PROTOCOL_VERSION, "agent": kind})
             continue
-        if not line.strip():
-            continue
         doc = parse_line("to_agent", line)
         if doc["kind"] == "problem":
-            agent.on_problem(doc["problem"])
+            problem = doc["problem"]
+            problem["target_grid"] = cells_grid(problem.pop("target_cells"),
+                                                body.resolution)
+            agent.on_problem(problem)
         elif doc["kind"] == "observation":
             grid = cells_grid(doc["cells"], body.resolution)
             forces = np.asarray(agent.act({"tick": doc["tick"], "grid": grid}),
                                 dtype=np.float64).tolist()
             res = agent.resources()
-            send({"kind": "action", "forces": forces, "tick": doc["tick"]},
-                 {"kind": "resources", "model_size": res["model_size"],
-                  "updates": res["updates"]})
+            send({"kind": "action", "tick": doc["tick"], "forces": forces,
+                  "resources": {"model_size": res["model_size"],
+                                "updates": res["updates"]}})
         elif doc["kind"] == "score":
             agent.on_problem_closed(doc)
         elif doc["kind"] == "bye":

@@ -25,9 +25,10 @@ wire's type model: an integer is written as one, so 1.0 is none.
 Replay takes values only from the header and the `act` and `end` lines
 and checks no other kind: it compares every line's bytes with the line
 it regenerates, which is stricter than any schema.  The
-`problem_issued` schema stays all the same: `LIVE_FIELDS` is checked
-against it at import, and a test holds the wire's `problem` message
-equal to its live cut.
+`problem_issued` schema, the only one with a dense grid, stays all the
+same: `LIVE_FIELDS` is checked against it at import, and a test holds
+the wire's `problem` message equal to its live cut, the target grid sent
+as its cells.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections import deque
 
 from .canon import canonical_dumps, canonical_loads
 from .errors import ContractViolation
-from .protocol import _BODY, _FORCES, _INDEX, _NUM, _PROBLEM, _RESOURCES, _SIZE
+from .protocol import _BODY, _FORCES, _INDEX, _NUM, _POSITIVE, _RESOURCES, _SIZE
 from .protocol import _check_keywords, _closed, _first_error, _message
 
 TRACE_FORMAT = 4
@@ -87,6 +88,9 @@ def _field_tree(paths: tuple[str, ...]) -> dict:
 _LIVE_TREES = {kind: _field_tree(paths) for kind, paths in LIVE_FIELDS.items()}
 
 _STRING = {"type": "string"}
+_PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+_GRID = {"type": "array", "minItems": 1,
+         "items": {"type": "array", "minItems": 1, "items": _PAIR}}
 _PARAMS = {"type": "object"}  # a parameter block: canon.from_doc checks its fields
 
 
@@ -107,11 +111,13 @@ _DISCLOSURE_SCHEMAS = {
         stream_names=_by_agent(_STRING), initial_state_hash=_STRING),
     "problem_issued": _message(
         "problem_issued", tick=_INDEX, agent=_STRING, problem=_closed({
-            **_PROBLEM["properties"], "scriptor_len": _SIZE, "o_ref": _NUM,
-            "d_ref": _NUM, "hidden_actions": {"type": "array", "items": _FORCES},
+            "id": _INDEX, "issued_tick": _INDEX, "target_grid": _GRID,
+            "epsilon": _POSITIVE, "timeout": _SIZE, "scriptor_len": _SIZE,
+            "o_ref": _NUM, "d_ref": _NUM,
+            "hidden_actions": {"type": "array", "items": _FORCES},
             "p_null": {"type": ["number", "null"]}})),
     "act": _message("act", tick=_INDEX, agent=_STRING, forces=_FORCES,
-                    resources=_closed(_RESOURCES)),
+                    resources=_RESOURCES),
     "drift": _message("drift", tick=_INDEX, levels={"type": "array", "items": _INDEX},
                       new_laws={"type": "array", "items": _LAW}),
     "sample": _message("sample", tick=_INDEX, agent=_STRING, cumulative=_NUM),

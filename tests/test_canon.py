@@ -149,8 +149,8 @@ def test_to_doc_emits_lists_never_tuples():
 
 
 def test_hello_built_from_to_doc_is_valid():
-    hello = {"kind": "hello", "protocol": PROTOCOL_VERSION, "dim": 2,
-             "horizon": 10, "body": to_doc(BODY)}
+    hello = {"kind": "hello", "protocol": PROTOCOL_VERSION, "horizon": 10,
+             "body": to_doc(BODY), "agent_seed": 0}
     validate_message("to_agent", hello)
     # The checker treats only lists as arrays, which is why to_doc must
     # never hand it a tuple.

@@ -167,6 +167,17 @@ def test_run_agent_cmd_honours_quotes(tmp_path, capsys):
     assert json.loads(out.read_text())["final_tick"] == 40
 
 
+@pytest.mark.parametrize("command", ["", "   ", "'unclosed"],
+                         ids=["empty", "blank", "unclosed-quote"])
+def test_run_refuses_an_agent_command_that_names_no_program(command, tmp_path,
+                                                            capsys):
+    disc = tmp_path / "disc.ndjson"
+    assert run_cli("run", *BASE, "--agent-cmd", command,
+                   "--disclosure", str(disc)) == 3
+    assert capsys.readouterr().err.startswith("error: --agent-cmd ")
+    assert not disc.exists()
+
+
 def test_config_help_names_the_environment_variable(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
@@ -787,14 +798,14 @@ print(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION, "agent": "x"}),
 for line in sys.stdin:
     doc = json.loads(line)
     if doc["kind"] == "observation":
-        print(ACTION.replace("ROWS", ",".join([FORCE] * n)) % doc["tick"])
-        print(RESOURCES, flush=True)
+        print(ACTION.replace("ROWS", ",".join([FORCE] * n)) % doc["tick"],
+              flush=True)
     elif doc["kind"] == "bye":
         break
 """
 
-_ACTION = '{"kind":"action","forces":[ROWS],"tick":%d}'
-_RESOURCES = '{"kind":"resources","model_size":%s,"updates":0}'
+_ACTION = ('{"kind":"action","tick":%%d,"forces":[ROWS],'
+           '"resources":{"model_size":%s,"updates":0}}')
 
 
 @pytest.mark.parametrize("trace", [True, False], ids=["trace", "no-trace"])
@@ -806,8 +817,7 @@ def test_non_finite_agent_numbers_exit_four(force, model_size, trace, tmp_path,
                                             capsys):
     script = tmp_path / "non_finite.py"
     script.write_text(f"PROTOCOL_VERSION = {PROTOCOL_VERSION}\n"
-                      f"ACTION = {_ACTION!r}\nFORCE = {force!r}\n"
-                      f"RESOURCES = {_RESOURCES % model_size!r}\n"
+                      f"ACTION = {_ACTION % model_size!r}\nFORCE = {force!r}\n"
                       + NON_FINITE_AGENT)
     disc = tmp_path / "disc.ndjson"
     rc = run_cli("run", *BASE, "--set", "episode.budget_s=30",
@@ -816,6 +826,35 @@ def test_non_finite_agent_numbers_exit_four(force, model_size, trace, tmp_path,
     err = capsys.readouterr().err
     assert rc == 4, err
     assert err.startswith("protocol error: ") and "pipe is closed" not in err
+    assert "must be finite" in err or "not valid JSON" in err
+    assert not disc.exists()
+
+
+EARLY_AGENT = r"""
+import json, sys
+n = len(json.loads(sys.stdin.readline())["body"]["member_ids"])
+print(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION, "agent": "x"}),
+      flush=True)
+for line in sys.stdin:
+    doc = json.loads(line)
+    if doc["kind"] == "observation":
+        print(json.dumps({"kind": "action", "tick": doc["tick"] + 1,
+                          "forces": [[0.0, 0.0]] * n,
+                          "resources": {"model_size": 0, "updates": 0}}),
+              flush=True)
+"""
+
+
+def test_reply_tagged_with_a_later_tick_exits_four(tmp_path, capsys):
+    script = tmp_path / "early.py"
+    script.write_text(f"PROTOCOL_VERSION = {PROTOCOL_VERSION}\n" + EARLY_AGENT)
+    disc = tmp_path / "disc.ndjson"
+    rc = run_cli("run", *BASE, "--set", "episode.budget_s=30",
+                 "--agent-cmd", f"{sys.executable} {script}",
+                 "--disclosure", str(disc))
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("protocol error: action tagged tick 1 arrived at tick 0")
     assert not disc.exists()
 
 

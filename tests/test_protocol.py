@@ -56,6 +56,7 @@ from driftworld.trace import (
     DISCLOSURE,
     LIVE,
     LIVE_FIELDS,
+    check_line,
     live_view,
 )
 from driftworld.trace import SCHEMAS as TRACE_SCHEMAS  # `SCHEMAS` is the wire's
@@ -66,7 +67,7 @@ BODY_DICT = {"member_ids": [0, 1, 2, 3], "resolution": 16,
 
 VALID = {
     ("to_agent", "hello"): {
-        "kind": "hello", "protocol": PROTOCOL_VERSION, "dim": 2,
+        "kind": "hello", "protocol": PROTOCOL_VERSION,
         "horizon": 100, "body": BODY_DICT, "agent_seed": 7,
     },
     ("from_agent", "hello"): {
@@ -74,17 +75,15 @@ VALID = {
     },
     ("to_agent", "problem"): {
         "kind": "problem",
-        "problem": {"id": 0, "issued_tick": 3, "target_grid": [[[0.0, 1.0]]],
+        "problem": {"id": 0, "issued_tick": 3, "target_cells": [[0, 0, 0, 1]],
                     "epsilon": 0.16, "timeout": 24},
     },
     ("to_agent", "observation"): {
         "kind": "observation", "tick": 5, "cells": [[0, 1, 1, 0], [2, 0, 0, 3]],
     },
     ("from_agent", "action"): {
-        "kind": "action", "forces": [[0.5, -0.5]], "tick": 5,
-    },
-    ("from_agent", "resources"): {
-        "kind": "resources", "model_size": 10, "updates": 3,
+        "kind": "action", "tick": 5, "forces": [[0.5, -0.5]],
+        "resources": {"model_size": 10, "updates": 3},
     },
     ("to_agent", "score"): {
         "kind": "score", "problem_id": 0, "solved": True, "score": 0.4,
@@ -102,15 +101,6 @@ VALID = {
 # the result must equal this one, key order included.
 
 _NUM = {"type": "number"}
-_GRID = {
-    "type": "array",
-    "minItems": 1,
-    "items": {
-        "type": "array",
-        "minItems": 1,
-        "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-    },
-}
 _CELLS = {
     "type": "array",
     "items": {"type": "array", "items": {"type": "integer", "minimum": 0},
@@ -140,11 +130,11 @@ _PROBLEM = {
     "properties": {
         "id": {"type": "integer", "minimum": 0},
         "issued_tick": {"type": "integer", "minimum": 0},
-        "target_grid": _GRID,
+        "target_cells": _CELLS,
         "epsilon": {"type": "number", "exclusiveMinimum": 0},
         "timeout": {"type": "integer", "minimum": 1},
     },
-    "required": ["id", "issued_tick", "target_grid", "epsilon", "timeout"],
+    "required": ["id", "issued_tick", "target_cells", "epsilon", "timeout"],
     "additionalProperties": False,
 }
 
@@ -154,12 +144,11 @@ REFERENCE: dict[tuple[str, str], dict] = {
         "properties": {
             "kind": {"const": "hello"},
             "protocol": {"const": PROTOCOL_VERSION},
-            "dim": {"const": 2},
             "horizon": {"type": "integer", "minimum": 1},
             "body": _BODY,
             "agent_seed": {"type": "integer", "minimum": 0},
         },
-        "required": ["kind", "protocol", "dim", "horizon", "body"],
+        "required": ["kind", "protocol", "horizon", "body", "agent_seed"],
         "additionalProperties": False,
     },
     ("from_agent", "hello"): {
@@ -192,20 +181,19 @@ REFERENCE: dict[tuple[str, str], dict] = {
         "type": "object",
         "properties": {
             "kind": {"const": "action"},
-            "forces": _FORCES,
             "tick": {"type": "integer", "minimum": 0},
+            "forces": _FORCES,
+            "resources": {
+                "type": "object",
+                "properties": {
+                    "model_size": {"type": "number", "minimum": 0},
+                    "updates": {"type": "number", "minimum": 0},
+                },
+                "required": ["model_size", "updates"],
+                "additionalProperties": False,
+            },
         },
-        "required": ["kind", "forces"],
-        "additionalProperties": False,
-    },
-    ("from_agent", "resources"): {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "resources"},
-            "model_size": {"type": "number", "minimum": 0},
-            "updates": {"type": "number", "minimum": 0},
-        },
-        "required": ["kind", "model_size", "updates"],
+        "required": ["kind", "tick", "forces", "resources"],
         "additionalProperties": False,
     },
     ("to_agent", "score"): {
@@ -241,12 +229,17 @@ def test_schema_table_equals_the_hand_written_reference():
 
 
 def test_problem_schema_is_the_live_view_of_a_problem():
-    live = [name.split(".", 1)[1] for name in LIVE_FIELDS["problem_issued"]
-            if name.startswith("problem.")]
-    problem = SCHEMAS[("to_agent", "problem")]["properties"]["problem"]
-    assert list(problem["properties"]) == live
-    assert problem["required"] == live
-    assert TRACE_SCHEMAS[LIVE]["problem_issued"]["properties"]["problem"] == problem
+    # the wire's problem is the live cut, its target grid sent as cells
+    live = TRACE_SCHEMAS[LIVE]["problem_issued"]["properties"]["problem"]
+    assert list(live["properties"]) == [
+        name.split(".", 1)[1] for name in LIVE_FIELDS["problem_issued"]
+        if name.startswith("problem.")]
+    as_sent = {"target_cells" if k == "target_grid" else k: v
+               for k, v in live["properties"].items()}
+    as_sent["target_cells"] = _CELLS
+    wire = SCHEMAS[("to_agent", "problem")]["properties"]["problem"]
+    assert wire == dict(live, properties=as_sent, required=list(as_sent))
+    assert list(wire["properties"]) == list(as_sent)
 
 
 def test_body_schema_is_the_body_spec():
@@ -289,9 +282,13 @@ def test_extra_nested_field_rejected():
 
 
 def test_missing_required_field_rejected():
-    doc = {"kind": "resources", "model_size": 1}
-    with pytest.raises(ProtocolError):
+    doc = {"kind": "action", "tick": 0, "forces": [[0.0, 0.0]]}
+    with pytest.raises(ProtocolError, match="'resources' is a required property"):
         validate_message("from_agent", doc)
+    doc = dict(VALID[("to_agent", "hello")])
+    del doc["agent_seed"]
+    with pytest.raises(ProtocolError, match="'agent_seed' is a required property"):
+        validate_message("to_agent", doc)
     doc = {"kind": "hello", "protocol": PROTOCOL_VERSION}
     with pytest.raises(ProtocolError):
         validate_message("from_agent", doc)
@@ -317,10 +314,12 @@ def test_wrong_protocol_version_rejected():
 
 
 def test_grid_cells_must_be_channel_pairs():
-    doc = copy.deepcopy(VALID[("to_agent", "problem")])
+    # the one dense grid left is the trace's problem_issued target
+    doc = copy.deepcopy(TRACE_VALID[DISCLOSURE, "problem_issued"])
+    check_line(doc, DISCLOSURE)
     doc["problem"]["target_grid"] = [[[1.0, 0.0, 2.0]]]
-    with pytest.raises(ProtocolError):
-        validate_message("to_agent", doc)
+    with pytest.raises(ContractViolation, match="problem.target_grid.0.0"):
+        check_line(doc, DISCLOSURE)
 
 
 @pytest.mark.parametrize("cells", [
@@ -479,12 +478,12 @@ def assert_agrees_with_draft7(key, doc):
     (("to_agent", "score"), "tick", -1, False),
     (("to_agent", "score"), "solved", np.True_, False),  # not a bool subclass
     (("from_agent", "hello"), "protocol", True, False),  # const: a bool is no number
-    (("from_agent", "hello"), "protocol", float(PROTOCOL_VERSION), False),  # nor 3.0
+    (("from_agent", "hello"), "protocol", float(PROTOCOL_VERSION), False),  # nor 4.0
     (("from_agent", "hello"), "agent", "", False),
-    (("from_agent", "resources"), "updates", 0, True),
-    (("from_agent", "resources"), "updates", -0.5, False),
+    (("from_agent", "action"), "resources", {"model_size": 0, "updates": 0}, True),
+    (("from_agent", "action"), "resources", {"model_size": 0, "updates": -0.5}, False),
     (("to_agent", "hello"), "agent_seed", None, False),
-    (("to_agent", "hello"), "dim", 3, False),  # worlds are 2-D only
+    (("to_agent", "hello"), "dim", 3, False),  # a hello has no dim: worlds are 2-D
     (("to_agent", "hello"), "dim", 2.0, False),
     # the cells' fast path and the walk agree: integers only
     (("to_agent", "observation"), "cells", [], True),  # an empty window
@@ -688,18 +687,19 @@ def stdio_session(kind, docs):
     return rc, [json.loads(line) for line in stdout.getvalue().splitlines()]
 
 
-def hello_doc(agent_seed=None, resolution=1):
+def hello_doc(agent_seed=0, resolution=1):
     """A hello for the test body; one sensor cell by default, so the 1x1
     target grids below fit it."""
-    doc = {"kind": "hello", "protocol": PROTOCOL_VERSION, "dim": 2,
-           "horizon": 50, "body": dict(BODY_DICT, resolution=resolution)}
-    if agent_seed is not None:
-        doc["agent_seed"] = agent_seed
-    return doc
+    return {"kind": "hello", "protocol": PROTOCOL_VERSION, "horizon": 50,
+            "body": dict(BODY_DICT, resolution=resolution), "agent_seed": agent_seed}
 
 
 def observation_doc(tick, cells=((0, 0, 1, 0),)):
     return {"kind": "observation", "tick": tick, "cells": [list(c) for c in cells]}
+
+
+PROBLEM = {"id": 0, "issued_tick": 0, "target_cells": [],
+           "epsilon": 0.1, "timeout": 10}
 
 
 def test_stdio_null_agent_session():
@@ -712,20 +712,17 @@ def test_stdio_null_agent_session():
     assert rc == 0
     assert replies[0] == {"kind": "hello", "protocol": PROTOCOL_VERSION,
                           "agent": "null"}
-    assert [r["kind"] for r in replies[1:]] == [
-        "action", "resources", "action", "resources", "bye",
-    ]
+    assert [r["kind"] for r in replies[1:]] == ["action", "action", "bye"]
     for r in replies:
         validate_message("from_agent", r)
-    assert replies[1]["forces"] == [[0.0, 0.0]] * 4
-    assert replies[1]["tick"] == 0
-    assert replies[2] == {"kind": "resources", "model_size": 0, "updates": 0}
+    assert replies[1] == {"kind": "action", "tick": 0, "forces": [[0.0, 0.0]] * 4,
+                          "resources": {"model_size": 0, "updates": 0}}
+    assert replies[2]["tick"] == 1
 
 
 def test_stdio_greedy_probes_over_the_wire():
     problem = {"kind": "problem",
-               "problem": {"id": 0, "issued_tick": 0,
-                           "target_grid": [[[0.0, 0.0]]],
+               "problem": {"id": 0, "issued_tick": 0, "target_cells": [],
                            "epsilon": 0.1, "timeout": 10}}
     rc, replies = stdio_session("greedy", [
         hello_doc(), problem, observation_doc(0), {"kind": "bye"},
@@ -734,7 +731,7 @@ def test_stdio_greedy_probes_over_the_wire():
     action = replies[1]
     assert action["kind"] == "action"
     assert action["forces"] == [[2.0, 0.0]] * 4  # +x probe at half authority
-    assert replies[2]["model_size"] == 1
+    assert action["resources"]["model_size"] == 1
 
 
 def test_stdio_random_agent_seeded_by_hello():
@@ -765,13 +762,16 @@ COUNT_GRIDS = st.integers(1, 6).flatmap(lambda r: hnp.arrays(
 @settings(max_examples=200, deadline=None)
 @given(grid=COUNT_GRIDS)
 def test_cells_round_trip_any_count_grid(grid):
+    # an observation's cells and a problem's target cells
     cells = grid_cells(grid)
     assert len(cells) == np.count_nonzero(grid.any(axis=2))
-    sent = parse_line("to_agent", encode({"kind": "observation", "tick": 0,
-                                          "cells": cells}))
-    rebuilt = cells_grid(sent["cells"], grid.shape[0])
-    assert rebuilt.dtype == np.float64 and not rebuilt.flags.writeable
-    assert np.array_equal(rebuilt, grid)
+    observation = {"kind": "observation", "tick": 0, "cells": cells}
+    problem = {"kind": "problem", "problem": dict(PROBLEM, target_cells=cells)}
+    for sent in (parse_line("to_agent", encode(observation))["cells"],
+                 parse_line("to_agent", encode(problem))["problem"]["target_cells"]):
+        rebuilt = cells_grid(sent, grid.shape[0])
+        assert rebuilt.dtype == np.float64 and not rebuilt.flags.writeable
+        assert np.array_equal(rebuilt, grid)
 
 
 def test_stdio_agent_sees_the_in_process_grid(monkeypatch):
@@ -822,8 +822,8 @@ def test_agent_command_refuses_a_bad_cell(cells, message):
 
 
 def test_agent_command_refuses_a_hello_of_another_dim():
-    # A 3-D hello used to build a 3-D agent, whose every action the
-    # harness would refuse; now the hello itself is a protocol error.
+    # Worlds are 2-D, so a hello has no dim: one that names a dim is a
+    # protocol error, not a 3-D agent whose every action is refused.
     env = package_env()
     done = subprocess.run(
         [sys.executable, "-m", "driftworld", "agent", "--kind", "null"],
@@ -832,7 +832,8 @@ def test_agent_command_refuses_a_hello_of_another_dim():
     stderr = done.stderr.decode()
     assert done.returncode == 4, stderr
     assert stderr.startswith("protocol error: ")
-    assert "at dim: 2 was expected" in stderr and done.stdout == b""
+    assert "additional properties are not allowed: ['dim']" in stderr
+    assert done.stdout == b""
 
 
 def test_stdio_requires_hello_first():
@@ -841,10 +842,6 @@ def test_stdio_requires_hello_first():
     with pytest.raises(ProtocolError):
         run_stdio_agent("null", stdin=io.BytesIO(encode({"kind": "bye"})),
                         stdout=io.BytesIO())
-
-
-PROBLEM = {"id": 0, "issued_tick": 0, "target_grid": [[[0.0, 0.0]]],
-           "epsilon": 0.1, "timeout": 10}
 
 
 def test_stdio_between_sessions_only_hello_or_eof():
@@ -857,6 +854,16 @@ def test_stdio_between_sessions_only_hello_or_eof():
             stdio_session("null", session + [stray])
     with pytest.raises(ProtocolError, match="inside a session"):
         stdio_session("null", [hello_doc(), hello_doc()])
+
+
+@pytest.mark.parametrize("blank", [b"\n", b" \r\n"], ids=repr)
+def test_stdio_refuses_a_blank_line_inside_a_session(blank):
+    stdin = io.BytesIO(encode(hello_doc()) + blank + encode(observation_doc(0)))
+    stdout = io.BytesIO()
+    with pytest.raises(ProtocolError, match="line is not valid JSON"):
+        run_stdio_agent("null", stdin=stdin, stdout=stdout)
+    assert [json.loads(line)["kind"] for line in stdout.getvalue().splitlines()] \
+        == ["hello"]
 
 
 def session_docs(agent_seed, grids):
@@ -923,7 +930,7 @@ def bundled_argv(kind):
 
 
 def test_subprocess_null_agent_end_to_end(body):
-    agent = SubprocessAgent(bundled_argv("null"), body, horizon=20,
+    agent = SubprocessAgent(bundled_argv("null"), body, horizon=20, agent_seed=0,
                             budget_s=2.0)
     try:
         assert agent.agent_name == "null"
@@ -965,7 +972,7 @@ def test_wire_episode_leaves_no_pipe_open(body, monkeypatch):
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
-        agent = SubprocessAgent(bundled_argv("greedy"), body, horizon=6,
+        agent = SubprocessAgent(bundled_argv("greedy"), body, horizon=6, agent_seed=0,
                                 budget_s=5.0)
         try:
             run_episode(generate_world(GenSpec(seed=3)),
@@ -985,7 +992,7 @@ def test_wire_episode_leaves_no_pipe_open(body, monkeypatch):
 def test_wire_agents_start_no_thread(body):
     # replies are read on the caller's thread, parked processes included
     before = threading.active_count()
-    agent = SubprocessAgent(bundled_argv("greedy"), body, horizon=6,
+    agent = SubprocessAgent(bundled_argv("greedy"), body, horizon=6, agent_seed=0,
                             budget_s=5.0)
     run_episode(generate_world(GenSpec(seed=3)),
                 [Slot(agent_id="greedy", agent=agent, body=body)],
@@ -995,7 +1002,7 @@ def test_wire_agents_start_no_thread(body):
     agent.close()
     assert protocol._IDLE, "the agent answered bye, so it is parked"
     counts.append(threading.active_count())
-    second = SubprocessAgent(bundled_argv("greedy"), body, horizon=6,
+    second = SubprocessAgent(bundled_argv("greedy"), body, horizon=6, agent_seed=0,
                              budget_s=5.0)
     assert second.proc is agent.proc
     counts.append(threading.active_count())
@@ -1016,14 +1023,13 @@ for line in sys.stdin.buffer:
     elif doc["kind"] == "observation":
         tick = doc["tick"]
         action = json.dumps({"kind": "action", "tick": tick,
-                             "forces": [[0.5 * tick, -0.25]] * 4}).encode()
+                             "forces": [[0.5 * tick, -0.25]] * 4,
+                             "resources": {"model_size": tick, "updates": 1}}).encode()
         half = len(action) // 2
         out.write(action[:half])
         out.flush()
         time.sleep(0.05)
-        out.write(action[half:] + b"\n" + json.dumps({
-            "kind": "resources", "model_size": tick, "updates": 1,
-        }).encode() + b"\n")
+        out.write(action[half:] + b"\n")
     elif doc["kind"] == "bye":
         out.write(b'{"kind": "bye"}\n')
     out.flush()
@@ -1031,11 +1037,11 @@ for line in sys.stdin.buffer:
 
 
 def test_subprocess_reply_cut_across_reads(body, tmp_path):
-    # an action line in two writes, the resources line riding the second
+    # an action line in two writes
     script = tmp_path / "cut.py"
     write_agent(script, CUT_REPLY_AGENT)
     agent = SubprocessAgent([sys.executable, str(script)], body,
-                            horizon=20, budget_s=2.0)
+                            horizon=20, agent_seed=0, budget_s=2.0)
     try:
         for tick in range(3):
             forces = agent.act({"tick": tick, "grid": EMPTY_GRID})
@@ -1058,7 +1064,8 @@ sys.stdout.write(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
 def test_last_line_without_newline_is_a_line(body, tmp_path):
     script = tmp_path / "terse.py"
     write_agent(script, UNTERMINATED_HELLO_AGENT)
-    agent = SubprocessAgent([sys.executable, str(script)], body, horizon=20)
+    agent = SubprocessAgent([sys.executable, str(script)], body, horizon=20,
+                            agent_seed=0)
     assert agent.agent_name == "terse"
     agent.close()  # it has exited, so it is shut down, not parked
     assert protocol._IDLE == {}
@@ -1093,7 +1100,7 @@ def test_one_pipe_write_per_tick(body, monkeypatch):
     close_idle_agents()  # the agent must be spawned, not taken from the park
     horizon = 30
     agent = SubprocessAgent(bundled_argv("greedy"), body, horizon=horizon,
-                            budget_s=5.0)
+                            agent_seed=0, budget_s=5.0)
     try:
         run_episode(generate_world(GenSpec(seed=3)),
                     [Slot(agent_id="greedy", agent=agent, body=body)],
@@ -1132,10 +1139,8 @@ for line in sys.stdin:
             time.sleep(0.4)
             first = False
         sys.stdout.write(json.dumps({
-            "kind": "action", "forces": [[1.0, 1.0]] * 4, "tick": doc["tick"],
-        }) + "\n")
-        sys.stdout.write(json.dumps({
-            "kind": "resources", "model_size": 0, "updates": 0,
+            "kind": "action", "tick": doc["tick"], "forces": [[1.0, 1.0]] * 4,
+            "resources": {"model_size": 0, "updates": 0},
         }) + "\n")
         sys.stdout.flush()
     elif doc["kind"] == "bye":
@@ -1147,13 +1152,13 @@ def test_subprocess_budget_overrun_substitutes_zero_action(body, tmp_path):
     script = tmp_path / "sloth.py"
     write_agent(script, SLOW_AGENT)
     agent = SubprocessAgent([sys.executable, str(script)], body,
-                            horizon=20, budget_s=0.05)
+                            horizon=20, agent_seed=0, budget_s=0.05)
     try:
         forces = agent.act({"tick": 0, "grid": EMPTY_GRID})
         assert np.all(forces == 0.0)
         assert agent.budget_misses == 1
 
-        # Once the backlog lands, the stale pair is discarded by its tick
+        # Once the backlog lands, the stale reply is discarded by its tick
         # tag and the fresh reply comes through untouched.
         time.sleep(0.6)
         forces = agent.act({"tick": 1, "grid": EMPTY_GRID})
@@ -1163,7 +1168,7 @@ def test_subprocess_budget_overrun_substitutes_zero_action(body, tmp_path):
         agent.close()
 
 
-LATE_RESOURCES_AGENT = r"""
+LATE_REPLY_AGENT = r"""
 import json, sys, time
 sys.stdin.readline()
 sys.stdout.write(json.dumps({"kind": "hello", "protocol": PROTOCOL_VERSION,
@@ -1172,14 +1177,11 @@ sys.stdout.flush()
 for line in sys.stdin:
     doc = json.loads(line)
     if doc["kind"] == "observation":
-        sys.stdout.write(json.dumps({
-            "kind": "action", "forces": [[1.0, 1.0]] * 4, "tick": doc["tick"],
-        }) + "\n")
-        sys.stdout.flush()
         if doc["tick"] == 2:
             time.sleep(0.6)
         sys.stdout.write(json.dumps({
-            "kind": "resources", "model_size": doc["tick"], "updates": 0,
+            "kind": "action", "tick": doc["tick"], "forces": [[1.0, 1.0]] * 4,
+            "resources": {"model_size": doc["tick"], "updates": 0},
         }) + "\n")
         sys.stdout.flush()
     elif doc["kind"] == "bye":
@@ -1189,22 +1191,24 @@ for line in sys.stdin:
 
 def test_subprocess_late_resources_are_a_budget_miss(body, tmp_path):
     script = tmp_path / "late.py"
-    write_agent(script, LATE_RESOURCES_AGENT)
+    write_agent(script, LATE_REPLY_AGENT)
     agent = SubprocessAgent([sys.executable, str(script)], body,
-                            horizon=20, budget_s=0.2)
+                            horizon=20, agent_seed=0, budget_s=0.2)
     try:
         for tick in (0, 1):
             assert np.all(agent.act({"tick": tick, "grid": EMPTY_GRID}) == 1.0)
+            assert agent.resources() == {"model_size": tick, "updates": 0}
         assert agent.budget_misses == 0
 
-        # The action is on time, so its forces stand; the resources line
-        # is not, so the last declaration stands in for it.
+        # The reply, which carries the resources, is late: its forces are
+        # replaced by zeros and the last declaration stands in for it.
         forces = agent.act({"tick": 2, "grid": EMPTY_GRID})
-        assert np.all(forces == 1.0)
+        assert np.all(forces == 0.0)
         assert agent.budget_misses == 1
         assert agent.resources() == {"model_size": 1, "updates": 0}
 
-        # The late line is discarded when it lands; the next reply stands.
+        # The late reply is dropped by its tick when it lands; the next
+        # reply stands.
         time.sleep(0.6)
         forces = agent.act({"tick": 3, "grid": EMPTY_GRID})
         assert np.all(forces == 1.0)
@@ -1251,7 +1255,7 @@ def test_subprocess_rejects_out_of_schema_handshake(body, tmp_path, monkeypatch)
     write_agent(script, BAD_HELLO_AGENT)
     started = started_processes(monkeypatch)
     with pytest.raises(ProtocolError):
-        SubprocessAgent([sys.executable, str(script)], body, horizon=20)
+        SubprocessAgent([sys.executable, str(script)], body, horizon=20, agent_seed=0)
     # The agent blocks on stdin forever; a failed handshake must reap it.
     assert len(started) == 1
     assert started[0].poll() is not None
@@ -1263,7 +1267,7 @@ def test_subprocess_handshake_timeout_reaps_agent(body, tmp_path, monkeypatch):
     started = started_processes(monkeypatch)
     monkeypatch.setattr(protocol, "HELLO_TIMEOUT_S", 0.3)
     with pytest.raises(ProtocolError, match="in time"):
-        SubprocessAgent([sys.executable, str(script)], body, horizon=20)
+        SubprocessAgent([sys.executable, str(script)], body, horizon=20, agent_seed=0)
     assert len(started) == 1
     assert started[0].poll() is not None
 
@@ -1278,10 +1282,8 @@ for line in sys.stdin:
     doc = json.loads(line)
     if doc["kind"] == "observation":
         sys.stdout.write(json.dumps({
-            "kind": "action", "forces": [[1.0, 1.0]], "tick": doc["tick"],
-        }) + "\n")
-        sys.stdout.write(json.dumps({
-            "kind": "resources", "model_size": 0, "updates": 0,
+            "kind": "action", "tick": doc["tick"], "forces": [[1.0, 1.0]],
+            "resources": {"model_size": 0, "updates": 0},
         }) + "\n")
         sys.stdout.flush()
     elif doc["kind"] == "bye":
@@ -1297,7 +1299,7 @@ def test_subprocess_agent_refuses_other_dims_before_spawning(body, monkeypatch):
     started = started_processes(monkeypatch)
     for dim in (1, 3):
         with pytest.raises(ConfigError, match="dim must be 2"):
-            SubprocessAgent(bundled_argv("null"), body, dim, horizon=20)
+            SubprocessAgent(bundled_argv("null"), body, dim, horizon=20, agent_seed=0)
     assert started == [] and protocol._IDLE == {}
 
 
@@ -1305,7 +1307,7 @@ def test_subprocess_rejects_wrong_action_shape(body, tmp_path):
     script = tmp_path / "wrong_shape.py"
     write_agent(script, WRONG_SHAPE_AGENT)
     agent = SubprocessAgent([sys.executable, str(script)], body,
-                            horizon=20, budget_s=2.0)
+                            horizon=20, agent_seed=0, budget_s=2.0)
     try:
         with pytest.raises(ProtocolError):
             agent.act({"tick": 0, "grid": EMPTY_GRID})
@@ -1333,7 +1335,7 @@ def test_subprocess_agents_of_one_argv_share_a_process(body):
     for seed, got in zip((7, 8), forces):
         local = make_agent("random", body, stream=agent_stream(seed))
         assert np.array_equal(got, local.act({"tick": 0, "grid": EMPTY_GRID}))
-    other = SubprocessAgent(bundled_argv("null"), body, horizon=20)
+    other = SubprocessAgent(bundled_argv("null"), body, horizon=20, agent_seed=0)
     try:
         assert other.proc.pid != pids[0]
     finally:
@@ -1353,10 +1355,10 @@ for line in sys.stdin:
         if slow:
             time.sleep(0.4)
             slow = False
-        print(json.dumps({"kind": "action", "forces": [[sessions, sessions]] * 4,
-                          "tick": doc["tick"]}))
-        print(json.dumps({"kind": "resources", "model_size": sessions,
-                          "updates": 0}), flush=True)
+        print(json.dumps({"kind": "action", "tick": doc["tick"],
+                          "forces": [[sessions, sessions]] * 4,
+                          "resources": {"model_size": sessions, "updates": 0}}),
+              flush=True)
     elif doc["kind"] == "bye":
         print(json.dumps({"kind": "bye"}), flush=True)
         if ONE_SESSION:
@@ -1372,13 +1374,13 @@ def session_agent(tmp_path, one_session):
 
 def test_subprocess_close_drains_an_overrun_in_flight(body, tmp_path):
     argv = session_agent(tmp_path, one_session=False)
-    first = SubprocessAgent(argv, body, horizon=20, budget_s=0.05)
+    first = SubprocessAgent(argv, body, horizon=20, agent_seed=0, budget_s=0.05)
     try:
         assert np.all(first.act({"tick": 0, "grid": EMPTY_GRID}) == 0.0)
         assert first.budget_misses == 1
     finally:
-        first.close()  # the late tick-0 pair lands during close
-    second = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
+        first.close()  # the late tick-0 reply lands during close
+    second = SubprocessAgent(argv, body, horizon=20, agent_seed=0, budget_s=2.0)
     try:
         assert second.proc.pid == first.proc.pid
         # Session 2's own tick-0 reply, not the first session's late one.
@@ -1392,10 +1394,10 @@ def test_subprocess_close_drains_an_overrun_in_flight(body, tmp_path):
 def test_subprocess_agent_gone_after_bye_is_replaced(body, tmp_path, monkeypatch):
     argv = session_agent(tmp_path, one_session=True)
     started = started_processes(monkeypatch)
-    first = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
+    first = SubprocessAgent(argv, body, horizon=20, agent_seed=0, budget_s=2.0)
     first.close()  # it answers bye, is parked, then exits
     first.proc.wait(timeout=10)
-    second = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
+    second = SubprocessAgent(argv, body, horizon=20, agent_seed=0, budget_s=2.0)
     try:
         assert len(started) == 2 and second.proc is started[1]
         assert first.proc.stdout.closed
@@ -1407,7 +1409,7 @@ def test_subprocess_agent_gone_after_bye_is_replaced(body, tmp_path, monkeypatch
 
 def test_forked_child_never_takes_the_parents_process(body):
     argv = bundled_argv("null")
-    agent = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
+    agent = SubprocessAgent(argv, body, horizon=20, agent_seed=0, budget_s=2.0)
     agent.close()
     parked = agent.proc.pid
     read_end, write_end = os.pipe()
@@ -1419,7 +1421,8 @@ def test_forked_child_never_takes_the_parents_process(body):
         code = 1
         try:
             os.close(read_end)
-            theirs = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
+            theirs = SubprocessAgent(argv, body, horizon=20, agent_seed=0,
+                                     budget_s=2.0)
             os.write(write_end, str(theirs.proc.pid).encode())
             theirs.close()
             close_idle_agents()
@@ -1440,7 +1443,7 @@ def test_forked_child_never_takes_the_parents_process(body):
         theirs = fh.read()
     assert done[0] == child and done[1] == 0
     assert int(theirs) != parked
-    mine = SubprocessAgent(argv, body, horizon=20, budget_s=2.0)
+    mine = SubprocessAgent(argv, body, horizon=20, agent_seed=0, budget_s=2.0)
     try:
         assert mine.proc.pid == parked
     finally:
@@ -1464,7 +1467,8 @@ import sys
 from driftworld import protocol
 from driftworld.interface import BodySpec
 body = BodySpec(member_ids=(0, 1), resolution=4, window_halfwidth=8.0, f_max=4.0)
-agent = protocol.SubprocessAgent([sys.executable, sys.argv[1]], body, horizon=5)
+agent = protocol.SubprocessAgent([sys.executable, sys.argv[1]], body, horizon=5,
+                                 agent_seed=0)
 agent.close()
 assert protocol._IDLE, "the agent answered bye, so it is parked"
 print(agent.proc.pid)
@@ -1501,7 +1505,8 @@ for line in sys.stdin:
 def test_grandchild_holding_stdout_does_not_stall_teardown(body, tmp_path):
     script, pid_file = tmp_path / "forking.py", tmp_path / "child.pid"
     write_agent(script, FORKING_AGENT, PID_FILE=str(pid_file))
-    agent = SubprocessAgent([sys.executable, str(script)], body, horizon=20)
+    agent = SubprocessAgent([sys.executable, str(script)], body, horizon=20,
+                            agent_seed=0)
     try:
         agent.close()  # it answers bye, so it is parked
         started = time.monotonic()
