@@ -480,8 +480,6 @@ def assert_agrees_with_draft7(key, doc):
     (("from_agent", "hello"), "protocol", True, False),  # const: a bool is no number
     (("from_agent", "hello"), "protocol", float(PROTOCOL_VERSION), False),  # nor 4.0
     (("from_agent", "hello"), "agent", "", False),
-    (("from_agent", "action"), "resources", {"model_size": 0, "updates": 0}, True),
-    (("from_agent", "action"), "resources", {"model_size": 0, "updates": -0.5}, False),
     (("to_agent", "hello"), "agent_seed", None, False),
     (("to_agent", "hello"), "dim", 3, False),  # a hello has no dim: worlds are 2-D
     (("to_agent", "hello"), "dim", 2.0, False),
@@ -500,6 +498,15 @@ def test_type_meanings_match_draft7(key, field, value, accepted):
     doc = copy.deepcopy(VALID[key])
     doc[field] = value
     assert (checker_verdict(direction, doc) is None) is accepted
+    assert (not draft7_paths(key, doc)) is accepted
+
+
+@pytest.mark.parametrize("updates, accepted", [(0, True), (-0.5, False)])
+def test_action_resources_updates_match_draft7(updates, accepted):
+    key = ("from_agent", "action")
+    doc = copy.deepcopy(VALID[key])
+    doc["resources"] = {"model_size": 0, "updates": updates}
+    assert (checker_verdict("from_agent", doc) is None) is accepted
     assert (not draft7_paths(key, doc)) is accepted
 
 
