@@ -2,31 +2,41 @@
 
 An `Episode` holds one episode's state, an `AgentRun` per seat, and
 advances it a tick at a time through a fixed, order-deterministic
-pipeline: `act()` issues problems to idle agents, senses for every agent
-in id order and lets every agent act in id order; the driver steps the
-world once (laws drift inside the step); `settle()` closes any problem
-that is solved or out of time, then records score samples and periodic
-snapshot hashes.  `run_episode` is that driver, for live runs and replay
-alike.  Every agent senses and acts exactly once per tick; the episode
-checks that itself so multi-agent runs cannot silently starve anyone.
-Each body is read once before the first tick and once after each step,
-and that reading serves both the close check and the next observation.
-A problem's null baseline is rolled only if it closes solved, from a
-clone of the world taken when it was issued; its disclosure line is
-held until then.
+pipeline: the driver draws the problems the episode issues to idle
+agents (`requests()`); `act()` issues them, senses for every agent in id
+order and asks every agent for its action in id order; the driver checks
+the actions and `record()` writes them; the driver steps the world once
+(laws drift inside the step) and reads every body; `settle()` closes any
+problem that is solved or out of time, then records score samples and
+periodic snapshot hashes.  `run_lockstep` is that driver, for one
+episode or many at once, and `run_episode` runs it for one, for live
+runs and replay alike.  Every agent senses and acts exactly once per
+tick; the episode checks that itself so multi-agent runs cannot silently
+starve anyone.  Each body is read once before the first tick and once
+after each step, and that reading serves both the close check and the
+next observation.  A problem's null baseline is rolled only if it closes
+solved, from a clone of the world taken when it was issued; its
+disclosure line is held until then.
+
+In lockstep, every tick of every live episode shares one force pass
+and one integration (`dynamics.step` over the batch), one batch of
+script rollouts, one check of all actions and one sensor pass per body;
+each episode still writes the bytes it writes alone.
 
 Stage one evaluates each agent alone on matched worlds derived from one
-master seed.  Stage two puts all agents into a single shared world with
-disjoint bodies and per-agent problem streams.  Replay reads a
-disclosure trace once, as a stream, re-runs the same episode loop on a
-regenerated world with the recorded actions, null baselines included,
-and compares the regenerated file with the original line by line as
-raw bytes.
+master seed, one contiguous chunk of (world, agent) episodes per usable
+CPU, each chunk run in lockstep.  Stage two puts all agents into a
+single shared world with disjoint bodies and per-agent problem streams.
+Replay reads a disclosure trace once, as a stream, re-runs the same
+episode loop on a regenerated world with the recorded actions, null
+baselines included, and compares the regenerated file with the original
+line by line as raw bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import tempfile
@@ -40,7 +50,7 @@ from .canon import canonical_loads, from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, prepare, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
-from .interface import (BodySpec, SenseGrid, forces_to_accel, recorded_forces, sense,
+from .interface import (BodySpec, SenseGrid, recorded_forces, sense, sense_each,
                         validate_forces)
 from .metrics import AgentMetrics, MetricParams, compute_metrics, rank_agents
 from .problems import (
@@ -122,9 +132,12 @@ class ScriptedAgent(BaseAgent):
 class Episode:
     """One episode, advanced a tick at a time, and after `end()` its result.
 
-    Until `done`, the driver calls `act()`, steps the world once with the
-    acceleration it returns and calls `settle()`; every trace line goes
-    through the driver's `TraceSink`, opened with `header`.
+    Until `done`, the driver draws the problems for `requests()`, calls
+    `act()` with them, checks the actions it returns and hands them to
+    `record()`, steps the world once with their acceleration, reads every
+    body and calls `settle()` with the readings (`run_lockstep`); every
+    trace line goes through the driver's `TraceSink`, opened with
+    `header`.
     """
 
     def __init__(self, world: World, slots: list[Slot], step_params: StepParams,
@@ -183,24 +196,35 @@ class Episode:
     def metrics(self, agent_id: str, params: MetricParams) -> AgentMetrics:
         return compute_metrics(self.agents[agent_id].samples, self.drift_marks, params)
 
-    def act(self, sink: TraceSink) -> np.ndarray:
-        """Phases 1-3 of this tick: issue, sense, act.  Returns the agents'
-        summed acceleration for the driver's one world step."""
-        world, t, cfg, runs = self.world, self.tick, self.config, self.agents.values()
+    def requests(self) -> list[tuple[World, BodySpec, int, str]]:
+        """The problems this tick issues, one per idle seat under the issue
+        limits, in seat order: the arguments `generate_problem` draws each
+        from."""
+        return [(self.world, run.slot.body, self.next_problem_id + i, run.slot.stream_name)
+                for i, run in enumerate(self._idle())]
 
-        # 1. issue problems to idle agents: compute this tick's forces once,
-        #    for the live step and every rollout from this state, draw the
-        #    problems in seat order, keep the world they were drawn from for
-        #    their null baselines, then announce them
-        idle = [r for r in runs if r.active is None
+    def _idle(self) -> list[AgentRun]:
+        cfg = self.config
+        return [r for r in self.agents.values() if r.active is None
                 and (cfg.max_problems is None or r.issued_total < cfg.max_problems)
                 and (cfg.problems_per_regime is None
                      or r.issued_in_segment < cfg.problems_per_regime)]
-        if idle:
-            prepare(world, self.step_params)
-        problems = [generate_problem(world, r.slot.body, self.problem_params,
-                                     self.step_params, self.next_problem_id + i,
-                                     r.slot.stream_name) for i, r in enumerate(idle)]
+
+    def act(self, sink: TraceSink, problems: list[Problem]) -> list:
+        """Phases 1-3 of this tick: issue `problems` (drawn by the driver
+        for `requests()`), sense, then ask every agent for its action.
+        Returns the actions as given, one per seat in id order; the driver
+        checks them and hands them to `record`."""
+        world, t, runs = self.world, self.tick, self.agents.values()
+
+        # 1. issue problems to idle agents (the driver computed this tick's
+        #    forces once, for the live step and every rollout from this
+        #    state, and drew the problems in seat order), keep the world
+        #    they were drawn from for their null baselines, then announce
+        #    them
+        idle = self._idle()
+        if len(problems) != len(idle):
+            raise ContractViolation("act needs one problem per idle seat")
         self.next_problem_id += len(idle)
         origin = world.clone() if idle else None
         for run, problem in zip(idle, problems):
@@ -225,35 +249,40 @@ class Episode:
         observations = [run.reading.to_payload() for run in runs]
 
         # 3. act phase, fixed id order
-        total_accel = np.zeros_like(world.positions)
-        for run, observation in zip(runs, observations):
+        return [run.slot.agent.act(observation)
+                for run, observation in zip(runs, observations)]
+
+    def record(self, sink: TraceSink, forces: list[np.ndarray]) -> None:
+        """Phase 4: record each seat's action as the driver applies it
+        (checked and clamped by `validate_forces`, or a replayed action
+        as recorded), in id order, then check that every agent sensed and
+        acted exactly once this tick."""
+        t, runs = self.tick, self.agents.values()
+        for run, applied in zip(runs, forces):
             slot = run.slot
-            forces = slot.agent.act(observation)
-            if not isinstance(slot.agent, ScriptedAgent):
-                forces = validate_forces(forces, slot.body)
             run.acts += 1
             resources = slot.agent.resources()
             sink.event({"kind": "act", "tick": t, "agent": slot.agent_id,
-                        "forces": forces.tolist(),
+                        "forces": applied.tolist(),
                         "resources": {"model_size": resources["model_size"],
                                       "updates": resources["updates"]}})
-            total_accel += forces_to_accel(world, slot.body, forces)
-
-        # fairness: exactly one sense and one act each, every tick
         for aid, run in self.agents.items():
             if run.senses != t + 1 or run.acts != t + 1:
                 raise ContractViolation(f"fairness broken for {aid} at tick {t}")
-        return total_accel
 
-    def settle(self, sink: TraceSink) -> None:
+    def settle(self, sink: TraceSink, readings: list[SenseGrid]) -> None:
         """Phases 5-7, after the driver stepped the world once (law drift
-        happens inside the step): read the bodies, mark drift, close
-        problems, then record samples and snapshots."""
+        happens inside the step) and read every body (`readings`, one per
+        seat in id order): mark drift, close problems, then record
+        samples and snapshots."""
         world, t, cfg, runs = self.world, self.tick, self.config, self.agents.values()
         if world.tick != t + 1:
             raise ContractViolation("episode loop lost the world clock")
-        for run in runs:
-            run.reading = sense(world, run.slot.body)
+        if len(readings) != len(self.agents) or any(r.tick != world.tick
+                                                     for r in readings):
+            raise ContractViolation("settle needs one reading per seat, taken now")
+        for run, reading in zip(runs, readings):
+            run.reading = reading
         if world.last_drift_events:
             levels = sorted(e["level"] for e in world.last_drift_events)
             self.drift_marks.append(t)
@@ -341,11 +370,105 @@ def run_episode(world: World, slots: list[Slot], step_params: StepParams,
     """
     ep = Episode(world, slots, step_params, problem_params, score_params, episode)
     with TraceSink(live_path, disclosure_path, ep.header) as sink:
-        while not ep.done:
-            step(world, step_params, external_accel=ep.act(sink))
-            ep.settle(sink)
-        ep.end(sink)
+        run_lockstep([ep], [sink])
     return ep
+
+
+def run_lockstep(episodes: list[Episode], sinks: list[TraceSink]) -> None:
+    """Run episodes that share their step and problem params to their
+    ends, one tick at a time together, each writing through its own sink.
+
+    A tick is one draw of every problem the live episodes issue
+    (`_draw_problems`), every `act`, one check of all the actions, every
+    `record`, one `step` of all the worlds, one reading of every body,
+    then every `settle`.  An episode leaves the batch when it is done,
+    and writes its `end` line once all are.  Each episode writes the
+    bytes it writes run alone: episodes share no state, and every
+    batched pass gives each world, action and reading the bits it gets
+    alone.
+    """
+    params, problem_params = episodes[0].step_params, episodes[0].problem_params
+    if any((ep.step_params, ep.problem_params) != (params, problem_params)
+           for ep in episodes):
+        raise ConfigError("episodes run in lockstep share their step and problem params")
+    live = list(zip(episodes, sinks))
+    while live := [(ep, sink) for ep, sink in live if not ep.done]:
+        batch = _Batch([ep for ep, _ in live])
+        while not any(ep.done for ep in batch.episodes):
+            requests = [ep.requests() for ep in batch.episodes]
+            drawn = iter(_draw_problems(requests, problem_params, params))
+            forces = batch.check([ep.act(sink, [next(drawn) for _ in asked])
+                                  for (ep, sink), asked in zip(live, requests)])
+            for (ep, sink), applied in zip(live, batch.per_episode(forces)):
+                ep.record(sink, applied)
+            step(batch.worlds, params, batch.accels(forces))
+            for (ep, sink), readings in zip(live, batch.per_episode(batch.read())):
+                ep.settle(sink, readings)
+    for ep, sink in zip(episodes, sinks):
+        ep.end(sink)
+
+
+def _draw_problems(requests: list[list[tuple]], problem_params: ProblemParams,
+                   step_params: StepParams) -> list[Problem]:
+    """Every problem the episodes issue this tick (`Episode.requests`),
+    in order: one force pass for the issuing worlds, then one batch of
+    script rollouts."""
+    flat = list(itertools.chain(*requests))
+    if not flat:
+        return []
+    worlds, bodies, ids, streams = (list(column) for column in zip(*flat))
+    prepare(list(dict.fromkeys(worlds)), step_params)
+    return generate_problem(worlds, bodies, problem_params, step_params, ids, streams)
+
+
+class _Batch:
+    """The live episodes of a lockstep run, while none of them ends, and
+    what the loop works out once for them: their seats in order, where
+    each body's rows sit among the worlds' stacked entity rows, and which
+    seats' actions are checked."""
+
+    def __init__(self, episodes: list[Episode]):
+        self.episodes = episodes
+        self.worlds = [ep.world for ep in episodes]
+        self.runs = [run for ep in episodes for run in ep.agents.values()]
+        self.bodies = [run.slot.body for run in self.runs]
+        seat_world = [k for k, ep in enumerate(episodes) for _ in ep.agents]
+        self.seat_worlds = [self.worlds[k] for k in seat_world]
+        seats = list(itertools.accumulate((len(ep.agents) for ep in episodes), initial=0))
+        self.cuts = list(zip(seats, seats[1:]))
+        starts = list(itertools.accumulate((w.n_entities for w in self.worlds), initial=0))
+        self.spans = list(zip(starts, starts[1:]))
+        self.rows = np.concatenate([starts[k] + body.rows
+                                    for k, body in zip(seat_world, self.bodies)])
+        self.inertia = np.concatenate([w.inertia for w in self.worlds])[self.rows, None]
+        self.checked = [k for k, run in enumerate(self.runs)
+                        if not isinstance(run.slot.agent, ScriptedAgent)]
+        self.checked_bodies = [self.bodies[k] for k in self.checked]
+
+    def per_episode(self, values: list) -> list[list]:
+        """One value per seat, cut per episode."""
+        return [values[lo:hi] for lo, hi in self.cuts]
+
+    def check(self, actions: list[list]) -> list[np.ndarray]:
+        """Every seat's action, per seat: checked and clamped in one
+        `validate_forces` pass, or taken verbatim when replayed."""
+        flat = list(itertools.chain.from_iterable(actions))
+        checked = validate_forces([flat[k] for k in self.checked], self.checked_bodies)
+        for k, forces in zip(self.checked, checked):
+            flat[k] = forces
+        return flat
+
+    def accels(self, forces: list[np.ndarray]) -> list[np.ndarray]:
+        """Each world's summed agent acceleration (`forces_to_accel` of
+        its seats), built for all the worlds at once."""
+        accel = np.zeros((self.spans[-1][1], 2))
+        # bodies are disjoint, so each row is written once: 0.0 + f / inertia
+        accel[self.rows] += np.concatenate(forces) / self.inertia
+        return [accel[lo:hi] for lo, hi in self.spans]
+
+    def read(self) -> list[SenseGrid]:
+        """One reading of every seat's body, per seat (`sense_each`)."""
+        return sense_each(self.seat_worlds, self.bodies)
 
 
 # -- stages ----------------------------------------------------------------
@@ -416,45 +539,64 @@ def _stage1_paths(outdir: str, i: int, kind: str) -> tuple[str, str]:
     return f"{stem}.live.ndjson", f"{stem}.disclosure.ndjson"
 
 
-def _stage1_job(config: RunConfig, i: int, kind: str, outdir: str | None
-                ) -> tuple[AgentMetrics, dict]:
-    """One stage-one cell: `kind` alone on world `i`, traced into outdir
-    when given.  Returns the cell's metrics and its report row."""
-    seed = rngmod.derive_world_seed(config.master_seed, i)
-    world = generate_world(replace(config.gen, seed=seed))
-    slot = _make_slot(kind, config, seed, 0, multi=False)
-    live_path = disc_path = None
-    if outdir:
-        live_path, disc_path = _stage1_paths(outdir, i, kind)
-    result = run_episode(
-        world, [slot], config.step, config.problem, config.score,
-        config.episode, live_path=live_path, disclosure_path=disc_path,
-    )
-    m = result.metrics(slot.agent_id, config.metric)
-    run = result.agents[slot.agent_id]
-    return m, {
-        "metrics": to_doc(m),
-        "cumulative": run.cumulative,
-        "problems_closed": len(run.closures),
-        "drift_marks": result.drift_marks,
-    }
+#: The most stage-one episodes one lockstep run holds.  Beyond 64 default
+#: 16-entity worlds the pair kernel's calls are at `dynamics.PAIR_BUDGET`,
+#: while every episode in the run holds its world and two open trace files.
+_LOCKSTEP_EPISODES = 64
 
 
-def _map_jobs(fn, jobs: list[tuple]) -> list:
-    """`fn(*job)` for every job, results in job order, with at most one
-    process per CPU this process may run on.  Without
-    `os.sched_getaffinity` (not Linux), or with one CPU, the jobs run here
-    one after another.
+def _stage1_cells(config: RunConfig, outdir: str | None,
+                  cells: list[tuple[int, str]]) -> list[tuple[AgentMetrics, dict]]:
+    """Stage-one cells (i, kind), each `kind` alone on world `i`, run in
+    lockstep, at most `_LOCKSTEP_EPISODES` at a time, and traced into
+    outdir when given.  Returns each cell's metrics and report row, in
+    cell order."""
+    if len(cells) > _LOCKSTEP_EPISODES:
+        return [row for lo in range(0, len(cells), _LOCKSTEP_EPISODES)
+                for row in _stage1_cells(config, outdir, cells[lo:lo + _LOCKSTEP_EPISODES])]
+    episodes, sinks = [], []
+    with contextlib.ExitStack() as stack:
+        for i, kind in cells:
+            seed = rngmod.derive_world_seed(config.master_seed, i)
+            slot = _make_slot(kind, config, seed, 0, multi=False)
+            ep = Episode(generate_world(replace(config.gen, seed=seed)), [slot],
+                         config.step, config.problem, config.score, config.episode)
+            paths = _stage1_paths(outdir, i, kind) if outdir else (None, None)
+            sinks.append(stack.enter_context(TraceSink(*paths, ep.header)))
+            episodes.append(ep)
+        run_lockstep(episodes, sinks)
+    rows = []
+    for ep in episodes:
+        (agent_id, run), = ep.agents.items()
+        m = ep.metrics(agent_id, config.metric)
+        rows.append((m, {
+            "metrics": to_doc(m),
+            "cumulative": run.cumulative,
+            "problems_closed": len(run.closures),
+            "drift_marks": ep.drift_marks,
+        }))
+    return rows
 
-    They also run here while `run_episode` is wrapped (the wrapper names
-    the original as `__wrapped__`, as `functools.wraps` does): a wrapper
-    that times or counts episodes keeps its records in this process, and
-    a forked worker's records would be lost with the worker.
+
+def _map_jobs(fn, jobs: list) -> list:
+    """`fn(chunk)` for contiguous chunks of `jobs`, one chunk per CPU
+    this process may run on, chunk sizes differing by at most one; the
+    chunks' results joined in job order.  Each chunk runs in a process of
+    its own, where `fn` can run its jobs in lockstep.  Without
+    `os.sched_getaffinity` (not Linux), or with one CPU, all the jobs
+    are one chunk, run here.
+
+    They are also one chunk run here while `run_episode` is wrapped (the
+    wrapper names the original as `__wrapped__`, as `functools.wraps`
+    does): a wrapper that times or counts keeps its records in this
+    process, and a forked worker's records would be lost with the worker.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(jobs), len(affinity(0))) if affinity else 1
     if workers <= 1 or hasattr(run_episode, "__wrapped__"):
-        return [fn(*job) for job in jobs]
+        return fn(jobs)
+    size, extra = divmod(len(jobs), workers)
+    bounds = [k * size + min(k, extra) for k in range(workers + 1)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -468,8 +610,8 @@ def _map_jobs(fn, jobs: list[tuple]) -> list:
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(fn, *job) for job in jobs]
-        return [f.result() for f in futures]
+        futures = [pool.submit(fn, jobs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        return [result for f in futures for result in f.result()]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -478,9 +620,10 @@ def run_stage1(config: RunConfig, outdir: str | None = None,
                write_traces: bool = False) -> StageReport:
     """Each agent alone on the same derived worlds; mean metrics rank them.
 
-    Every (world, agent) episode is independent, so they run as jobs on
-    every CPU this process may use; `taskset -c 0` runs them serially.
-    Reports and traces are the same bytes either way.
+    Every (world, agent) episode is independent.  Each CPU this process
+    may use runs one contiguous chunk of them, in world order, in
+    lockstep; `taskset -c 0` runs them all as one chunk here.  Reports
+    and traces are the same bytes either way.
     """
     kinds = list(config.agents)
     if len(set(kinds)) != len(kinds):
@@ -489,9 +632,8 @@ def run_stage1(config: RunConfig, outdir: str | None = None,
                                     multi=False) for kind in kinds])
 
     traced = outdir if write_traces else None
-    jobs = [(config, i, kind, traced)
-            for i in range(config.n_worlds) for kind in kinds]
-    cells = iter(_map_jobs(_stage1_job, jobs))
+    jobs = [(i, kind) for i in range(config.n_worlds) for kind in kinds]
+    cells = iter(_map_jobs(functools.partial(_stage1_cells, config, traced), jobs))
 
     per_world: list[dict] = []
     per_world_metrics: list[dict[str, AgentMetrics]] = []

@@ -18,6 +18,8 @@ rebuilds the same array (`protocol.grid_cells` and `cells_grid`).
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .worldgen import World, clamp_rows, minimal_image, wrap_positions
+from .worldgen import (World, as_batch, clamp_rows, minimal_image, stacked,
+                       wrap_positions)
 
 
 @dataclass(frozen=True)
@@ -95,12 +98,21 @@ def body_centroid(world: World, body: BodySpec) -> np.ndarray:
     Anchoring keeps the centroid stable when the body straddles the wrap
     seam; the plain coordinate mean would jump to the far side.
     """
+    return _centroids(world.positions, world.inertia, body, world.spec.arena_extent)
+
+
+def _centroids(positions: np.ndarray, inertia: np.ndarray, body: BodySpec,
+               extent: float) -> np.ndarray:
+    """`body_centroid` of one world's `(n, 2)` positions and `(n,)`
+    inertia, or of each of `B` worlds' `(B, n, 2)` and `(B, n)`: members
+    are summed in row order, world by world."""
     rows = body.rows
-    anchor = world.positions[rows[0]]
-    offsets = minimal_image(world.positions[rows] - anchor, world.spec.arena_extent)
-    weights = world.inertia[rows]
-    mean_offset = (offsets * weights[:, None]).sum(axis=0) / weights.sum()
-    return wrap_positions(anchor + mean_offset, world.spec.arena_extent)
+    anchor = positions[..., rows[0], :]
+    offsets = minimal_image(positions[..., rows, :] - anchor[..., None, :], extent)
+    weights = inertia[..., rows]
+    mean_offset = (np.add.reduce(offsets * weights[..., None], axis=-2)
+                   / np.add.reduce(weights, axis=-1)[..., None])
+    return wrap_positions(anchor + mean_offset, extent)
 
 
 def cell_index(offset, halfwidth: float, resolution: int):
@@ -113,32 +125,68 @@ def cell_index(offset, halfwidth: float, resolution: int):
     return np.minimum(np.maximum(raw, 0), resolution - 1)
 
 
-def sense(world: World, body: BodySpec) -> SenseGrid:
+def sense(worlds: World | list[World], body: BodySpec) -> SenseGrid | list[SenseGrid]:
     """Read the egocentric density grid at the current tick.
 
     Counts every basic entity (members included) whose minimal-image
-    offset from the centroid lies inside the square window.
+    offset from the centroid lies inside the square window.  A list of
+    worlds with one entity count and arena is read in one pass, into a
+    list of readings, each the bytes of that world read alone.
     """
+    batch, one = as_batch(worlds)
+    extent = batch[0].spec.arena_extent
+    if len(batch) == 1:  # no stack to build
+        world = batch[0]
+        positions, inertia, polarity = world.positions, world.inertia, world.polarity
+    else:
+        if any(world.spec.arena_extent != extent for world in batch):
+            raise ContractViolation("one sense pass reads worlds of one arena size")
+        positions = stacked([world.positions for world in batch])
+        inertia = stacked([world.inertia for world in batch])
+        polarity = stacked([world.polarity for world in batch])
     res = body.resolution
     half = body.window_halfwidth
-    center = body_centroid(world, body)
-    offsets = minimal_image(world.positions - center, world.spec.arena_extent)
-    inside = np.all((offsets >= -half) & (offsets < half), axis=1)
+    centers = _centroids(positions, inertia, body, extent)
+    offsets = minimal_image(positions - centers[..., None, :], extent)
+    inside = np.logical_and.reduce((offsets >= -half) & (offsets < half), axis=-1)
     cells = cell_index(offsets[inside], half, res)
-    channel = np.where(world.polarity[inside] > 0, 0, 1)
+    bins = (cells[:, 0] * res + cells[:, 1]) * 2 + np.where(polarity[inside] > 0, 0, 1)
+    if len(batch) > 1:  # each world counts into a block of its own
+        bins += np.nonzero(inside)[0] * (res * res * 2)
     # counts are exact integers, so the order they are added in is moot
-    counts = np.bincount((cells[:, 0] * res + cells[:, 1]) * 2 + channel,
-                         minlength=res * res * 2)
-    grid = counts.reshape(res, res, 2).astype(np.float64)
-    return SenseGrid(tick=world.tick, centroid=center, grid=grid)
+    counts = np.bincount(bins, minlength=len(batch) * res * res * 2)
+    grids = counts.reshape(len(batch), res, res, 2).astype(np.float64)
+    readings = [SenseGrid(tick=world.tick, centroid=center, grid=grid)
+                for world, center, grid in zip(batch, centers.reshape(-1, 2), grids)]
+    return readings[0] if one else readings
+
+
+def sense_each(worlds: list[World], bodies: list[BodySpec]) -> list[SenseGrid]:
+    """A reading of each world by its body: one `sense` pass per body
+    over the worlds of one size and arena it reads."""
+    if len(worlds) == 1:
+        return [sense(worlds[0], bodies[0])]
+    groups: dict[tuple, list[int]] = {}
+    for k, (world, body) in enumerate(zip(worlds, bodies)):
+        groups.setdefault((body, world.n_entities, world.spec.arena_extent), []).append(k)
+    readings: list = [None] * len(worlds)
+    for (body, _, _), ks in groups.items():
+        for k, reading in zip(ks, sense([worlds[k] for k in ks], body)):
+            readings[k] = reading
+    return readings
 
 
 def grid_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Root-mean-square cell difference between two sensor grids."""
+    """Root-mean-square cell difference between two sensor grids.
+
+    Grids hold counts, so the sum of squared differences is an exact
+    integer in any order, and a dot product gives the bits of the plain
+    mean of squares, faster.
+    """
     if a.shape != b.shape:
         raise ContractViolation("grid shapes differ")
-    diff = a - b
-    return float(np.sqrt((diff * diff).mean()))
+    diff = (a - b).ravel()
+    return math.sqrt(float(np.dot(diff, diff)) / diff.size)
 
 
 def _checked_forces(forces, body: BodySpec) -> np.ndarray:
@@ -154,9 +202,32 @@ def _checked_forces(forces, body: BodySpec) -> np.ndarray:
     return arr
 
 
-def validate_forces(forces, body: BodySpec) -> np.ndarray:
-    """Check an action's shape and finiteness, then clamp it to f_max."""
-    return clamp_rows(_checked_forces(forces, body), body.f_max)
+def validate_forces(forces, body: BodySpec | list[BodySpec]):
+    """Check an action's shape and finiteness, then clamp it to f_max.
+
+    With a list of bodies, `forces` holds one action per body, and the
+    result is a list: all their rows are checked and clamped in one
+    pass, each action to the bits it gets alone.  When one fails, the
+    actions are checked one by one, so the first failure is the one
+    reported.
+    """
+    if isinstance(body, BodySpec):
+        return clamp_rows(_checked_forces(forces, body), body.f_max)
+    if len(body) < 2:
+        return [validate_forces(action, b) for action, b in zip(forces, body)]
+    arrays = [np.asarray(action, dtype=np.float64) for action in forces]
+    rows = None
+    if all(arr.shape == (len(b.member_ids), 2) for arr, b in zip(arrays, body)):
+        rows = np.concatenate(arrays)
+    if rows is None or not np.isfinite(rows).all():
+        for action, b in zip(forces, body):
+            _checked_forces(action, b)
+    caps = {b.f_max for b in body}
+    cap = caps.pop() if len(caps) == 1 else np.repeat([b.f_max for b in body],
+                                                      [len(arr) for arr in arrays])
+    rows = clamp_rows(rows, cap)
+    ends = list(itertools.accumulate(len(arr) for arr in arrays))
+    return [rows[end - len(arr):end] for arr, end in zip(arrays, ends)]
 
 
 def recorded_forces(forces, body: BodySpec) -> np.ndarray:

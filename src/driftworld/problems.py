@@ -25,8 +25,8 @@ import numpy as np
 from . import rng as rngmod
 from .dynamics import StepParams, step
 from .errors import ConfigError, ContractViolation
-from .interface import BodySpec, SenseGrid, forces_to_accel, grid_distance, sense
-from .worldgen import World
+from .interface import BodySpec, SenseGrid, forces_to_accel, grid_distance, sense, sense_each
+from .worldgen import World, as_batch
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,10 @@ class Problem:
         return self.issued_tick + self.timeout
 
 
-def generate_problem(world: World, body: BodySpec, params: ProblemParams,
-                     step_params: StepParams, problem_id: int,
-                     stream_name: str = "problems") -> Problem:
+def generate_problem(world: World | list[World], body: BodySpec | list[BodySpec],
+                     params: ProblemParams, step_params: StepParams,
+                     problem_id: int | list[int], stream_name: str | list[str] = "problems"
+                     ) -> Problem | list[Problem]:
     """Issue a problem at the world's current tick.
 
     Draws the hidden action script from the live problem stream (so issue
@@ -97,8 +98,41 @@ def generate_problem(world: World, body: BodySpec, params: ProblemParams,
     the target differs from the issue state chiefly by a body
     displacement; that keeps targets reachable by translation-style
     control rather than demanding per-member choreography.
+
+    With a list of worlds, `body`, `problem_id` and `stream_name` are
+    lists too, one entry per problem: the scripts are drawn in list
+    order, and their rollouts are stepped as one batch.  A rollout reads
+    no problem stream, so each problem is the one it would be alone.
     """
-    stream = world.stream(stream_name)
+    batch, one = as_batch(world)
+    if one:
+        body, problem_id, stream_name = [body], [problem_id], [stream_name]
+    scripts = [_draw_script(w.stream(name), b, params)
+               for w, b, name in zip(batch, body, stream_name)]
+    ghosts = [w.clone() for w in batch]
+    for t in range(params.scriptor_len):
+        step(ghosts, step_params, [forces_to_accel(ghost, b, script[t])
+                                   for ghost, b, script in zip(ghosts, body, scripts)])
+    reference = float(max(1, params.scriptor_len))
+    problems = [Problem(
+        id=pid,
+        issued_tick=w.tick,
+        target_grid=target.grid,
+        scriptor_len=params.scriptor_len,
+        epsilon=params.epsilon,
+        timeout=params.timeout,
+        o_ref=reference,
+        d_ref=reference,
+        hidden_actions=script,
+    ) for w, pid, script, target in zip(batch, problem_id, scripts, sense_each(ghosts, body))]
+    return problems[0] if one else problems
+
+
+def _draw_script(stream: np.random.Generator, body: BodySpec,
+                 params: ProblemParams) -> np.ndarray:
+    """A problem's hidden actions, `(scriptor_len, members, 2)`, from its
+    problem stream: one in-ball force per tick for every member, redrawn
+    while the net impulse is under the floor."""
     n_members = len(body.member_ids)
 
     actions = np.empty((params.scriptor_len, n_members, 2))
@@ -112,25 +146,7 @@ def generate_problem(world: World, body: BodySpec, params: ProblemParams,
             break
         # a near-zero net impulse makes a target the idle world reaches
         # on its own; redraw rather than issue a worthless problem
-
-    ghost = world.clone()
-    for t in range(params.scriptor_len):
-        accel = forces_to_accel(ghost, body, actions[t])
-        step(ghost, step_params, external_accel=accel)
-    target = sense(ghost, body)
-
-    reference = float(max(1, params.scriptor_len))
-    return Problem(
-        id=problem_id,
-        issued_tick=world.tick,
-        target_grid=target.grid,
-        scriptor_len=params.scriptor_len,
-        epsilon=params.epsilon,
-        timeout=params.timeout,
-        o_ref=reference,
-        d_ref=reference,
-        hidden_actions=actions,
-    )
+    return actions
 
 
 def check_solved(reading: SenseGrid, problem: Problem) -> tuple[bool, float]:

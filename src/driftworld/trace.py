@@ -184,7 +184,7 @@ class TraceWriter:
     """
 
     def __init__(self, path: str, header: dict):
-        if header.get("kind") != "header" or header.get("mode") not in SCHEMAS:
+        if header.get("kind") != "header" or header.get("mode") not in (LIVE, DISCLOSURE):
             raise ContractViolation(
                 "a trace header has kind 'header' and mode 'live' or 'disclosure'")
         self.path = path
@@ -335,8 +335,9 @@ def iter_trace(path: str):
                 raise ContractViolation(f"{path}:{n}: not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ContractViolation(f"{path}:{n}: not a JSON object")
+            # compared by equality: a list or object is no tier, and would not hash
             if not started and (doc.get("kind") != "header"
-                                or doc.get("mode") not in SCHEMAS):
+                                or doc.get("mode") not in (LIVE, DISCLOSURE)):
                 break
             started = True
             yield doc

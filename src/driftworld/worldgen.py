@@ -239,12 +239,12 @@ def minimal_image(delta: np.ndarray, extent: float) -> np.ndarray:
     minimal_image(-d) == -minimal_image(d) bit for bit.
     """
     span = 2.0 * extent
-    return delta - span * np.round(divide_by_span(delta, span))
+    return delta - span * np.rint(divide_by_span(delta, span))
 
 
 def clamp_rows(rows: np.ndarray, cap: float) -> np.ndarray:
     """Scale any row whose Euclidean norm exceeds `cap` back onto it."""
-    norms = np.sqrt((rows * rows).sum(axis=1))
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     over = norms > cap
     if over.any():
         scale = np.where(over, cap / np.where(norms > 0, norms, 1.0), 1.0)
@@ -380,6 +380,21 @@ class World:
         world.pending = self.pending
         world._constants = self._constants
         return world
+
+
+def as_batch(worlds: World | list[World]) -> tuple[list[World], bool]:
+    """`worlds` as a list, and whether it was a single world."""
+    if isinstance(worlds, World):
+        return [worlds], True
+    return worlds, False
+
+
+def stacked(arrays: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Arrays of one shape stacked on a new leading axis, into `out` when
+    given: the copy `np.stack` makes, in one `np.concatenate` call."""
+    shape = arrays[0].shape
+    flat = None if out is None else out.reshape(-1, *shape[1:])
+    return np.concatenate(arrays, out=flat).reshape(len(arrays), *shape)
 
 
 # -- operations ------------------------------------------------------------

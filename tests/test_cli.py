@@ -384,6 +384,22 @@ def test_replay_of_a_malformed_header_fails(header_line, error, tmp_path,
     assert f"  {error}" in out
 
 
+@pytest.mark.parametrize("mode", [["disclosure"], {"tier": "disclosure"}])
+def test_a_header_whose_mode_is_no_string_is_a_missing_header(mode, tmp_path, capsys):
+    _, *events = GOLDEN_TRACE.read_text().splitlines()
+    bad = tmp_path / "mode.ndjson"
+    bad.write_text("\n".join([canonical_dumps({"kind": "header", "mode": mode}),
+                              *events]) + "\n")
+    assert run_cli("replay", str(bad)) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL  {bad}")
+    assert "ContractViolation" in out and "missing trace header" in out
+    assert run_cli("report", str(bad), "--out", str(tmp_path / "m.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing trace header" in err
+    assert "Traceback" not in err
+
+
 def test_replay_names_a_mistyped_header_field(tmp_path):
     header, *events = GOLDEN_TRACE.read_text().splitlines()
     doc = json.loads(header)
@@ -487,8 +503,8 @@ def test_replay_refuses_a_forged_action_over_f_max(tmp_path, capsys, monkeypatch
     it holds rows no live agent could have applied; replay refuses it as
     it reads the `act` line, instead of applying it verbatim."""
     original = harness.validate_forces
-    monkeypatch.setattr(harness, "validate_forces",
-                        lambda raw, body: 3.0 * original(raw, body))
+    monkeypatch.setattr(harness, "validate_forces",  # the loop checks a batch
+                        lambda raw, bodies: [3.0 * f for f in original(raw, bodies)])
     disc = tmp_path / "tripled.ndjson"
     assert run_cli("run", "--set", "gen.seed=19", "--set", "episode.horizon=60",
                    "--agent", "greedy", "--disclosure", str(disc)) == 0

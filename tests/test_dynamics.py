@@ -11,7 +11,6 @@ from driftworld import dynamics
 from driftworld.config import RunConfig
 from driftworld.dynamics import (
     StepParams,
-    _level_accel,
     compute_accelerations,
     prepare,
     snapshot_hash,
@@ -34,7 +33,7 @@ from driftworld.worldgen import (
 )
 
 from conftest import flat_quiet_spec
-from oracles import eval_law, level_accel, momentum, radial_power, snapshot
+from oracles import eval_law, level_accel, momentum, radial_power, reference_step, snapshot
 
 
 # -- minimal image ---------------------------------------------------------
@@ -304,6 +303,12 @@ def test_step_is_deterministic():
 
 
 # -- pair kernel bytes -----------------------------------------------------
+
+
+def _level_accel(positions, velocities, consts, law, extent, params):
+    """The pair kernel on one level, unbatched."""
+    return dynamics._pair_accel(positions, velocities, [consts], [law], extent, params)
+
 
 #: Every law term at once, so each radial exponent, polarity coupling and
 #: damping take part in the pinned bytes.
@@ -643,3 +648,95 @@ def test_pending_forces_belong_to_one_tick_and_one_set_of_params():
         world.to_canonical()
     step(world, StepParams())
     assert world.to_canonical()["tick"] == 1
+
+
+# -- batches of worlds -----------------------------------------------------
+
+
+def _mixed_batch() -> list:
+    """Worlds that, stepped together, mix every case the batched force
+    pass and step treat apart: term orders, 10 and 11 composites, non-unit
+    inertia, no damping, a clamping law, a coincident pair, three levels
+    and another arena.  Two of them share their laws."""
+    spec = GenSpec(seed=0)
+    ten, eleven = (generate_world(replace(spec, seed=seed)) for seed in (4, 0))
+    assert [len(w.levels[0].ids) for w in (ten, eleven)] == [10, 11]
+    twin = ten.clone()  # the same laws, so one law run spans both
+    twin.velocities = twin.velocities + 0.25
+    reordered = generate_world(replace(spec, seed=4))  # its own terms, reversed
+    reordered.laws[0] = replace(reordered.laws[0],
+                                terms=reordered.laws[0].terms[::-1],
+                                polarity_coupled=reordered.laws[0].polarity_coupled[::-1])
+    heavy = generate_world(replace(spec, seed=8))  # before its constants exist
+    heavy.inertia = np.linspace(0.5, 3.0, heavy.n_entities)
+    undamped = generate_world(replace(spec, seed=9))
+    undamped.laws[0] = CausationLaw(level=0, terms=(("inv", 0.01), ("lin", -0.003)),
+                                    polarity_coupled=(True, False))
+    clamped = generate_world(replace(spec, seed=10))
+    clamped.laws[0] = CausationLaw(level=0, terms=(("const", 50.0), ("damp", 0.05)),
+                                   polarity_coupled=(True, False))
+    coincident = generate_world(replace(spec, seed=11))
+    coincident.positions[3] = coincident.positions[1]
+    deep = generate_world(GenSpec(seed=12, n_entities=24, n_levels=3))
+    wide = generate_world(GenSpec(seed=13, arena_extent=12.0))  # its own arena
+    worlds = [ten, twin, reordered, eleven, heavy, undamped, clamped, coincident, deep, wide]
+    assert reordered.laws[0].terms != ten.laws[0].terms
+    assert not heavy.level_constants()[0].unit_inertia
+    assert DAMPING_TERM not in dict(undamped.laws[0].terms)
+    return worlds
+
+
+@pytest.mark.parametrize("budget", [dynamics.PAIR_BUDGET, 600])
+def test_batched_force_pass_gives_each_world_its_solo_bits(monkeypatch, budget):
+    # 600 pairs: at most two 16-entity levels share a kernel call
+    monkeypatch.setattr(dynamics, "PAIR_BUDGET", budget)
+    params = StepParams()
+    worlds = _mixed_batch()
+    aggregates = [w.recompute_aggregates() for w in worlds]
+    batched = compute_accelerations(worlds, params, aggregates)
+    solo = [compute_accelerations(w, params, agg) for w, agg in zip(worlds, aggregates)]
+    for k, (got, want) in enumerate(zip(batched, solo)):
+        assert got.tobytes() == want.tobytes(), k
+    # the clamped world's pairs were rescaled, and the batch clamped them too
+    clamped = worlds[6]
+    unclamped = compute_accelerations(clamped, StepParams(a_max=1e9),
+                                      clamped.recompute_aggregates())
+    assert not np.array_equal(batched[6], unclamped)
+
+
+def test_batched_steps_equal_the_reference_step():
+    params = StepParams()
+    worlds = _mixed_batch()
+    references = [w.clone() for w in worlds]
+    body = BodySpec(member_ids=(0, 1, 2, 3))
+    for t in range(4):
+        # one world is left alone, and one was prepared before the step,
+        # as at a tick that issues problems
+        prepare(worlds[2], params)
+        externals = [None if k == 1 else
+                     forces_to_accel(w, body, np.full((4, 2), 0.5 * (k - t)))
+                     for k, w in enumerate(worlds)]
+        step(worlds, params, externals)
+        for k, (world, reference, external) in enumerate(zip(worlds, references, externals)):
+            parts = reference_step(reference, params, external)
+            assert world.tick == reference.tick == t + 1
+            assert world.positions.tobytes() == np.array(parts[0, "positions"]).tobytes(), (t, k)
+            assert world.velocities.tobytes() == np.array(parts[0, "velocities"]).tobytes(), (t, k)
+
+
+def test_workspaces_of_one_level_size_share_one_arena():
+    # batches that grow and shrink reuse one buffer per level size, and
+    # each world still gets its solo bits
+    params = StepParams()
+    worlds = [generate_world(GenSpec(seed=seed)) for seed in range(5)]
+    for size in (2, 5, 3, 1, 4):
+        batch = worlds[:size]
+        aggregates = [w.recompute_aggregates() for w in batch]
+        for got, world, aggs in zip(compute_accelerations(batch, params, aggregates),
+                                    batch, aggregates):
+            assert got.tobytes() == compute_accelerations(world, params, aggs).tobytes()
+    floats, flags = dynamics._ARENAS[16]
+    assert flags.size >= 5 * 16 * 16
+    shapes = [shape for shape in dynamics._WORKSPACES if shape[-1] == 16]
+    assert (16,) in shapes and (5, 16) in shapes
+    assert all(np.shares_memory(dynamics._WORKSPACES[shape].pair, floats) for shape in shapes)

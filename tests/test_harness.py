@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftworld import harness
+from driftworld import harness, interface
 from driftworld.agents import make_agent
 from driftworld.canon import canonical_dumps, from_doc, to_doc
 from driftworld.cli import main
@@ -36,7 +36,7 @@ from driftworld.harness import (
     run_stage1,
     run_stage2,
 )
-from driftworld.interface import BodySpec
+from driftworld.interface import BodySpec, sense
 from driftworld.metrics import AgentMetrics, MetricParams
 from driftworld.problems import ProblemParams, ScoreParams
 from driftworld.rng import derive_world_seed, stream_state
@@ -97,12 +97,13 @@ def test_live_world_is_sensed_once_per_body_per_tick(monkeypatch):
     live_reads = []
     real_sense = harness.sense
 
-    def counting_sense(w, body):
-        if w is world:
-            live_reads.append((w.tick, body.member_ids))
-        return real_sense(w, body)
+    def counting_sense(worlds, body):  # one world, or a batch of them
+        batch = worlds if isinstance(worlds, list) else [worlds]
+        live_reads.extend((w.tick, body.member_ids) for w in batch if w is world)
+        return real_sense(worlds, body)
 
-    monkeypatch.setattr(harness, "sense", counting_sense)
+    monkeypatch.setattr(harness, "sense", counting_sense)  # the first reading
+    monkeypatch.setattr(interface, "sense", counting_sense)  # the loop's, batched
     result = run_episode(world, slots, cfg.step, cfg.problem, cfg.score,
                          cfg.episode)
     horizon = cfg.episode.horizon
@@ -354,19 +355,20 @@ def test_episode_refuses_a_world_off_its_clock():
         world = generate_world(cfg.gen)
         episode = Episode(world, slots, *params)
         with TraceSink(None, None, episode.header) as sink:
-            accel = episode.act(sink)
+            problems = harness._draw_problems([episode.requests()], cfg.problem, cfg.step)
+            episode.record(sink, episode.act(sink, problems))
             for _ in range(steps):
-                step(world, cfg.step, external_accel=accel)
+                step(world, cfg.step)
             with pytest.raises(ContractViolation, match="lost the world clock"):
-                episode.settle(sink)
+                episode.settle(sink, [sense(world, body)])
 
 
 def test_episodes_driven_in_lockstep_write_their_solo_bytes(tmp_path):
-    # A lockstep driver runs every episode's act, then every world step,
-    # then every settle.  Same-size worlds share the kernel's workspace,
-    # so each world's steps, live and in null-baseline rollouts, must
-    # leave the other's trace bytes alone; the oracle solves problems, so
-    # it rolls null baselines.
+    # The lockstep driver runs every episode's act, then one step of every
+    # world, one reading of every body, then every settle.  Same-size
+    # worlds share kernel calls and workspaces, so each world's steps,
+    # live and in null-baseline rollouts, must leave the other's trace
+    # bytes alone; the oracle solves problems, so it rolls null baselines.
     cfgs = [RunConfig(gen=GenSpec(seed=seed, n_entities=48, n_levels=3,
                                   drift=DriftSchedule(regime_times=(20, 40))),
                       episode=EpisodeConfig(horizon=60)) for seed in (11, 12)]
@@ -385,21 +387,46 @@ def test_episodes_driven_in_lockstep_write_their_solo_bytes(tmp_path):
         sinks = [stack.enter_context(TraceSink(
             None, str(tmp_path / f"lockstep{i}.ndjson"), episode.header))
             for i, episode in enumerate(episodes)]
-        pairs = list(zip(episodes, sinks))
-        while not episodes[0].done:
-            accels = [episode.act(sink) for episode, sink in pairs]
-            for episode, accel in zip(episodes, accels):
-                step(episode.world, episode.step_params, external_accel=accel)
-            for episode, sink in pairs:
-                episode.settle(sink)
-        for episode, sink in pairs:
-            assert episode.done
-            episode.end(sink)
+        harness.run_lockstep(episodes, sinks)
+    assert all(episode.done and episode.tick == 60 for episode in episodes)
     assert all(any(c["solved"] for c in e.agents["oracle"].closures)
                for e in episodes)
     for i in range(len(cfgs)):
         assert (tmp_path / f"lockstep{i}.ndjson").read_bytes() \
             == (tmp_path / f"solo{i}.ndjson").read_bytes()
+
+
+@pytest.mark.parametrize("at_once", [harness._LOCKSTEP_EPISODES, 4])
+def test_a_lockstep_battery_whose_episodes_stop_apart_writes_solo_bytes(
+        monkeypatch, tmp_path, at_once):
+    # Episodes that stop after their second closed problem leave the batch
+    # at different ticks; each must still write the bytes it writes alone,
+    # also when the battery runs as several lockstep runs of `at_once`.
+    monkeypatch.setattr(harness, "_LOCKSTEP_EPISODES", at_once)
+    cfg = RunConfig(gen=GenSpec(seed=0, drift=DriftSchedule(regime_times=(20, 40))),
+                    episode=EpisodeConfig(horizon=80, stop_after_problems=2),
+                    agents=("greedy", "random", "null"), n_worlds=3, master_seed=5)
+    cells = [(i, kind) for i in range(cfg.n_worlds) for kind in cfg.agents]
+    (tmp_path / "lockstep").mkdir()
+    (tmp_path / "solo").mkdir()
+    rows = harness._stage1_cells(cfg, str(tmp_path / "lockstep"), cells)
+    ends = set()
+    for (i, kind), (_, row) in zip(cells, rows):
+        seed = derive_world_seed(cfg.master_seed, i)
+        slot = harness._make_slot(kind, cfg, seed, 0, multi=False)
+        live, disc = harness._stage1_paths(str(tmp_path / "solo"), i, kind)
+        alone = run_episode(generate_world(replace(cfg.gen, seed=seed)), [slot],
+                            cfg.step, cfg.problem, cfg.score, cfg.episode,
+                            live_path=live, disclosure_path=disc)
+        ends.add(alone.tick)
+        assert row["cumulative"] == alone.agents[kind].cumulative
+    assert len(ends) > 2 and max(ends) < cfg.episode.horizon
+    names = sorted(os.listdir(tmp_path / "solo"))
+    assert len(names) == 2 * len(cells)
+    assert names == sorted(os.listdir(tmp_path / "lockstep"))
+    for name in names:
+        assert (tmp_path / "lockstep" / name).read_bytes() \
+            == (tmp_path / "solo" / name).read_bytes(), name
 
 
 # ------------------------------------------------------------------- stage 1
@@ -464,17 +491,26 @@ def see_cpus(monkeypatch, n):
                             lambda pid: set(range(n)), raising=False)
 
 
+def observe_episodes(monkeypatch, note):
+    """Call `note()` in the process that builds each episode."""
+
+    class Noted(harness.Episode):
+        def __init__(self, *args, **kwargs):
+            note()
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "Episode", Noted)
+
+
 def test_stage1_pool_and_serial_paths_write_the_same_bytes(monkeypatch, tmp_path):
     # every episode notes the process it ran in
     pid_log = tmp_path / "pids"
-    real_run_episode = harness.run_episode
 
-    def noting_pid(*args, **kwargs):
+    def note_pid():
         with open(pid_log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return real_run_episode(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "run_episode", noting_pid)
+    observe_episodes(monkeypatch, note_pid)
     cfg = load_config(None, GOLDEN_CASES["stage1-single-agents"]["overrides"])
     here = str(os.getpid())
     runs = {}
@@ -487,8 +523,9 @@ def test_stage1_pool_and_serial_paths_write_the_same_bytes(monkeypatch, tmp_path
         pids = pid_log.read_text().split()
         pid_log.unlink()
         assert len(pids) == 6
-        if cpus == 3:
+        if cpus == 3:  # one chunk of two episodes per CPU
             assert here not in pids
+            assert sorted(pids.count(pid) for pid in set(pids)) == [2, 2, 2]
         else:
             assert set(pids) == {here}
         runs[cpus] = (report.to_dict(), {
@@ -505,10 +542,10 @@ def test_stage1_runs_here_while_run_episode_is_wrapped(monkeypatch):
 
     @functools.wraps(real_run_episode)
     def counting(*args, **kwargs):
-        seen.append(os.getpid())
         return real_run_episode(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_episode", counting)
+    observe_episodes(monkeypatch, lambda: seen.append(os.getpid()))
     monkeypatch.setattr(multiprocessing, "get_context", None)
     see_cpus(monkeypatch, 3)
     cfg = replace(small_config(), agents=("greedy", "null"), n_worlds=2)

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from driftworld.config import load_config
-from driftworld.dynamics import _level_accel, step
+from driftworld.dynamics import step
 from driftworld.interface import forces_to_accel
 from driftworld.rng import derive_world_seed
 from driftworld.worldgen import generate_world
 
 from oracles import reference_step
+from test_dynamics import _level_accel
 from test_golden import CASES
 
 AGGREGATE_NAMES = ("positions", "velocities", "inertia", "polarity")

@@ -260,10 +260,47 @@ def test_iter_trace_refuses_what_the_writer_never_writes(line, error, tmp_path):
 def test_iter_trace_requires_header(tmp_path):
     path = tmp_path / "t.ndjson"
     for text in ('\n{"kind": "sense", "tick": 0}\n', "", "\n\n",
-                 '{"kind": "header", "mode": "secret"}\n'):
+                 '{"kind": "header", "mode": "secret"}\n',
+                 '{"kind": "header", "mode": ["disclosure"]}\n',
+                 '{"kind": "header", "mode": {"live": 1}}\n'):
         path.write_text(text)
         with pytest.raises(ContractViolation, match="missing trace header"):
             next(iter_trace(str(path)))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
+
+#: Raw bytes, any JSON value, and lines shaped like a header or an event
+#: whose mode, kind or tick is any JSON value.
+_LINE = st.one_of(
+    st.binary(max_size=48),
+    _JSON.map(lambda value: canonical_dumps(value).encode()),
+    st.builds(lambda kind, mode: canonical_dumps({"kind": kind, "mode": mode}).encode(),
+              st.sampled_from(["header", "sense"]) | _JSON,
+              st.sampled_from(["live", "disclosure"]) | _JSON),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINE, max_size=5), st.sampled_from([b"\n", b"\r\n"]))
+def test_iter_trace_yields_objects_or_refuses_the_file(lines, ending):
+    # whatever bytes a trace holds, reading it yields JSON objects, the
+    # first a header naming its tier, or stops with ContractViolation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.ndjson")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(line + ending for line in lines))
+        docs = []
+        with contextlib.suppress(ContractViolation):
+            for doc in iter_trace(path):
+                docs.append(doc)
+    assert all(type(doc) is dict for doc in docs)
+    if docs:
+        assert docs[0]["kind"] == "header" and docs[0]["mode"] in ("live", "disclosure")
 
 
 def test_read_trace_requires_header(tmp_path):
