@@ -50,7 +50,7 @@ from .canon import canonical_loads, from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, prepare, snapshot_hash, step
 from .errors import ConfigError, ContractViolation, DriftworldError
-from .interface import (BodySpec, SenseGrid, recorded_forces, sense, sense_each,
+from .interface import (BodySpec, SenseGrid, forces_to_accel, recorded_forces, sense,
                         validate_forces)
 from .metrics import AgentMetrics, MetricParams, compute_metrics, rank_agents
 from .problems import (
@@ -183,7 +183,9 @@ class Episode:
         # one reading per body per tick: taken here and after each step, it
         # serves the close check and the next tick's observation, since
         # issuing problems moves only clones
-        self.agents = {s.agent_id: AgentRun(s, sense(world, s.body)) for s in slots}
+        readings = sense([world] * len(slots), [s.body for s in slots])
+        self.agents = {s.agent_id: AgentRun(s, r) for s, r in zip(slots, readings)}
+        self.idle: list[AgentRun] = []  # the seats `requests()` found idle
         self.tick = self.problems_closed = self.next_problem_id = 0
         self.drift_marks: list[int] = []
 
@@ -199,16 +201,14 @@ class Episode:
     def requests(self) -> list[tuple[World, BodySpec, int, str]]:
         """The problems this tick issues, one per idle seat under the issue
         limits, in seat order: the arguments `generate_problem` draws each
-        from."""
-        return [(self.world, run.slot.body, self.next_problem_id + i, run.slot.stream_name)
-                for i, run in enumerate(self._idle())]
-
-    def _idle(self) -> list[AgentRun]:
+        from.  `act` issues them to the seats found idle here."""
         cfg = self.config
-        return [r for r in self.agents.values() if r.active is None
-                and (cfg.max_problems is None or r.issued_total < cfg.max_problems)
-                and (cfg.problems_per_regime is None
-                     or r.issued_in_segment < cfg.problems_per_regime)]
+        self.idle = [r for r in self.agents.values() if r.active is None
+                     and (cfg.max_problems is None or r.issued_total < cfg.max_problems)
+                     and (cfg.problems_per_regime is None
+                          or r.issued_in_segment < cfg.problems_per_regime)]
+        return [(self.world, run.slot.body, self.next_problem_id + i, run.slot.stream_name)
+                for i, run in enumerate(self.idle)]
 
     def act(self, sink: TraceSink, problems: list[Problem]) -> list:
         """Phases 1-3 of this tick: issue `problems` (drawn by the driver
@@ -222,7 +222,7 @@ class Episode:
         #    state, and drew the problems in seat order), keep the world
         #    they were drawn from for their null baselines, then announce
         #    them
-        idle = self._idle()
+        idle = self.idle
         if len(problems) != len(idle):
             raise ContractViolation("act needs one problem per idle seat")
         self.next_problem_id += len(idle)
@@ -401,9 +401,10 @@ def run_lockstep(episodes: list[Episode], sinks: list[TraceSink]) -> None:
                                   for (ep, sink), asked in zip(live, requests)])
             for (ep, sink), applied in zip(live, batch.per_episode(forces)):
                 ep.record(sink, applied)
-            step(batch.worlds, params, batch.accels(forces))
-            for (ep, sink), readings in zip(live, batch.per_episode(batch.read())):
-                ep.settle(sink, readings)
+            step(batch.worlds, params, forces_to_accel(batch.seat_worlds, batch.bodies, forces))
+            readings = batch.per_episode(sense(batch.seat_worlds, batch.bodies))
+            for (ep, sink), seat_readings in zip(live, readings):
+                ep.settle(sink, seat_readings)
     for ep, sink in zip(episodes, sinks):
         ep.end(sink)
 
@@ -423,24 +424,17 @@ def _draw_problems(requests: list[list[tuple]], problem_params: ProblemParams,
 
 class _Batch:
     """The live episodes of a lockstep run, while none of them ends, and
-    what the loop works out once for them: their seats in order, where
-    each body's rows sit among the worlds' stacked entity rows, and which
-    seats' actions are checked."""
+    what the loop works out once for them: their seats in order, each
+    seat's body and world, and which seats' actions are checked."""
 
     def __init__(self, episodes: list[Episode]):
         self.episodes = episodes
         self.worlds = [ep.world for ep in episodes]
         self.runs = [run for ep in episodes for run in ep.agents.values()]
         self.bodies = [run.slot.body for run in self.runs]
-        seat_world = [k for k, ep in enumerate(episodes) for _ in ep.agents]
-        self.seat_worlds = [self.worlds[k] for k in seat_world]
+        self.seat_worlds = [ep.world for ep in episodes for _ in ep.agents]
         seats = list(itertools.accumulate((len(ep.agents) for ep in episodes), initial=0))
         self.cuts = list(zip(seats, seats[1:]))
-        starts = list(itertools.accumulate((w.n_entities for w in self.worlds), initial=0))
-        self.spans = list(zip(starts, starts[1:]))
-        self.rows = np.concatenate([starts[k] + body.rows
-                                    for k, body in zip(seat_world, self.bodies)])
-        self.inertia = np.concatenate([w.inertia for w in self.worlds])[self.rows, None]
         self.checked = [k for k, run in enumerate(self.runs)
                         if not isinstance(run.slot.agent, ScriptedAgent)]
         self.checked_bodies = [self.bodies[k] for k in self.checked]
@@ -457,18 +451,6 @@ class _Batch:
         for k, forces in zip(self.checked, checked):
             flat[k] = forces
         return flat
-
-    def accels(self, forces: list[np.ndarray]) -> list[np.ndarray]:
-        """Each world's summed agent acceleration (`forces_to_accel` of
-        its seats), built for all the worlds at once."""
-        accel = np.zeros((self.spans[-1][1], 2))
-        # bodies are disjoint, so each row is written once: 0.0 + f / inertia
-        accel[self.rows] += np.concatenate(forces) / self.inertia
-        return [accel[lo:hi] for lo, hi in self.spans]
-
-    def read(self) -> list[SenseGrid]:
-        """One reading of every seat's body, per seat (`sense_each`)."""
-        return sense_each(self.seat_worlds, self.bodies)
 
 
 # -- stages ----------------------------------------------------------------

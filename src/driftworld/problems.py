@@ -25,8 +25,8 @@ import numpy as np
 from . import rng as rngmod
 from .dynamics import StepParams, step
 from .errors import ConfigError, ContractViolation
-from .interface import BodySpec, SenseGrid, forces_to_accel, grid_distance, sense, sense_each
-from .worldgen import World, as_batch
+from .interface import BodySpec, SenseGrid, forces_to_accel, grid_distance, sense
+from .worldgen import World
 
 
 @dataclass(frozen=True)
@@ -83,38 +83,35 @@ class Problem:
         return self.issued_tick + self.timeout
 
 
-def generate_problem(world: World | list[World], body: BodySpec | list[BodySpec],
+def generate_problem(worlds: list[World], bodies: list[BodySpec],
                      params: ProblemParams, step_params: StepParams,
-                     problem_id: int | list[int], stream_name: str | list[str] = "problems"
-                     ) -> Problem | list[Problem]:
-    """Issue a problem at the world's current tick.
+                     problem_ids: list[int], stream_names: list[str]) -> list[Problem]:
+    """Issue problems at their worlds' current ticks, one per entry of the
+    lists: problem `problem_ids[k]` for `bodies[k]` on `worlds[k]`, drawn
+    from the world's stream `stream_names[k]`.
 
-    Draws the hidden action script from the live problem stream (so issue
+    Draws each hidden action script from the live problem stream (so issue
     order is part of the world's deterministic history), plays it on a
     clone, and keeps the clone's final sensor reading as the target.  The
-    live world itself is never advanced here.
+    live worlds themselves are never advanced here.
 
     Each scripted tick is one in-ball force applied to every member, so
     the target differs from the issue state chiefly by a body
     displacement; that keeps targets reachable by translation-style
     control rather than demanding per-member choreography.
 
-    With a list of worlds, `body`, `problem_id` and `stream_name` are
-    lists too, one entry per problem: the scripts are drawn in list
-    order, and their rollouts are stepped as one batch.  A rollout reads
-    no problem stream, so each problem is the one it would be alone.
+    The scripts are drawn in list order, and their rollouts are stepped
+    as one batch.  A rollout reads no problem stream, so each problem is
+    the one it would be alone.
     """
-    batch, one = as_batch(world)
-    if one:
-        body, problem_id, stream_name = [body], [problem_id], [stream_name]
-    scripts = [_draw_script(w.stream(name), b, params)
-               for w, b, name in zip(batch, body, stream_name)]
-    ghosts = [w.clone() for w in batch]
+    scripts = [_draw_script(w.stream(name), body, params)
+               for w, body, name in zip(worlds, bodies, stream_names)]
+    ghosts = [w.clone() for w in worlds]
     for t in range(params.scriptor_len):
-        step(ghosts, step_params, [forces_to_accel(ghost, b, script[t])
-                                   for ghost, b, script in zip(ghosts, body, scripts)])
+        step(ghosts, step_params,
+             forces_to_accel(ghosts, bodies, [script[t] for script in scripts]))
     reference = float(max(1, params.scriptor_len))
-    problems = [Problem(
+    return [Problem(
         id=pid,
         issued_tick=w.tick,
         target_grid=target.grid,
@@ -124,8 +121,7 @@ def generate_problem(world: World | list[World], body: BodySpec | list[BodySpec]
         o_ref=reference,
         d_ref=reference,
         hidden_actions=script,
-    ) for w, pid, script, target in zip(batch, problem_id, scripts, sense_each(ghosts, body))]
-    return problems[0] if one else problems
+    ) for w, pid, script, target in zip(worlds, problem_ids, scripts, sense(ghosts, bodies))]
 
 
 def _draw_script(stream: np.random.Generator, body: BodySpec,
@@ -166,8 +162,8 @@ def null_baseline(world: World, body: BodySpec, problem: Problem,
     """
     ghost = world.clone()
     for _ in range(problem.timeout):
-        step(ghost, step_params)
-        if check_solved(sense(ghost, body), problem)[0]:
+        step([ghost], step_params)
+        if check_solved(sense([ghost], [body])[0], problem)[0]:
             return 1.0
     return 0.0
 

@@ -382,13 +382,6 @@ class World:
         return world
 
 
-def as_batch(worlds: World | list[World]) -> tuple[list[World], bool]:
-    """`worlds` as a list, and whether it was a single world."""
-    if isinstance(worlds, World):
-        return [worlds], True
-    return worlds, False
-
-
 def stacked(arrays: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """Arrays of one shape stacked on a new leading axis, into `out` when
     given: the copy `np.stack` makes, in one `np.concatenate` call."""

@@ -113,7 +113,7 @@ def test_criterion_02_dynamics_conserve_momentum():
         spec = GenSpec(seed=100 + n, n_entities=n, n_levels=1, grammar=grammar)
         world = generate_world(spec)
         for _ in range(steps):
-            step(world, params)
+            step([world], params)
         worst = max(worst, float(np.linalg.norm(momentum(world))) / steps)
     check(2, worst <= 1e-9,
           f"entity counts 2..10, {steps} steps each, worst momentum drift "
@@ -230,7 +230,7 @@ def test_criterion_08_drift_marks_match_schedule_and_spare_ground_laws():
     spec = GenSpec(seed=11, drift=DriftSchedule(regime_times=(20, 45, 70)))
     world = generate_world(spec)
     for _ in range(100):
-        step(world, StepParams())
+        step([world], StepParams())
     fresh = generate_world(spec)
     law_text = [[canonical_dumps(to_doc(law)) for law in w.laws]
                 for w in (world, fresh)]
@@ -263,11 +263,11 @@ def test_criterion_09_protocol_is_closed_and_sensing_conserves_entities():
     n_senses = 1000
     conserved = 0
     for _ in range(n_senses):
-        grid = sense(world, body).grid
+        grid = sense([world], [body])[0].grid
         if (grid[:, :, 0].sum() == n_plus
                 and grid[:, :, 1].sum() == n_minus):
             conserved += 1
-        step(world, StepParams())
+        step([world], StepParams())
     sensor_ok = conserved == n_senses
     check(9, schema_ok and sensor_ok,
           f"{pairs} message schemas all reject out-of-set fields "

@@ -265,17 +265,17 @@ def test_greedy_solves_a_fresh_problem_cold():
     body = cfg.body()
     world = generate_world(GenSpec(seed=12))
     agent = GreedyAgent(body)
-    problem = generate_problem(world, body, cfg.problem, cfg.step, 0)
+    problem = generate_problem([world], [body], cfg.problem, cfg.step, [0], ["problems"])[0]
 
-    d0 = grid_distance(sense(world, body).grid, np.asarray(problem.target_grid))
+    d0 = grid_distance(sense([world], [body])[0].grid, np.asarray(problem.target_grid))
     assert d0 > cfg.problem.epsilon
 
     agent.on_problem(public_problem(problem))
     for _ in range(cfg.problem.timeout):
-        reading = sense(world, body)
-        forces = validate_forces(agent.act(reading.to_payload()), body)
-        step(world, cfg.step, external_accel=forces_to_accel(world, body, forces))
-        solved, _ = check_solved(sense(world, body), problem)
+        reading = sense([world], [body])[0]
+        forces = validate_forces([agent.act(reading.to_payload())], [body])[0]
+        step([world], cfg.step, external_accel=forces_to_accel([world], [body], [forces]))
+        solved, _ = check_solved(sense([world], [body])[0], problem)
         if solved:
             break
     assert solved
@@ -287,17 +287,18 @@ def test_greedy_solves_a_fresh_problem_cold():
 def test_oracle_replays_script_exactly(body, step_params, default_config):
     world = generate_world(flat_quiet_spec(9))
     agent = OracleAgent(body)
-    problem = generate_problem(world, body, default_config.problem, step_params, 0)
+    problem = generate_problem([world], [body], default_config.problem, step_params, [0],
+                               ["problems"])[0]
     agent.on_problem(public_problem(problem))
     agent.load_script(problem.hidden_actions, problem.issued_tick)
 
     for k in range(problem.scriptor_len):
-        reading = sense(world, body)
+        reading = sense([world], [body])[0]
         forces = agent.act(reading.to_payload())
         assert np.array_equal(forces, problem.hidden_actions[k])
-        step(world, step_params, external_accel=forces_to_accel(world, body, forces))
+        step([world], step_params, external_accel=forces_to_accel([world], [body], [forces]))
 
-    distance = grid_distance(sense(world, body).grid, np.asarray(problem.target_grid))
+    distance = grid_distance(sense([world], [body])[0].grid, np.asarray(problem.target_grid))
     assert distance == 0.0
 
 

@@ -136,7 +136,8 @@ def _tuples(doc, trail="") -> list[str]:
 
 def test_to_doc_emits_lists_never_tuples():
     world = generate_world(GenSpec(seed=5, n_levels=3))
-    problem = generate_problem(world, BODY, ProblemParams(), StepParams(), 0)
+    [problem] = generate_problem([world], [BODY], ProblemParams(), StepParams(), [0],
+                                 ["problems"])
     problem.p_null = 0.0
     for obj in [*CODEC_CASES.values(), problem, RunConfig()]:
         assert _tuples(to_doc(obj)) == [], type(obj).__name__

@@ -141,7 +141,7 @@ def test_run_over_the_wire_matches_in_process_in_a_crowded_window(tmp_path, caps
     # the dense case of the observation's cell list
     crowded = ["gen.n_entities=192", "gen.n_levels=3", "episode.horizon=30"]
     cfg = load_config(None, ["gen.seed=5", *crowded])
-    grid = sense(generate_world(cfg.gen), cfg.body(0)).grid
+    grid = sense([generate_world(cfg.gen)], [cfg.body(0)])[0].grid
     assert np.count_nonzero(grid.any(axis=2)) > 100
     assert_wire_matches_in_process("greedy", tmp_path, capsys, *crowded)
 

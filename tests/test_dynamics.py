@@ -110,7 +110,7 @@ def test_const_law_acceleration_by_hand():
     c = 0.25
     world = make_two_entity_world([("const", c)])
     params = StepParams(a_max=100.0, v_max=100.0)
-    acc = compute_accelerations(world, params, world.recompute_aggregates())
+    acc = compute_accelerations([world], params, [world.recompute_aggregates()])[0]
     # product is -1, unit vector b->a for entity 0 is (-1, 0)
     assert np.allclose(acc[0], [c, 0.0])
     assert np.allclose(acc[1], [-c, 0.0])
@@ -121,7 +121,7 @@ def test_inverse_law_uses_effective_radius_floor():
     world = make_two_entity_world([("inv", c)], polarity=(1, 1))
     world.positions[:] = [[0.0, 0.0], [0.01, 0.0]]  # nearly on top
     params = StepParams(a_max=1e9, v_max=1e9, eps_r=0.5)
-    acc = compute_accelerations(world, params, world.recompute_aggregates())
+    acc = compute_accelerations([world], params, [world.recompute_aggregates()])[0]
     # r_eff = 0.5, same polarity so the pair repels along -x for entity 0
     assert np.allclose(np.abs(acc[0, 0]), c / 0.5)
 
@@ -131,7 +131,7 @@ def test_damping_term_never_polarity_coupled():
     world = make_two_entity_world([("damp", d)], coupled=(False,))
     world.velocities[:] = [[1.0, 0.0], [0.0, 0.0]]
     params = StepParams(a_max=100.0, v_max=100.0)
-    acc = compute_accelerations(world, params, world.recompute_aggregates())
+    acc = compute_accelerations([world], params, [world.recompute_aggregates()])[0]
     assert np.allclose(acc[0], [-d, 0.0])
     assert np.allclose(acc[1], [d, 0.0])
 
@@ -143,7 +143,7 @@ def test_eval_law_matches_vectorized_path():
     params = StepParams()
     law = world.laws[0]
     extent = world.spec.arena_extent
-    acc = compute_accelerations(world, params, world.recompute_aggregates())
+    acc = compute_accelerations([world], params, [world.recompute_aggregates()])[0]
     for a in range(6):
         total = np.zeros(2)
         for b in range(6):
@@ -182,7 +182,7 @@ def test_semi_implicit_update_by_hand():
     world = make_two_entity_world([("const", c)])
     params = StepParams(dt=1.0, a_max=100.0, v_max=100.0)
     p0 = world.positions.copy()
-    step(world, params)
+    step([world], params)
     # v1 = a, x1 = x0 + v1 (velocity updates before position)
     assert np.allclose(world.velocities[0], [c, 0.0])
     assert np.allclose(world.positions[0], p0[0] + [c, 0.0])
@@ -191,7 +191,7 @@ def test_semi_implicit_update_by_hand():
 def test_velocity_cap():
     world = make_two_entity_world([("const", 5.0)])
     params = StepParams(v_max=0.5, a_max=100.0)
-    step(world, params)
+    step([world], params)
     speeds = np.linalg.norm(world.velocities, axis=1)
     assert np.all(speeds <= 0.5 + 1e-12)
 
@@ -199,7 +199,7 @@ def test_velocity_cap():
 def test_acceleration_cap():
     world = make_two_entity_world([("const", 500.0)])
     params = StepParams(a_max=2.0, v_max=1e9)
-    acc = compute_accelerations(world, params, world.recompute_aggregates())
+    acc = compute_accelerations([world], params, [world.recompute_aggregates()])[0]
     norms = np.linalg.norm(acc, axis=1)
     assert np.all(norms <= 2.0 + 1e-12)
 
@@ -209,14 +209,14 @@ def test_positions_wrap():
     world.positions[0] = [7.9, 0.0]
     world.velocities[0] = [0.5, 0.0]
     params = StepParams(v_max=10.0)
-    step(world, params)
+    step([world], params)
     assert -8.0 <= world.positions[0, 0] < 8.0
 
 
 def test_tick_advances():
     world = generate_world(flat_quiet_spec(1))
-    step(world, StepParams())
-    step(world, StepParams())
+    step([world], StepParams())
+    step([world], StepParams())
     assert world.tick == 2
 
 
@@ -235,7 +235,7 @@ def test_momentum_conservation_battery():
         world = generate_world(spec)
         steps = 1000
         for _ in range(steps):
-            step(world, params)
+            step([world], params)
         drift = np.linalg.norm(momentum(world))
         assert drift / steps <= 1e-9, f"n={n}: {drift/steps}"
 
@@ -250,7 +250,7 @@ def test_composites_never_jump_across_the_seam():
         world = generate_world(replace(cfg.gen, seed=derive_world_seed(0, i)))
         before = world.recompute_aggregates()
         for _ in range(240):
-            step(world, cfg.step)
+            step([world], cfg.step)
             after = world.recompute_aggregates()
             for (p0, *_), (p1, *_) in zip(before, after):
                 moved = np.linalg.norm(minimal_image(p1 - p0, extent), axis=1)
@@ -263,7 +263,7 @@ def test_external_accel_enters_velocity():
     world = make_two_entity_world([("const", 0.0)])
     ext = np.zeros((2, 2))
     ext[0] = [0.25, 0.0]
-    step(world, StepParams(), external_accel=ext)
+    step([world], StepParams(), external_accel=[ext])
     assert np.allclose(world.velocities[0], [0.25, 0.0])
 
 
@@ -271,7 +271,7 @@ def test_drift_applies_inside_step_at_pre_increment_tick():
     spec = GenSpec(seed=8, n_levels=2, drift=DriftSchedule(regime_times=(0,)))
     world = generate_world(spec)
     law_before = world.laws[1]
-    step(world, StepParams())
+    step([world], StepParams())
     assert world.last_drift_events == [{"tick": 0, "level": 1, "kind": "regime"}]
     assert world.laws[1] is not law_before
 
@@ -286,7 +286,7 @@ def test_snapshot_hash_tracks_state():
     world = generate_world(flat_quiet_spec(2))
     h0 = snapshot_hash(world)
     assert h0 == snapshot_hash(world)
-    step(world, StepParams())
+    step([world], StepParams())
     assert snapshot_hash(world) != h0
     blob = snapshot(world)
     assert isinstance(blob, bytes) and blob
@@ -296,8 +296,8 @@ def test_step_is_deterministic():
     a = generate_world(flat_quiet_spec(9))
     b = generate_world(flat_quiet_spec(9))
     for _ in range(50):
-        step(a, StepParams())
-        step(b, StepParams())
+        step([a], StepParams())
+        step([b], StepParams())
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.velocities, b.velocities)
 
@@ -336,7 +336,7 @@ def _kernel_outputs(n: int) -> list[np.ndarray]:
     enough that the clamp rescales pairs."""
     world = generate_world(GenSpec(seed=31 + n, n_entities=n, n_levels=3))
     for _ in range(3):
-        step(world, StepParams())
+        step([world], StepParams())
     extent = world.spec.arena_extent
     levels = [(world.positions, world.velocities)]
     levels += [(pos, vel) for pos, vel, _, _ in world.recompute_aggregates()]
@@ -414,7 +414,7 @@ def _reference_level_accel(positions, velocities, consts, law, extent, params):
 def _level_inputs(seed: int, n: int, law: CausationLaw | None = None):
     """Ground-level kernel arguments of a stepped one-level world."""
     world = generate_world(GenSpec(seed=seed, n_entities=n, n_levels=1))
-    step(world, StepParams())
+    step([world], StepParams())
     return [world.positions, world.velocities, world.level_constants()[0],
             law or world.laws[0], world.spec.arena_extent]
 
@@ -614,10 +614,10 @@ def test_prepared_world_and_its_clones_step_like_plain_ones(tick, pushed):
     params = StepParams()
     plain = generate_world(spec)
     for _ in range(tick):
-        step(plain, params)
+        step([plain], params)
     live = plain.clone()
-    pending = prepare(live, params)
-    assert prepare(live, params) is pending
+    pending = prepare([live], params)[0]
+    assert prepare([live], params)[0] is pending
     assert bool(pending.drift_events) == (tick == 3)
     ghosts = [live.clone(), live.clone()]
     body = BodySpec(member_ids=(0, 1, 2))
@@ -626,13 +626,13 @@ def test_prepared_world_and_its_clones_step_like_plain_ones(tick, pushed):
         for t in range(4):
             push = None
             if pushed:
-                push = forces_to_accel(ghost, body, np.full((3, 2), 0.5 * (t + 1)))
-            step(ghost, params, external_accel=push)
-            step(reference, params, external_accel=push)
+                push = forces_to_accel([ghost], [body], [np.full((3, 2), 0.5 * (t + 1))])[0]
+            step([ghost], params, external_accel=[push])
+            step([reference], params, external_accel=[push])
             assert ghost.last_drift_events == reference.last_drift_events
             assert snapshot(ghost) == snapshot(reference), (tick, t)
-    step(live, params)
-    step(plain, params)
+    step([live], params)
+    step([plain], params)
     assert live.last_drift_events == plain.last_drift_events
     assert snapshot(live) == snapshot(plain)
     assert live.pending is None
@@ -640,13 +640,13 @@ def test_prepared_world_and_its_clones_step_like_plain_ones(tick, pushed):
 
 def test_pending_forces_belong_to_one_tick_and_one_set_of_params():
     world = generate_world(GenSpec(seed=5, n_levels=2))
-    pending = prepare(world, StepParams())
+    pending = prepare([world], StepParams())[0]
     assert not pending.accel.flags.writeable
     with pytest.raises(ContractViolation):
-        prepare(world, StepParams(a_max=1.0))
+        prepare([world], StepParams(a_max=1.0))
     with pytest.raises(ContractViolation):
         world.to_canonical()
-    step(world, StepParams())
+    step([world], StepParams())
     assert world.to_canonical()["tick"] == 1
 
 
@@ -694,13 +694,13 @@ def test_batched_force_pass_gives_each_world_its_solo_bits(monkeypatch, budget):
     worlds = _mixed_batch()
     aggregates = [w.recompute_aggregates() for w in worlds]
     batched = compute_accelerations(worlds, params, aggregates)
-    solo = [compute_accelerations(w, params, agg) for w, agg in zip(worlds, aggregates)]
+    solo = [compute_accelerations([w], params, [agg])[0] for w, agg in zip(worlds, aggregates)]
     for k, (got, want) in enumerate(zip(batched, solo)):
         assert got.tobytes() == want.tobytes(), k
     # the clamped world's pairs were rescaled, and the batch clamped them too
     clamped = worlds[6]
-    unclamped = compute_accelerations(clamped, StepParams(a_max=1e9),
-                                      clamped.recompute_aggregates())
+    unclamped = compute_accelerations([clamped], StepParams(a_max=1e9),
+                                      [clamped.recompute_aggregates()])[0]
     assert not np.array_equal(batched[6], unclamped)
 
 
@@ -712,9 +712,9 @@ def test_batched_steps_equal_the_reference_step():
     for t in range(4):
         # one world is left alone, and one was prepared before the step,
         # as at a tick that issues problems
-        prepare(worlds[2], params)
+        prepare([worlds[2]], params)
         externals = [None if k == 1 else
-                     forces_to_accel(w, body, np.full((4, 2), 0.5 * (k - t)))
+                     forces_to_accel([w], [body], [np.full((4, 2), 0.5 * (k - t))])[0]
                      for k, w in enumerate(worlds)]
         step(worlds, params, externals)
         for k, (world, reference, external) in enumerate(zip(worlds, references, externals)):
@@ -734,7 +734,7 @@ def test_workspaces_of_one_level_size_share_one_arena():
         aggregates = [w.recompute_aggregates() for w in batch]
         for got, world, aggs in zip(compute_accelerations(batch, params, aggregates),
                                     batch, aggregates):
-            assert got.tobytes() == compute_accelerations(world, params, aggs).tobytes()
+            assert got.tobytes() == compute_accelerations([world], params, [aggs])[0].tobytes()
     floats, flags = dynamics._ARENAS[16]
     assert flags.size >= 5 * 16 * 16
     shapes = [shape for shape in dynamics._WORKSPACES if shape[-1] == 16]

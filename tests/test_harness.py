@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftworld import harness, interface
+from driftworld import harness
 from driftworld.agents import make_agent
 from driftworld.canon import canonical_dumps, from_doc, to_doc
 from driftworld.cli import main
@@ -97,13 +97,13 @@ def test_live_world_is_sensed_once_per_body_per_tick(monkeypatch):
     live_reads = []
     real_sense = harness.sense
 
-    def counting_sense(worlds, body):  # one world, or a batch of them
-        batch = worlds if isinstance(worlds, list) else [worlds]
-        live_reads.extend((w.tick, body.member_ids) for w in batch if w is world)
-        return real_sense(worlds, body)
+    def counting_sense(worlds, bodies):
+        live_reads.extend((w.tick, b.member_ids) for w, b in zip(worlds, bodies)
+                          if w is world)
+        return real_sense(worlds, bodies)
 
-    monkeypatch.setattr(harness, "sense", counting_sense)  # the first reading
-    monkeypatch.setattr(interface, "sense", counting_sense)  # the loop's, batched
+    # the first reading and the loop's, one call for every seat
+    monkeypatch.setattr(harness, "sense", counting_sense)
     result = run_episode(world, slots, cfg.step, cfg.problem, cfg.score,
                          cfg.episode)
     horizon = cfg.episode.horizon
@@ -347,7 +347,7 @@ def test_episode_refuses_a_world_off_its_clock():
     slots = [Slot(agent_id="null", agent=make_agent("null", body), body=body)]
     params = (cfg.step, cfg.problem, cfg.score, cfg.episode)
     world = generate_world(cfg.gen)
-    step(world, cfg.step)
+    step([world], cfg.step)
     with pytest.raises(ContractViolation, match="at tick 0"):
         Episode(world, slots, *params)
     # the driver must step the world exactly once between act and settle
@@ -358,9 +358,9 @@ def test_episode_refuses_a_world_off_its_clock():
             problems = harness._draw_problems([episode.requests()], cfg.problem, cfg.step)
             episode.record(sink, episode.act(sink, problems))
             for _ in range(steps):
-                step(world, cfg.step)
+                step([world], cfg.step)
             with pytest.raises(ContractViolation, match="lost the world clock"):
-                episode.settle(sink, [sense(world, body)])
+                episode.settle(sink, sense([world], [body]))
 
 
 def test_episodes_driven_in_lockstep_write_their_solo_bytes(tmp_path):

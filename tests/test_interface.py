@@ -10,7 +10,6 @@ from driftworld.errors import ConfigError, ContractViolation
 from driftworld.interface import (
     BodySpec,
     SenseGrid,
-    body_centroid,
     cell_index,
     forces_to_accel,
     grid_distance,
@@ -52,7 +51,7 @@ def test_centroid_simple_mean():
     world = generate_world(flat_quiet_spec(1, n_entities=4))
     world.positions[:] = [[1.0, 1.0], [3.0, 1.0], [1.0, 3.0], [3.0, 3.0]]
     body = BodySpec(member_ids=(0, 1, 2, 3))
-    assert np.allclose(body_centroid(world, body), [2.0, 2.0])
+    assert np.allclose(sense([world], [body])[0].centroid, [2.0, 2.0])
 
 
 def test_centroid_wraps_across_boundary():
@@ -60,7 +59,7 @@ def test_centroid_wraps_across_boundary():
     world = generate_world(flat_quiet_spec(1, n_entities=4))
     world.positions[:2] = [[7.5, 0.0], [-7.5, 0.0]]
     body = BodySpec(member_ids=(0, 1))
-    c = body_centroid(world, body)
+    c = sense([world], [body])[0].centroid
     # the two points are 1 apart across the seam; centroid sits on it
     d0 = np.linalg.norm(minimal_image(c - world.positions[0], 8.0))
     d1 = np.linalg.norm(minimal_image(c - world.positions[1], 8.0))
@@ -82,10 +81,11 @@ def test_cell_index_boundaries():
 
 
 def _sense_reference(world, body):
-    """Per-row reading: each entity inside the window adds 1 to its cell."""
+    """Per-row reading around the reading's own centroid: each entity
+    inside the window adds 1 to its cell."""
     res, half = body.resolution, body.window_halfwidth
     width = 2.0 * half / res
-    center = body_centroid(world, body)
+    center = sense([world], [body])[0].centroid
     grid = np.zeros((res, res, 2))
     for row, pol in zip(world.positions, world.polarity):
         off = minimal_image(row - center, world.spec.arena_extent)
@@ -111,7 +111,7 @@ def test_sense_matches_per_row_reference(res, half):
     world.positions[:] = wrap_positions(np.array(points), spec.arena_extent)
     world.polarity[:] = np.where(np.arange(len(points)) % 3 == 0, -1, 1)
     body = BodySpec(member_ids=(0,), resolution=res, window_halfwidth=half)
-    reading = sense(world, body)
+    reading = sense([world], [body])[0]
     assert np.array_equal(reading.centroid, [0.0, 0.0])
     expected = _sense_reference(world, body)
     assert reading.grid.dtype == expected.dtype
@@ -127,9 +127,34 @@ def test_sense_matches_reference_on_stepped_worlds():
     for seed in range(3):
         world = generate_world(GenSpec(seed=seed, n_entities=64, n_levels=3))
         for _ in range(5):
-            step(world, StepParams())
+            step([world], StepParams())
         body = BodySpec(member_ids=(4, 5, 6, 7), resolution=8, window_halfwidth=4.0)
-        assert np.array_equal(sense(world, body).grid, _sense_reference(world, body))
+        assert np.array_equal(sense([world], [body])[0].grid, _sense_reference(world, body))
+
+
+def test_sense_reads_a_mixed_batch_as_each_world_alone():
+    # two entity counts, two arena extents, two bodies on one world (as
+    # stage-two seats are) and one world listed twice, stepped apart
+    worlds = [generate_world(GenSpec(seed=seed, n_entities=n, n_levels=2, arena_extent=extent))
+              for seed, n, extent in ((1, 16, 8.0), (2, 16, 8.0), (3, 24, 8.0), (4, 16, 12.0))]
+    for k, world in enumerate(worlds):
+        for _ in range(k + 1):
+            step([world], StepParams())
+    small = BodySpec(member_ids=(0, 1, 2, 3), resolution=16, window_halfwidth=8.0)
+    wide = BodySpec(member_ids=(4, 5, 6), resolution=8, window_halfwidth=4.0)
+    seats = [(worlds[0], small), (worlds[0], wide), (worlds[1], small), (worlds[2], small),
+             (worlds[3], small), (worlds[1], small), (worlds[2], wide), (worlds[3], wide)]
+    readings = sense([w for w, _ in seats], [b for _, b in seats])
+    assert len(readings) == len(seats)
+    for k, ((world, body), got) in enumerate(zip(seats, readings)):
+        alone = sense([world], [body])[0]
+        assert got.tick == alone.tick == world.tick, k
+        assert got.grid.tobytes() == alone.grid.tobytes(), k
+        assert got.centroid.tobytes() == alone.centroid.tobytes(), k
+        assert got.hash() == alone.hash(), k
+        assert np.array_equal(got.grid, _sense_reference(world, body)), k
+    assert readings[2].hash() == readings[5].hash()
+    assert readings[0].hash() != readings[1].hash()
 
 
 def test_sense_counts_match_polarity_oracle():
@@ -137,7 +162,7 @@ def test_sense_counts_match_polarity_oracle():
     spec = GenSpec(seed=33, n_entities=20, n_levels=1)
     world = generate_world(spec)
     body = BodySpec(member_ids=(0, 1), resolution=8, window_halfwidth=8.0)
-    reading = sense(world, body)
+    reading = sense([world], [body])[0]
     assert reading.grid.shape == (8, 8, 2)
     n_pos = int((world.polarity == 1).sum())
     n_neg = int((world.polarity == -1).sum())
@@ -150,7 +175,7 @@ def test_sense_cell_placement_oracle():
     world.positions[:] = [[0.0, 0.0], [1.6, 0.0], [0.0, -2.4]]
     world.polarity[:] = [1, 1, -1]
     body = BodySpec(member_ids=(0,), resolution=16, window_halfwidth=8.0)
-    reading = sense(world, body)
+    reading = sense([world], [body])[0]
     half, res = 8.0, 16
     for row, pol in zip(world.positions, world.polarity):
         off = minimal_image(row - world.positions[0], 8.0)
@@ -164,15 +189,15 @@ def test_sense_windowed_excludes_far_entities():
     world = generate_world(flat_quiet_spec(2, n_entities=3))
     world.positions[:] = [[0.0, 0.0], [0.5, 0.5], [6.0, 6.0]]
     body = BodySpec(member_ids=(0,), resolution=4, window_halfwidth=2.0)
-    reading = sense(world, body)
+    reading = sense([world], [body])[0]
     assert reading.grid.sum() == 2  # self and the close neighbor
 
 
 def test_sense_payload_and_hash():
     world = generate_world(flat_quiet_spec(4))
     body = BodySpec(member_ids=(0, 1))
-    a = sense(world, body)
-    b = sense(world, body)
+    a = sense([world], [body])[0]
+    b = sense([world], [body])[0]
     assert a.hash() == b.hash()
     payload = a.to_payload()
     assert payload["tick"] == world.tick
@@ -191,10 +216,10 @@ def test_reading_hash_equals_struct_layout_oracle():
         world = generate_world(GenSpec(seed=seed, n_entities=64, n_levels=3))
         for _ in range(4):
             for body in bodies:
-                r = sense(world, body)
+                r = sense([world], [body])[0]
                 assert r.grid.sum() > 0
                 assert r.hash() == reading_hash(r.tick, r.centroid.tolist(), r.grid.tolist())
-            step(world, StepParams())
+            step([world], StepParams())
 
 
 def test_reading_hash_keeps_counts_past_uint16():
@@ -240,17 +265,40 @@ def test_clamp_rows_cap(limit):
 
 def test_validate_forces_shape_and_finiteness(body):
     good = np.zeros((4, 2))
-    out = validate_forces(good, body)
+    out = validate_forces([good], [body])[0]
     assert out.shape == (4, 2)
     with pytest.raises(ContractViolation):
-        validate_forces(np.zeros((3, 2)), body)
+        validate_forces([np.zeros((3, 2))], [body])
     with pytest.raises(ContractViolation):
-        validate_forces(np.full((4, 2), np.nan), body)
+        validate_forces([np.full((4, 2), np.nan)], [body])
+
+
+def test_validate_forces_checks_and_clamps_a_batch_as_each_alone():
+    bodies = [BodySpec(member_ids=(0, 1), f_max=1.0),
+              BodySpec(member_ids=(2, 3, 4), f_max=4.0),
+              BodySpec(member_ids=(5,), f_max=0.5)]
+    rng = np.random.default_rng(7)
+    actions = [rng.uniform(-3.0, 3.0, size=(len(b.member_ids), 2)) for b in bodies]
+    actions[1][0] = [30.0, -40.0]  # clamped to its own cap, not the others'
+    out = validate_forces(actions, bodies)
+    assert len(out) == len(bodies)
+    for got, action, body in zip(out, actions, bodies):
+        alone = validate_forces([action], [body])[0]
+        assert got.tobytes() == alone.tobytes()
+        assert alone.tobytes() == clamp_rows(action, body.f_max).tobytes()
+        assert np.all(np.linalg.norm(got, axis=1) <= body.f_max * (1 + 1e-12))
+    # the first bad action is the one reported, whatever follows it
+    bad = [actions[0], np.zeros((2, 2)), np.full((1, 2), np.nan)]
+    with pytest.raises(ContractViolation, match=r"action must be shape \(3, 2\), got \(2, 2\)"):
+        validate_forces(bad, bodies)
+    with pytest.raises(ContractViolation, match="finite"):
+        validate_forces([actions[0], actions[1], bad[2]], bodies)
+    assert validate_forces([], []) == []
 
 
 def test_validate_forces_clamps(body):
     big = np.full((4, 2), 100.0)
-    out = validate_forces(big, body)
+    out = validate_forces([big], [body])[0]
     assert np.all(np.linalg.norm(out, axis=1) <= body.f_max + 1e-9)
 
 
@@ -259,8 +307,48 @@ def test_forces_to_accel_divides_by_inertia():
     world.inertia[:] = [1.0, 2.0, 1.0, 1.0]
     body = BodySpec(member_ids=(0, 1))
     forces = np.array([[1.0, 0.0], [1.0, 0.0]])
-    acc = forces_to_accel(world, body, forces)
+    acc = forces_to_accel([world], [body], [forces])[0]
     assert acc.shape == world.positions.shape
     assert np.allclose(acc[0], [1.0, 0.0])
     assert np.allclose(acc[1], [0.5, 0.0])
     assert not acc[2:].any()
+
+
+def test_forces_to_accel_converts_a_batch_as_each_body_alone():
+    # two bodies on one world, as stage-two seats are, then a world of
+    # another size with a body of its own
+    worlds = [generate_world(GenSpec(seed=3, n_entities=16, n_levels=2)),
+              generate_world(GenSpec(seed=4, n_entities=24, n_levels=2))]
+    worlds[0].inertia[:] = np.linspace(0.5, 2.0, 16)
+    bodies = [BodySpec(member_ids=(0, 1, 2)), BodySpec(member_ids=(7, 5)),
+              BodySpec(member_ids=(20, 3))]
+    forces = [np.full((3, 2), 0.75), np.array([[-1.0, 0.5], [-0.0, 2.0]]),
+              np.array([[0.25, -3.0], [1.0, 1.0]])]
+    seats = [worlds[0], worlds[0], worlds[1]]
+    got = forces_to_accel(seats, bodies, forces)
+    assert [a.shape for a in got] == [(16, 2), (24, 2)]
+    for world, body, force in zip(seats, bodies, forces):
+        alone = forces_to_accel([world], [body], [force])[0]
+        assert got[worlds.index(world)][body.rows].tobytes() == alone[body.rows].tobytes()
+    held = np.zeros(16, bool)
+    held[[0, 1, 2, 7, 5]] = True
+    assert not got[0][~held].any() and not np.delete(got[1], [20, 3], axis=0).any()
+    # f / inertia keeps the sign of a zero force
+    assert np.signbit(got[0][5, 0])
+
+
+def test_the_sign_of_a_zero_push_never_reaches_the_state():
+    # forces_to_accel writes f / inertia, so a -0.0 force is a -0.0
+    # acceleration; adding it to the world's own accelerations, none of
+    # which is -0.0, gives the bits a +0.0 push gives
+    body = BodySpec(member_ids=(0, 1, 2, 3))
+    for seed in range(3):
+        worlds = [generate_world(GenSpec(seed=seed, n_levels=2)) for _ in range(2)]
+        worlds[1].velocities[:] = worlds[0].velocities[:] = -0.0
+        for t in range(3):
+            pushes = [np.full((4, 2), zero) for zero in (0.0, -0.0)]
+            for world, push in zip(worlds, pushes):
+                step([world], StepParams(),
+                     external_accel=forces_to_accel([world], [body], [push]))
+            assert worlds[0].positions.tobytes() == worlds[1].positions.tobytes()
+            assert worlds[0].velocities.tobytes() == worlds[1].velocities.tobytes()

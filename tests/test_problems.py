@@ -35,8 +35,8 @@ def test_problem_generation_is_deterministic():
     sp = StepParams()
     a_world, body = fresh()
     b_world, _ = fresh()
-    pa = generate_problem(a_world, body, params, sp, 0)
-    pb = generate_problem(b_world, body, params, sp, 0)
+    pa = generate_problem([a_world], [body], params, sp, [0], ["problems"])[0]
+    pb = generate_problem([b_world], [body], params, sp, [0], ["problems"])[0]
     assert np.array_equal(pa.hidden_actions, pb.hidden_actions)
     assert np.array_equal(pa.target_grid, pb.target_grid)
 
@@ -46,15 +46,15 @@ def test_problem_consumes_world_stream():
     params = ProblemParams()
     sp = StepParams()
     world, body = fresh()
-    p0 = generate_problem(world, body, params, sp, 0)
-    p1 = generate_problem(world, body, params, sp, 0)
+    p0 = generate_problem([world], [body], params, sp, [0], ["problems"])[0]
+    p1 = generate_problem([world], [body], params, sp, [0], ["problems"])[0]
     assert not np.array_equal(p0.hidden_actions, p1.hidden_actions)
 
 
 def test_script_shape_and_common_mode():
     params = ProblemParams(scriptor_len=5)
     world, body = fresh()
-    p = generate_problem(world, body, params, StepParams(), 0)
+    p = generate_problem([world], [body], params, StepParams(), [0], ["problems"])[0]
     assert p.hidden_actions.shape == (5, 3, 2)
     for t in range(5):
         rows = p.hidden_actions[t]
@@ -67,7 +67,7 @@ def test_script_net_impulse_floor():
     sp = StepParams()
     world, body = fresh()
     for _ in range(12):
-        p = generate_problem(world, body, params, sp, world.tick)
+        p = generate_problem([world], [body], params, sp, [world.tick], ["problems"])[0]
         net = np.linalg.norm(p.hidden_actions[:, 0, :].sum(axis=0))
         assert net >= 0.5 * body.f_max - 1e-9
 
@@ -84,7 +84,7 @@ def test_generation_leaves_live_world_alone():
     # Positions and laws untouched; only the problems stream may advance.
     world, body = fresh()
     before = canonical_dumps(world.to_canonical())
-    generate_problem(world, body, ProblemParams(), StepParams(), 0)
+    generate_problem([world], [body], ProblemParams(), StepParams(), [0], ["problems"])
     after = canonical_dumps(world.to_canonical())
     assert _strip_stream(before) == _strip_stream(after)
 
@@ -93,17 +93,18 @@ def test_target_matches_ghost_rollout():
     # The published goal is exactly the scriptor's end state as sensed.
     world, body = fresh(seed=9)
     sp = StepParams()
-    p = generate_problem(world, body, ProblemParams(), sp, 0)
+    p = generate_problem([world], [body], ProblemParams(), sp, [0], ["problems"])[0]
     ghost = world.clone()
     for t in range(p.scriptor_len):
-        acc = forces_to_accel(ghost, body, p.hidden_actions[t])
-        step(ghost, sp, external_accel=acc)
-    assert np.array_equal(sense(ghost, body).grid, p.target_grid)
+        acc = forces_to_accel([ghost], [body], [p.hidden_actions[t]])[0]
+        step([ghost], sp, external_accel=[acc])
+    assert np.array_equal(sense([ghost], [body])[0].grid, p.target_grid)
 
 
 def test_reference_costs_default_to_script_length():
     world, body = fresh()
-    p = generate_problem(world, body, ProblemParams(scriptor_len=4), StepParams(), 0)
+    p = generate_problem([world], [body], ProblemParams(scriptor_len=4), StepParams(), [0],
+                         ["problems"])[0]
     assert p.o_ref == 4
     assert p.d_ref == 4
 
@@ -130,7 +131,7 @@ def test_check_solved_threshold_inclusive():
 
 def test_public_payload_hides_secrets():
     world, body = fresh()
-    p = generate_problem(world, body, ProblemParams(), StepParams(), 3)
+    p = generate_problem([world], [body], ProblemParams(), StepParams(), [3], ["problems"])[0]
     pub = live_view({"kind": "problem_issued",
                      "problem": to_doc(p)})["problem"]
     assert set(pub) == {"id", "issued_tick", "target_grid", "epsilon", "timeout"}
@@ -140,7 +141,7 @@ def test_public_payload_hides_secrets():
 
 def test_problem_repr_never_leaks_script():
     world, body = fresh()
-    p = generate_problem(world, body, ProblemParams(), StepParams(), 0)
+    p = generate_problem([world], [body], ProblemParams(), StepParams(), [0], ["problems"])[0]
     text = repr(p)
     for value in p.hidden_actions.ravel()[:4]:
         assert repr(float(value)) not in text
@@ -148,7 +149,7 @@ def test_problem_repr_never_leaks_script():
 
 def test_null_baseline_binary():
     world, body = fresh(seed=12)
-    p = generate_problem(world, body, ProblemParams(), StepParams(), 0)
+    p = generate_problem([world], [body], ProblemParams(), StepParams(), [0], ["problems"])[0]
     assert null_baseline(world, body, p, StepParams()) in (0.0, 1.0)
 
 
@@ -156,7 +157,7 @@ def test_null_baseline_trivial_problem_scores_zero():
     # A target equal to the current reading solves itself: p_null 1,
     # so a hit is worth nothing.
     world, body = fresh(seed=2)
-    reading = sense(world, body)
+    reading = sense([world], [body])[0]
     problem = Problem(id=7, issued_tick=0, target_grid=reading.grid.copy(),
                       scriptor_len=1, epsilon=0.2, timeout=4, o_ref=1, d_ref=1,
                       hidden_actions=np.zeros((1, 3, 2)))
@@ -169,8 +170,8 @@ def _one_body_null(world, body, problem, step_params):
     """Reference: a zero-action rollout written out step by step."""
     ghost = world.clone()
     for _ in range(problem.timeout):
-        step(ghost, step_params)
-        if check_solved(sense(ghost, body), problem)[0]:
+        step([ghost], step_params)
+        if check_solved(sense([ghost], [body])[0], problem)[0]:
             return 1.0
     return 0.0
 
@@ -179,9 +180,9 @@ def _idle_target(world, body, ticks, problem_id, timeout):
     """A problem whose target is the idle world's reading after `ticks` steps."""
     ghost = world.clone()
     for _ in range(ticks):
-        step(ghost, StepParams())
+        step([ghost], StepParams())
     return Problem(id=problem_id, issued_tick=world.tick,
-                   target_grid=sense(ghost, body).grid, scriptor_len=1,
+                   target_grid=sense([ghost], [body])[0].grid, scriptor_len=1,
                    epsilon=0.01, timeout=timeout, o_ref=1, d_ref=1,
                    hidden_actions=np.zeros((1, len(body.member_ids), 2)))
 
@@ -189,7 +190,7 @@ def _idle_target(world, body, ticks, problem_id, timeout):
 def _count_steps(monkeypatch) -> list:
     steps = []
     monkeypatch.setattr("driftworld.problems.step",
-                        lambda w, params: steps.append(w.tick) or step(w, params))
+                        lambda ws, params: steps.extend(w.tick for w in ws) or step(ws, params))
     return steps
 
 
@@ -199,8 +200,8 @@ def test_null_baseline_matches_a_reference_rollout_per_body():
     bodies = [BodySpec(member_ids=ids, resolution=16, window_halfwidth=8.0)
               for ids in ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9, 10, 11))]
     issued = [
-        (bodies[0], generate_problem(world, bodies[0], ProblemParams(), sp, 0,
-                                     "problems.0")),
+        (bodies[0], generate_problem([world], [bodies[0]], ProblemParams(), sp, [0],
+                                     ["problems.0"])[0]),
         (bodies[1], _idle_target(world, bodies[1], 2, 1, timeout=6)),  # solves early
         (bodies[2], _idle_target(world, bodies[2], 6, 2, timeout=6)),  # on its last step
         (bodies[3], _idle_target(world, bodies[3], 5, 3, timeout=4)),  # too late
@@ -293,8 +294,8 @@ def test_deadline_counts_from_issue_tick():
     world, body = fresh()
     sp = StepParams()
     for _ in range(3):
-        step(world, sp)
-    p = generate_problem(world, body, ProblemParams(timeout=6), sp, 10)
+        step([world], sp)
+    p = generate_problem([world], [body], ProblemParams(timeout=6), sp, [10], ["problems"])[0]
     assert p.id == 10
     assert p.issued_tick == 3
     assert p.deadline() == 9

@@ -794,7 +794,7 @@ def test_stdio_agent_sees_the_in_process_grid(monkeypatch):
     monkeypatch.setattr(protocol, "make_agent", lambda kind, body, **kw: Recording(body))
     world = generate_world(GenSpec(seed=3))
     body = BodySpec((0, 1, 2, 3), resolution=16, window_halfwidth=8.0)
-    payload = sense(world, body).to_payload()
+    payload = sense([world], [body])[0].to_payload()
     hello = dict(hello_doc(), body=to_doc(body))
     stdio_session("null", [hello, {"kind": "observation", "tick": payload["tick"],
                                    "cells": grid_cells(payload["grid"])}])

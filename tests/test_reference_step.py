@@ -59,7 +59,7 @@ def _package_step(world, params, external) -> dict:
         levels.append(agg[:2])
         for name, value in zip(AGGREGATE_NAMES, agg):
             parts[lv.level, name] = value
-    step(world, params, external_accel=external)
+    step([world], params, external_accel=[external])
     extent = world.spec.arena_extent
     consts = world.level_constants()
     for level, (pos, vel) in enumerate(levels):
@@ -83,7 +83,7 @@ def test_step_equals_reference_step_every_tick(case_id):
     fastest = 0.0
     for t in range(cfg.episode.horizon):
         forces = pushes.uniform(-body.f_max, body.f_max, size=(len(body.member_ids), 2))
-        external = forces_to_accel(world, body, forces)
+        external = forces_to_accel([world], [body], [forces])[0]
         got = _package_step(world, params, external)
         want = reference_step(reference, params, external)
         assert sorted(got) == sorted(want), f"tick {t}: different arrays"

@@ -146,7 +146,7 @@ def test_composite_aggregates():
     world = generate_world(GenSpec(seed=4, n_entities=40, n_levels=3))
     extent = world.spec.arena_extent
     for _ in range(3):
-        step(world, StepParams())
+        step([world], StepParams())
     aggregates = world.recompute_aggregates()
     assert len(aggregates) == len(world.levels) == 2
     below = (world.positions, world.velocities, world.inertia, world.polarity)
@@ -181,14 +181,14 @@ def test_aggregates_are_never_stale():
     # forces of the next step, exactly as if the world had been rebuilt.
     world = generate_world(GenSpec(seed=8, n_entities=24, n_levels=3))
     params = StepParams()
-    step(world, params)
+    step([world], params)
     world.positions[3] = [1.0, -2.0]
     world.positions[7] = [-7.5, 7.5]
     world.velocities[5] = [0.3, -0.2]
     rebuilt = from_canonical(world.to_canonical())
     for _ in range(3):
-        step(world, params)
-        step(rebuilt, params)
+        step([world], params)
+        step([rebuilt], params)
     assert canonical(world) == canonical(rebuilt)
 
 
@@ -198,11 +198,11 @@ def test_canonical_roundtrip_continues_identically(n_levels):
     a = generate_world(spec)
     params = StepParams()
     for _ in range(2):
-        step(a, params)
+        step([a], params)
     b = from_canonical(a.to_canonical())
     for _ in range(5):
-        step(a, params)
-        step(b, params)
+        step([a], params)
+        step([b], params)
     assert canonical_dumps(a.to_canonical()) == canonical_dumps(b.to_canonical())
 
 
@@ -211,7 +211,7 @@ def test_clone_is_isolated(n_levels):
     world = generate_world(GenSpec(seed=2, n_levels=n_levels))
     clone = world.clone()
     before = canonical(clone)
-    step(world, StepParams())
+    step([world], StepParams())
     assert canonical(clone) == before
     # Clones share membership, so it must be read-only.
     assert len(clone.levels) == n_levels - 1
@@ -253,7 +253,7 @@ def test_drift_resamples_at_regime_times():
     level0_before = canonical_dumps(to_doc(world.laws[0]))
     marks = []
     for _ in range(8):
-        step(world, params)
+        step([world], params)
         for ev in world.last_drift_events:
             marks.append(ev["tick"])
     assert sorted(set(marks)) == [2, 5]
