@@ -31,7 +31,9 @@ class BaseAgent:
     `(R, R, 2)` array of counts (channel 0 positive, 1 negative), the same
     in process and, rebuilt from its occupied cells, over the wire.
     Problem lifecycle notices arrive through `on_problem` /
-    `on_problem_closed`.
+    `on_problem_closed`.  A problem's `target_grid` is a read-only float64
+    `(R, R, 2)` array too, the agent's own copy, in process as over the
+    wire: nothing an agent does to a payload reaches a trace.
     """
 
     kind = "base"

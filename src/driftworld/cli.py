@@ -5,7 +5,8 @@ Subcommands: gen (write a world), run (one episode), stage1 / stage2
 from a trace), agent (serve a bundled agent over stdio).
 
 Exit codes: 0 success, 1 replay verdict FAIL, 2 usage errors (argparse),
-3 configuration or contract errors, 4 protocol errors, 5 I/O errors.
+3 configuration or contract errors, 4 protocol errors, 5 I/O errors, 6 a
+stage worker process lost (killed, say), its traces' partial files removed.
 Existing output files are never overwritten without --force.
 """
 
@@ -24,6 +25,7 @@ from .errors import (
     ContractViolation,
     InsufficientDataError,
     ProtocolError,
+    WorkerLost,
 )
 from .protocol import SubprocessAgent, run_stdio_agent
 from .rng import agent_seed
@@ -32,7 +34,7 @@ from .worldgen import generate_world
 # The commands import config, harness, metrics and trace themselves, so
 # `driftworld agent` loads only what serving an agent over stdio needs.
 
-E_OK, E_REPLAY_FAIL, E_CONFIG, E_PROTOCOL, E_IO = 0, 1, 3, 4, 5
+E_OK, E_REPLAY_FAIL, E_CONFIG, E_PROTOCOL, E_IO, E_WORKER_LOST = 0, 1, 3, 4, 5, 6
 
 
 def _check_out(path: str | None, force: bool) -> None:
@@ -105,8 +107,7 @@ def cmd_run(args) -> int:
         )
         slot = Slot(agent_id="external", agent=agent, body=body)
     else:
-        slot = _make_slot(args.agent or cfg.agents[0], cfg, cfg.gen.seed, 0,
-                          multi=False)
+        slot = _make_slot(args.agent or cfg.agents[0], cfg, cfg.gen.seed)
     agent_id = slot.agent_id
 
     try:
@@ -118,17 +119,10 @@ def cmd_run(args) -> int:
         if external:
             slot.agent.close()
 
-    metrics = result.metrics(agent_id, cfg.metric)
-    run = result.agents[agent_id]
-    doc = {
-        "agent": agent_id,
-        "cumulative": run.cumulative,
-        "problems_closed": len(run.closures),
-        "drift_marks": result.drift_marks,
-        "metrics": to_doc(metrics),
-        "budget_misses": run.budget_misses,
-        "final_tick": result.tick,
-    }
+    doc = dict(result.seat_row(agent_id, cfg.metric), agent=agent_id,
+               drift_marks=result.drift_marks,
+               budget_misses=result.agents[agent_id].budget_misses,
+               final_tick=result.tick)
     _write_json(doc, args.out)
     return E_OK
 
@@ -350,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return E_IO
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return E_WORKER_LOST
 
 
 if __name__ == "__main__":

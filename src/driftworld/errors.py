@@ -19,3 +19,7 @@ class ProtocolError(DriftworldError):
 
 class InsufficientDataError(DriftworldError):
     """Not enough samples to compute the requested statistic."""
+
+
+class WorkerLost(DriftworldError):
+    """A worker process ended before it returned its results."""

@@ -24,9 +24,10 @@ script rollouts, one check of all actions and one sensor pass per body;
 each episode still writes the bytes it writes alone.
 
 Stage one evaluates each agent alone on matched worlds derived from one
-master seed, one contiguous chunk of (world, agent) episodes per usable
-CPU, each chunk run in lockstep.  Stage two puts all agents into a
-single shared world with disjoint bodies and per-agent problem streams.
+master seed, in contiguous chunks of (world, agent) episodes, at least
+one per usable CPU, each chunk run in lockstep.  Stage two puts all
+agents into a single shared world with disjoint bodies and per-agent
+problem streams.
 Replay reads a disclosure trace once, as a stream, re-runs the same
 episode loop on a regenerated world with the recorded actions, null
 baselines included, and compares the regenerated file with the original
@@ -49,7 +50,7 @@ from .agents import BaseAgent, make_agent
 from .canon import canonical_loads, from_doc, to_doc
 from .config import EpisodeConfig, RunConfig
 from .dynamics import StepParams, prepare, snapshot_hash, step
-from .errors import ConfigError, ContractViolation, DriftworldError
+from .errors import ConfigError, ContractViolation, DriftworldError, WorkerLost
 from .interface import (BodySpec, SenseGrid, forces_to_accel, recorded_forces, sense,
                         validate_forces)
 from .metrics import AgentMetrics, MetricParams, compute_metrics, rank_agents
@@ -64,7 +65,7 @@ from .problems import (
     null_baseline,
 )
 from .trace import (DISCLOSURE, TRACE_FORMAT, TraceSink, check_line, iter_trace,
-                    live_view)
+                    live_view, partial_path)
 from .worldgen import GenSpec, World, generate_world
 
 
@@ -195,8 +196,12 @@ class Episode:
         return self.tick >= self.config.horizon or (
             stop is not None and self.problems_closed >= stop)
 
-    def metrics(self, agent_id: str, params: MetricParams) -> AgentMetrics:
-        return compute_metrics(self.agents[agent_id].samples, self.drift_marks, params)
+    def seat_row(self, agent_id: str, params: MetricParams) -> dict:
+        """What a report says of one seat: its metrics, its total score
+        and how many of its problems closed."""
+        run = self.agents[agent_id]
+        return {"metrics": to_doc(compute_metrics(run.samples, self.drift_marks, params)),
+                "cumulative": run.cumulative, "problems_closed": len(run.closures)}
 
     def requests(self) -> list[tuple[World, BodySpec, int, str]]:
         """The problems this tick issues, one per idle seat under the issue
@@ -235,7 +240,10 @@ class Episode:
             run.issued_doc = {"kind": "problem_issued", "tick": t,
                               "agent": run.slot.agent_id, "problem": to_doc(problem)}
             sink.event(run.issued_doc, hold=True)
-            agent.on_problem(live_view(run.issued_doc)["problem"])
+            # the agent gets its own read-only grid, never the held line's
+            target = problem.target_grid.copy()
+            target.flags.writeable = False
+            agent.on_problem(dict(live_view(run.issued_doc)["problem"], target_grid=target))
             if hasattr(agent, "load_script"):
                 agent.load_script(problem.hidden_actions, problem.issued_tick)
 
@@ -456,19 +464,19 @@ class _Batch:
 # -- stages ----------------------------------------------------------------
 
 
-def _make_slot(kind: str, config: RunConfig, world_seed: int, idx: int,
-               multi: bool) -> Slot:
-    first_id = idx * config.body_members if multi else 0
-    body = config.body(first_id)
-    suffix = f".{idx}" if multi else ""
+def _make_slot(kind: str, config: RunConfig, world_seed: int,
+               idx: int | None = None) -> Slot:
+    """A `kind` agent's seat on the world of `world_seed`: its only seat,
+    or with `idx` seat `idx` of a shared world, whose body, agent id,
+    agent stream and problem stream are that seat's own."""
+    body = config.body(0 if idx is None else idx * config.body_members)
+    suffix = "" if idx is None else f".{idx}"
     stream = None
     if kind == "random":
         stream = rngmod.agent_stream(rngmod.agent_seed(world_seed, f"agent{suffix}"))
     agent = make_agent(kind, body, stream=stream)
-    agent_id = f"a{idx}_{kind}" if multi else kind
-    problems_stream = f"problems{suffix}" if multi else "problems"
-    return Slot(agent_id=agent_id, agent=agent, body=body,
-                stream_name=problems_stream)
+    return Slot(agent_id=kind if idx is None else f"a{idx}_{kind}", agent=agent,
+                body=body, stream_name=f"problems{suffix}")
 
 
 def _require_reportable(slots: list[Slot]) -> None:
@@ -477,27 +485,6 @@ def _require_reportable(slots: list[Slot]) -> None:
             raise ContractViolation(
                 f"agent {slot.agent_id!r} is calibration-only and cannot be ranked"
             )
-
-
-def _summarize(agent_ids: list[str], worlds: list[dict[str, AgentMetrics]]
-               ) -> tuple[dict, list[str], dict]:
-    """Per-agent mean metrics over worlds, the ranking of those means, and
-    for each ordered pair the number of worlds where a's index beat b's."""
-    means = {
-        aid: {name: float(np.mean([getattr(w[aid], name) for w in worlds]))
-              for name in ("acquisition", "plateau", "retention", "index")}
-        for aid in agent_ids
-    }
-    ranking = rank_agents([
-        (aid, AgentMetrics(**v, n_segments=0, n_marks=0))
-        for aid, v in means.items()
-    ])
-    wins = {
-        a: {b: sum(1 for w in worlds if w[a].index > w[b].index)
-            for b in agent_ids if b != a}
-        for a in agent_ids
-    }
-    return means, ranking, wins
 
 
 @dataclass
@@ -515,6 +502,26 @@ class StageReport:
         return {**to_doc(self), "lower_bound": True}
 
 
+def _stage_report(stage: int, per_world: list[dict]) -> StageReport:
+    """The report of a stage whose worlds gave `per_world`, each row's
+    `agents` holding each agent's `Episode.seat_row`: per-agent mean
+    metrics over the worlds, the ranking of those means, and for each
+    ordered pair the number of worlds where a's index beat b's."""
+    agent_ids = list(per_world[0]["agents"])
+    by_agent = {aid: [row["agents"][aid]["metrics"] for row in per_world]
+                for aid in agent_ids}  # one metrics doc per world
+    means = {aid: {name: float(np.mean([m[name] for m in docs]))
+                   for name in ("acquisition", "plateau", "retention", "index")}
+             for aid, docs in by_agent.items()}
+    ranking = rank_agents([(aid, AgentMetrics(**v, n_segments=0, n_marks=0))
+                           for aid, v in means.items()])
+    wins = {a: {b: sum(1 for ma, mb in zip(by_agent[a], by_agent[b])
+                       if ma["index"] > mb["index"])
+                for b in agent_ids if b != a}
+            for a in agent_ids}
+    return StageReport(stage, agent_ids, per_world, means, ranking, wins)
+
+
 def _stage1_paths(outdir: str, i: int, kind: str) -> tuple[str, str]:
     """The live and disclosure trace paths of stage-one cell (i, kind)."""
     stem = os.path.join(outdir, f"w{i}_{kind}")
@@ -528,59 +535,50 @@ _LOCKSTEP_EPISODES = 64
 
 
 def _stage1_cells(config: RunConfig, outdir: str | None,
-                  cells: list[tuple[int, str]]) -> list[tuple[AgentMetrics, dict]]:
-    """Stage-one cells (i, kind), each `kind` alone on world `i`, run in
-    lockstep, at most `_LOCKSTEP_EPISODES` at a time, and traced into
-    outdir when given.  Returns each cell's metrics and report row, in
-    cell order."""
-    if len(cells) > _LOCKSTEP_EPISODES:
-        return [row for lo in range(0, len(cells), _LOCKSTEP_EPISODES)
-                for row in _stage1_cells(config, outdir, cells[lo:lo + _LOCKSTEP_EPISODES])]
+                  cells: list[tuple[int, int, str]]) -> list[dict]:
+    """Stage-one cells (i, seed, kind), each `kind` alone on world `i` of
+    `seed`, run as one lockstep run and traced into outdir when given.
+    Returns each cell's report row, in cell order."""
     episodes, sinks = [], []
     with contextlib.ExitStack() as stack:
-        for i, kind in cells:
-            seed = rngmod.derive_world_seed(config.master_seed, i)
-            slot = _make_slot(kind, config, seed, 0, multi=False)
-            ep = Episode(generate_world(replace(config.gen, seed=seed)), [slot],
+        for i, seed, kind in cells:
+            ep = Episode(generate_world(replace(config.gen, seed=seed)),
+                         [_make_slot(kind, config, seed)],
                          config.step, config.problem, config.score, config.episode)
             paths = _stage1_paths(outdir, i, kind) if outdir else (None, None)
             sinks.append(stack.enter_context(TraceSink(*paths, ep.header)))
             episodes.append(ep)
         run_lockstep(episodes, sinks)
-    rows = []
-    for ep in episodes:
-        (agent_id, run), = ep.agents.items()
-        m = ep.metrics(agent_id, config.metric)
-        rows.append((m, {
-            "metrics": to_doc(m),
-            "cumulative": run.cumulative,
-            "problems_closed": len(run.closures),
-            "drift_marks": ep.drift_marks,
-        }))
-    return rows
+    return [dict(ep.seat_row(kind, config.metric), drift_marks=ep.drift_marks)
+            for ep, (_, _, kind) in zip(episodes, cells)]
 
 
 def _map_jobs(fn, jobs: list) -> list:
-    """`fn(chunk)` for contiguous chunks of `jobs`, one chunk per CPU
-    this process may run on, chunk sizes differing by at most one; the
-    chunks' results joined in job order.  Each chunk runs in a process of
-    its own, where `fn` can run its jobs in lockstep.  Without
-    `os.sched_getaffinity` (not Linux), or with one CPU, all the jobs
-    are one chunk, run here.
+    """`fn(chunk)` for contiguous chunks of `jobs`, the chunks' results
+    joined in job order.  This is the one place a battery is cut: into
+    one chunk per CPU this process may run on, or more if a chunk would
+    hold over `_LOCKSTEP_EPISODES` jobs, sizes differing by at most one.
+    A pool of one process per CPU runs them, so a CPU may run several
+    chunks, and a lost worker (killed, say) raises WorkerLost.  Without
+    `os.sched_getaffinity` (not Linux), or with one CPU, the chunks run
+    here one after another.
 
-    They are also one chunk run here while `run_episode` is wrapped (the
-    wrapper names the original as `__wrapped__`, as `functools.wraps`
-    does): a wrapper that times or counts keeps its records in this
-    process, and a forked worker's records would be lost with the worker.
+    They also run here while `run_episode` is wrapped (the wrapper names
+    the original as `__wrapped__`, as `functools.wraps` does): a wrapper
+    that times or counts keeps its records in this process, and a forked
+    worker's records would be lost with the worker.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(jobs), len(affinity(0))) if affinity else 1
+    n_chunks = max(workers, -(-len(jobs) // _LOCKSTEP_EPISODES))
+    size, extra = divmod(len(jobs), n_chunks)
+    bounds = [k * size + min(k, extra) for k in range(n_chunks + 1)]
+    chunks = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     if workers <= 1 or hasattr(run_episode, "__wrapped__"):
-        return fn(jobs)
-    size, extra = divmod(len(jobs), workers)
-    bounds = [k * size + min(k, extra) for k in range(workers + 1)]
+        return [result for chunk in chunks for result in fn(chunk)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # Fork, named because Python 3.14 changes the Linux default: spawn and
     # forkserver re-import the caller's __main__, which fails for a script
@@ -592,8 +590,10 @@ def _map_jobs(fn, jobs: list) -> list:
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(fn, jobs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        futures = [pool.submit(fn, chunk) for chunk in chunks]
         return [result for f in futures for result in f.result()]
+    except BrokenProcessPool as exc:
+        raise WorkerLost(f"a stage worker process was lost: {exc}") from None
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -602,35 +602,33 @@ def run_stage1(config: RunConfig, outdir: str | None = None,
                write_traces: bool = False) -> StageReport:
     """Each agent alone on the same derived worlds; mean metrics rank them.
 
-    Every (world, agent) episode is independent.  Each CPU this process
-    may use runs one contiguous chunk of them, in world order, in
-    lockstep; `taskset -c 0` runs them all as one chunk here.  Reports
-    and traces are the same bytes either way.
+    Every (world, agent) episode is independent.  `_map_jobs` cuts them,
+    in world order, into contiguous chunks, at least one per CPU this
+    process may use, and a CPU may run several chunks; each chunk runs in
+    lockstep.  `taskset -c 0` runs every chunk here.  Reports and traces
+    are the same bytes either way.  When the run fails, no trace it was
+    writing is left behind half-written.
     """
     kinds = list(config.agents)
     if len(set(kinds)) != len(kinds):
         raise ConfigError("stage one agent kinds must be distinct")
-    _require_reportable([_make_slot(kind, config, config.master_seed, 0,
-                                    multi=False) for kind in kinds])
+    _require_reportable([_make_slot(kind, config, config.master_seed) for kind in kinds])
 
     traced = outdir if write_traces else None
-    jobs = [(i, kind) for i in range(config.n_worlds) for kind in kinds]
-    cells = iter(_map_jobs(functools.partial(_stage1_cells, config, traced), jobs))
-
-    per_world: list[dict] = []
-    per_world_metrics: list[dict[str, AgentMetrics]] = []
-    for i in range(config.n_worlds):
-        seed = rngmod.derive_world_seed(config.master_seed, i)
-        world_row: dict = {"world": i, "seed": seed, "agents": {}}
-        world_metrics: dict[str, AgentMetrics] = {}
-        for kind in kinds:
-            world_metrics[kind], world_row["agents"][kind] = next(cells)
-        per_world.append(world_row)
-        per_world_metrics.append(world_metrics)
-
-    means, ranking, wins = _summarize(kinds, per_world_metrics)
-    return StageReport(stage=1, agent_ids=kinds, per_world=per_world,
-                       means=means, ranking=ranking, wins=wins)
+    seeds = [rngmod.derive_world_seed(config.master_seed, i) for i in range(config.n_worlds)]
+    jobs = [(i, seed, kind) for i, seed in enumerate(seeds) for kind in kinds]
+    try:
+        rows = iter(_map_jobs(functools.partial(_stage1_cells, config, traced), jobs))
+    except BaseException:
+        if traced:  # a lost worker left its open traces as they were
+            for i, _, kind in jobs:
+                for path in _stage1_paths(traced, i, kind):
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(partial_path(path))
+        raise
+    return _stage_report(1, [{"world": i, "seed": seed,
+                              "agents": {kind: next(rows) for kind in kinds}}
+                             for i, seed in enumerate(seeds)])
 
 
 def run_stage2(config: RunConfig, live_path: str | None = None,
@@ -644,35 +642,20 @@ def run_stage2(config: RunConfig, live_path: str | None = None,
             f"{needed} entities, world has {config.gen.n_entities}"
         )
     world = generate_world(config.gen)
-    slots = [
-        _make_slot(kind, config, config.gen.seed, idx, multi=True)
-        for idx, kind in enumerate(kinds)
-    ]
+    slots = [_make_slot(kind, config, config.gen.seed, idx)
+             for idx, kind in enumerate(kinds)]
     _require_reportable(slots)
     result = run_episode(
         world, slots, config.step, config.problem, config.score,
         config.episode, live_path=live_path, disclosure_path=disclosure_path,
     )
-
-    metrics: dict[str, AgentMetrics] = {}
-    agents_row: dict = {}
-    for slot_id, run in result.agents.items():
-        m = metrics[slot_id] = result.metrics(slot_id, config.metric)
-        agents_row[slot_id] = {
-            "metrics": to_doc(m),
-            "cumulative": run.cumulative,
-            "problems_closed": len(run.closures),
-            "senses": run.senses,
-            "acts": run.acts,
-        }
-    per_world = [{
-        "world": 0, "seed": config.gen.seed, "agents": agents_row,
+    return _stage_report(2, [{
+        "world": 0, "seed": config.gen.seed,
+        "agents": {aid: dict(result.seat_row(aid, config.metric),
+                             senses=run.senses, acts=run.acts)
+                   for aid, run in result.agents.items()},
         "drift_marks": result.drift_marks,
-    }]
-    means, ranking, wins = _summarize(list(metrics), [metrics])
-    return StageReport(stage=2, agent_ids=list(metrics),
-                       per_world=per_world, means=means, ranking=ranking,
-                       wins=wins)
+    }])
 
 
 def oracle_calibration(config: RunConfig, n_problems: int) -> dict:
@@ -682,7 +665,7 @@ def oracle_calibration(config: RunConfig, n_problems: int) -> dict:
     the difficulty scale for the configured problem parameters.
     """
     world = generate_world(config.gen)
-    slot = _make_slot("oracle", config, config.gen.seed, 0, multi=False)
+    slot = _make_slot("oracle", config, config.gen.seed)
     episode = EpisodeConfig(
         horizon=n_problems * (config.problem.timeout + 2) + 4,
         snapshot_every=10_000_000,

@@ -432,7 +432,7 @@ class SubprocessAgent(BaseAgent):
 
     def on_problem(self, payload: dict) -> None:
         problem = dict(payload)
-        problem["target_cells"] = grid_cells(np.asarray(problem.pop("target_grid")))
+        problem["target_cells"] = grid_cells(problem.pop("target_grid"))
         self._hold({"kind": "problem", "problem": problem})
 
     def on_problem_closed(self, payload: dict) -> None:

@@ -168,10 +168,15 @@ def live_view(doc: dict) -> dict | None:
     return None if tree is None else _project(doc, tree)
 
 
+def partial_path(path: str) -> str:
+    """Where a `TraceWriter` writes the trace for `path` until it closes."""
+    return path + ".partial"
+
+
 class TraceWriter:
     """Writes one header line then event lines, all canonical JSON.
 
-    The lines go to `path + ".partial"`, which a clean `close` renames
+    The lines go to `partial_path(path)`, which a clean `close` renames
     to `path`.  Leaving the `with` block on an exception deletes it
     instead, so a crashed episode leaves no half-written trace behind
     that would replay as a divergence.
@@ -189,7 +194,7 @@ class TraceWriter:
                 "a trace header has kind 'header' and mode 'live' or 'disclosure'")
         self.path = path
         self._pending: deque = deque()  # lines and held documents, in order
-        self._partial = path + ".partial"
+        self._partial = partial_path(path)
         self._fh = open(self._partial, "w", encoding="utf-8")
         self._write(canonical_dumps(header))
 

@@ -4,11 +4,15 @@ Everything drives `main(argv)` in-process; one test execs the module
 for real to cover the installed entry point.
 """
 
+import contextlib
 import json
 import math
 import multiprocessing
 import os
+import random
+import resource
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -723,6 +727,45 @@ def test_report_needs_samples(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _mutants(n: int, seed: int):
+    """`n` copies of the golden trace's lines, each with one edit: a key
+    dropped or a value retyped, at a random depth of a random line (every
+    fourth copy the header's), or a line duplicated or dropped.  Yields
+    what was done and the lines."""
+    rng = random.Random(seed)
+    lines = GOLDEN_TRACE.read_text().splitlines()
+    values = [None, True, 0, -1, 2.5, "x", [], {}]
+    for case in range(n):
+        out = list(lines)
+        k = 0 if case % 4 == 0 else rng.randrange(len(out))
+        how = rng.choice(["drop-key", "retype", "duplicate", "drop-line"])
+        if how == "duplicate":
+            out.insert(k, out[k])
+        elif how == "drop-line":
+            del out[k]
+        else:
+            parent = doc = json.loads(out[k])
+            key = rng.choice(list(doc))
+            while isinstance(parent[key], (dict, list)) and parent[key] and rng.random() < 0.5:
+                parent = parent[key]
+                key = (rng.choice(list(parent)) if isinstance(parent, dict)
+                       else rng.randrange(len(parent)))
+            if how == "drop-key":
+                del parent[key]
+            else:
+                parent[key] = rng.choice(values)
+            out[k] = canonical_dumps(doc)
+        yield f"{how} at line {k + 1}", out
+
+
+def test_report_and_replay_of_a_mutated_trace_exit_with_a_verdict(tmp_path, capsys):
+    for n, (what, lines) in enumerate(_mutants(24, seed=37)):
+        path = _write_lines(tmp_path / f"mutant{n}.ndjson", lines)
+        assert run_cli("replay", path) in (0, 1), what
+        assert run_cli("report", path, "--out", str(tmp_path / f"m{n}.json")) in (0, 3), what
+    assert "Traceback" not in "".join(capsys.readouterr())
+
+
 # -------------------------------------------------------------------- stages
 
 
@@ -749,6 +792,45 @@ def test_stage1_cli_missing_trace_dir_exits_five(cpus, monkeypatch, tmp_path,
     assert rc == 5
     assert capsys.readouterr().err.startswith("i/o error: ")
     assert not multiprocessing.active_children()
+
+
+def fill_the_disk():
+    """Make this process's file writes fail as on a full disk: EFBIG, since
+    Python ignores SIGXFSZ."""
+    resource.setrlimit(resource.RLIMIT_FSIZE,
+                       (0, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), cli.E_WORKER_LOST,
+     "error: a stage worker process was lost"),
+    (fill_the_disk, cli.E_IO, "i/o error: "),
+], ids=["killed", "disk-full"])
+def test_stage1_cli_failed_worker_exits_with_its_code_and_leaves_no_partial_file(
+        fault, code, message, monkeypatch, tmp_path, capsys):
+    # the first episode to reach tick 10 in a pool worker brings the fault
+    # on that worker, the test's own child, while it has traces open
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    here, struck = os.getpid(), str(tmp_path / "struck")
+    real_settle = harness.Episode.settle
+
+    def settle(episode, sink, readings):
+        if episode.tick == 10 and os.getpid() != here:
+            with contextlib.suppress(FileExistsError):
+                os.close(os.open(struck, os.O_CREAT | os.O_EXCL))
+                fault()
+        real_settle(episode, sink, readings)
+
+    monkeypatch.setattr(harness.Episode, "settle", settle)
+    traces, out = tmp_path / "traces", tmp_path / "stage1.json"
+    traces.mkdir()
+    rc = run_cli("stage1", *BASE, "--set", "run.n_worlds=4",
+                 "--trace-dir", str(traces), "--out", str(out))
+    assert rc == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not multiprocessing.active_children()
+    assert os.path.exists(struck) and not out.exists()
+    assert not [name for name in os.listdir(traces) if not name.endswith(".ndjson")]
 
 
 def test_stage1_cli_traces_need_force(tmp_path, capsys):

@@ -29,7 +29,7 @@ from driftworld.harness import (
     Episode,
     ScriptedAgent,
     Slot,
-    _summarize,
+    _stage_report,
     oracle_calibration,
     replay_trace,
     run_episode,
@@ -208,7 +208,7 @@ def test_problems_open_at_a_clean_stop_are_written_with_no_null(tmp_path):
     cfg = RunConfig(gen=GenSpec(seed=7, drift=DriftSchedule(regime_times=(10, 20))),
                     episode=EpisodeConfig(horizon=40, stop_after_problems=1),
                     agents=("greedy", "null", "random"))
-    slots = [harness._make_slot(kind, cfg, cfg.gen.seed, idx, multi=True)
+    slots = [harness._make_slot(kind, cfg, cfg.gen.seed, idx)
              for idx, kind in enumerate(cfg.agents)]
     disc = str(tmp_path / "d.ndjson")
     result = run_episode(generate_world(cfg.gen), slots, cfg.step, cfg.problem,
@@ -234,8 +234,7 @@ def test_null_agent_times_out_on_schedule_and_scores_zero():
     assert [c["d_count"] for c in closures] == [cfg.problem.timeout] * 2
     assert [c["tick"] for c in closures] == [24, 48]
     assert result.agents["null"].cumulative == 0.0
-    m = result.metrics("null", cfg.metric)
-    assert m.index == 0.0
+    assert result.seat_row("null", cfg.metric)["metrics"]["index"] == 0.0
 
 
 def test_problems_per_regime_resets_at_drift():
@@ -330,7 +329,7 @@ def test_a_reused_seat_starts_as_it_was_built(kind, tmp_path):
         return disc.read_bytes()
 
     def seat():
-        return harness._make_slot(kind, cfg, cfg.gen.seed, 0, multi=False)
+        return harness._make_slot(kind, cfg, cfg.gen.seed)
 
     def state(agent):
         return stream_state(agent.stream) if kind == "random" else agent.noise
@@ -401,19 +400,31 @@ def test_a_lockstep_battery_whose_episodes_stop_apart_writes_solo_bytes(
         monkeypatch, tmp_path, at_once):
     # Episodes that stop after their second closed problem leave the batch
     # at different ticks; each must still write the bytes it writes alone,
-    # also when the battery runs as several lockstep runs of `at_once`.
+    # also when the battery is cut into several lockstep runs of at most
+    # `at_once`, run one after another here.
     monkeypatch.setattr(harness, "_LOCKSTEP_EPISODES", at_once)
+    see_cpus(monkeypatch, 1)
     cfg = RunConfig(gen=GenSpec(seed=0, drift=DriftSchedule(regime_times=(20, 40))),
                     episode=EpisodeConfig(horizon=80, stop_after_problems=2),
                     agents=("greedy", "random", "null"), n_worlds=3, master_seed=5)
-    cells = [(i, kind) for i in range(cfg.n_worlds) for kind in cfg.agents]
+    cells = [(i, derive_world_seed(cfg.master_seed, i), kind)
+             for i in range(cfg.n_worlds) for kind in cfg.agents]
     (tmp_path / "lockstep").mkdir()
     (tmp_path / "solo").mkdir()
-    rows = harness._stage1_cells(cfg, str(tmp_path / "lockstep"), cells)
+    runs = []
+    real_run_lockstep = harness.run_lockstep
+
+    def counting(episodes, sinks):
+        runs.append(len(episodes))
+        real_run_lockstep(episodes, sinks)
+
+    monkeypatch.setattr(harness, "run_lockstep", counting)
+    rows = harness._map_jobs(functools.partial(
+        harness._stage1_cells, cfg, str(tmp_path / "lockstep")), cells)
+    assert runs == ([9] if at_once >= 9 else [3, 3, 3])
     ends = set()
-    for (i, kind), (_, row) in zip(cells, rows):
-        seed = derive_world_seed(cfg.master_seed, i)
-        slot = harness._make_slot(kind, cfg, seed, 0, multi=False)
+    for (i, seed, kind), row in zip(cells, rows):
+        slot = harness._make_slot(kind, cfg, seed)
         live, disc = harness._stage1_paths(str(tmp_path / "solo"), i, kind)
         alone = run_episode(generate_world(replace(cfg.gen, seed=seed)), [slot],
                             cfg.step, cfg.problem, cfg.score, cfg.episode,
@@ -457,9 +468,14 @@ def test_summary_means_ranks_and_counts_wins_over_worlds():
         return AgentMetrics(acquisition=2.0, plateau=plateau, retention=1.0,
                             index=index, n_segments=3, n_marks=2)
 
-    worlds = [{"a": m(0.1), "b": m(0.3)}, {"a": m(0.6), "b": m(0.2)},
-              {"a": m(0.2), "b": m(0.2, plateau=0.7)}]
-    means, ranking, wins = _summarize(["a", "b"], worlds)
+    worlds = [{"world": w, "agents": {aid: {"metrics": to_doc(metrics)}
+                                      for aid, metrics in seats.items()}}
+              for w, seats in enumerate([{"a": m(0.1), "b": m(0.3)},
+                                         {"a": m(0.6), "b": m(0.2)},
+                                         {"a": m(0.2), "b": m(0.2, plateau=0.7)}])]
+    report = _stage_report(1, worlds)
+    assert report.agent_ids == ["a", "b"] and report.per_world is worlds
+    means, ranking, wins = report.means, report.ranking, report.wins
     assert means["a"]["index"] == pytest.approx(0.3)
     assert means["b"]["plateau"] == pytest.approx(0.5 + 0.2 / 3)
     assert ranking == ["a", "b"]
@@ -467,7 +483,9 @@ def test_summary_means_ranks_and_counts_wins_over_worlds():
     assert all(type(n) is int for row in wins.values() for n in row.values())
 
     # one world: the means are the metrics themselves, wins are 0 or 1
-    means, ranking, wins = _summarize(["a", "b"], worlds[2:])
+    report = _stage_report(2, worlds[2:])
+    means, ranking, wins = report.means, report.ranking, report.wins
+    assert report.stage == 2
     assert means["b"] == {"acquisition": 2.0, "plateau": 0.7,
                           "retention": 1.0, "index": 0.2}
     assert ranking == ["b", "a"]
@@ -551,6 +569,34 @@ def test_stage1_runs_here_while_run_episode_is_wrapped(monkeypatch):
     cfg = replace(small_config(), agents=("greedy", "null"), n_worlds=2)
     run_stage1(cfg)
     assert seen == [os.getpid()] * 4
+
+
+def tag_chunk(chunk):
+    """Each job of a chunk with the chunk's first job and size; a module
+    function, so a pool worker can take it."""
+    return [(chunk[0], len(chunk), job) for job in chunk]
+
+
+@pytest.mark.parametrize("cpus, n_jobs", [(None, 130), (1, 1), (1, 129), (2, 9),
+                                          (3, 2), (3, 200)])
+def test_a_battery_is_cut_once_into_bounded_chunks(monkeypatch, cpus, n_jobs):
+    # at least one chunk per CPU, none above `_LOCKSTEP_EPISODES`, sizes
+    # within one, contiguous and in job order, on the pool and here alike
+    see_cpus(monkeypatch, cpus)
+    jobs = list(range(n_jobs))
+    out = harness._map_jobs(tag_chunk, jobs)
+    assert not multiprocessing.active_children()
+    assert [job for _, _, job in out] == jobs
+    assert all(first <= job < first + size for first, size, job in out)
+    sizes = {first: size for first, size, _ in out}
+    assert sum(sizes.values()) == n_jobs
+    cpus_used = min(n_jobs, cpus or 1)
+    assert len(sizes) >= cpus_used
+    assert max(sizes.values()) <= harness._LOCKSTEP_EPISODES
+    assert max(sizes.values()) - min(sizes.values()) <= 1
+    assert len(sizes) == max(cpus_used, -(-n_jobs // harness._LOCKSTEP_EPISODES))
+    if (cpus, n_jobs) == (2, 9):  # the benchmark's battery: 5 + 4, one per CPU
+        assert list(sizes.values()) == [5, 4]
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

@@ -941,8 +941,7 @@ def test_subprocess_null_agent_end_to_end(body):
                             budget_s=2.0)
     try:
         assert agent.agent_name == "null"
-        agent.on_problem({"id": 0, "issued_tick": 0,
-                          "target_grid": [[[0.0, 0.0]]],
+        agent.on_problem({"id": 0, "issued_tick": 0, "target_grid": EMPTY_GRID,
                           "epsilon": 0.1, "timeout": 5})
         forces = agent.act({"tick": 0, "grid": np.array([[[1.0, 0.0]]])})
         assert forces.shape == (4, 2)

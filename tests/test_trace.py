@@ -9,16 +9,18 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftworld.agents import GreedyAgent, make_agent
+from driftworld.agents import GreedyAgent, NullAgent, make_agent
 from driftworld.canon import canonical_dumps
 from driftworld.config import EpisodeConfig, RunConfig
 from driftworld.errors import ContractViolation
-from driftworld.harness import Slot, run_episode
+from driftworld.harness import Slot, replay_trace, run_episode
 from driftworld.trace import (
     DISCLOSURE,
     LIVE,
@@ -499,4 +501,39 @@ def test_agent_sees_exactly_the_live_problem(tmp_path):
     _, events = read_trace(live)
     issued = [e["problem"] for e in events if e["kind"] == "problem_issued"]
     assert len(issued) >= 2
-    assert received == issued
+    # the target grid comes as the wire's agent side rebuilds it
+    for payload in received:
+        grid = payload["target_grid"]
+        assert grid.dtype == np.float64
+        assert grid.shape == (body.resolution, body.resolution, 2)
+        assert not grid.flags.writeable
+    assert [dict(p, target_grid=p["target_grid"].tolist()) for p in received] == issued
+
+
+class Scribbler(NullAgent):
+    """A null agent that writes over every problem payload it is given."""
+
+    def on_problem(self, payload: dict) -> None:
+        grid = payload["target_grid"]
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0][0][0] = 99.0
+        grid.flags.writeable = True  # its own copy, so numpy allows this
+        grid[0][0][0] = 99.0
+        payload["id"], payload["epsilon"] = -1, 99.0
+
+
+def test_an_agent_that_writes_over_its_problem_changes_no_trace(tmp_path):
+    # the held disclosure line is encoded when its problem closes, after
+    # the agent has had the payload; the agent must not reach that line
+    cfg = replace(RunConfig(), episode=EpisodeConfig(horizon=30))
+    body = cfg.body()
+    traces = {}
+    for name, agent in (("null", make_agent("null", body)), ("scribbler", Scribbler(body))):
+        live, disc = str(tmp_path / f"{name}.live"), str(tmp_path / f"{name}.disc")
+        run_episode(generate_world(cfg.gen), [Slot(agent_id="null", agent=agent, body=body)],
+                    cfg.step, cfg.problem, cfg.score, cfg.episode,
+                    live_path=live, disclosure_path=disc)
+        traces[name] = trace_bytes(live), trace_bytes(disc)
+    assert b'"problem_issued"' in traces["null"][1]
+    assert traces["scribbler"] == traces["null"]
+    assert replay_trace(str(tmp_path / "scribbler.disc"))["ok"]
